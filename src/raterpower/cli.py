@@ -333,6 +333,8 @@ def cmd_fit(args) -> None:
 
 
 def cmd_simulate(args) -> None:
+    if not args.out:
+        raise UsageError("simulate needs --out PREFIX")
     prior = _load_prior(args)
     config = _base_config(args).with_(prior=prior).validate()
     from . import rngstreams
@@ -340,8 +342,6 @@ def cmd_simulate(args) -> None:
 
     rng = rngstreams.derive_rng(config.seed, rngstreams.BASE)
     g, a, b = generate_triple(config, rng)
-    if not args.out:
-        raise UsageError("simulate needs --out PREFIX")
     suffix = "csv" if args.format == "csv" else "jsonl"
     paths = []
     for name, matrix in (("G", g), ("A", a), ("B", b)):

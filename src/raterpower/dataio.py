@@ -32,7 +32,7 @@ from .errors import (
 )
 from .simulator import ResponseMatrix
 
-__all__ = ["load_responses", "save_matrix", "save_report", "matrix_to_jsonl", "matrix_to_csv"]
+__all__ = ["load_responses", "check_unit_range", "save_matrix", "save_report", "matrix_to_jsonl", "matrix_to_csv"]
 
 
 def _detect_format(path: Path, fmt: str | None) -> str:
@@ -118,39 +118,34 @@ def _to_float(raw, line_no: int) -> float:
         raise ParseError(line_no, f"non-numeric response {raw!r}")
 
 
+def check_unit_range(m: ResponseMatrix) -> ResponseMatrix:
+    """Return ``m`` if every response is in [0, 1], else raise ValueOutOfRange.
+
+    NaN is out of range. The error names the first offending response in
+    item order.
+    """
+    if not m.rows:
+        return m
+    values = np.concatenate(m.rows)
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        item = int(np.searchsorted(np.cumsum(m.counts()), bad[0], side="right"))
+        raise ValueOutOfRange(m.ids[item], float(values[bad[0]]))
+    return m
+
+
 def _convert(records, value_map, levels) -> ResponseMatrix:
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
     if value_map is not None:
-        for item_id, raws, line_no in records:
-            values = [_lookup(value_map, r, line_no) for r in raws]
-            ids.append(item_id)
-            rows.append(np.asarray(values, dtype=float))
-    elif levels is not None:
-        numeric = [
-            (item_id, [_to_float(r, line_no) for r in raws], line_no)
-            for item_id, raws, line_no in records
-        ]
-        observed = [v for _, vals, _ in numeric for v in vals]
-        offset = 0.0 if observed and min(observed) < 1.0 else 1.0
-        for item_id, vals, _ in numeric:
-            mapped = [(v - offset) / (levels - 1) for v in vals]
-            for original, value in zip(vals, mapped):
-                if not 0.0 <= value <= 1.0:
-                    raise ValueOutOfRange(item_id, original)
-            ids.append(item_id)
-            rows.append(np.asarray(mapped, dtype=float))
-        return ResponseMatrix(tuple(ids), tuple(rows))
+        rows = [[_lookup(value_map, r, line_no) for r in raws] for _, raws, line_no in records]
     else:
-        for item_id, raws, line_no in records:
-            values = [_to_float(r, line_no) for r in raws]
-            ids.append(item_id)
-            rows.append(np.asarray(values, dtype=float))
-    for item_id, row in zip(ids, rows):
-        for value in row:
-            if not 0.0 <= value <= 1.0:
-                raise ValueOutOfRange(item_id, float(value))
-    return ResponseMatrix(tuple(ids), tuple(rows))
+        rows = [[_to_float(r, line_no) for r in raws] for _, raws, line_no in records]
+    arrays = [np.asarray(row, dtype=float) for row in rows]
+    if value_map is None and levels is not None:
+        observed = [v for row in rows for v in row]
+        offset = 0.0 if observed and min(observed) < 1.0 else 1.0
+        arrays = [(x - offset) / (levels - 1) for x in arrays]
+    ids = tuple(item_id for item_id, _, _ in records)
+    return check_unit_range(ResponseMatrix(ids, tuple(arrays)))
 
 
 def load_responses(

@@ -42,14 +42,6 @@ _PARAMS: dict[Family, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
-def _ndtr(x):
-    return special.ndtr(x)
-
-
-def _ndtri(x):
-    return special.ndtri(x)
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
     """A parameterized distribution family.
@@ -187,12 +179,12 @@ class DistributionSpec:
         mu, sigma, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
         if sigma == 0:
             return np.full(count, float(mu))
-        a = _ndtr((lo - mu) / sigma)
-        b = _ndtr((hi - mu) / sigma)
+        a = special.ndtr((lo - mu) / sigma)
+        b = special.ndtr((hi - mu) / sigma)
         if b - a <= 0.0:
             raise InvalidParam("lo", "truncation interval carries no mass")
         u = rng.uniform(a, b, count)
-        return np.clip(mu + sigma * _ndtri(u), lo, hi)
+        return np.clip(mu + sigma * special.ndtri(u), lo, hi)
 
     # -- CDF ------------------------------------------------------------------
 
@@ -217,9 +209,9 @@ class DistributionSpec:
             mu, sigma, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
             if sigma == 0:
                 return (x >= mu).astype(float)
-            a = _ndtr((lo - mu) / sigma)
-            b = _ndtr((hi - mu) / sigma)
-            core = (_ndtr((x - mu) / sigma) - a) / (b - a)
+            a = special.ndtr((lo - mu) / sigma)
+            b = special.ndtr((hi - mu) / sigma)
+            core = (special.ndtr((x - mu) / sigma) - a) / (b - a)
             return np.clip(core, 0.0, 1.0)
         if f == Family.CENSORED_NORMAL:
             return self._censor(self._normal_cdf(x, p["mu"], p["sigma"]), x, p["lo"], p["hi"])
@@ -239,13 +231,13 @@ class DistributionSpec:
     def _normal_cdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
         if sigma == 0:
             return (x >= mu).astype(float)
-        return _ndtr((x - mu) / sigma)
+        return special.ndtr((x - mu) / sigma)
 
     @staticmethod
     def _folded_cdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
         if sigma == 0:
             return (x >= abs(mu)).astype(float)
-        pos = _ndtr((x - mu) / sigma) + _ndtr((x + mu) / sigma) - 1.0
+        pos = special.ndtr((x - mu) / sigma) + special.ndtr((x + mu) / sigma) - 1.0
         return np.where(x < 0, 0.0, np.clip(pos, 0.0, 1.0))
 
     @staticmethod
@@ -290,20 +282,6 @@ class DistributionSpec:
         if not isinstance(params, dict):
             raise InvalidParam("params", "params must be an object")
         return cls(family, {k: float(v) for k, v in params.items()}).validate()
-
-
-# Module-level operation aliases matching the rest of the public surface.
-
-def validate_spec(spec: DistributionSpec) -> DistributionSpec:
-    return spec.validate()
-
-
-def sample(spec: DistributionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    return spec.sample(rng, count)
-
-
-def cdf(spec: DistributionSpec, x):
-    return spec.cdf(x)
 
 
 def uniform(lo: float, hi: float) -> DistributionSpec:

@@ -22,6 +22,16 @@ bootstrap-of-given mode alternative resamples are plain multistage
 bootstrap resamples of the supplied triple. Null resamples never take extra
 resampling layers; drawing from the pooled responses is itself the
 response-level resampling of the null hypothesis.
+
+Engine. Rectangular data runs on three pieces: ``simulate_batch`` draws
+batched triples, ``_resample`` gathers items with one shared (c, N) index
+draw and then redraws responses with the one primitive ``_draw`` (which
+also draws the null A/B responses from the pool, see ``_null_triples``),
+and ``metrics.batch_scores`` scores the batch. Each chunk of resamples
+derives its generator from (seed, arm, chunk start), so results do not
+depend on the thread count. Ragged given data keeps the list-of-rows
+``resample_multistage`` and ``sample_null_pair`` with one generator per
+resample, scored by the same metric kernel.
 """
 
 from __future__ import annotations
@@ -33,9 +43,10 @@ import numpy as np
 
 from . import rngstreams
 from .config import ExperimentConfig, Level, Mode, SamplingStrategy
+from .dataio import check_unit_range
 from .errors import EmptyItem, EmptySample, InvalidParam, ItemMismatch
-from .metrics import MetricId, batch_scores, batch_scores_ragged
-from .simulator import ResponseMatrix, _gen_responses, generate_triple
+from .metrics import MetricId, batch_scores, comparison, model_scores
+from .simulator import ResponseMatrix, generate_triple, simulate_batch
 
 __all__ = [
     "resample_multistage",
@@ -114,16 +125,20 @@ def build_null_pool(a: ResponseMatrix, b: ResponseMatrix) -> ResponseMatrix:
 
 
 def sample_null_pair(
-    pool: ResponseMatrix, k: int, rng: np.random.Generator
+    pool: ResponseMatrix, k, rng: np.random.Generator
 ) -> tuple[ResponseMatrix, ResponseMatrix]:
-    """Two independent with-replacement samples of size k per item (A first)."""
-    if k < 1:
+    """Two independent with-replacement samples per item (A first).
+
+    ``k`` is one sample size for every item or a sequence of per-item sizes.
+    """
+    counts = np.broadcast_to(k, (pool.n_items,))
+    if np.any(counts < 1):
         raise InvalidParam("k", "need at least one response per item")
     for item_id, row in zip(pool.ids, pool.rows):
         if row.size == 0:
             raise EmptyItem(f"pool item {item_id!r} is empty")
-    rows_a = tuple(row[rng.integers(0, row.size, k)] for row in pool.rows)
-    rows_b = tuple(row[rng.integers(0, row.size, k)] for row in pool.rows)
+    rows_a = tuple(row[rng.integers(0, row.size, kk)] for row, kk in zip(pool.rows, counts))
+    rows_b = tuple(row[rng.integers(0, row.size, kk)] for row, kk in zip(pool.rows, counts))
     return ResponseMatrix(pool.ids, rows_a), ResponseMatrix(pool.ids, rows_b)
 
 
@@ -221,55 +236,62 @@ def _map_chunks(fn, chunks, threads: int):
         return list(pool.map(fn, chunks))
 
 
-def _boot_rows_3d(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    idx = rng.integers(0, x.shape[-1], x.shape)
+def _draw(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k with-replacement draws from the last axis of x: the response-draw primitive."""
+    idx = rng.integers(0, x.shape[-1], (*x.shape[:-1], k))
     return np.take_along_axis(x, idx, axis=-1)
+
+
+def _resample(arrays, rng: np.random.Generator, c: int, phi: SamplingStrategy) -> tuple:
+    """c multistage resamples of aligned (N, K) or (c, N, K) arrays -> (c, N, K) each.
+
+    Stream order: one (c, N) item index draw shared by every array (when
+    phi.items is boot), then each array's responses redrawn in turn (when
+    phi.responses is boot).
+    """
+    if phi.items == Level.BOOT:
+        n = arrays[0].shape[-2]
+        idx = rng.integers(0, n, (c, n))
+        arrays = tuple(
+            x[idx] if x.ndim == 2 else np.take_along_axis(x, idx[:, :, None], axis=1)
+            for x in arrays
+        )
+    else:
+        arrays = tuple(np.broadcast_to(x, (c, *x.shape[-2:])) for x in arrays)
+    if phi.responses == Level.BOOT:
+        arrays = tuple(_draw(x, x.shape[-1], rng) for x in arrays)
+    return arrays
+
+
+def _null_triples(
+    g: np.ndarray,
+    pool: np.ndarray,
+    phi: SamplingStrategy,
+    rng: np.random.Generator,
+    c: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c null (G, A, B) triples from base gold g (N, K) and pooled A+B responses.
+
+    Items are resampled jointly under phi.items and gold responses under
+    phi.responses; A's and then B's K responses per item are always drawn
+    from the pool.
+    """
+    g3, pool3 = _resample((g, pool), rng, c, SamplingStrategy(phi.items, Level.ALL))
+    if phi.responses == Level.BOOT:
+        g3 = _draw(g3, g.shape[1], rng)
+    return g3, _draw(pool3, g.shape[1], rng), _draw(pool3, g.shape[1], rng)
+
+
+_NO_RESAMPLE = SamplingStrategy(Level.ALL, Level.ALL)
 
 
 def _alt_chunk_parametric(config: ExperimentConfig, lo: int, hi: int) -> dict[MetricId, np.ndarray]:
     c = hi - lo
-    n, k = config.n_items, config.k_responses
     rng = rngstreams.derive_rng(config.seed, rngstreams.ALT, lo)
-    mu = config.prior.location.sample(rng, c * n).reshape(c, n)
-    sigma = config.prior.scale.sample(rng, c * n).reshape(c, n)
-    g = _gen_responses(mu, sigma, k, config.family, rng)
-    a = _gen_responses(mu, sigma, k, config.family, rng)
-    delta = rng.uniform(-config.epsilon, config.epsilon, (c, n))
-    b = _gen_responses(mu + delta, sigma, k, config.family, rng)
-    if config.phi.items == Level.BOOT:
-        idx = rng.integers(0, n, (c, n))
-        g = np.take_along_axis(g, idx[:, :, None], axis=1)
-        a = np.take_along_axis(a, idx[:, :, None], axis=1)
-        b = np.take_along_axis(b, idx[:, :, None], axis=1)
-        if config.phi.responses == Level.BOOT:
-            g = _boot_rows_3d(g, rng)
-            a = _boot_rows_3d(a, rng)
-            b = _boot_rows_3d(b, rng)
-    return batch_scores(config.metrics, g, a, b)
-
-
-def _alt_chunk_given_rect(
-    config: ExperimentConfig,
-    base: tuple[np.ndarray, np.ndarray, np.ndarray],
-    lo: int,
-    hi: int,
-) -> dict[MetricId, np.ndarray]:
-    c = hi - lo
-    gb, ab, bb = base
-    n = gb.shape[0]
-    rng = rngstreams.derive_rng(config.seed, rngstreams.ALT, lo)
-    if config.phi.items == Level.BOOT:
-        idx = rng.integers(0, n, (c, n))
-        g, a, b = gb[idx], ab[idx], bb[idx]
-    else:
-        g = np.broadcast_to(gb, (c, *gb.shape))
-        a = np.broadcast_to(ab, (c, *ab.shape))
-        b = np.broadcast_to(bb, (c, *bb.shape))
-    if config.phi.responses == Level.BOOT:
-        g = _boot_rows_3d(g, rng)
-        a = _boot_rows_3d(a, rng)
-        b = _boot_rows_3d(b, rng)
-    return batch_scores(config.metrics, g, a, b)
+    # The fresh draw is itself the response-level resample, so responses are
+    # redrawn only after an item bootstrap.
+    phi = config.phi if config.phi.items == Level.BOOT else _NO_RESAMPLE
+    return batch_scores(config.metrics, *_resample(simulate_batch(config, rng, c), rng, c, phi))
 
 
 def _null_chunk_rect(
@@ -279,37 +301,25 @@ def _null_chunk_rect(
     lo: int,
     hi: int,
 ) -> dict[MetricId, np.ndarray]:
-    c = hi - lo
-    n, k = g_base.shape
     rng = rngstreams.derive_rng(config.seed, rngstreams.NULL, lo)
-    pool3 = np.broadcast_to(pool, (c, *pool.shape))
-    a0 = np.take_along_axis(pool3, rng.integers(0, pool.shape[1], (c, n, k)), axis=2)
-    b0 = np.take_along_axis(pool3, rng.integers(0, pool.shape[1], (c, n, k)), axis=2)
-    g0 = np.broadcast_to(g_base, (c, n, k))
-    return batch_scores(config.metrics, g0, a0, b0)
+    # The null arm draws only from the pool: no item or gold resampling.
+    return batch_scores(config.metrics, *_null_triples(g_base, pool, _NO_RESAMPLE, rng, hi - lo))
 
 
 def _scores_ragged_given(config: ExperimentConfig, base_triple, arm: int, count: int):
     """Per-resample loop for ragged given data (alt arm=ALT, null arm=NULL)."""
     g, a, b = base_triple
     out: dict[MetricId, np.ndarray] = {m: np.empty(count) for m in config.metrics}
-    pool = build_null_pool(a, b) if arm == rngstreams.NULL else None
+    if arm == rngstreams.NULL:
+        pool, counts = build_null_pool(a, b), a.counts()
     for j in range(count):
         rng = rngstreams.derive_rng(config.seed, arm, j)
         if arm == rngstreams.ALT:
             gj, aj, bj = resample_multistage(g, a, b, config.phi, rng)
         else:
-            counts = a.counts()
-            rows_a = tuple(
-                row[rng.integers(0, row.size, kk)] for row, kk in zip(pool.rows, counts)
-            )
-            rows_b = tuple(
-                row[rng.integers(0, row.size, kk)] for row, kk in zip(pool.rows, counts)
-            )
             gj = g
-            aj = ResponseMatrix(pool.ids, rows_a)
-            bj = ResponseMatrix(pool.ids, rows_b)
-        scores = batch_scores_ragged(config.metrics, gj.rows, aj.rows, bj.rows)
+            aj, bj = sample_null_pair(pool, counts, rng)
+        scores = batch_scores(config.metrics, gj.rows, aj.rows, bj.rows)
         for m in config.metrics:
             out[m][j] = scores[m]
     return out
@@ -352,6 +362,8 @@ def run_experiment(
             raise ItemMismatch("input triple does not share item ids")
         if g.n_items == 0:
             raise EmptyItem("input matrices have no items")
+        for m in given:
+            check_unit_range(m)
 
     rectangular = (
         g.is_rectangular
@@ -367,10 +379,14 @@ def run_experiment(
         chunk = _chunk_size(n, k)
         alt_chunks = rngstreams.chunk_ranges(config.b_alt, chunk)
         null_chunks = rngstreams.chunk_ranges(config.b_null, chunk)
-        if config.mode == Mode.PARAMETRIC:
-            alt_fn = lambda c: _alt_chunk_parametric(config, *c)
-        else:
-            alt_fn = lambda c: _alt_chunk_given_rect(config, (gb, ab, bb), *c)
+
+        def alt_fn(span):
+            if config.mode == Mode.PARAMETRIC:
+                return _alt_chunk_parametric(config, *span)
+            rng = rngstreams.derive_rng(config.seed, rngstreams.ALT, span[0])
+            triple = _resample((gb, ab, bb), rng, span[1] - span[0], config.phi)
+            return batch_scores(config.metrics, *triple)
+
         pool = np.concatenate([ab, bb], axis=1)
         null_fn = lambda c: _null_chunk_rect(config, gb, pool, *c)
         alt = _collect(config, alt_chunks, alt_fn, config.b_alt, threads)
@@ -399,54 +415,36 @@ def run_experiment(
 
 # -- mean metric scores (effect-size summaries) -----------------------------------
 
-def _model_scores_chunk(config: ExperimentConfig, lo: int, hi: int):
-    from .metrics import batch_model_scores
-
-    c = hi - lo
-    n, k = config.n_items, config.k_responses
-    rng = rngstreams.derive_rng(config.seed, rngstreams.SCORE, lo)
-    mu = config.prior.location.sample(rng, c * n).reshape(c, n)
-    sigma = config.prior.scale.sample(rng, c * n).reshape(c, n)
-    g = _gen_responses(mu, sigma, k, config.family, rng)
-    a = _gen_responses(mu, sigma, k, config.family, rng)
-    delta = rng.uniform(-config.epsilon, config.epsilon, (c, n))
-    b = _gen_responses(mu + delta, sigma, k, config.family, rng)
-    # Literal multistage resample per the configured strategy.
-    if config.phi.items == Level.BOOT:
-        idx = rng.integers(0, n, (c, n))
-        g = np.take_along_axis(g, idx[:, :, None], axis=1)
-        a = np.take_along_axis(a, idx[:, :, None], axis=1)
-        b = np.take_along_axis(b, idx[:, :, None], axis=1)
-    if config.phi.responses == Level.BOOT:
-        g = _boot_rows_3d(g, rng)
-        a = _boot_rows_3d(a, rng)
-        b = _boot_rows_3d(b, rng)
-    return batch_model_scores(config.metrics, g, a, b)
-
-
 def mean_metric_scores(
     config: ExperimentConfig, n_samples: int, threads: int = 1
 ) -> dict[MetricId, dict[str, float]]:
     """Average per-model scores over simulated, phi-resampled test sets.
 
     Each sample is a fresh simulator triple passed through one literal
-    multistage resample under the configured strategy; the returned means
-    are the per-model scores and their gap. Used for effect-size tables.
-    The simulator draws per sample index do not depend on epsilon, so score
-    gaps across epsilon values share their randomness.
+    multistage resample under the configured strategy (responses are
+    redrawn under any phi, unlike the parametric alternative arm); the
+    returned means are the per-model scores and their gap. Used for
+    effect-size tables. The simulator draws per sample index do not depend
+    on epsilon, so score gaps across epsilon values share their randomness.
     """
     config.validate()
+
+    def chunk_scores(span):
+        c = span[1] - span[0]
+        rng = rngstreams.derive_rng(config.seed, rngstreams.SCORE, span[0])
+        triple = _resample(simulate_batch(config, rng, c), rng, c, config.phi)
+        return model_scores(config.metrics, *triple)
+
     chunks = rngstreams.chunk_ranges(n_samples, _chunk_size(config.n_items, config.k_responses))
-    results = _map_chunks(lambda c: _model_scores_chunk(config, *c), chunks, threads)
+    results = _map_chunks(chunk_scores, chunks, threads)
     out: dict[MetricId, dict[str, float]] = {}
     for m in config.metrics:
         score_a = np.concatenate([r[m][0] for r in results]).mean()
         score_b = np.concatenate([r[m][1] for r in results]).mean()
-        comparison = score_a if m == MetricId.WINS else score_b - score_a
         out[m] = {
             "score_a": float(score_a),
             "score_b": float(score_b),
-            "comparison": float(comparison),
+            "comparison": float(comparison(m, score_a, score_b)),
             "delta": float(abs(score_a - score_b)),
         }
     return out

@@ -5,6 +5,11 @@ item-wise win fraction (strict inequality, ties count for neither side) and
 mean earth-mover's-distance difference. ``emd_1d`` is the 1-Wasserstein
 distance between empirical distributions, computed as the integral of the
 absolute ECDF difference, so ragged collections compare fine.
+
+One kernel, ``model_scores``, computes per-model scores for batched
+(..., N, K) arrays and for ragged rows alike; ``batch_scores`` (the engine's
+entry point) and the public ``score_*``/``gamma_*``/``evaluate`` functions
+derive the comparison from it.
 """
 
 from __future__ import annotations
@@ -69,12 +74,6 @@ def _check_pair(m: ResponseMatrix, g: ResponseMatrix) -> None:
             raise EmptyItem(f"item {gid!r} has no responses")
 
 
-def _item_means(m: ResponseMatrix) -> np.ndarray:
-    if m.is_rectangular:
-        return m.to_array().mean(axis=1)
-    return np.array([row.mean() for row in m.rows])
-
-
 # -- earth mover's distance ----------------------------------------------------
 
 def emd_1d(x, y) -> float:
@@ -98,165 +97,110 @@ def emd_1d(x, y) -> float:
     return float(np.sum(np.abs(fx - fy) * widths))
 
 
-# -- MAE -------------------------------------------------------------------------
+# -- the metric kernel ----------------------------------------------------------
+#
+# Every score is a mean over items of a per-item quantity: the absolute error
+# of the item mean (MAE), a strict win on that error (Wins) or the EMD to the
+# gold responses (MEMD). One kernel computes them for batched rectangular
+# arrays and for ragged rows; the public functions and the engine wrap it.
+
+def _item_scores(
+    metric_ids: tuple[MetricId, ...], g, a, b
+) -> dict[MetricId, tuple[np.ndarray, np.ndarray]]:
+    """Per-item (A, B) quantities of each metric.
+
+    ``g``, ``a`` and ``b`` are aligned (..., N, K) arrays, or tuples of
+    per-item response rows (ragged data).
+    """
+    ragged = isinstance(g, tuple)
+
+    def means(x):
+        return np.array([row.mean() for row in x]) if ragged else x.mean(axis=-1)
+
+    mg = means(g)
+    err_a = np.abs(means(a) - mg)
+    err_b = np.abs(means(b) - mg)
+    out: dict[MetricId, tuple[np.ndarray, np.ndarray]] = {}
+    for metric in metric_ids:
+        if metric == MetricId.MAE:
+            out[metric] = (err_a, err_b)
+        elif metric == MetricId.WINS:
+            out[metric] = (err_a < err_b, err_b < err_a)
+        elif metric == MetricId.MEMD:
+            if ragged:
+                out[metric] = tuple(
+                    np.array([emd_1d(x, y) for x, y in zip(m, g)]) for m in (a, b)
+                )
+            else:
+                sg = np.sort(g, axis=-1)
+                out[metric] = tuple(
+                    np.abs(np.sort(m, axis=-1) - sg).mean(axis=-1) for m in (a, b)
+                )
+        else:
+            raise AssertionError(metric)
+    return out
+
+
+def model_scores(
+    metric_ids: tuple[MetricId, ...], g, a, b
+) -> dict[MetricId, tuple[np.ndarray, np.ndarray]]:
+    """Per-model (score_a, score_b) of each metric, one per leading batch index."""
+    return {
+        m: (xa.mean(axis=-1), xb.mean(axis=-1))
+        for m, (xa, xb) in _item_scores(metric_ids, g, a, b).items()
+    }
+
+
+def comparison(metric: MetricId, score_a, score_b):
+    """score_a for Wins, score_b - score_a for MAE and MEMD; high favours A."""
+    return score_a if metric == MetricId.WINS else score_b - score_a
+
+
+def batch_scores(metric_ids: tuple[MetricId, ...], g, a, b) -> dict:
+    """Comparison score of each metric for batched arrays or ragged rows."""
+    return {m: comparison(m, *s) for m, s in model_scores(metric_ids, g, a, b).items()}
+
+
+def _kernel_inputs(*matrices: ResponseMatrix) -> tuple:
+    # Arrays when every matrix is rectangular with one K, else ragged rows.
+    if matrices[0].rows and all(m.is_rectangular for m in matrices) and (
+        len({m.k_responses for m in matrices}) == 1
+    ):
+        return tuple(m.to_array() for m in matrices)
+    return tuple(m.rows for m in matrices)
+
+
+# -- public metric functions -------------------------------------------------------
+
+def evaluate(metric: MetricId, a: ResponseMatrix, b: ResponseMatrix, g: ResponseMatrix) -> MetricResult:
+    """Scores of A and B against G under one metric, and their comparison."""
+    _check_pair(a, g)
+    _check_pair(b, g)
+    item_a, item_b = _item_scores((metric,), *_kernel_inputs(g, a, b))[metric]
+    sa, sb = float(item_a.mean()), float(item_b.mean())
+    tie_fraction = float((~item_a & ~item_b).mean()) if metric == MetricId.WINS else None
+    return MetricResult(metric, sa, sb, comparison(metric, sa, sb), abs(sa - sb), tie_fraction)
+
 
 def score_mae(m: ResponseMatrix, g: ResponseMatrix) -> float:
     """Mean over items of |mean(M_i) - mean(G_i)|."""
-    _check_pair(m, g)
-    return float(np.abs(_item_means(m) - _item_means(g)).mean())
+    return evaluate(MetricId.MAE, m, m, g).score_a
 
 
 def gamma_mae(a: ResponseMatrix, b: ResponseMatrix, g: ResponseMatrix) -> float:
     """score_mae(B, G) - score_mae(A, G); positive means A is better."""
-    return score_mae(b, g) - score_mae(a, g)
+    return evaluate(MetricId.MAE, a, b, g).comparison
 
-
-# -- Wins ------------------------------------------------------------------------
 
 def gamma_wins(a: ResponseMatrix, b: ResponseMatrix, g: ResponseMatrix) -> MetricResult:
     """Fraction of items where A's absolute error is strictly smaller than B's."""
-    _check_pair(a, g)
-    _check_pair(b, g)
-    mg = _item_means(g)
-    err_a = np.abs(_item_means(a) - mg)
-    err_b = np.abs(_item_means(b) - mg)
-    score_a = float((err_a < err_b).mean())
-    score_b = float((err_b < err_a).mean())
-    return MetricResult(
-        metric=MetricId.WINS,
-        score_a=score_a,
-        score_b=score_b,
-        comparison=score_a,
-        delta=abs(score_a - score_b),
-        tie_fraction=float((err_a == err_b).mean()),
-    )
-
-
-# -- MEMD ------------------------------------------------------------------------
-
-def _memd_pair(m: ResponseMatrix, g: ResponseMatrix) -> float:
-    if (
-        m.is_rectangular
-        and g.is_rectangular
-        and m.rows
-        and m.k_responses == g.k_responses
-    ):
-        return float(
-            np.abs(np.sort(m.to_array(), axis=1) - np.sort(g.to_array(), axis=1))
-            .mean(axis=1)
-            .mean()
-        )
-    return float(np.mean([emd_1d(mr, gr) for mr, gr in zip(m.rows, g.rows)]))
+    return evaluate(MetricId.WINS, a, b, g)
 
 
 def score_memd(m: ResponseMatrix, g: ResponseMatrix) -> float:
     """Mean over items of EMD(M_i, G_i)."""
-    _check_pair(m, g)
-    return _memd_pair(m, g)
+    return evaluate(MetricId.MEMD, m, m, g).score_a
 
 
 def gamma_memd(a: ResponseMatrix, b: ResponseMatrix, g: ResponseMatrix) -> float:
-    return score_memd(b, g) - score_memd(a, g)
-
-
-# -- dispatcher ---------------------------------------------------------------
-
-def evaluate(metric: MetricId, a: ResponseMatrix, b: ResponseMatrix, g: ResponseMatrix) -> MetricResult:
-    if metric == MetricId.WINS:
-        return gamma_wins(a, b, g)
-    if metric == MetricId.MAE:
-        sa, sb = score_mae(a, g), score_mae(b, g)
-        return MetricResult(MetricId.MAE, sa, sb, sb - sa, abs(sa - sb))
-    if metric == MetricId.MEMD:
-        sa, sb = score_memd(a, g), score_memd(b, g)
-        return MetricResult(MetricId.MEMD, sa, sb, sb - sa, abs(sa - sb))
-    raise AssertionError(metric)
-
-
-# -- array fast paths (engine internals) -----------------------------------------
-#
-# The resampling engine scores large batches of rectangular triples; these
-# helpers work on (..., N, K) arrays and return one value per leading batch
-# dimension. They must agree with the public functions above (tested).
-
-def batch_scores(
-    metric_ids: tuple[MetricId, ...],
-    g: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-) -> dict[MetricId, np.ndarray]:
-    mg = g.mean(axis=-1)
-    ma = a.mean(axis=-1)
-    mb = b.mean(axis=-1)
-    err_a = np.abs(ma - mg)
-    err_b = np.abs(mb - mg)
-    out: dict[MetricId, np.ndarray] = {}
-    for metric in metric_ids:
-        if metric == MetricId.MAE:
-            out[metric] = err_b.mean(axis=-1) - err_a.mean(axis=-1)
-        elif metric == MetricId.WINS:
-            out[metric] = (err_a < err_b).mean(axis=-1)
-        elif metric == MetricId.MEMD:
-            sg = np.sort(g, axis=-1)
-            out[metric] = (
-                np.abs(np.sort(b, axis=-1) - sg).mean(axis=-1).mean(axis=-1)
-                - np.abs(np.sort(a, axis=-1) - sg).mean(axis=-1).mean(axis=-1)
-            )
-        else:
-            raise AssertionError(metric)
-    return out
-
-
-def batch_model_scores(
-    metric_ids: tuple[MetricId, ...],
-    g: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-) -> dict[MetricId, tuple[np.ndarray, np.ndarray]]:
-    """Per-model (score_a, score_b) arrays for batched rectangular triples."""
-    mg = g.mean(axis=-1)
-    ma = a.mean(axis=-1)
-    mb = b.mean(axis=-1)
-    err_a = np.abs(ma - mg)
-    err_b = np.abs(mb - mg)
-    out: dict[MetricId, tuple[np.ndarray, np.ndarray]] = {}
-    for metric in metric_ids:
-        if metric == MetricId.MAE:
-            out[metric] = (err_a.mean(axis=-1), err_b.mean(axis=-1))
-        elif metric == MetricId.WINS:
-            out[metric] = ((err_a < err_b).mean(axis=-1), (err_b < err_a).mean(axis=-1))
-        elif metric == MetricId.MEMD:
-            sg = np.sort(g, axis=-1)
-            out[metric] = (
-                np.abs(np.sort(a, axis=-1) - sg).mean(axis=-1).mean(axis=-1),
-                np.abs(np.sort(b, axis=-1) - sg).mean(axis=-1).mean(axis=-1),
-            )
-        else:
-            raise AssertionError(metric)
-    return out
-
-
-def batch_scores_ragged(
-    metric_ids: tuple[MetricId, ...],
-    g_rows: tuple[np.ndarray, ...],
-    a_rows: tuple[np.ndarray, ...],
-    b_rows: tuple[np.ndarray, ...],
-) -> dict[MetricId, float]:
-    mg = np.array([r.mean() for r in g_rows])
-    ma = np.array([r.mean() for r in a_rows])
-    mb = np.array([r.mean() for r in b_rows])
-    err_a = np.abs(ma - mg)
-    err_b = np.abs(mb - mg)
-    out: dict[MetricId, float] = {}
-    for metric in metric_ids:
-        if metric == MetricId.MAE:
-            out[metric] = float(err_b.mean() - err_a.mean())
-        elif metric == MetricId.WINS:
-            out[metric] = float((err_a < err_b).mean())
-        elif metric == MetricId.MEMD:
-            emd_a = np.mean([emd_1d(x, y) for x, y in zip(a_rows, g_rows)])
-            emd_b = np.mean([emd_1d(x, y) for x, y in zip(b_rows, g_rows)])
-            out[metric] = float(emd_b - emd_a)
-        else:
-            raise AssertionError(metric)
-    return out
+    return evaluate(MetricId.MEMD, a, b, g).comparison

@@ -26,7 +26,7 @@ from .errors import (
     InvalidParam,
     ItemMismatch,
 )
-from .inference import _map_chunks
+from .inference import _chunk_size, _map_chunks, _null_triples
 from .metrics import MetricId, batch_scores
 from .simulator import ResponseMatrix, generate_triple
 
@@ -194,22 +194,9 @@ def multistage_bootstrap_test(
     ga, aa, ba = g.to_array(), a.to_array(), b.to_array()
     observed = float(batch_scores((metric,), ga, aa, ba)[metric])
     pool = np.concatenate([aa, ba], axis=1)
-    n, k = ga.shape
     hits = 0
-    for lo, hi in rngstreams.chunk_ranges(b_null, max(1, 2_000_000 // max(1, n * k))):
-        c = hi - lo
-        if phi.items == Level.BOOT:
-            idx = rng.integers(0, n, (c, n))
-            g3 = ga[idx]
-            pool3 = pool[idx]
-        else:
-            g3 = np.broadcast_to(ga, (c, n, k))
-            pool3 = np.broadcast_to(pool, (c, n, 2 * k))
-        if phi.responses == Level.BOOT:
-            g3 = np.take_along_axis(g3, rng.integers(0, k, (c, n, k)), axis=2)
-        a0 = np.take_along_axis(pool3, rng.integers(0, 2 * k, (c, n, k)), axis=2)
-        b0 = np.take_along_axis(pool3, rng.integers(0, 2 * k, (c, n, k)), axis=2)
-        null = batch_scores((metric,), g3, a0, b0)[metric]
+    for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*ga.shape)):
+        null = batch_scores((metric,), *_null_triples(ga, pool, phi, rng, hi - lo))[metric]
         hits += int((null >= observed).sum())
     return float((1 + hits) / (1 + b_null))
 
@@ -265,7 +252,10 @@ def _trial_p_value(config: ExperimentConfig, test: TestId, trial: int) -> float:
     err_a = per_item_errors(a, g)
     err_b = per_item_errors(b, g)
     if test == TestId.WELCH_T:
-        return welch_t_test(err_a, err_b)
+        try:
+            return welch_t_test(err_a, err_b)
+        except DegenerateVariance:
+            return 1.0
     if test == TestId.WILCOXON_SIGNED_RANK:
         d = err_b - err_a
         if not np.any(d != 0):
@@ -283,7 +273,9 @@ def estimate_power(
 
     Each trial simulates a fresh dataset and applies the test to it; the
     multistage bootstrap test uses the first configured metric and the
-    config's sampling strategy. Deterministic per (config.seed, test).
+    config's sampling strategy. A trial whose data carry no evidence (all
+    paired differences zero, or zero variance in both samples) gets p = 1
+    rather than aborting the sweep. Deterministic per (config.seed, test).
     """
     if trials < 1:
         raise InvalidParam("trials", "need at least one trial")

@@ -26,6 +26,7 @@ __all__ = [
     "draw_item_params",
     "perturb_params",
     "generate_matrix",
+    "simulate_batch",
     "generate_triple",
     "default_synthetic_prior",
     "toxicity_prior",
@@ -163,9 +164,6 @@ class ResponseMatrix:
             rows.append(np.asarray(list(responses), dtype=float))
         return cls(tuple(ids), tuple(rows))
 
-    def same_items(self, other: "ResponseMatrix") -> bool:
-        return self.ids == other.ids
-
     def multiset_equal(self, other: "ResponseMatrix") -> bool:
         if self.ids != other.ids:
             return False
@@ -231,21 +229,32 @@ def generate_matrix(
     return ResponseMatrix.from_array(values)
 
 
-def generate_triple(config, rng: np.random.Generator) -> tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix]:
-    """Draw one (G, A, B) experiment.
+def simulate_batch(config, rng: np.random.Generator, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw c independent (G, A, B) experiments as three (c, N, K) arrays.
 
     G and A are sampled independently from the same per-item distributions
     (A is ideal in distribution, not a copy); B's locations get a fresh
-    Uniform(-epsilon, epsilon) shift. Stream order: item params, G, A,
-    deltas, B. ``config`` needs prior, n_items, k_responses, epsilon and
-    family attributes.
+    Uniform(-epsilon, epsilon) shift. Stream order, the reproducibility
+    contract: c*N locations, c*N scales, G, A, c*N deltas, B. ``config``
+    needs prior, n_items, k_responses, epsilon and family attributes.
     """
-    params = draw_item_params(config.prior, config.n_items, rng)
-    g = generate_matrix(params, config.k_responses, config.family, rng)
-    a = generate_matrix(params, config.k_responses, config.family, rng)
-    perturbed = perturb_params(params, config.epsilon, rng)
-    b = generate_matrix(perturbed, config.k_responses, config.family, rng)
+    n, k = config.n_items, config.k_responses
+    mu = config.prior.location.sample(rng, c * n).reshape(c, n)
+    sigma = config.prior.scale.sample(rng, c * n).reshape(c, n)
+    g = _gen_responses(mu, sigma, k, config.family, rng)
+    a = _gen_responses(mu, sigma, k, config.family, rng)
+    delta = rng.uniform(-config.epsilon, config.epsilon, (c, n))
+    b = _gen_responses(mu + delta, sigma, k, config.family, rng)
     return g, a, b
+
+
+def generate_triple(config, rng: np.random.Generator) -> tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix]:
+    """Draw one (G, A, B) experiment: ``simulate_batch`` with c = 1.
+
+    ``config`` is an ExperimentConfig; it is validated first.
+    """
+    g, a, b = simulate_batch(config.validate(), rng, 1)
+    return ResponseMatrix.from_array(g[0]), ResponseMatrix.from_array(a[0]), ResponseMatrix.from_array(b[0])
 
 
 # -- presets --------------------------------------------------------------------

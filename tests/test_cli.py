@@ -282,3 +282,43 @@ def test_power_command_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "axis,axis_value,test,power"
     assert len(lines) == 3
+
+
+def test_power_all_tests_on_degenerate_data(tmp_path, capsys):
+    # Zero-scale prior and epsilon 0: every per-item error is zero, so no
+    # test has evidence. Each gets p = 1 instead of aborting the sweep.
+    from raterpower.distributions import uniform
+    from raterpower.simulator import ItemPrior
+
+    prior = tmp_path / "prior.json"
+    prior.write_text(
+        json.dumps(ItemPrior(uniform(0.0, 1.0), uniform(0.0, 0.0)).to_json_dict()),
+        encoding="utf-8",
+    )
+    out = tmp_path / "power.csv"
+    code, _, err = run(
+        [
+            "power", "--prior-spec", str(prior), "--test", "all", "--n", "20", "--k", "3",
+            "--epsilon", "0", "--trials", "4", "--b-null", "20", "--seed", "1",
+            "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 0, err
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.endswith(",0.0") for row in rows)
+
+
+def test_simulate_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
+    from raterpower import simulator
+
+    # The usage error comes before any simulation work.
+    monkeypatch.setattr(simulator, "generate_triple", lambda *args: pytest.fail("simulated"))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(
+        ["simulate", "--default-synthetic", "--n", "3", "--k", "2", "--seed", "1"], capsys
+    )
+    assert code == 2
+    assert "--out" in err
+    assert list(tmp_path.iterdir()) == []

@@ -122,3 +122,11 @@ def test_loaded_values_all_in_unit_interval(tmp_path):
     m = load_responses(path)
     assert np.concatenate(m.rows).min() >= 0.0
     assert np.concatenate(m.rows).max() <= 1.0
+
+
+def test_csv_nan_is_out_of_range(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("item_id,r1,r2\na,0.5,0.2\nb,0.1,nan\n", encoding="utf-8")
+    with pytest.raises(ValueOutOfRange) as err:
+        load_responses(path)
+    assert err.value.item_id == "b"

@@ -267,3 +267,17 @@ def test_config_validation_errors():
         SamplingStrategy.parse("all")
     with pytest.raises(InvalidParam):
         SamplingStrategy.parse("all,sometimes")
+
+
+@pytest.mark.parametrize("bad", [3.0, float("nan"), -0.5])
+def test_run_experiment_given_rejects_values_outside_unit_interval(bad):
+    from raterpower.errors import ValueOutOfRange
+
+    g, a, b = triple(seed=4, n=5, k=3)
+    values = b.to_array()
+    values[2, 1] = bad
+    b = ResponseMatrix.from_array(values)
+    config = small_config(mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=5, k_responses=3)
+    with pytest.raises(ValueOutOfRange) as err:
+        run_experiment(config, given=(g, a, b))
+    assert err.value.item_id == "2"

@@ -1,0 +1,132 @@
+"""Stream contract: fixed-seed outputs are pinned byte for byte.
+
+The RNG stream order documented in ``simulator.simulate_batch`` and
+``inference`` is the reproducibility contract: for a fixed seed every
+command prints the same bytes. Each case below runs a small CLI journey (or
+the library's ``mean_metric_scores``) and compares the SHA-256 of its
+output with a digest recorded before the engine was refactored. A
+deliberate stream change must re-record these digests and say so in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from raterpower import ExperimentConfig, ResponseFamily, SamplingStrategy, mean_metric_scores
+from raterpower.cli import main
+from raterpower.simulator import default_synthetic_prior, toxicity_prior
+
+DIGESTS = {
+    "pvalue-boot-boot": "837d00ffd074c5c64189f0938800e46cb9fc20af07d87a09792e77b59bf3ed64",
+    "pvalue-all-boot": "0d860d51a443c1b2afaa8820f59cf7689e4b0902e68df2240e3fa00251e1aa1c",
+    "pvalue-toxicity-boot-all": "c745d6deaa0cfe36331d9c9af5db85c910ebb7a898aeb8b8f2a85d25c5a468b8",
+    "pvalue-multichunk": "a4d689dead508c240cb56f736897c67e3e7a1390113fd6f7c3c5ffe728a76d69",
+    "pvalue-input-rect": "9c23061e7ec03985446dc49f1e1137629900f0ed74b02b782b80c8a1b76b391a",
+    "pvalue-input-ragged": "591caae90783b71f3163ad65b01f9153e12739bc8b905c6099c17d1f3d89caba",
+    "table": "7fb1d01f4f683a7fad3bb60cc126936ce6ad3bc40631852e1291f365b6899252",
+    "power": "159fd81fc161eacb74478d7291df84828ecda4f7c17328dd8505b605ca59d0b9",
+    "simulate": "2bedd46638057133b2ac66e1da5868c391c0a29971522fb71c6697adfeaab114",
+    "simulate-toxicity": "246aebcc6d25b55e385e52ba9656a034d98fee1f2b6e4cb26f25624a743bcffc",
+    "mean-metric-scores": "96617ba2e8cc0e904b288813f96766685713d7f7f51838d793e41c149a53a3f1",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(args, out: Path) -> bytes:
+    assert main([*args, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _write_prior(tmp_path: Path) -> Path:
+    path = tmp_path / "toxicity.json"
+    path.write_text(json.dumps(toxicity_prior().to_json_dict()), encoding="utf-8")
+    return path
+
+
+def _write_matrices(tmp_path: Path, counts) -> list[Path]:
+    """Write a (G, A, B) triple of 5-level ratings with the given per-item counts."""
+    rng = np.random.default_rng(11)
+    paths = []
+    for name, shift in (("G", 0.0), ("A", 0.0), ("B", 0.1)):
+        lines = []
+        for i, k in enumerate(counts):
+            x = np.clip(rng.normal(0.3 + shift, 0.2, k), 0.0, 1.0)
+            values = (np.floor(x * 4 + 0.5) / 4).tolist()
+            lines.append(json.dumps({"item_id": f"i{i}", "responses": values}))
+        path = tmp_path / f"m.{name}.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+PVALUE = ["pvalue", "--default-synthetic", "--n", "30", "--k", "4", "--epsilon", "0.1",
+          "--metric", "all", "--b-alt", "60", "--b-null", "60", "--seed", "3"]
+
+
+def _case_output(name: str, tmp_path: Path) -> bytes:
+    out = tmp_path / "out"
+    if name == "pvalue-boot-boot":
+        return _run([*PVALUE, "--phi", "boot,boot"], out)
+    if name == "pvalue-all-boot":
+        return _run([*PVALUE, "--phi", "all,boot"], out)
+    if name == "pvalue-toxicity-boot-all":
+        return _run([
+            "pvalue", "--prior-spec", str(_write_prior(tmp_path)), "--levels", "5",
+            "--n", "25", "--k", "5", "--epsilon", "0.05", "--metric", "all",
+            "--phi", "boot,all", "--b-alt", "50", "--b-null", "50", "--seed", "4",
+        ], out)
+    if name == "pvalue-multichunk":
+        # N*K = 20000 gives 100-resample chunks: three chunks per arm.
+        args = ["pvalue", "--default-synthetic", "--n", "500", "--k", "40", "--epsilon", "0.02",
+                "--metric", "all", "--phi", "boot,boot", "--b-alt", "250", "--b-null", "250",
+                "--seed", "5"]
+        one = _run([*args, "--threads", "1"], out)
+        assert _run([*args, "--threads", "2"], tmp_path / "out2") == one
+        return one
+    if name == "pvalue-input-rect":
+        g, a, b = _write_matrices(tmp_path, [4] * 20)
+        return _run(["pvalue", "--input", str(g), str(a), str(b), "--phi", "boot,boot",
+                     "--metric", "all", "--b-alt", "40", "--b-null", "40", "--seed", "6"], out)
+    if name == "pvalue-input-ragged":
+        g, a, b = _write_matrices(tmp_path, [2, 5, 3, 7, 4, 6, 1, 3, 5, 8, 2, 4])
+        return _run(["pvalue", "--input", str(g), str(a), str(b), "--phi", "boot,boot",
+                     "--metric", "all", "--b-alt", "30", "--b-null", "30", "--seed", "7"], out)
+    if name == "table":
+        return _run(["table", "--default-synthetic", "--nk-pairs", "20:3,15:1",
+                     "--epsilon-values", "0.0,0.1", "--metric", "all", "--phi", "all,boot",
+                     "--b-alt", "40", "--b-null", "40", "--seed", "8"], out)
+    if name == "power":
+        return _run(["power", "--prior-spec", str(_write_prior(tmp_path)), "--levels", "5",
+                     "--test", "all", "--n-sweep", "20,40", "--k", "4", "--epsilon", "0.1",
+                     "--trials", "10", "--b-null", "40", "--seed", "9"], out)
+    if name == "simulate":
+        assert main(["simulate", "--default-synthetic", "--n", "6", "--k", "3",
+                     "--epsilon", "0.1", "--seed", "10", "--out", str(out)]) == 0
+        return b"".join(Path(f"{out}.{m}.jsonl").read_bytes() for m in "GAB")
+    if name == "simulate-toxicity":
+        assert main(["simulate", "--prior-spec", str(_write_prior(tmp_path)), "--levels", "5",
+                     "--n", "6", "--k", "3", "--epsilon", "0.1", "--seed", "10",
+                     "--format", "csv", "--out", str(out)]) == 0
+        return b"".join(Path(f"{out}.{m}.csv").read_bytes() for m in "GAB")
+    if name == "mean-metric-scores":
+        values = []
+        for prior, family in ((default_synthetic_prior(), ResponseFamily()),
+                              (toxicity_prior(), ResponseFamily(5))):
+            for phi in ("boot,boot", "all,boot", "boot,all", "all,all"):
+                config = ExperimentConfig(n_items=20, k_responses=4, epsilon=0.1, prior=prior,
+                                          family=family, phi=SamplingStrategy.parse(phi), seed=12)
+                values.append(mean_metric_scores(config, 30))
+        return repr(values).encode()
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_stream_contract(name, tmp_path):
+    assert _sha(_case_output(name, tmp_path)) == DIGESTS[name]
