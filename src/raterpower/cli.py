@@ -35,18 +35,12 @@ class UsageError(Exception):
 
 # -- small parsers ---------------------------------------------------------------
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+def _parse_list(text: str, flag: str, kind=int) -> tuple:
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(kind(p) for p in text.split(",") if p.strip())
     except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated integer list")
-
-
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated number list")
+        noun = "integer" if kind is int else "number"
+        raise UsageError(f"{flag} expects a comma-separated {noun} list")
 
 
 def _parse_nk_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -132,6 +126,11 @@ def _load_prior(args) -> ItemPrior:
     return ItemPrior.from_json_dict(obj)
 
 
+# ExperimentConfig field set by each flag that needs no conversion.
+_FLAG_FIELDS = {"n": "n_items", "k": "k_responses", "epsilon": "epsilon", "b_alt": "b_alt",
+                "b_null": "b_null", "alpha": "alpha", "seed": "seed"}
+
+
 def _base_config(args) -> ExperimentConfig:
     if args.config:
         config = ExperimentConfig.from_json_dict(
@@ -139,25 +138,12 @@ def _base_config(args) -> ExperimentConfig:
         )
     else:
         config = ExperimentConfig()
-    updates = {}
-    if args.n is not None:
-        updates["n_items"] = args.n
-    if args.k is not None:
-        updates["k_responses"] = args.k
-    if args.epsilon is not None:
-        updates["epsilon"] = args.epsilon
-    if args.b_alt is not None:
-        updates["b_alt"] = args.b_alt
-    if args.b_null is not None:
-        updates["b_null"] = args.b_null
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
+    updates = {field: getattr(args, flag) for flag, field in _FLAG_FIELDS.items()
+               if getattr(args, flag) is not None}
     if args.phi is not None:
         updates["phi"] = SamplingStrategy.parse(args.phi)
     if args.metric is not None:
         updates["metrics"] = _parse_metrics(args.metric)
-    if args.seed is not None:
-        updates["seed"] = args.seed
     if args.levels is not None:
         updates["family"] = ResponseFamily(args.levels)
     return config.with_(**updates)
@@ -186,7 +172,7 @@ def cmd_pvalue(args) -> None:
     if args.input is not None:
         if args.default_synthetic or args.prior_spec is not None:
             raise UsageError("choose exactly one of --default-synthetic, --prior-spec, --input")
-        matrices = [load_responses(p) for p in args.input]
+        matrices = [load_responses(p, levels=args.levels) for p in args.input]
         given = (matrices[0], matrices[1], matrices[2])
         if args.n is not None or args.k is not None:
             raise UsageError("--n/--k come from the input matrices in --input mode")
@@ -221,9 +207,9 @@ def cmd_table(args) -> None:
     metrics = _parse_metrics(args.metric if args.metric is not None else "all")
     base = base.with_(metrics=metrics)
     grid = GridSpec(
-        n_values=_parse_int_list(args.n_values, "--n-values") if args.n_values else (),
-        k_values=_parse_int_list(args.k_values, "--k-values") if args.k_values else (),
-        epsilon_values=_parse_float_list(args.epsilon_values, "--epsilon-values"),
+        n_values=_parse_list(args.n_values, "--n-values") if args.n_values else (),
+        k_values=_parse_list(args.k_values, "--k-values") if args.k_values else (),
+        epsilon_values=_parse_list(args.epsilon_values, "--epsilon-values", float),
         nk_pairs=_parse_nk_pairs(args.nk_pairs) if args.nk_pairs else None,
     ).validate()
 
@@ -268,9 +254,9 @@ def cmd_power(args) -> None:
     if args.n_sweep and args.k_sweep:
         raise UsageError("choose one of --n-sweep / --k-sweep")
     if args.n_sweep:
-        axis, values = "n_items", _parse_int_list(args.n_sweep, "--n-sweep")
+        axis, values = "n_items", _parse_list(args.n_sweep, "--n-sweep")
     elif args.k_sweep:
-        axis, values = "k_responses", _parse_int_list(args.k_sweep, "--k-sweep")
+        axis, values = "k_responses", _parse_list(args.k_sweep, "--k-sweep")
     else:
         axis, values = "n_items", (config.n_items,)
     config = config.validate()

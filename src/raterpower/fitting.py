@@ -18,7 +18,8 @@ import numpy as np
 
 from . import rngstreams
 from .distributions import DistributionSpec, Family
-from .errors import EmptyItem, EmptySample, InvalidParam, NoValidGridPoint
+from .errors import EmptySample, InvalidParam, NoValidGridPoint
+from .metrics import reduce_rows
 from .simulator import ResponseMatrix
 
 __all__ = [
@@ -54,11 +55,9 @@ class ItemStats:
 
 def per_item_stats(m: ResponseMatrix) -> ItemStats:
     """Mean and population standard deviation (divisor n) per item."""
-    for item_id, row in zip(m.ids, m.rows):
-        if row.size == 0:
-            raise EmptyItem(f"item {item_id!r} has no responses")
-    means = np.array([row.mean() for row in m.rows])
-    stds = np.array([row.std() for row in m.rows])
+    values, counts = m.require_responses().padded()
+    means = reduce_rows(lambda x: x.mean(axis=-1), (values,), (counts,))
+    stds = reduce_rows(lambda x: x.std(axis=-1), (values,), (counts,))
     return ItemStats(means, stds)
 
 

@@ -23,15 +23,16 @@ bootstrap resamples of the supplied triple. Null resamples never take extra
 resampling layers; drawing from the pooled responses is itself the
 response-level resampling of the null hypothesis.
 
-Engine. Rectangular data runs on three pieces: ``simulate_batch`` draws
-batched triples, ``_resample`` gathers items with one shared (c, N) index
-draw and then redraws responses with the one primitive ``_draw`` (which
-also draws the null A/B responses from the pool, see ``_null_triples``),
-and ``metrics.batch_scores`` scores the batch. Each chunk of resamples
-derives its generator from (seed, arm, chunk start), so results do not
-depend on the thread count. Ragged given data keeps the list-of-rows
-``resample_multistage`` and ``sample_null_pair`` with one generator per
-resample, scored by the same metric kernel.
+Engine. Every path runs on three pieces: ``simulate_batch`` draws batched
+triples, ``_resample`` gathers items with one shared (c, N) index draw and
+then redraws responses with the one primitive ``_draw`` (which also draws
+the null A/B responses from the pool, see ``_null_triples``), and
+``metrics.batch_scores`` scores the batch. Each chunk of resamples derives
+its generator from (seed, arm, chunk start), so results do not depend on
+the thread count. Ragged given data run NaN-padded with per-item counts
+(``ResponseMatrix.padded``): ``_draw`` draws from each row's valid slots,
+the kernel reduces items with equal counts as one block, and chunks hold
+one resample, so resample j draws from derive_rng(seed, arm, j).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from . import rngstreams
 from .config import ExperimentConfig, Level, Mode, SamplingStrategy
 from .dataio import check_unit_range
 from .errors import EmptyItem, EmptySample, InvalidParam, ItemMismatch
-from .metrics import MetricId, batch_scores, comparison, model_scores
+from .metrics import MetricId, batch_scores, comparison, kernel_inputs, model_scores
 from .simulator import ResponseMatrix, generate_triple, simulate_batch
 
 __all__ = [
@@ -86,42 +87,24 @@ def resample_multistage(
     if not (g.ids == a.ids == b.ids):
         raise ItemMismatch("triple does not share item ids")
     n = g.n_items
-    if phi.items == Level.BOOT:
-        idx = rng.integers(0, n, n)
-    else:
-        idx = np.arange(n)
+    idx = rng.integers(0, n, n) if phi.items == Level.BOOT else np.arange(n)
+    values, counts = zip(*(m.padded() for m in (g, a, b)))
+    responses_only = SamplingStrategy(Level.ALL, phi.responses)
+    arrays, counts = _resample(tuple(x[idx] for x in values), rng, 1, responses_only,
+                               tuple(k[idx] for k in counts))
     ids = tuple(g.ids[i] for i in idx)
-
-    def take(m: ResponseMatrix) -> list[np.ndarray]:
-        return [m.rows[i] for i in idx]
-
-    rows_g, rows_a, rows_b = take(g), take(a), take(b)
-    if phi.responses == Level.BOOT:
-        def boot(rows: list[np.ndarray]) -> list[np.ndarray]:
-            return [row[rng.integers(0, row.size, row.size)] for row in rows]
-
-        rows_g = boot(rows_g)
-        rows_a = boot(rows_a)
-        rows_b = boot(rows_b)
-    return (
-        ResponseMatrix(ids, tuple(rows_g)),
-        ResponseMatrix(ids, tuple(rows_a)),
-        ResponseMatrix(ids, tuple(rows_b)),
-    )
+    return tuple(ResponseMatrix.from_padded(x[0], k[0], ids) for x, k in zip(arrays, counts))
 
 
 def build_null_pool(a: ResponseMatrix, b: ResponseMatrix) -> ResponseMatrix:
     """Per-item multiset union of A's and B's responses."""
     if a.ids != b.ids:
         raise ItemMismatch("matrices do not share item ids")
-    rows = []
-    for item_id, ra, rb in zip(a.ids, a.rows, b.rows):
-        if ra.size != rb.size:
-            raise ItemMismatch(f"item {item_id!r}: per-item counts differ")
-        if ra.size == 0:
-            raise EmptyItem(f"item {item_id!r} has no responses")
-        rows.append(np.concatenate([ra, rb]))
-    return ResponseMatrix(a.ids, tuple(rows))
+    differ = np.flatnonzero(a.counts() != b.counts())
+    if differ.size:
+        raise ItemMismatch(f"item {a.ids[differ[0]]!r}: per-item counts differ")
+    a.require_responses()
+    return ResponseMatrix(a.ids, tuple(map(np.concatenate, zip(a.rows, b.rows))))
 
 
 def sample_null_pair(
@@ -134,12 +117,9 @@ def sample_null_pair(
     counts = np.broadcast_to(k, (pool.n_items,))
     if np.any(counts < 1):
         raise InvalidParam("k", "need at least one response per item")
-    for item_id, row in zip(pool.ids, pool.rows):
-        if row.size == 0:
-            raise EmptyItem(f"pool item {item_id!r} is empty")
-    rows_a = tuple(row[rng.integers(0, row.size, kk)] for row, kk in zip(pool.rows, counts))
-    rows_b = tuple(row[rng.integers(0, row.size, kk)] for row, kk in zip(pool.rows, counts))
-    return ResponseMatrix(pool.ids, rows_a), ResponseMatrix(pool.ids, rows_b)
+    values, sizes = pool.require_responses().padded()
+    draws = [_draw(values, rng, counts, sizes) for _ in range(2)]  # A's, then B's
+    return tuple(ResponseMatrix.from_padded(x, counts, pool.ids) for x in draws)
 
 
 # -- p-value estimator -----------------------------------------------------------
@@ -236,14 +216,31 @@ def _map_chunks(fn, chunks, threads: int):
         return list(pool.map(fn, chunks))
 
 
-def _draw(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k with-replacement draws from the last axis of x: the response-draw primitive."""
-    idx = rng.integers(0, x.shape[-1], (*x.shape[:-1], k))
-    return np.take_along_axis(x, idx, axis=-1)
+def _draw(x: np.ndarray, rng: np.random.Generator, k=None, counts=None) -> np.ndarray:
+    """k with-replacement draws from the last axis of x: the response-draw primitive.
+
+    k defaults to the row width. Ragged x has ``counts`` valid slots per row
+    (shape x.shape[:-1]); row i draws k[i] (default counts[i]) of them into a
+    NaN-padded result, in one ``integers`` call that consumes the generator
+    as one ``integers(0, counts[i], k[i])`` call per row would.
+    """
+    if counts is None:
+        k = x.shape[-1] if k is None else k
+        idx = rng.integers(0, x.shape[-1], (*x.shape[:-1], k))
+        return np.take_along_axis(x, idx, axis=-1)
+    k = np.broadcast_to(counts if k is None else k, counts.shape).ravel()
+    rows = np.repeat(np.arange(k.size), k)
+    cols = rng.integers(0, np.repeat(counts.ravel(), k))
+    out = np.full((k.size, k.max(initial=0)), np.nan)
+    out[np.arange(out.shape[1]) < k[:, None]] = x.reshape(k.size, -1)[rows, cols]
+    return out.reshape(*counts.shape, -1)
 
 
-def _resample(arrays, rng: np.random.Generator, c: int, phi: SamplingStrategy) -> tuple:
+def _resample(arrays, rng: np.random.Generator, c: int, phi: SamplingStrategy, counts=None):
     """c multistage resamples of aligned (N, K) or (c, N, K) arrays -> (c, N, K) each.
+
+    Ragged arrays come with ``counts``, each one's (N,) per-item counts.
+    Returns (arrays, counts): (c, N) counts after the item gather, or None.
 
     Stream order: one (c, N) item index draw shared by every array (when
     phi.items is boot), then each array's responses redrawn in turn (when
@@ -256,30 +253,35 @@ def _resample(arrays, rng: np.random.Generator, c: int, phi: SamplingStrategy) -
             x[idx] if x.ndim == 2 else np.take_along_axis(x, idx[:, :, None], axis=1)
             for x in arrays
         )
+        if counts is not None:
+            counts = tuple(k[idx] for k in counts)
     else:
         arrays = tuple(np.broadcast_to(x, (c, *x.shape[-2:])) for x in arrays)
+        if counts is not None:
+            counts = tuple(np.broadcast_to(k, (c, k.size)) for k in counts)
     if phi.responses == Level.BOOT:
-        arrays = tuple(_draw(x, x.shape[-1], rng) for x in arrays)
-    return arrays
+        per_array = (None,) * len(arrays) if counts is None else counts
+        arrays = tuple(_draw(x, rng, counts=k) for x, k in zip(arrays, per_array))
+    return arrays, counts
 
 
-def _null_triples(
-    g: np.ndarray,
-    pool: np.ndarray,
-    phi: SamplingStrategy,
-    rng: np.random.Generator,
-    c: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _null_triples(g: np.ndarray, pool: np.ndarray, phi: SamplingStrategy,
+                  rng: np.random.Generator, c: int, counts=None):
     """c null (G, A, B) triples from base gold g (N, K) and pooled A+B responses.
 
     Items are resampled jointly under phi.items and gold responses under
     phi.responses; A's and then B's K responses per item are always drawn
-    from the pool.
+    from the pool. Ragged data pass the per-item counts of g and the pool;
+    A and B then draw half a pool row each. Returns (triple, counts).
     """
-    g3, pool3 = _resample((g, pool), rng, c, SamplingStrategy(phi.items, Level.ALL))
+    (g3, pool3), counts = _resample((g, pool), rng, c, SamplingStrategy(phi.items, Level.ALL), counts)
+    cg, cp = (None, None) if counts is None else counts
     if phi.responses == Level.BOOT:
-        g3 = _draw(g3, g.shape[1], rng)
-    return g3, _draw(pool3, g.shape[1], rng), _draw(pool3, g.shape[1], rng)
+        g3 = _draw(g3, rng, counts=cg)
+    k = g.shape[1] if cp is None else cp // 2
+    a3 = _draw(pool3, rng, k, cp)
+    b3 = _draw(pool3, rng, k, cp)
+    return (g3, a3, b3), (None if counts is None else (cg, k, k))
 
 
 _NO_RESAMPLE = SamplingStrategy(Level.ALL, Level.ALL)
@@ -291,41 +293,21 @@ def _alt_chunk_parametric(config: ExperimentConfig, lo: int, hi: int) -> dict[Me
     # The fresh draw is itself the response-level resample, so responses are
     # redrawn only after an item bootstrap.
     phi = config.phi if config.phi.items == Level.BOOT else _NO_RESAMPLE
-    return batch_scores(config.metrics, *_resample(simulate_batch(config, rng, c), rng, c, phi))
+    triple, _ = _resample(simulate_batch(config, rng, c), rng, c, phi)
+    return batch_scores(config.metrics, *triple)
 
 
-def _null_chunk_rect(
-    config: ExperimentConfig,
-    g_base: np.ndarray,
-    pool: np.ndarray,
-    lo: int,
-    hi: int,
-) -> dict[MetricId, np.ndarray]:
+def _null_chunk_rect(config: ExperimentConfig, g_base: np.ndarray, pool: np.ndarray,
+                     lo: int, hi: int, counts=None) -> dict[MetricId, np.ndarray]:
+    """Null scores of resamples lo..hi; ragged data pass the counts of (g_base, pool)."""
     rng = rngstreams.derive_rng(config.seed, rngstreams.NULL, lo)
     # The null arm draws only from the pool: no item or gold resampling.
-    return batch_scores(config.metrics, *_null_triples(g_base, pool, _NO_RESAMPLE, rng, hi - lo))
+    triple, counts = _null_triples(g_base, pool, _NO_RESAMPLE, rng, hi - lo, counts)
+    return batch_scores(config.metrics, *triple, counts=counts)
 
 
-def _scores_ragged_given(config: ExperimentConfig, base_triple, arm: int, count: int):
-    """Per-resample loop for ragged given data (alt arm=ALT, null arm=NULL)."""
-    g, a, b = base_triple
-    out: dict[MetricId, np.ndarray] = {m: np.empty(count) for m in config.metrics}
-    if arm == rngstreams.NULL:
-        pool, counts = build_null_pool(a, b), a.counts()
-    for j in range(count):
-        rng = rngstreams.derive_rng(config.seed, arm, j)
-        if arm == rngstreams.ALT:
-            gj, aj, bj = resample_multistage(g, a, b, config.phi, rng)
-        else:
-            gj = g
-            aj, bj = sample_null_pair(pool, counts, rng)
-        scores = batch_scores(config.metrics, gj.rows, aj.rows, bj.rows)
-        for m in config.metrics:
-            out[m][j] = scores[m]
-    return out
-
-
-def _collect(config, chunks, fn, total, threads) -> dict[MetricId, np.ndarray]:
+def _collect(config, fn, total, chunk, threads) -> dict[MetricId, np.ndarray]:
+    chunks = rngstreams.chunk_ranges(total, chunk)
     results = _map_chunks(fn, chunks, threads)
     out = {m: np.empty(total) for m in config.metrics}
     for (lo, hi), res in zip(chunks, results):
@@ -363,39 +345,25 @@ def run_experiment(
         if g.n_items == 0:
             raise EmptyItem("input matrices have no items")
         for m in given:
-            check_unit_range(m)
+            check_unit_range(m).require_responses()
 
-    rectangular = (
-        g.is_rectangular
-        and a.is_rectangular
-        and b.is_rectangular
-        and g.k_responses == a.k_responses == b.k_responses
-        and g.n_items > 0
-    )
+    (gb, ab, bb), counts = kernel_inputs(g, a, b)
+    pool, pool_counts = build_null_pool(a, b).padded()
+    # Ragged data run one resample per chunk, so resample j draws from
+    # derive_rng(seed, arm, j).
+    chunk = _chunk_size(*gb.shape) if counts is None else 1
+    null_counts = None if counts is None else (counts[0], pool_counts)
 
-    if rectangular:
-        gb, ab, bb = g.to_array(), a.to_array(), b.to_array()
-        n, k = gb.shape
-        chunk = _chunk_size(n, k)
-        alt_chunks = rngstreams.chunk_ranges(config.b_alt, chunk)
-        null_chunks = rngstreams.chunk_ranges(config.b_null, chunk)
-
-        def alt_fn(span):
-            if config.mode == Mode.PARAMETRIC:
-                return _alt_chunk_parametric(config, *span)
-            rng = rngstreams.derive_rng(config.seed, rngstreams.ALT, span[0])
-            triple = _resample((gb, ab, bb), rng, span[1] - span[0], config.phi)
-            return batch_scores(config.metrics, *triple)
-
-        pool = np.concatenate([ab, bb], axis=1)
-        null_fn = lambda c: _null_chunk_rect(config, gb, pool, *c)
-        alt = _collect(config, alt_chunks, alt_fn, config.b_alt, threads)
-        null = _collect(config, null_chunks, null_fn, config.b_null, threads)
-    else:
+    def alt_fn(span):
         if config.mode == Mode.PARAMETRIC:
-            raise InvalidParam("matrix", "parametric simulation is always rectangular")
-        alt = _scores_ragged_given(config, (g, a, b), rngstreams.ALT, config.b_alt)
-        null = _scores_ragged_given(config, (g, a, b), rngstreams.NULL, config.b_null)
+            return _alt_chunk_parametric(config, *span)
+        rng = rngstreams.derive_rng(config.seed, rngstreams.ALT, span[0])
+        triple, cnt = _resample((gb, ab, bb), rng, span[1] - span[0], config.phi, counts)
+        return batch_scores(config.metrics, *triple, counts=cnt)
+
+    null_fn = lambda span: _null_chunk_rect(config, gb, pool, *span, counts=null_counts)
+    alt = _collect(config, alt_fn, config.b_alt, chunk, threads)
+    null = _collect(config, null_fn, config.b_null, chunk, threads)
 
     results = {}
     for m in config.metrics:
@@ -432,7 +400,7 @@ def mean_metric_scores(
     def chunk_scores(span):
         c = span[1] - span[0]
         rng = rngstreams.derive_rng(config.seed, rngstreams.SCORE, span[0])
-        triple = _resample(simulate_batch(config, rng, c), rng, c, config.phi)
+        triple, _ = _resample(simulate_batch(config, rng, c), rng, c, config.phi)
         return model_scores(config.metrics, *triple)
 
     chunks = rngstreams.chunk_ranges(n_samples, _chunk_size(config.n_items, config.k_responses))

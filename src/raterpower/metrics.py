@@ -7,9 +7,9 @@ distance between empirical distributions, computed as the integral of the
 absolute ECDF difference, so ragged collections compare fine.
 
 One kernel, ``model_scores``, computes per-model scores for batched
-(..., N, K) arrays and for ragged rows alike; ``batch_scores`` (the engine's
-entry point) and the public ``score_*``/``gamma_*``/``evaluate`` functions
-derive the comparison from it.
+(..., N, K) arrays, ragged ones NaN-padded with per-item counts;
+``batch_scores`` (the engine's entry point), ``emd_1d`` and the public
+``score_*``/``gamma_*``/``evaluate`` functions derive from it.
 """
 
 from __future__ import annotations
@@ -66,15 +66,60 @@ class MetricResult:
 def _check_pair(m: ResponseMatrix, g: ResponseMatrix) -> None:
     if m.ids != g.ids:
         raise ItemMismatch("matrices do not share item ids in order")
-    for mid, row in zip(m.ids, m.rows):
-        if row.size == 0:
-            raise EmptyItem(f"item {mid!r} has no responses")
-    for gid, row in zip(g.ids, g.rows):
-        if row.size == 0:
-            raise EmptyItem(f"item {gid!r} has no responses")
+    m.require_responses()
+    g.require_responses()
 
 
-# -- earth mover's distance ----------------------------------------------------
+# -- the metric kernel ----------------------------------------------------------
+#
+# Every score is a mean over items of a per-item quantity: the absolute error
+# of the item mean (MAE), a strict win on that error (Wins) or the EMD to the
+# gold responses (MEMD). One kernel computes them for batched (..., N, K)
+# arrays, ragged data included; the public functions and the engine wrap it.
+
+def reduce_rows(fn, arrays, counts) -> np.ndarray:
+    """Per-item values of ``fn``, which reduces (r, K) blocks along the last axis.
+
+    ``counts`` holds None for rectangular arrays (one block), else each
+    padded array's per-item counts: items whose counts agree in every array
+    form one block, so padding never enters a reduction.
+    """
+    if counts[0] is None:
+        return fn(*arrays)
+    counts = np.broadcast_arrays(*counts)
+    dims = tuple(int(k.max()) + 1 for k in counts)
+    code = np.ravel_multi_index(counts, dims)
+    out = np.empty(code.shape)
+    for block in np.unique(code):
+        sel = code == block
+        out[sel] = fn(*(x[sel][:, :k] for x, k in zip(arrays, np.unravel_index(block, dims))))
+    return out
+
+
+def _mean(x: np.ndarray) -> np.ndarray:
+    return x.mean(axis=-1)
+
+
+def _count_le(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """searchsorted(rows[i], points[i], side="right") for each row of sorted (r, p) rows.
+
+    Complex keys (row + 1j * value) order by row, then value: one flat search.
+    """
+    r = np.arange(rows.shape[0])[:, None]
+    found = np.searchsorted((r + 1j * rows).ravel(), (r + 1j * points).ravel(), side="right")
+    return found.reshape(points.shape) - r * rows.shape[1]
+
+
+def _emd_sorted(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Per-row 1-Wasserstein distance of row-sorted (r, p) and (r, q) samples."""
+    if xs.shape[-1] == ys.shape[-1]:
+        d = xs - ys
+        return np.abs(d, out=d).mean(axis=-1)  # in place: the caller still holds xs
+    grid = np.sort(np.concatenate([xs, ys], axis=-1), axis=-1)
+    fx = _count_le(xs, grid[:, :-1]) / xs.shape[-1]
+    fy = _count_le(ys, grid[:, :-1]) / ys.shape[-1]
+    return np.sum(np.abs(fx - fy) * np.diff(grid, axis=-1), axis=-1)
+
 
 def emd_1d(x, y) -> float:
     """1-Wasserstein distance between empirical distributions of x and y.
@@ -82,44 +127,25 @@ def emd_1d(x, y) -> float:
     Integral of |ECDF_x - ECDF_y|; for equal-size collections this equals the
     mean absolute difference of sorted order statistics.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.sort(np.asarray(x, dtype=float).reshape(1, -1))
+    y = np.sort(np.asarray(y, dtype=float).reshape(1, -1))
     if x.size == 0 or y.size == 0:
         raise EmptyItem("emd_1d needs nonempty collections")
-    if x.size == y.size:
-        return float(np.abs(np.sort(x) - np.sort(y)).mean())
-    xs = np.sort(x)
-    ys = np.sort(y)
-    grid = np.sort(np.concatenate([xs, ys]))
-    widths = np.diff(grid)
-    fx = np.searchsorted(xs, grid[:-1], side="right") / xs.size
-    fy = np.searchsorted(ys, grid[:-1], side="right") / ys.size
-    return float(np.sum(np.abs(fx - fy) * widths))
+    return float(_emd_sorted(x, y)[0])
 
 
-# -- the metric kernel ----------------------------------------------------------
-#
-# Every score is a mean over items of a per-item quantity: the absolute error
-# of the item mean (MAE), a strict win on that error (Wins) or the EMD to the
-# gold responses (MEMD). One kernel computes them for batched rectangular
-# arrays and for ragged rows; the public functions and the engine wrap it.
-
-def _item_scores(
-    metric_ids: tuple[MetricId, ...], g, a, b
+def item_scores(
+    metric_ids: tuple[MetricId, ...], g, a, b, counts=None
 ) -> dict[MetricId, tuple[np.ndarray, np.ndarray]]:
     """Per-item (A, B) quantities of each metric.
 
-    ``g``, ``a`` and ``b`` are aligned (..., N, K) arrays, or tuples of
-    per-item response rows (ragged data).
+    ``g``, ``a`` and ``b`` are aligned (..., N, K) arrays; ragged ones are
+    NaN-padded, with ``counts`` their per-item response counts.
     """
-    ragged = isinstance(g, tuple)
-
-    def means(x):
-        return np.array([row.mean() for row in x]) if ragged else x.mean(axis=-1)
-
-    mg = means(g)
-    err_a = np.abs(means(a) - mg)
-    err_b = np.abs(means(b) - mg)
+    cg, ca, cb = (None, None, None) if counts is None else counts
+    mg = reduce_rows(_mean, (g,), (cg,))
+    err_a = np.abs(reduce_rows(_mean, (a,), (ca,)) - mg)
+    err_b = np.abs(reduce_rows(_mean, (b,), (cb,)) - mg)
     out: dict[MetricId, tuple[np.ndarray, np.ndarray]] = {}
     for metric in metric_ids:
         if metric == MetricId.MAE:
@@ -127,27 +153,24 @@ def _item_scores(
         elif metric == MetricId.WINS:
             out[metric] = (err_a < err_b, err_b < err_a)
         elif metric == MetricId.MEMD:
-            if ragged:
-                out[metric] = tuple(
-                    np.array([emd_1d(x, y) for x, y in zip(m, g)]) for m in (a, b)
-                )
-            else:
-                sg = np.sort(g, axis=-1)
-                out[metric] = tuple(
-                    np.abs(np.sort(m, axis=-1) - sg).mean(axis=-1) for m in (a, b)
-                )
+            # np.sort puts the NaN padding after each row's valid responses.
+            sg = np.sort(g, axis=-1)
+            out[metric] = tuple(
+                reduce_rows(_emd_sorted, (np.sort(m, axis=-1), sg), (cm, cg))
+                for m, cm in ((a, ca), (b, cb))
+            )
         else:
             raise AssertionError(metric)
     return out
 
 
 def model_scores(
-    metric_ids: tuple[MetricId, ...], g, a, b
+    metric_ids: tuple[MetricId, ...], g, a, b, counts=None
 ) -> dict[MetricId, tuple[np.ndarray, np.ndarray]]:
     """Per-model (score_a, score_b) of each metric, one per leading batch index."""
     return {
         m: (xa.mean(axis=-1), xb.mean(axis=-1))
-        for m, (xa, xb) in _item_scores(metric_ids, g, a, b).items()
+        for m, (xa, xb) in item_scores(metric_ids, g, a, b, counts).items()
     }
 
 
@@ -156,18 +179,20 @@ def comparison(metric: MetricId, score_a, score_b):
     return score_a if metric == MetricId.WINS else score_b - score_a
 
 
-def batch_scores(metric_ids: tuple[MetricId, ...], g, a, b) -> dict:
-    """Comparison score of each metric for batched arrays or ragged rows."""
-    return {m: comparison(m, *s) for m, s in model_scores(metric_ids, g, a, b).items()}
+def batch_scores(metric_ids: tuple[MetricId, ...], g, a, b, counts=None) -> dict:
+    """Comparison score of each metric for batched (optionally padded) arrays."""
+    return {m: comparison(m, *s) for m, s in model_scores(metric_ids, g, a, b, counts).items()}
 
 
-def _kernel_inputs(*matrices: ResponseMatrix) -> tuple:
-    # Arrays when every matrix is rectangular with one K, else ragged rows.
-    if matrices[0].rows and all(m.is_rectangular for m in matrices) and (
-        len({m.k_responses for m in matrices}) == 1
-    ):
-        return tuple(m.to_array() for m in matrices)
-    return tuple(m.rows for m in matrices)
+def kernel_inputs(*matrices: ResponseMatrix) -> tuple[tuple, tuple | None]:
+    """The kernel's (arrays, counts) form of aligned matrices.
+
+    counts is None when every matrix is rectangular with one K, else the
+    matrices are NaN-padded (``ResponseMatrix.padded``).
+    """
+    if all(m.is_rectangular for m in matrices) and len({m.k_responses for m in matrices}) == 1:
+        return tuple(m.to_array() for m in matrices), None
+    return tuple(zip(*(m.padded() for m in matrices)))
 
 
 # -- public metric functions -------------------------------------------------------
@@ -176,7 +201,8 @@ def evaluate(metric: MetricId, a: ResponseMatrix, b: ResponseMatrix, g: Response
     """Scores of A and B against G under one metric, and their comparison."""
     _check_pair(a, g)
     _check_pair(b, g)
-    item_a, item_b = _item_scores((metric,), *_kernel_inputs(g, a, b))[metric]
+    arrays, counts = kernel_inputs(g, a, b)
+    item_a, item_b = item_scores((metric,), *arrays, counts)[metric]
     sa, sb = float(item_a.mean()), float(item_b.mean())
     tie_fraction = float((~item_a & ~item_b).mean()) if metric == MetricId.WINS else None
     return MetricResult(metric, sa, sb, comparison(metric, sa, sb), abs(sa - sb), tie_fraction)

@@ -21,14 +21,13 @@ from .config import ExperimentConfig, Level, SamplingStrategy
 from .errors import (
     AllZeroDifferences,
     DegenerateVariance,
-    EmptyItem,
     EmptySample,
     InvalidParam,
     ItemMismatch,
 )
 from .inference import _chunk_size, _map_chunks, _null_triples
-from .metrics import MetricId, batch_scores
-from .simulator import ResponseMatrix, generate_triple
+from .metrics import MetricId, _check_pair, batch_scores, item_scores, kernel_inputs
+from .simulator import ResponseMatrix, simulate_batch
 
 __all__ = [
     "TestId",
@@ -56,15 +55,10 @@ class TestId(str, enum.Enum):
 # -- per-item errors -----------------------------------------------------------
 
 def per_item_errors(m: ResponseMatrix, g: ResponseMatrix) -> np.ndarray:
-    """|mean(M_i) - mean(G_i)| per item, in item order."""
-    if m.ids != g.ids:
-        raise ItemMismatch("matrices do not share item ids")
-    for item_id, rm, rg in zip(m.ids, m.rows, g.rows):
-        if rm.size == 0 or rg.size == 0:
-            raise EmptyItem(f"item {item_id!r} has no responses")
-    mm = np.array([r.mean() for r in m.rows])
-    mg = np.array([r.mean() for r in g.rows])
-    return np.abs(mm - mg)
+    """|mean(M_i) - mean(G_i)| per item, in item order: the kernel's MAE item scores."""
+    _check_pair(m, g)
+    arrays, counts = kernel_inputs(g, m, m)
+    return item_scores((MetricId.MAE,), *arrays, counts)[MetricId.MAE][0]
 
 
 # -- Student t survival via regularized incomplete beta -------------------------
@@ -191,13 +185,17 @@ def multistage_bootstrap_test(
         raise ItemMismatch("triple does not share item ids")
     if rng is None:
         rng = np.random.default_rng()
-    ga, aa, ba = g.to_array(), a.to_array(), b.to_array()
-    observed = float(batch_scores((metric,), ga, aa, ba)[metric])
-    pool = np.concatenate([aa, ba], axis=1)
+    return _bootstrap_p_value(g.to_array(), a.to_array(), b.to_array(), metric, phi, b_null, rng)
+
+
+def _bootstrap_p_value(g, a, b, metric, phi, b_null, rng) -> float:
+    """``multistage_bootstrap_test`` on aligned (N, K) arrays."""
+    observed = float(batch_scores((metric,), g, a, b)[metric])
+    pool = np.concatenate([a, b], axis=1)
     hits = 0
-    for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*ga.shape)):
-        null = batch_scores((metric,), *_null_triples(ga, pool, phi, rng, hi - lo))[metric]
-        hits += int((null >= observed).sum())
+    for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*g.shape)):
+        triple, _ = _null_triples(g, pool, phi, rng, hi - lo)
+        hits += int((batch_scores((metric,), *triple)[metric] >= observed).sum())
     return float((1 + hits) / (1 + b_null))
 
 
@@ -244,13 +242,10 @@ class PowerReport:
 
 def _trial_p_value(config: ExperimentConfig, test: TestId, trial: int) -> float:
     rng = rngstreams.derive_rng(config.seed, rngstreams.TRIAL, trial)
-    g, a, b = generate_triple(config, rng)
+    g, a, b = (x[0] for x in simulate_batch(config, rng, 1))
     if test == TestId.MULTISTAGE_BOOTSTRAP:
-        return multistage_bootstrap_test(
-            g, a, b, metric=config.metrics[0], phi=config.phi, b_null=config.b_null, rng=rng
-        )
-    err_a = per_item_errors(a, g)
-    err_b = per_item_errors(b, g)
+        return _bootstrap_p_value(g, a, b, config.metrics[0], config.phi, config.b_null, rng)
+    err_a, err_b = item_scores((MetricId.MAE,), g, a, b)[MetricId.MAE]
     if test == TestId.WELCH_T:
         try:
             return welch_t_test(err_a, err_b)

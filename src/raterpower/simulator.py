@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import DistributionSpec, uniform
-from .errors import InvalidParam
+from .errors import EmptyItem, InvalidParam
 
 __all__ = [
     "ItemPrior",
@@ -110,6 +110,10 @@ class ResponseMatrix:
     Rows are float arrays; simulator output is rectangular (K per item) but
     ingested real data may be ragged. Response order within an item carries
     no meaning.
+
+    The engine's form of a ragged matrix is ``padded()``: an (N, K_max)
+    array holding item i's responses in the first counts[i] slots of row i
+    and NaN after them, plus those counts.
     """
 
     ids: tuple[str, ...]
@@ -142,10 +146,30 @@ class ResponseMatrix:
     def counts(self) -> np.ndarray:
         return np.array([r.size for r in self.rows], dtype=np.int64)
 
+    def require_responses(self) -> "ResponseMatrix":
+        """Return self, or raise EmptyItem naming the first item without responses."""
+        empty = np.flatnonzero(self.counts() == 0)
+        if empty.size:
+            raise EmptyItem(f"item {self.ids[empty[0]]!r} has no responses")
+        return self
+
     def to_array(self) -> np.ndarray:
         if not self.is_rectangular:
             raise InvalidParam("matrix", "ragged matrix cannot become a dense array")
         return np.stack(self.rows) if self.rows else np.empty((0, 0))
+
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """NaN-padded (N, K_max) values and per-item response counts."""
+        counts = self.counts()
+        values = np.full((self.n_items, counts.max(initial=0)), np.nan)
+        if self.rows:
+            values[np.arange(values.shape[1]) < counts[:, None]] = np.concatenate(self.rows)
+        return values, counts
+
+    @classmethod
+    def from_padded(cls, values: np.ndarray, counts, ids: Sequence[str]) -> "ResponseMatrix":
+        """Inverse of ``padded``: row i keeps the first counts[i] values."""
+        return cls(tuple(ids), tuple(row[:k] for row, k in zip(values, counts)))
 
     @classmethod
     def from_array(cls, values: np.ndarray, ids: Sequence[str] | None = None) -> "ResponseMatrix":

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own algorithms: the transport oracle
 solves an assignment problem, the p-value oracle is a double loop, and the
-sign-test oracles enumerate every pattern.
+sign-test oracles enumerate every pattern. The list-of-rows oracles score
+and resample ragged data one item row at a time, with one generator call
+per row; the batched engine must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +29,50 @@ def emd_transport_oracle(x, y) -> float:
     cost = np.abs(xr[:, None] - yr[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum() / (x.size * y.size))
+
+
+def emd_rows_oracle(x, y) -> float:
+    """1-Wasserstein distance of two 1-D samples, computed for one row pair."""
+    xs = np.sort(np.asarray(x, dtype=float))
+    ys = np.sort(np.asarray(y, dtype=float))
+    if xs.size == ys.size:
+        return float(np.abs(xs - ys).mean())
+    grid = np.sort(np.concatenate([xs, ys]))
+    widths = np.diff(grid)
+    fx = np.searchsorted(xs, grid[:-1], side="right") / xs.size
+    fy = np.searchsorted(ys, grid[:-1], side="right") / ys.size
+    return float(np.sum(np.abs(fx - fy) * widths))
+
+
+def scores_rows_oracle(g_rows, a_rows, b_rows) -> dict[str, float]:
+    """Comparison scores (mae, wins, memd) of one ragged triple, item by item."""
+    mg = np.array([row.mean() for row in g_rows])
+    err_a = np.abs(np.array([row.mean() for row in a_rows]) - mg)
+    err_b = np.abs(np.array([row.mean() for row in b_rows]) - mg)
+    emd_a = np.array([emd_rows_oracle(x, y) for x, y in zip(a_rows, g_rows)])
+    emd_b = np.array([emd_rows_oracle(x, y) for x, y in zip(b_rows, g_rows)])
+    return {
+        "mae": err_b.mean() - err_a.mean(),
+        "wins": (err_a < err_b).mean(),
+        "memd": emd_b.mean() - emd_a.mean(),
+    }
+
+
+def resample_rows_oracle(g_rows, a_rows, b_rows, items_boot, responses_boot, rng):
+    """One multistage resample of row lists: item indices, then G's, A's, B's rows."""
+    n = len(g_rows)
+    idx = rng.integers(0, n, n) if items_boot else np.arange(n)
+    out = [[rows[i] for i in idx] for rows in (g_rows, a_rows, b_rows)]
+    if responses_boot:
+        out = [[row[rng.integers(0, row.size, row.size)] for row in rows] for rows in out]
+    return idx, out
+
+
+def null_pair_rows_oracle(pool_rows, counts, rng):
+    """Per-item with-replacement draws from pooled rows: all of A's, then B's."""
+    a = [row[rng.integers(0, row.size, k)] for row, k in zip(pool_rows, counts)]
+    b = [row[rng.integers(0, row.size, k)] for row, k in zip(pool_rows, counts)]
+    return a, b
 
 
 def p_value_oracle(alt, null) -> tuple[float, list[int]]:

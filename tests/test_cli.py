@@ -181,6 +181,31 @@ def test_pvalue_input_mode(tmp_path, capsys):
     assert payload["config"]["mode"] == "bootstrap-of-given"
 
 
+def test_pvalue_input_levels_maps_raw_labels(tmp_path, capsys):
+    # Raw 1-5 labels: --levels 5 maps label j to (j - 1) / 4, as fit and ecdf do.
+    raw = {"G": [[1, 3, 5], [2, 2]], "A": [[1, 4, 4], [2, 3]], "B": [[3, 5, 5], [4, 5]]}
+    paths = {}
+    for scale, convert in (("raw", lambda v: v), ("unit", lambda v: (v - 1) / 4)):
+        for name, rows in raw.items():
+            path = tmp_path / f"{scale}.{name}.jsonl"
+            path.write_text("".join(
+                json.dumps({"item_id": f"i{i}", "responses": [convert(v) for v in row]}) + "\n"
+                for i, row in enumerate(rows)
+            ), encoding="utf-8")
+            paths[scale, name] = str(path)
+    results = {}
+    for scale, extra in (("raw", ["--levels", "5"]), ("unit", [])):
+        out = tmp_path / f"{scale}.json"
+        code, _, err = run(
+            ["pvalue", "--input", *(paths[scale, m] for m in "GAB"), *extra, "--metric", "all",
+             "--b-alt", "30", "--b-null", "30", "--seed", "4", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        results[scale] = json.loads(out.read_text())["results"]
+    assert results["raw"] == results["unit"]
+
+
 def test_fit_command(tmp_path, capsys):
     matrix = tmp_path / "m.jsonl"
     lines = []

@@ -96,8 +96,11 @@ def _case_output(name: str, tmp_path: Path) -> bytes:
                      "--metric", "all", "--b-alt", "40", "--b-null", "40", "--seed", "6"], out)
     if name == "pvalue-input-ragged":
         g, a, b = _write_matrices(tmp_path, [2, 5, 3, 7, 4, 6, 1, 3, 5, 8, 2, 4])
-        return _run(["pvalue", "--input", str(g), str(a), str(b), "--phi", "boot,boot",
-                     "--metric", "all", "--b-alt", "30", "--b-null", "30", "--seed", "7"], out)
+        args = ["pvalue", "--input", str(g), str(a), str(b), "--phi", "boot,boot",
+                "--metric", "all", "--b-alt", "30", "--b-null", "30", "--seed", "7"]
+        one = _run([*args, "--threads", "1"], out)
+        assert _run([*args, "--threads", "2"], tmp_path / "out2") == one
+        return one
     if name == "table":
         return _run(["table", "--default-synthetic", "--nk-pairs", "20:3,15:1",
                      "--epsilon-values", "0.0,0.1", "--metric", "all", "--phi", "all,boot",
