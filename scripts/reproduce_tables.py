@@ -3,8 +3,9 @@
 
 Runs the parametric experiment at every (N, K) pair of the published grid
 layout for each perturbation rate, averaging a few seeds, and writes one
-long-form CSV per metric. Expect roughly ten minutes at full size; trim
---seeds or --pairs for a quick look.
+long-form CSV per metric. Each (N, K, seed) is one ``run_column`` call over
+all perturbation rates, which share their random draws. Expect roughly ten
+minutes at full size; trim --seeds or --pairs for a quick look.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from raterpower import ExperimentConfig, SamplingStrategy, run_experiment
+from raterpower import ExperimentConfig, SamplingStrategy, run_column
 from raterpower.metrics import MetricId
 
 NK_PAIRS = [
@@ -46,19 +47,20 @@ def main() -> int:
     rows = {MetricId.WINS: [], MetricId.MAE: []}
     t0 = time.time()
     for (n, k) in NK_PAIRS[: args.pairs]:
-        for eps in EPSILONS:
-            per_seed = {m: [] for m in rows}
-            for seed in range(args.seeds):
-                config = ExperimentConfig(
-                    n_items=n, k_responses=k, epsilon=eps, phi=phi, seed=seed,
-                    b_alt=args.b, b_null=args.b, metrics=tuple(rows),
-                )
-                report = run_experiment(config, threads=args.threads)
+        # per_seed[m][j]: the p-values of metric m at EPSILONS[j], one per seed.
+        per_seed = {m: [[] for _ in EPSILONS] for m in rows}
+        for seed in range(args.seeds):
+            config = ExperimentConfig(
+                n_items=n, k_responses=k, phi=phi, seed=seed,
+                b_alt=args.b, b_null=args.b, metrics=tuple(rows),
+            )
+            for j, report in enumerate(run_column(config, EPSILONS, threads=args.threads)):
                 for m in rows:
-                    per_seed[m].append(report.p_value(m))
+                    per_seed[m][j].append(report.p_value(m))
+        for j, eps in enumerate(EPSILONS):
             for m in rows:
-                rows[m].append((n, k, eps, float(np.mean(per_seed[m]))))
-            print(f"N={n} K={k} eps={eps} done [{time.time() - t0:.0f}s]", file=sys.stderr)
+                rows[m].append((n, k, eps, float(np.mean(per_seed[m][j]))))
+        print(f"N={n} K={k} done [{time.time() - t0:.0f}s]", file=sys.stderr)
 
     for metric, data in rows.items():
         path = out_dir / f"pvalues_{metric.value}_{phi.tag.replace(',', '_')}.csv"

@@ -17,6 +17,7 @@ from .inference import (
     estimate_p_value,
     mean_metric_scores,
     resample_multistage,
+    run_column,
     run_experiment,
     sample_null_pair,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from .distributions import Family
 from .errors import InvalidParam, RaterPowerError
 from .fitting import ecdf as compute_ecdf
 from .fitting import fit_prior, per_item_stats
-from .inference import run_experiment
+from .inference import run_column, run_experiment
 from .metrics import MetricId
 from .power import TestId, power_sweep
 from .simulator import ItemPrior, ResponseFamily, default_synthetic_prior
@@ -205,6 +206,8 @@ def cmd_table(args) -> None:
     prior = _load_prior(args)
     base = _base_config(args).with_(prior=prior)
     metrics = _parse_metrics(args.metric if args.metric is not None else "all")
+    if args.pivot and len(metrics) != 1:
+        raise UsageError("--pivot needs a single --metric")
     base = base.with_(metrics=metrics)
     grid = GridSpec(
         n_values=_parse_list(args.n_values, "--n-values") if args.n_values else (),
@@ -213,16 +216,16 @@ def cmd_table(args) -> None:
         nk_pairs=_parse_nk_pairs(args.nk_pairs) if args.nk_pairs else None,
     ).validate()
 
+    # One column of epsilon values per (N, K): its draws are shared.
     rows = []
-    for (n, k, eps) in grid.cells():
-        config = base.with_(n_items=n, k_responses=k, epsilon=eps).validate()
-        report = run_experiment(config, threads=args.threads)
-        for metric in metrics:
-            rows.append((n, k, eps, metric.value, report.p_value(metric)))
+    for (n, k), cells in itertools.groupby(grid.cells(), key=lambda cell: cell[:2]):
+        eps_values = [e for _, _, e in cells]
+        config = base.with_(n_items=n, k_responses=k, epsilon=eps_values[0])
+        for eps, report in zip(eps_values, run_column(config, eps_values, threads=args.threads)):
+            for metric in metrics:
+                rows.append((n, k, eps, metric.value, report.p_value(metric)))
 
     if args.pivot:
-        if len(metrics) != 1:
-            raise UsageError("--pivot needs a single --metric")
         eps_values = list(dict.fromkeys(r[2] for r in rows))
         pairs = list(dict.fromkeys((r[0], r[1]) for r in rows))
         lookup = {(r[0], r[1], r[2]): r[4] for r in rows}

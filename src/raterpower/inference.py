@@ -23,16 +23,27 @@ bootstrap resamples of the supplied triple. Null resamples never take extra
 resampling layers; drawing from the pooled responses is itself the
 response-level resampling of the null hypothesis.
 
-Engine. Every path runs on three pieces: ``simulate_batch`` draws batched
-triples, ``_resample`` gathers items with one shared (c, N) index draw and
-then redraws responses with the one primitive ``_draw`` (which also draws
-the null A/B responses from the pool, see ``_null_triples``), and
-``metrics.batch_scores`` scores the batch. Each chunk of resamples derives
-its generator from (seed, arm, chunk start), so results do not depend on
-the thread count. Ragged given data run NaN-padded with per-item counts
-(``ResponseMatrix.padded``): ``_draw`` draws from each row's valid slots,
-the kernel reduces items with equal counts as one block, and chunks hold
-one resample, so resample j draws from derive_rng(seed, arm, j).
+Engine. Every path runs on three pieces: ``simulate_batch``/``draw_batch``
+draw batched triples, ``_resample`` gathers items with one shared (c, N)
+index draw and then redraws responses with the one primitive ``_draw``
+(``_null_positions`` draws the null A/B responses from the pool the same
+way), and the ``metrics`` kernel scores the batch against gold prepared
+once (``prepare_gold``). Each chunk of resamples derives its generator from
+(seed, arm, chunk start), so results do not depend on the thread count.
+Draws are split from gathers: index draws become flat positions into the
+un-broadcast array (``_positions``), and each gather is one ``np.take``.
+
+Epsilon column. No draw depends on epsilon, so ``run_column`` runs every
+epsilon of one (N, K) from the same chunks: each chunk draws G, A and B's
+standard normals and indices once, scores G and A once, then builds,
+gathers and scores B per epsilon, one B at a time. The null arm draws its
+pool positions once and gathers them from each epsilon's pool.
+``run_experiment`` is the one-epsilon column.
+
+Ragged given data run NaN-padded with per-item counts
+(``ResponseMatrix.padded``): ``_draw_counted`` draws from each row's valid
+slots, the kernel reduces items with equal counts as one block, and chunks
+hold one resample, so resample j draws from derive_rng(seed, arm, j).
 """
 
 from __future__ import annotations
@@ -46,8 +57,18 @@ from . import rngstreams
 from .config import ExperimentConfig, Level, Mode, SamplingStrategy
 from .dataio import check_unit_range
 from .errors import EmptyItem, EmptySample, InvalidParam, ItemMismatch
-from .metrics import MetricId, batch_scores, comparison, kernel_inputs, model_scores
-from .simulator import ResponseMatrix, generate_triple, simulate_batch
+from .metrics import (
+    Gold,
+    MetricId,
+    batch_scores,
+    compare,
+    comparison,
+    kernel_inputs,
+    model_items,
+    model_scores,
+    prepare_gold,
+)
+from .simulator import ResponseMatrix, draw_batch, simulate_batch
 
 __all__ = [
     "resample_multistage",
@@ -55,6 +76,7 @@ __all__ = [
     "sample_null_pair",
     "estimate_p_value",
     "run_experiment",
+    "run_column",
     "Direction",
     "MetricPValue",
     "PValueReport",
@@ -118,7 +140,7 @@ def sample_null_pair(
     if np.any(counts < 1):
         raise InvalidParam("k", "need at least one response per item")
     values, sizes = pool.require_responses().padded()
-    draws = [_draw(values, rng, counts, sizes) for _ in range(2)]  # A's, then B's
+    draws = [_draw_counted(values, rng, counts, sizes) for _ in range(2)]  # A's, then B's
     return tuple(ResponseMatrix.from_padded(x, counts, pool.ids) for x in draws)
 
 
@@ -216,18 +238,61 @@ def _map_chunks(fn, chunks, threads: int):
         return list(pool.map(fn, chunks))
 
 
-def _draw(x: np.ndarray, rng: np.random.Generator, k=None, counts=None) -> np.ndarray:
-    """k with-replacement draws from the last axis of x: the response-draw primitive.
+def _item_rows(rng: np.random.Generator, c: int, n: int, phi: SamplingStrategy):
+    """The (c, N) item bootstrap draw, or None when phi keeps every item."""
+    return rng.integers(0, n, (c, n)) if phi.items == Level.BOOT else None
 
-    k defaults to the row width. Ragged x has ``counts`` valid slots per row
-    (shape x.shape[:-1]); row i draws k[i] (default counts[i]) of them into a
+
+def _positions(shape, c: int, rows=None, cols=None):
+    """Where c resamples read an array of ``shape``, (N, W) or (c, N, W).
+
+    ``rows`` are (c, N) item indices and ``cols`` (c, N, k) response
+    indices; None keeps every item or every response. Returns None when
+    nothing is gathered, else the (c, N) rows of the array viewed as
+    (-1, W) or, with cols, the (c, N, k) positions in the flat array (cols
+    is turned into them in place). Offsets into the un-broadcast array make
+    each gather one ``np.take``, and the positions serve any array of this
+    shape.
+    """
+    n, w = shape[-2:]
+    if rows is None and cols is None:
+        return None
+    if rows is None:
+        rows = np.arange(n)
+    if len(shape) == 3:
+        rows = rows + np.arange(0, c * n, n)[:, None]
+    if cols is None:
+        return rows
+    cols += (rows * w)[..., None]
+    return cols
+
+
+def _take(x: np.ndarray, c: int, pos) -> np.ndarray:
+    """The (c, N, k) gather of x, (N, W) or (c, N, W), at ``_positions``."""
+    if pos is None:
+        return np.broadcast_to(x, (c, *x.shape[-2:]))
+    if pos.ndim == 2:
+        return np.take(x.reshape(-1, x.shape[-1]), pos, axis=0)
+    return np.take(x.reshape(-1), pos)
+
+
+def _draw(x: np.ndarray, rng: np.random.Generator, c: int, rows=None) -> np.ndarray:
+    """c response bootstraps of x, (N, W) or (c, N, W): the response-draw primitive.
+
+    One (c, N, W) with-replacement index draw into each item's row, after
+    the item draw ``rows`` when given.
+    """
+    cols = rng.integers(0, x.shape[-1], (c, *x.shape[-2:]))
+    return _take(x, c, _positions(x.shape, c, rows, cols))
+
+
+def _draw_counted(x: np.ndarray, rng: np.random.Generator, k=None, counts=None) -> np.ndarray:
+    """Ragged ``_draw``: x has ``counts`` valid slots per row (shape x.shape[:-1]).
+
+    Row i draws k[i] (default counts[i]) of its valid slots into a
     NaN-padded result, in one ``integers`` call that consumes the generator
     as one ``integers(0, counts[i], k[i])`` call per row would.
     """
-    if counts is None:
-        k = x.shape[-1] if k is None else k
-        idx = rng.integers(0, x.shape[-1], (*x.shape[:-1], k))
-        return np.take_along_axis(x, idx, axis=-1)
     k = np.broadcast_to(counts if k is None else k, counts.shape).ravel()
     rows = np.repeat(np.arange(k.size), k)
     cols = rng.integers(0, np.repeat(counts.ravel(), k))
@@ -239,132 +304,130 @@ def _draw(x: np.ndarray, rng: np.random.Generator, k=None, counts=None) -> np.nd
 def _resample(arrays, rng: np.random.Generator, c: int, phi: SamplingStrategy, counts=None):
     """c multistage resamples of aligned (N, K) or (c, N, K) arrays -> (c, N, K) each.
 
-    Ragged arrays come with ``counts``, each one's (N,) per-item counts.
-    Returns (arrays, counts): (c, N) counts after the item gather, or None.
+    Ragged (N, K_max) arrays come with ``counts``, each one's (N,) per-item
+    counts. Returns (arrays, counts): (c, N) counts after the item gather,
+    or None.
 
     Stream order: one (c, N) item index draw shared by every array (when
     phi.items is boot), then each array's responses redrawn in turn (when
     phi.responses is boot).
     """
-    if phi.items == Level.BOOT:
-        n = arrays[0].shape[-2]
-        idx = rng.integers(0, n, (c, n))
-        arrays = tuple(
-            x[idx] if x.ndim == 2 else np.take_along_axis(x, idx[:, :, None], axis=1)
-            for x in arrays
-        )
-        if counts is not None:
-            counts = tuple(k[idx] for k in counts)
-    else:
-        arrays = tuple(np.broadcast_to(x, (c, *x.shape[-2:])) for x in arrays)
-        if counts is not None:
-            counts = tuple(np.broadcast_to(k, (c, k.size)) for k in counts)
-    if phi.responses == Level.BOOT:
-        per_array = (None,) * len(arrays) if counts is None else counts
-        arrays = tuple(_draw(x, rng, counts=k) for x, k in zip(arrays, per_array))
+    rows = _item_rows(rng, c, arrays[0].shape[-2], phi)
+    boot = phi.responses == Level.BOOT
+    if counts is None:
+        if boot:
+            return tuple(_draw(x, rng, c, rows) for x in arrays), None
+        return tuple(_take(x, c, _positions(x.shape, c, rows)) for x in arrays), None
+    arrays = tuple(_take(x, c, _positions(x.shape, c, rows)) for x in arrays)
+    counts = tuple(np.broadcast_to(k, (c, k.size)) if rows is None else k[rows] for k in counts)
+    if boot:
+        arrays = tuple(_draw_counted(x, rng, counts=k) for x, k in zip(arrays, counts))
     return arrays, counts
 
 
-def _null_triples(g: np.ndarray, pool: np.ndarray, phi: SamplingStrategy,
-                  rng: np.random.Generator, c: int, counts=None):
-    """c null (G, A, B) triples from base gold g (N, K) and pooled A+B responses.
+def _null_positions(g_shape, pool_shape, phi: SamplingStrategy, rng: np.random.Generator, c: int):
+    """``_positions`` of c null (G, A, B) triples: G in base gold, A and B in the A+B pool.
 
-    Items are resampled jointly under phi.items and gold responses under
-    phi.responses; A's and then B's K responses per item are always drawn
-    from the pool. Ragged data pass the per-item counts of g and the pool;
-    A and B then draw half a pool row each. Returns (triple, counts).
+    Stream order: item indices (when phi.items is boot; shared by gold and
+    pool), gold response indices (when phi.responses is boot), then A's and
+    B's K indices per item into the pool.
     """
-    (g3, pool3), counts = _resample((g, pool), rng, c, SamplingStrategy(phi.items, Level.ALL), counts)
-    cg, cp = (None, None) if counts is None else counts
-    if phi.responses == Level.BOOT:
-        g3 = _draw(g3, rng, counts=cg)
-    k = g.shape[1] if cp is None else cp // 2
-    a3 = _draw(pool3, rng, k, cp)
-    b3 = _draw(pool3, rng, k, cp)
-    return (g3, a3, b3), (None if counts is None else (cg, k, k))
+    n, k = g_shape
+    rows = _item_rows(rng, c, n, phi)
+    cols = rng.integers(0, k, (c, n, k)) if phi.responses == Level.BOOT else None
+    pos_g = _positions(g_shape, c, rows, cols)
+    pos_a = _positions(pool_shape, c, rows, rng.integers(0, pool_shape[1], (c, n, k)))
+    pos_b = _positions(pool_shape, c, rows, rng.integers(0, pool_shape[1], (c, n, k)))
+    return pos_g, pos_a, pos_b
+
+
+def _null_triples(g: np.ndarray, pool: np.ndarray, phi: SamplingStrategy,
+                  rng: np.random.Generator, c: int):
+    """c null (G, A, B) triples from base gold g (N, K) and pooled A+B responses (N, 2K)."""
+    pos_g, pos_a, pos_b = _null_positions(g.shape, pool.shape, phi, rng, c)
+    return _take(g, c, pos_g), _take(pool, c, pos_a), _take(pool, c, pos_b)
 
 
 _NO_RESAMPLE = SamplingStrategy(Level.ALL, Level.ALL)
 
 
-def _alt_chunk_parametric(config: ExperimentConfig, lo: int, hi: int) -> dict[MetricId, np.ndarray]:
+def _alt_chunk_parametric(config: ExperimentConfig, epsilons, lo: int, hi: int) -> list[dict]:
+    """Alternative scores of resamples lo..hi at each epsilon, from one draw.
+
+    G and A are gathered, scored and dropped first; then B is built, gathered
+    and scored one epsilon at a time, so one B is alive at a time.
+    """
     c = hi - lo
     rng = rngstreams.derive_rng(config.seed, rngstreams.ALT, lo)
     # The fresh draw is itself the response-level resample, so responses are
     # redrawn only after an item bootstrap.
     phi = config.phi if config.phi.items == Level.BOOT else _NO_RESAMPLE
-    triple, _ = _resample(simulate_batch(config, rng, c), rng, c, phi)
-    return batch_scores(config.metrics, *triple)
+    g, a, draws = draw_batch(config, rng, c)
+    shape = g.shape
+    rows = _item_rows(rng, c, config.n_items, phi)
 
+    def positions():
+        cols = rng.integers(0, shape[-1], shape) if phi.responses == Level.BOOT else None
+        return _positions(shape, c, rows, cols)
 
-def _null_chunk_rect(config: ExperimentConfig, g_base: np.ndarray, pool: np.ndarray,
-                     lo: int, hi: int, counts=None) -> dict[MetricId, np.ndarray]:
-    """Null scores of resamples lo..hi; ragged data pass the counts of (g_base, pool)."""
-    rng = rngstreams.derive_rng(config.seed, rngstreams.NULL, lo)
-    # The null arm draws only from the pool: no item or gold resampling.
-    triple, counts = _null_triples(g_base, pool, _NO_RESAMPLE, rng, hi - lo, counts)
-    return batch_scores(config.metrics, *triple, counts=counts)
-
-
-def _collect(config, fn, total, chunk, threads) -> dict[MetricId, np.ndarray]:
-    chunks = rngstreams.chunk_ranges(total, chunk)
-    results = _map_chunks(fn, chunks, threads)
-    out = {m: np.empty(total) for m in config.metrics}
-    for (lo, hi), res in zip(chunks, results):
-        for m in config.metrics:
-            out[m][lo:hi] = res[m]
+    # Each array is dropped as soon as it is gathered.
+    gold = prepare_gold(config.metrics, _take(g, c, positions()))
+    del g
+    a = _take(a, c, positions())
+    score_a = model_items(gold, a)
+    del a
+    pos_b = positions()
+    out = []
+    for i, epsilon in enumerate(epsilons):
+        last = i == len(epsilons) - 1
+        # The last epsilon builds B in z's memory.
+        b = _take(draws.responses(epsilon, config.family, out=draws.z if last else None), c, pos_b)
+        if last:
+            del draws, pos_b
+        out.append(compare(config.metrics, score_a, model_items(gold, b)))
+        del b
     return out
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    given: tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix] | None = None,
-    threads: int = 1,
-) -> PValueReport:
-    """Estimate per-metric expected one-sided p-values.
+def _null_chunk_rect(config: ExperimentConfig, gold: Gold, pools, lo: int, hi: int,
+                     counts=None) -> list[dict]:
+    """Null scores of resamples lo..hi against the base ``gold``, one dict per pool.
 
-    Parametric mode simulates its own base triple and draws every
-    alternative resample fresh from the simulator; bootstrap-of-given mode
-    takes ``given`` as the base triple and multistage-resamples it. Null
-    resamples always draw per-item A/B pairs from the pooled base responses
-    and are scored against the base gold matrix. Deterministic for a given
-    (config, seed) regardless of ``threads``.
+    A's and then B's K responses per item are drawn from the pool, with no
+    item or gold resampling; the positions serve every pool (one per
+    epsilon). Ragged data pass the pool's per-item counts, and A and B then
+    draw half a pool row each.
     """
-    config.validate()
-    if config.mode == Mode.PARAMETRIC:
-        if given is not None:
-            raise InvalidParam("given", "parametric mode simulates its own data")
-        rng = rngstreams.derive_rng(config.seed, rngstreams.BASE)
-        g, a, b = generate_triple(config, rng)
-    else:
-        if given is None:
-            raise InvalidParam("given", "bootstrap-of-given mode needs input matrices")
-        g, a, b = given
-        if not (g.ids == a.ids == b.ids):
-            raise ItemMismatch("input triple does not share item ids")
-        if g.n_items == 0:
-            raise EmptyItem("input matrices have no items")
-        for m in given:
-            check_unit_range(m).require_responses()
+    c = hi - lo
+    rng = rngstreams.derive_rng(config.seed, rngstreams.NULL, lo)
+    n, w = pools[0].shape
+    if counts is not None:
+        pool = np.broadcast_to(pools[0], (c, n, w))
+        cp = np.broadcast_to(counts, (c, n))
+        k = cp // 2
+        a = _draw_counted(pool, rng, k, cp)
+        b = _draw_counted(pool, rng, k, cp)
+        return [compare(config.metrics, model_items(gold, a, k), model_items(gold, b, k))]
+    _, pos_a, pos_b = _null_positions((n, w // 2), (n, w), _NO_RESAMPLE, rng, c)
+    return [
+        compare(config.metrics, *(model_items(gold, _take(pool, c, pos)) for pos in (pos_a, pos_b)))
+        for pool in pools
+    ]
 
-    (gb, ab, bb), counts = kernel_inputs(g, a, b)
-    pool, pool_counts = build_null_pool(a, b).padded()
-    # Ragged data run one resample per chunk, so resample j draws from
-    # derive_rng(seed, arm, j).
-    chunk = _chunk_size(*gb.shape) if counts is None else 1
-    null_counts = None if counts is None else (counts[0], pool_counts)
 
-    def alt_fn(span):
-        if config.mode == Mode.PARAMETRIC:
-            return _alt_chunk_parametric(config, *span)
-        rng = rngstreams.derive_rng(config.seed, rngstreams.ALT, span[0])
-        triple, cnt = _resample((gb, ab, bb), rng, span[1] - span[0], config.phi, counts)
-        return batch_scores(config.metrics, *triple, counts=cnt)
+def _collect(config, fn, total, chunk, threads) -> list[dict[MetricId, np.ndarray]]:
+    """Run fn over the chunks of range(total); each chunk returns one score dict per column entry."""
+    chunks = rngstreams.chunk_ranges(total, chunk)
+    results = _map_chunks(fn, chunks, threads)
+    out = [{m: np.empty(total) for m in config.metrics} for _ in results[0]]
+    for (lo, hi), res in zip(chunks, results):
+        for scores, part in zip(out, res):
+            for m in config.metrics:
+                scores[m][lo:hi] = part[m]
+    return out
 
-    null_fn = lambda span: _null_chunk_rect(config, gb, pool, *span, counts=null_counts)
-    alt = _collect(config, alt_fn, config.b_alt, chunk, threads)
-    null = _collect(config, null_fn, config.b_null, chunk, threads)
 
+def _report(config: ExperimentConfig, alt: dict, null: dict) -> PValueReport:
     results = {}
     for m in config.metrics:
         p, direction = estimate_p_value(alt[m], null[m])
@@ -379,6 +442,85 @@ def run_experiment(
             null_summary=_summary(null[m]),
         )
     return PValueReport(config=config, results=results)
+
+
+def run_column(
+    config: ExperimentConfig,
+    epsilons,
+    given: tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix] | None = None,
+    threads: int = 1,
+) -> list[PValueReport]:
+    """``run_experiment`` at each of ``epsilons`` for the config's (N, K), one report each.
+
+    No random draw depends on epsilon: every chunk of an arm draws from
+    (seed, arm, chunk start) alone. So the column draws each chunk once and
+    only builds, gathers and scores B per epsilon; the reports equal one
+    ``run_experiment`` call per epsilon, bit for bit. In bootstrap-of-given
+    mode epsilon plays no part, and every report holds the same scores.
+    """
+    config.validate()
+    epsilons = tuple(epsilons)
+    configs = [config.with_(epsilon=e).validate() for e in epsilons]
+    if not configs:
+        raise InvalidParam("epsilons", "need at least one epsilon")
+    counts = pool_counts = None
+    if config.mode == Mode.PARAMETRIC:
+        if given is not None:
+            raise InvalidParam("given", "parametric mode simulates its own data")
+        g, a, draws = draw_batch(config, rngstreams.derive_rng(config.seed, rngstreams.BASE), 1)
+        gb = g[0]
+        pools = [np.concatenate([a[0], draws.responses(e, config.family)[0]], axis=1) for e in epsilons]
+    else:
+        if given is None:
+            raise InvalidParam("given", "bootstrap-of-given mode needs input matrices")
+        g, a, b = given
+        if not (g.ids == a.ids == b.ids):
+            raise ItemMismatch("input triple does not share item ids")
+        if g.n_items == 0:
+            raise EmptyItem("input matrices have no items")
+        for m in given:
+            check_unit_range(m).require_responses()
+        (gb, ab, bb), counts = kernel_inputs(g, a, b)
+        pool, sizes = build_null_pool(a, b).padded()
+        pools = [pool]
+        if counts is not None:
+            pool_counts = sizes
+
+    # Ragged data run one resample per chunk, so resample j draws from
+    # derive_rng(seed, arm, j).
+    chunk = _chunk_size(*gb.shape) if counts is None else 1
+
+    def alt_fn(span):
+        if config.mode == Mode.PARAMETRIC:
+            return _alt_chunk_parametric(config, epsilons, *span)
+        rng = rngstreams.derive_rng(config.seed, rngstreams.ALT, span[0])
+        triple, cnt = _resample((gb, ab, bb), rng, span[1] - span[0], config.phi, counts)
+        return [batch_scores(config.metrics, *triple, counts=cnt)]
+
+    gold = prepare_gold(config.metrics, gb, None if counts is None else counts[0])
+    null_fn = lambda span: _null_chunk_rect(config, gold, pools, *span, counts=pool_counts)
+    alt = _collect(config, alt_fn, config.b_alt, chunk, threads)
+    null = _collect(config, null_fn, config.b_null, chunk, threads)
+    if len(alt) < len(configs):  # given data: one set of scores serves every epsilon
+        alt, null = alt * len(configs), null * len(configs)
+    return [_report(*entry) for entry in zip(configs, alt, null)]
+
+
+def run_experiment(
+    config: ExperimentConfig,
+    given: tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix] | None = None,
+    threads: int = 1,
+) -> PValueReport:
+    """Estimate per-metric expected one-sided p-values.
+
+    Parametric mode simulates its own base triple and draws every
+    alternative resample fresh from the simulator; bootstrap-of-given mode
+    takes ``given`` as the base triple and multistage-resamples it. Null
+    resamples always draw per-item A/B pairs from the pooled base responses
+    and are scored against the base gold matrix. Deterministic for a given
+    (config, seed) regardless of ``threads``. The one-epsilon ``run_column``.
+    """
+    return run_column(config, (config.epsilon,), given, threads)[0]
 
 
 # -- mean metric scores (effect-size summaries) -----------------------------------

@@ -6,9 +6,11 @@ mean earth-mover's-distance difference. ``emd_1d`` is the 1-Wasserstein
 distance between empirical distributions, computed as the integral of the
 absolute ECDF difference, so ragged collections compare fine.
 
-One kernel, ``model_scores``, computes per-model scores for batched
-(..., N, K) arrays, ragged ones NaN-padded with per-item counts;
-``batch_scores`` (the engine's entry point), ``emd_1d`` and the public
+One kernel computes per-item scores for batched (..., N, K) arrays, ragged
+ones NaN-padded with per-item counts: ``prepare_gold`` takes gold's item
+means (and sorted rows, for MEMD) once, ``model_items`` scores any number
+of models against them and ``compare`` reduces two models to comparison
+scores. ``batch_scores``, ``model_scores``, ``emd_1d`` and the public
 ``score_*``/``gamma_*``/``evaluate`` functions derive from it.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,6 +137,75 @@ def emd_1d(x, y) -> float:
     return float(_emd_sorted(x, y)[0])
 
 
+class Gold(NamedTuple):
+    """Gold responses prepared once for scoring any number of models against them.
+
+    means are the (..., N) item means, ``sorted`` the row-sorted responses
+    (NaN padding last; None when no metric needs them) and ``counts`` the
+    per-item counts of padded gold (None when rectangular).
+    """
+
+    means: np.ndarray
+    sorted: np.ndarray | None
+    counts: np.ndarray | None
+
+
+def prepare_gold(metric_ids: tuple[MetricId, ...], g, counts=None) -> Gold:
+    """``Gold`` for (..., N, K) responses g, padded ones with per-item ``counts``."""
+    means = reduce_rows(_mean, (g,), (counts,))
+    return Gold(means, np.sort(g, axis=-1) if MetricId.MEMD in metric_ids else None, counts)
+
+
+def model_items(gold: Gold, m, counts=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """One model's per-item (absolute mean error, EMD to gold) against ``gold``.
+
+    m is (..., N, K) and broadcasts against gold's leading axes; the EMD is
+    None when gold holds no sorted rows.
+    """
+    err = np.abs(reduce_rows(_mean, (m,), (counts,)) - gold.means)
+    if gold.sorted is None:
+        return err, None
+    sm = np.sort(m, axis=-1)
+    sg = gold.sorted
+    if gold.counts is not None:
+        # Ragged blocks select items by (model, gold) counts, so both need m's shape.
+        sg = np.broadcast_to(sg, (*sm.shape[:-1], sg.shape[-1]))
+    return err, reduce_rows(_emd_sorted, (sm, sg), (counts, gold.counts))
+
+
+def paired_items(
+    metric_ids: tuple[MetricId, ...], qa, qb
+) -> dict[MetricId, tuple[np.ndarray, np.ndarray]]:
+    """Per-item (A, B) quantities of each metric from ``model_items`` of A and B."""
+    (err_a, emd_a), (err_b, emd_b) = qa, qb
+    out: dict[MetricId, tuple[np.ndarray, np.ndarray]] = {}
+    for metric in metric_ids:
+        if metric == MetricId.MAE:
+            out[metric] = (err_a, err_b)
+        elif metric == MetricId.WINS:
+            out[metric] = (err_a < err_b, err_b < err_a)
+        elif metric == MetricId.MEMD:
+            out[metric] = (emd_a, emd_b)
+        else:
+            raise AssertionError(metric)
+    return out
+
+
+def compare(metric_ids: tuple[MetricId, ...], qa, qb) -> dict[MetricId, np.ndarray]:
+    """Comparison score of each metric, one per leading batch index, from ``model_items``."""
+    return {
+        m: comparison(m, xa.mean(axis=-1), xb.mean(axis=-1))
+        for m, (xa, xb) in paired_items(metric_ids, qa, qb).items()
+    }
+
+
+def _both_models(metric_ids, g, a, b, counts):
+    """``model_items`` of A and of B against gold g prepared once."""
+    cg, ca, cb = (None, None, None) if counts is None else counts
+    gold = prepare_gold(metric_ids, g, cg)
+    return model_items(gold, a, ca), model_items(gold, b, cb)
+
+
 def item_scores(
     metric_ids: tuple[MetricId, ...], g, a, b, counts=None
 ) -> dict[MetricId, tuple[np.ndarray, np.ndarray]]:
@@ -142,26 +214,7 @@ def item_scores(
     ``g``, ``a`` and ``b`` are aligned (..., N, K) arrays; ragged ones are
     NaN-padded, with ``counts`` their per-item response counts.
     """
-    cg, ca, cb = (None, None, None) if counts is None else counts
-    mg = reduce_rows(_mean, (g,), (cg,))
-    err_a = np.abs(reduce_rows(_mean, (a,), (ca,)) - mg)
-    err_b = np.abs(reduce_rows(_mean, (b,), (cb,)) - mg)
-    out: dict[MetricId, tuple[np.ndarray, np.ndarray]] = {}
-    for metric in metric_ids:
-        if metric == MetricId.MAE:
-            out[metric] = (err_a, err_b)
-        elif metric == MetricId.WINS:
-            out[metric] = (err_a < err_b, err_b < err_a)
-        elif metric == MetricId.MEMD:
-            # np.sort puts the NaN padding after each row's valid responses.
-            sg = np.sort(g, axis=-1)
-            out[metric] = tuple(
-                reduce_rows(_emd_sorted, (np.sort(m, axis=-1), sg), (cm, cg))
-                for m, cm in ((a, ca), (b, cb))
-            )
-        else:
-            raise AssertionError(metric)
-    return out
+    return paired_items(metric_ids, *_both_models(metric_ids, g, a, b, counts))
 
 
 def model_scores(
@@ -181,7 +234,7 @@ def comparison(metric: MetricId, score_a, score_b):
 
 def batch_scores(metric_ids: tuple[MetricId, ...], g, a, b, counts=None) -> dict:
     """Comparison score of each metric for batched (optionally padded) arrays."""
-    return {m: comparison(m, *s) for m, s in model_scores(metric_ids, g, a, b, counts).items()}
+    return compare(metric_ids, *_both_models(metric_ids, g, a, b, counts))
 
 
 def kernel_inputs(*matrices: ResponseMatrix) -> tuple[tuple, tuple | None]:

@@ -194,7 +194,7 @@ def _bootstrap_p_value(g, a, b, metric, phi, b_null, rng) -> float:
     pool = np.concatenate([a, b], axis=1)
     hits = 0
     for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*g.shape)):
-        triple, _ = _null_triples(g, pool, phi, rng, hi - lo)
+        triple = _null_triples(g, pool, phi, rng, hi - lo)
         hits += int((batch_scores((metric,), *triple)[metric] >= observed).sum())
     return float((1 + hits) / (1 + b_null))
 

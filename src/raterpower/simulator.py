@@ -26,6 +26,8 @@ __all__ = [
     "draw_item_params",
     "perturb_params",
     "generate_matrix",
+    "PerturbedDraws",
+    "draw_batch",
     "simulate_batch",
     "generate_triple",
     "default_synthetic_prior",
@@ -219,9 +221,28 @@ def perturb_params(params: ItemParams, epsilon: float, rng: np.random.Generator)
 # -- response generation -------------------------------------------------------
 
 def _snap_to_levels(x: np.ndarray, levels: int) -> np.ndarray:
-    # Half-up rounding: exact midpoints go to the higher level.
+    """Snap x to the nearest level in place; exact midpoints go to the higher level."""
     steps = levels - 1
-    return np.floor(x * steps + 0.5) / steps
+    x *= steps
+    x += 0.5
+    np.floor(x, out=x)
+    x /= steps
+    return x
+
+
+def _affine_responses(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
+                      family: ResponseFamily, out: np.ndarray | None = None) -> np.ndarray:
+    """clip(mu + sigma * z) per item, snapped when family has levels; z is (..., k).
+
+    NumPy's ``normal(loc, scale)`` is loc + scale * standard_normal, so this
+    gives its values bit for bit. ``out`` may be z itself.
+    """
+    x = np.multiply(z, sigma[..., None], out=out)
+    x += mu[..., None]
+    np.clip(x, 0.0, 1.0, out=x)
+    if family.levels is not None:
+        _snap_to_levels(x, family.levels)
+    return x
 
 
 def _gen_responses(
@@ -231,12 +252,13 @@ def _gen_responses(
     family: ResponseFamily,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Censored-normal responses for a (...,) batch of item params -> (..., k)."""
-    x = rng.normal(mu[..., None], sigma[..., None], (*mu.shape, k))
-    np.clip(x, 0.0, 1.0, out=x)
-    if family.levels is not None:
-        x = _snap_to_levels(x, family.levels)
-    return x
+    """Censored-normal responses for a (...,) batch of item params -> (..., k).
+
+    Same values and generator state as clip(rng.normal(mu, sigma, (..., k))),
+    computed in place.
+    """
+    z = rng.standard_normal((*mu.shape, k))
+    return _affine_responses(z, mu, sigma, family, out=z)
 
 
 def generate_matrix(
@@ -253,23 +275,55 @@ def generate_matrix(
     return ResponseMatrix.from_array(values)
 
 
+@dataclass(frozen=True)
+class PerturbedDraws:
+    """B's draws for a batch of c experiments, shared by every epsilon.
+
+    mu and sigma are the (c, N) item parameters, u the (c, N) uniforms
+    behind the location shifts and z the (c, N, K) standard normals behind
+    B's responses. ``responses`` turns them into B for one epsilon.
+    """
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    u: np.ndarray
+    z: np.ndarray
+
+    def responses(self, epsilon: float, family: ResponseFamily, out: np.ndarray | None = None) -> np.ndarray:
+        """B at this epsilon; ``out=self.z`` reuses z's memory once z is no longer needed."""
+        # rng.uniform(lo, hi) is lo + (hi - lo) * random(): the same deltas bit for bit.
+        delta = self.u * (epsilon - -epsilon) + -epsilon
+        return _affine_responses(self.z, self.mu + delta, self.sigma, family, out=out)
+
+
+def draw_batch(config, rng: np.random.Generator, c: int) -> tuple[np.ndarray, np.ndarray, PerturbedDraws]:
+    """Every draw of c (G, A, B) experiments: (G, A, B's draws), none depending on epsilon.
+
+    Stream order, the reproducibility contract: c*N locations, c*N scales,
+    G, A, c*N uniforms behind the location shifts, B's standard normals.
+    ``config`` needs prior, n_items, k_responses and family attributes.
+    """
+    n, k = config.n_items, config.k_responses
+    mu = config.prior.location.sample(rng, c * n).reshape(c, n)
+    sigma = config.prior.scale.sample(rng, c * n).reshape(c, n)
+    if np.any(sigma < 0):
+        raise InvalidParam("sigma", "negative scale")
+    g = _gen_responses(mu, sigma, k, config.family, rng)
+    a = _gen_responses(mu, sigma, k, config.family, rng)
+    u = rng.random((c, n))
+    return g, a, PerturbedDraws(mu, sigma, u, rng.standard_normal((c, n, k)))
+
+
 def simulate_batch(config, rng: np.random.Generator, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw c independent (G, A, B) experiments as three (c, N, K) arrays.
 
     G and A are sampled independently from the same per-item distributions
     (A is ideal in distribution, not a copy); B's locations get a fresh
-    Uniform(-epsilon, epsilon) shift. Stream order, the reproducibility
-    contract: c*N locations, c*N scales, G, A, c*N deltas, B. ``config``
-    needs prior, n_items, k_responses, epsilon and family attributes.
+    Uniform(-epsilon, epsilon) shift. Draws follow ``draw_batch``, so they
+    never depend on epsilon; ``config`` also needs an epsilon attribute.
     """
-    n, k = config.n_items, config.k_responses
-    mu = config.prior.location.sample(rng, c * n).reshape(c, n)
-    sigma = config.prior.scale.sample(rng, c * n).reshape(c, n)
-    g = _gen_responses(mu, sigma, k, config.family, rng)
-    a = _gen_responses(mu, sigma, k, config.family, rng)
-    delta = rng.uniform(-config.epsilon, config.epsilon, (c, n))
-    b = _gen_responses(mu + delta, sigma, k, config.family, rng)
-    return g, a, b
+    g, a, draws = draw_batch(config, rng, c)
+    return g, a, draws.responses(config.epsilon, config.family, out=draws.z)
 
 
 def generate_triple(config, rng: np.random.Generator) -> tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix]:

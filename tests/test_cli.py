@@ -114,6 +114,25 @@ def test_table_pivot_layout(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_table_pivot_rejects_several_metrics_before_running(tmp_path, capsys, monkeypatch):
+    from raterpower import cli
+
+    for name in ("run_experiment", "run_column"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("ran a cell"))
+    out = tmp_path / "pivot.csv"
+    code, _, err = run(
+        [
+            "table", "--default-synthetic", "--nk-pairs", "20:3,40:2",
+            "--epsilon-values", "0.0,0.1", "--metric", "wins,mae", "--pivot",
+            "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert "--pivot" in err
+    assert not out.exists()
+
+
 def test_table_group_by_nk(tmp_path, capsys):
     out = tmp_path / "grouped.csv"
     code, _, _ = run(

@@ -28,6 +28,7 @@ DIGESTS = {
     "pvalue-input-rect": "9c23061e7ec03985446dc49f1e1137629900f0ed74b02b782b80c8a1b76b391a",
     "pvalue-input-ragged": "591caae90783b71f3163ad65b01f9153e12739bc8b905c6099c17d1f3d89caba",
     "table": "7fb1d01f4f683a7fad3bb60cc126936ce6ad3bc40631852e1291f365b6899252",
+    "table-toxicity-boot-boot": "1ae754fb189ab52d210f755f664df44543e77eaf8391cf32a905f079efbeffcc",
     "power": "159fd81fc161eacb74478d7291df84828ecda4f7c17328dd8505b605ca59d0b9",
     "simulate": "2bedd46638057133b2ac66e1da5868c391c0a29971522fb71c6697adfeaab114",
     "simulate-toxicity": "246aebcc6d25b55e385e52ba9656a034d98fee1f2b6e4cb26f25624a743bcffc",
@@ -105,6 +106,16 @@ def _case_output(name: str, tmp_path: Path) -> bytes:
         return _run(["table", "--default-synthetic", "--nk-pairs", "20:3,15:1",
                      "--epsilon-values", "0.0,0.1", "--metric", "all", "--phi", "all,boot",
                      "--b-alt", "40", "--b-null", "40", "--seed", "8"], out)
+    if name == "table-toxicity-boot-boot":
+        # Three epsilon values per (N, K) column; at 1000:20 a chunk holds
+        # 100 resamples, so each arm has two chunks and --threads 2 splits them.
+        args = ["table", "--prior-spec", str(_write_prior(tmp_path)), "--levels", "5",
+                "--nk-pairs", "25:4,10:1,1000:20", "--epsilon-values", "0,0.02,0.1",
+                "--metric", "all", "--phi", "boot,boot", "--b-alt", "150", "--b-null", "150",
+                "--seed", "13"]
+        one = _run([*args, "--threads", "1"], out)
+        assert _run([*args, "--threads", "2"], tmp_path / "out2") == one
+        return one
     if name == "power":
         return _run(["power", "--prior-spec", str(_write_prior(tmp_path)), "--levels", "5",
                      "--test", "all", "--n-sweep", "20,40", "--k", "4", "--epsilon", "0.1",
