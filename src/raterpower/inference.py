@@ -23,15 +23,15 @@ bootstrap resamples of the supplied triple. Null resamples never take extra
 resampling layers; drawing from the pooled responses is itself the
 response-level resampling of the null hypothesis.
 
-Engine. Every path runs on three pieces: ``simulate_batch``/``draw_batch``
-draw batched triples, ``_resample`` gathers items with one shared (c, N)
-index draw and then redraws responses with the one primitive ``_draw``
-(``_null_positions`` draws the null A/B responses from the pool the same
-way), and the ``metrics`` kernel scores the batch against gold prepared
-once (``prepare_gold``). Each chunk of resamples derives its generator from
+Engine. ``draw_batch`` draws batched triples; one lazy position plan,
+``_plan``, turns a chunk's index draws (the shared item draw, then the one
+response draw ``_response_step`` per array) into flat positions, so each
+gather is one ``np.take``; the ``metrics`` kernel scores against gold
+prepared once. Two chunk functions return per-model scores:
+``_alt_chunk_parametric`` (simulated or given triples, and
+``mean_metric_scores``) and ``_null_chunk_rect`` (this null arm and the
+power module's bootstrap test). Each chunk derives its generator from
 (seed, arm, chunk start), so results do not depend on the thread count.
-Draws are split from gathers: index draws become flat positions into the
-un-broadcast array (``_positions``), and each gather is one ``np.take``.
 
 Epsilon column. No draw depends on epsilon, so ``run_column`` runs every
 epsilon of one (N, K) from the same chunks: each chunk draws G, A and B's
@@ -41,7 +41,7 @@ pool positions once and gathers them from each epsilon's pool.
 ``run_experiment`` is the one-epsilon column.
 
 Ragged given data run NaN-padded with per-item counts
-(``ResponseMatrix.padded``): ``_draw_counted`` draws from each row's valid
+(``ResponseMatrix.padded``): the response draw reads only each row's valid
 slots, the kernel reduces items with equal counts as one block, and chunks
 hold one resample, so resample j draws from derive_rng(seed, arm, j).
 """
@@ -57,18 +57,8 @@ from . import rngstreams
 from .config import ExperimentConfig, Level, Mode, SamplingStrategy
 from .dataio import check_unit_range
 from .errors import EmptyItem, EmptySample, InvalidParam, ItemMismatch
-from .metrics import (
-    Gold,
-    MetricId,
-    batch_scores,
-    compare,
-    comparison,
-    kernel_inputs,
-    model_items,
-    model_scores,
-    prepare_gold,
-)
-from .simulator import ResponseMatrix, draw_batch, simulate_batch
+from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold
+from .simulator import ResponseMatrix, draw_batch
 
 __all__ = [
     "resample_multistage",
@@ -108,14 +98,13 @@ def resample_multistage(
     """
     if not (g.ids == a.ids == b.ids):
         raise ItemMismatch("triple does not share item ids")
-    n = g.n_items
-    idx = rng.integers(0, n, n) if phi.items == Level.BOOT else np.arange(n)
+    rows = _item_rows(rng, 1, g.n_items, phi)
+    idx = np.arange(g.n_items) if rows is None else rows[0]
     values, counts = zip(*(m.padded() for m in (g, a, b)))
+    values = [x[idx] for x in values]
     responses_only = SamplingStrategy(Level.ALL, phi.responses)
-    arrays, counts = _resample(tuple(x[idx] for x in values), rng, 1, responses_only,
-                               tuple(k[idx] for k in counts))
-    ids = tuple(g.ids[i] for i in idx)
-    return tuple(ResponseMatrix.from_padded(x[0], k[0], ids) for x, k in zip(arrays, counts))
+    plan = _plan(rng, 1, responses_only, [(x.shape, k[idx], None) for x, k in zip(values, counts)])
+    return _one_resample(values, plan, tuple(g.ids[i] for i in idx))
 
 
 def build_null_pool(a: ResponseMatrix, b: ResponseMatrix) -> ResponseMatrix:
@@ -136,12 +125,14 @@ def sample_null_pair(
 
     ``k`` is one sample size for every item or a sequence of per-item sizes.
     """
+    if np.ndim(k) > 1 or np.size(k) not in (1, pool.n_items):
+        raise InvalidParam("k", f"need one sample size or {pool.n_items} per-item sizes")
     counts = np.broadcast_to(k, (pool.n_items,))
     if np.any(counts < 1):
         raise InvalidParam("k", "need at least one response per item")
     values, sizes = pool.require_responses().padded()
-    draws = [_draw_counted(values, rng, counts, sizes) for _ in range(2)]  # A's, then B's
-    return tuple(ResponseMatrix.from_padded(x, counts, pool.ids) for x in draws)
+    plan = _plan(rng, 1, _NO_RESAMPLE, [(values.shape, sizes, counts)] * 2)  # A's, then B's
+    return _one_resample((values, values), plan, pool.ids)
 
 
 # -- p-value estimator -----------------------------------------------------------
@@ -246,13 +237,10 @@ def _item_rows(rng: np.random.Generator, c: int, n: int, phi: SamplingStrategy):
 def _positions(shape, c: int, rows=None, cols=None):
     """Where c resamples read an array of ``shape``, (N, W) or (c, N, W).
 
-    ``rows`` are (c, N) item indices and ``cols`` (c, N, k) response
-    indices; None keeps every item or every response. Returns None when
-    nothing is gathered, else the (c, N) rows of the array viewed as
-    (-1, W) or, with cols, the (c, N, k) positions in the flat array (cols
-    is turned into them in place). Offsets into the un-broadcast array make
-    each gather one ``np.take``, and the positions serve any array of this
-    shape.
+    ``rows`` are (c, N) item indices and ``cols`` (c, N, k) response indices
+    (None keeps all). Returns None when nothing is gathered, else the (c, N)
+    rows of the array viewed as (-1, W) or, with cols, the (c, N, k) flat
+    positions (built in place in cols): offsets into the un-broadcast array.
     """
     n, w = shape[-2:]
     if rows is None and cols is None:
@@ -267,164 +255,155 @@ def _positions(shape, c: int, rows=None, cols=None):
     return cols
 
 
-def _take(x: np.ndarray, c: int, pos) -> np.ndarray:
-    """The (c, N, k) gather of x, (N, W) or (c, N, W), at ``_positions``."""
+def _take(x: np.ndarray, c: int, pos, pad=None) -> np.ndarray:
+    """The (c, N, k) gather of x, (N, W) or (c, N, W), at ``_positions``; ``pad`` slots read NaN."""
     if pos is None:
         return np.broadcast_to(x, (c, *x.shape[-2:]))
     if pos.ndim == 2:
         return np.take(x.reshape(-1, x.shape[-1]), pos, axis=0)
-    return np.take(x.reshape(-1), pos)
+    out = np.take(x.reshape(-1), pos)
+    if pad is not None:
+        out[pad] = np.nan
+    return out
+
+
+def _gather(x: np.ndarray, c: int, step):
+    """(x gathered at a ``_plan`` step, the gathered per-item counts)."""
+    pos, pad, counts = step
+    return _take(x, c, pos, pad), counts
+
+
+def _response_step(rng: np.random.Generator, c: int, shape, rows, counts, k):
+    """One array's plan step (positions, pad, counts): the one response draw.
+
+    The array has ``shape``, (N, W) or (c, N, W), and ``counts`` valid slots
+    per item ((N,); None when all W are). After the item draw ``rows`` each
+    item draws k responses (an int, or (N,) sizes when ragged; None keeps
+    the rows): one scalar-high ``integers`` call, or for ragged data one
+    array-high call that consumes the generator as one call per row would,
+    with ``pad`` marking the slots past each row's size. The step's counts
+    are the gathered (c, N) counts, None when rectangular.
+    """
+    n = shape[-2]
+    if counts is not None:
+        counts = np.broadcast_to(counts, (c, n)) if rows is None else counts[rows]
+    if k is None:
+        return _positions(shape, c, rows), None, counts
+    if counts is None:
+        return _positions(shape, c, rows, rng.integers(0, shape[-1], (c, n, k))), None, None
+    k = np.broadcast_to(k, (c, n)) if rows is None else k[rows]
+    sizes = k.ravel()
+    pad = np.arange(sizes.max(initial=0)) >= sizes[:, None]
+    cols = np.zeros(pad.shape, dtype=np.int64)
+    cols[~pad] = rng.integers(0, np.repeat(counts.ravel(), sizes))
+    shape_out = (c, n, pad.shape[1])
+    return _positions(shape, c, rows, cols.reshape(shape_out)), pad.reshape(shape_out), k
+
+
+def _plan(rng: np.random.Generator, c: int, phi: SamplingStrategy, sources):
+    """Each source's ``_response_step`` for c resamples, one step at a time.
+
+    ``sources`` are aligned (shape, counts, k) as in ``_response_step``;
+    k None redraws a source's own responses when phi.responses is boot.
+    Stream order: the (c, N) item draw shared by every source (when
+    phi.items is boot), then each source's response indices in turn. Steps
+    are handed out, never kept, so their positions die with their gather.
+    """
+    rows = _item_rows(rng, c, sources[0][0][-2], phi)
+    boot = phi.responses == Level.BOOT
+    for shape, counts, k in sources:
+        if k is None and boot:
+            k = shape[-1] if counts is None else counts
+        yield _response_step(rng, c, shape, rows, counts, k)
 
 
 def _draw(x: np.ndarray, rng: np.random.Generator, c: int, rows=None) -> np.ndarray:
-    """c response bootstraps of x, (N, W) or (c, N, W): the response-draw primitive.
-
-    One (c, N, W) with-replacement index draw into each item's row, after
-    the item draw ``rows`` when given.
-    """
-    cols = rng.integers(0, x.shape[-1], (c, *x.shape[-2:]))
-    return _take(x, c, _positions(x.shape, c, rows, cols))
+    """c response bootstraps of x, (N, W) or (c, N, W), after the item draw ``rows``."""
+    return _gather(x, c, _response_step(rng, c, x.shape, rows, None, x.shape[-1]))[0]
 
 
-def _draw_counted(x: np.ndarray, rng: np.random.Generator, k=None, counts=None) -> np.ndarray:
-    """Ragged ``_draw``: x has ``counts`` valid slots per row (shape x.shape[:-1]).
-
-    Row i draws k[i] (default counts[i]) of its valid slots into a
-    NaN-padded result, in one ``integers`` call that consumes the generator
-    as one ``integers(0, counts[i], k[i])`` call per row would.
-    """
-    k = np.broadcast_to(counts if k is None else k, counts.shape).ravel()
-    rows = np.repeat(np.arange(k.size), k)
-    cols = rng.integers(0, np.repeat(counts.ravel(), k))
-    out = np.full((k.size, k.max(initial=0)), np.nan)
-    out[np.arange(out.shape[1]) < k[:, None]] = x.reshape(k.size, -1)[rows, cols]
-    return out.reshape(*counts.shape, -1)
-
-
-def _resample(arrays, rng: np.random.Generator, c: int, phi: SamplingStrategy, counts=None):
-    """c multistage resamples of aligned (N, K) or (c, N, K) arrays -> (c, N, K) each.
-
-    Ragged (N, K_max) arrays come with ``counts``, each one's (N,) per-item
-    counts. Returns (arrays, counts): (c, N) counts after the item gather,
-    or None.
-
-    Stream order: one (c, N) item index draw shared by every array (when
-    phi.items is boot), then each array's responses redrawn in turn (when
-    phi.responses is boot).
-    """
-    rows = _item_rows(rng, c, arrays[0].shape[-2], phi)
-    boot = phi.responses == Level.BOOT
-    if counts is None:
-        if boot:
-            return tuple(_draw(x, rng, c, rows) for x in arrays), None
-        return tuple(_take(x, c, _positions(x.shape, c, rows)) for x in arrays), None
-    arrays = tuple(_take(x, c, _positions(x.shape, c, rows)) for x in arrays)
-    counts = tuple(np.broadcast_to(k, (c, k.size)) if rows is None else k[rows] for k in counts)
-    if boot:
-        arrays = tuple(_draw_counted(x, rng, counts=k) for x, k in zip(arrays, counts))
-    return arrays, counts
-
-
-def _null_positions(g_shape, pool_shape, phi: SamplingStrategy, rng: np.random.Generator, c: int):
-    """``_positions`` of c null (G, A, B) triples: G in base gold, A and B in the A+B pool.
-
-    Stream order: item indices (when phi.items is boot; shared by gold and
-    pool), gold response indices (when phi.responses is boot), then A's and
-    B's K indices per item into the pool.
-    """
-    n, k = g_shape
-    rows = _item_rows(rng, c, n, phi)
-    cols = rng.integers(0, k, (c, n, k)) if phi.responses == Level.BOOT else None
-    pos_g = _positions(g_shape, c, rows, cols)
-    pos_a = _positions(pool_shape, c, rows, rng.integers(0, pool_shape[1], (c, n, k)))
-    pos_b = _positions(pool_shape, c, rows, rng.integers(0, pool_shape[1], (c, n, k)))
-    return pos_g, pos_a, pos_b
-
-
-def _null_triples(g: np.ndarray, pool: np.ndarray, phi: SamplingStrategy,
-                  rng: np.random.Generator, c: int):
-    """c null (G, A, B) triples from base gold g (N, K) and pooled A+B responses (N, 2K)."""
-    pos_g, pos_a, pos_b = _null_positions(g.shape, pool.shape, phi, rng, c)
-    return _take(g, c, pos_g), _take(pool, c, pos_a), _take(pool, c, pos_b)
+def _one_resample(arrays, plan, ids) -> tuple[ResponseMatrix, ...]:
+    """The matrices of one resample (c = 1) of padded (N, K_max) ``arrays`` along ``plan``."""
+    gathered = (_gather(x, 1, step) for x, step in zip(arrays, plan))
+    return tuple(ResponseMatrix.from_padded(x[0], k[0], ids) for x, k in gathered)
 
 
 _NO_RESAMPLE = SamplingStrategy(Level.ALL, Level.ALL)
 
 
-def _alt_chunk_parametric(config: ExperimentConfig, epsilons, lo: int, hi: int) -> list[dict]:
-    """Alternative scores of resamples lo..hi at each epsilon, from one draw.
+def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsilons, base,
+                          rng: np.random.Generator, c: int) -> list[dict]:
+    """Per-model scores of c alternative resamples at each epsilon, from one draw.
 
-    G and A are gathered, scored and dropped first; then B is built, gathered
-    and scored one epsilon at a time, so one B is alive at a time.
+    ``base`` is None for c fresh simulator triples drawn from rng, else the
+    given (G, A, B) in ``kernel_inputs`` form, which one score dict serves
+    for every epsilon. The triple is resampled under phi along one
+    ``_plan``: G and A are gathered, scored and dropped first, then B is
+    built, gathered and scored one epsilon at a time.
     """
-    c = hi - lo
-    rng = rngstreams.derive_rng(config.seed, rngstreams.ALT, lo)
-    # The fresh draw is itself the response-level resample, so responses are
-    # redrawn only after an item bootstrap.
-    phi = config.phi if config.phi.items == Level.BOOT else _NO_RESAMPLE
-    g, a, draws = draw_batch(config, rng, c)
-    shape = g.shape
-    rows = _item_rows(rng, c, config.n_items, phi)
-
-    def positions():
-        cols = rng.integers(0, shape[-1], shape) if phi.responses == Level.BOOT else None
-        return _positions(shape, c, rows, cols)
-
+    if base is None:
+        g, a, draws = draw_batch(config, rng, c)
+        sources = [(g.shape, None, None)] * 3
+    else:
+        (g, a, b), counts = base
+        sources = [(x.shape, k, None) for x, k in zip((g, a, b), counts or (None,) * 3)]
+    plan = _plan(rng, c, phi, sources)
     # Each array is dropped as soon as it is gathered.
-    gold = prepare_gold(config.metrics, _take(g, c, positions()))
+    gold = prepare_gold(config.metrics, *_gather(g, c, next(plan)))
     del g
-    a = _take(a, c, positions())
-    score_a = model_items(gold, a)
+    a = _gather(a, c, next(plan))
+    score_a = model_items(gold, *a)
     del a
-    pos_b = positions()
+    if base is not None:
+        return [pair_scores(config.metrics, score_a, model_items(gold, *_gather(b, c, next(plan))))]
+    pos = next(plan)[0]  # simulated arrays are rectangular: no pad
     out = []
     for i, epsilon in enumerate(epsilons):
         last = i == len(epsilons) - 1
         # The last epsilon builds B in z's memory.
-        b = _take(draws.responses(epsilon, config.family, out=draws.z if last else None), c, pos_b)
+        b = _take(draws.responses(epsilon, config.family, out=draws.z if last else None), c, pos)
         if last:
-            del draws, pos_b
-        out.append(compare(config.metrics, score_a, model_items(gold, b)))
+            del draws, pos
+        out.append(pair_scores(config.metrics, score_a, model_items(gold, b)))
         del b
     return out
 
 
-def _null_chunk_rect(config: ExperimentConfig, gold: Gold, pools, lo: int, hi: int,
-                     counts=None) -> list[dict]:
-    """Null scores of resamples lo..hi against the base ``gold``, one dict per pool.
+def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
+                     gold: Gold, pools, rng: np.random.Generator, c: int, counts=None) -> list[dict]:
+    """Per-model null scores of c resamples, one dict per (N, W) pool of A+B responses.
 
-    A's and then B's K responses per item are drawn from the pool, with no
-    item or gold resampling; the positions serve every pool (one per
-    epsilon). Ragged data pass the pool's per-item counts, and A and B then
-    draw half a pool row each.
+    G is the base gold g, prepared once as ``gold``, unless phi resamples
+    it. A and then B draw W/2 responses per item from the pool, or half of
+    each item's ``counts`` when ragged; every pool (one per epsilon) is
+    gathered at the same positions. Stream order (``_plan``): the item draw
+    and gold's response indices as phi says, then A's and B's pool indices.
     """
-    c = hi - lo
-    rng = rngstreams.derive_rng(config.seed, rngstreams.NULL, lo)
-    n, w = pools[0].shape
-    if counts is not None:
-        pool = np.broadcast_to(pools[0], (c, n, w))
-        cp = np.broadcast_to(counts, (c, n))
-        k = cp // 2
-        a = _draw_counted(pool, rng, k, cp)
-        b = _draw_counted(pool, rng, k, cp)
-        return [compare(config.metrics, model_items(gold, a, k), model_items(gold, b, k))]
-    _, pos_a, pos_b = _null_positions((n, w // 2), (n, w), _NO_RESAMPLE, rng, c)
+    k = pools[0].shape[-1] // 2 if counts is None else counts // 2
+    plan = _plan(rng, c, phi, [(g.shape, gold.counts, None)] + [(pools[0].shape, counts, k)] * 2)
+    step = next(plan)
+    if step[0] is not None:
+        gold = prepare_gold(metric_ids, *_gather(g, c, step))
+    del step
+    step_a, step_b = plan
     return [
-        compare(config.metrics, *(model_items(gold, _take(pool, c, pos)) for pos in (pos_a, pos_b)))
+        pair_scores(metric_ids, *(model_items(gold, *_gather(pool, c, s)) for s in (step_a, step_b)))
         for pool in pools
     ]
 
 
-def _collect(config, fn, total, chunk, threads) -> list[dict[MetricId, np.ndarray]]:
-    """Run fn over the chunks of range(total); each chunk returns one score dict per column entry."""
+def _collect(config, arm: int, fn, total: int, chunk: int, threads: int) -> list[dict]:
+    """Per-model scores of range(total), (2, total) per metric, one dict per column entry.
+
+    fn(rng, c) scores one chunk's c resamples from derive_rng(seed, arm,
+    chunk start) and returns one {metric: (score_a, score_b)} dict per entry.
+    """
     chunks = rngstreams.chunk_ranges(total, chunk)
-    results = _map_chunks(fn, chunks, threads)
-    out = [{m: np.empty(total) for m in config.metrics} for _ in results[0]]
-    for (lo, hi), res in zip(chunks, results):
-        for scores, part in zip(out, res):
-            for m in config.metrics:
-                scores[m][lo:hi] = part[m]
-    return out
+    results = _map_chunks(
+        lambda span: fn(rngstreams.derive_rng(config.seed, arm, span[0]), span[1] - span[0]),
+        chunks, threads)
+    return [{m: np.concatenate([p[m] for p in parts], axis=1) for m in config.metrics}
+            for parts in zip(*results)]
 
 
 def _report(config: ExperimentConfig, alt: dict, null: dict) -> PValueReport:
@@ -463,13 +442,16 @@ def run_column(
     configs = [config.with_(epsilon=e).validate() for e in epsilons]
     if not configs:
         raise InvalidParam("epsilons", "need at least one epsilon")
-    counts = pool_counts = None
+    counts = None
     if config.mode == Mode.PARAMETRIC:
         if given is not None:
             raise InvalidParam("given", "parametric mode simulates its own data")
         g, a, draws = draw_batch(config, rngstreams.derive_rng(config.seed, rngstreams.BASE), 1)
-        gb = g[0]
+        gb, base, pool_counts = g[0], None, None
         pools = [np.concatenate([a[0], draws.responses(e, config.family)[0]], axis=1) for e in epsilons]
+        # The fresh draw is itself the response-level resample, so responses
+        # are redrawn only after an item bootstrap.
+        phi = config.phi if config.phi.items == Level.BOOT else _NO_RESAMPLE
     else:
         if given is None:
             raise InvalidParam("given", "bootstrap-of-given mode needs input matrices")
@@ -480,30 +462,30 @@ def run_column(
             raise EmptyItem("input matrices have no items")
         for m in given:
             check_unit_range(m).require_responses()
-        (gb, ab, bb), counts = kernel_inputs(g, a, b)
+        base = kernel_inputs(g, a, b)
+        (gb, _, _), counts = base
         pool, sizes = build_null_pool(a, b).padded()
-        pools = [pool]
-        if counts is not None:
-            pool_counts = sizes
+        pools, pool_counts = [pool], None if counts is None else sizes
+        phi = config.phi
 
     # Ragged data run one resample per chunk, so resample j draws from
     # derive_rng(seed, arm, j).
     chunk = _chunk_size(*gb.shape) if counts is None else 1
-
-    def alt_fn(span):
-        if config.mode == Mode.PARAMETRIC:
-            return _alt_chunk_parametric(config, epsilons, *span)
-        rng = rngstreams.derive_rng(config.seed, rngstreams.ALT, span[0])
-        triple, cnt = _resample((gb, ab, bb), rng, span[1] - span[0], config.phi, counts)
-        return [batch_scores(config.metrics, *triple, counts=cnt)]
-
     gold = prepare_gold(config.metrics, gb, None if counts is None else counts[0])
-    null_fn = lambda span: _null_chunk_rect(config, gold, pools, *span, counts=pool_counts)
-    alt = _collect(config, alt_fn, config.b_alt, chunk, threads)
-    null = _collect(config, null_fn, config.b_null, chunk, threads)
+    alt = _collect(config, rngstreams.ALT,
+                   lambda rng, c: _alt_chunk_parametric(config, phi, epsilons, base, rng, c),
+                   config.b_alt, chunk, threads)
+    null = _collect(config, rngstreams.NULL,
+                    lambda rng, c: _null_chunk_rect(config.metrics, _NO_RESAMPLE, gb, gold, pools,
+                                                    rng, c, pool_counts),
+                    config.b_null, chunk, threads)
     if len(alt) < len(configs):  # given data: one set of scores serves every epsilon
         alt, null = alt * len(configs), null * len(configs)
-    return [_report(*entry) for entry in zip(configs, alt, null)]
+
+    def comparisons(scores):
+        return {m: comparison(m, *s) for m, s in scores.items()}
+
+    return [_report(cfg, comparisons(x), comparisons(y)) for cfg, x, y in zip(configs, alt, null)]
 
 
 def run_experiment(
@@ -536,21 +518,19 @@ def mean_metric_scores(
     returned means are the per-model scores and their gap. Used for
     effect-size tables. The simulator draws per sample index do not depend
     on epsilon, so score gaps across epsilon values share their randomness.
+    It runs the alternative chunk under the SCORE stream tag.
     """
     config.validate()
-
-    def chunk_scores(span):
-        c = span[1] - span[0]
-        rng = rngstreams.derive_rng(config.seed, rngstreams.SCORE, span[0])
-        triple, _ = _resample(simulate_batch(config, rng, c), rng, c, config.phi)
-        return model_scores(config.metrics, *triple)
-
-    chunks = rngstreams.chunk_ranges(n_samples, _chunk_size(config.n_items, config.k_responses))
-    results = _map_chunks(chunk_scores, chunks, threads)
+    if n_samples < 1:
+        raise InvalidParam("n_samples", "need at least one sample")
+    scores = _collect(
+        config, rngstreams.SCORE,
+        lambda rng, c: _alt_chunk_parametric(config, config.phi, (config.epsilon,), None, rng, c),
+        n_samples, _chunk_size(config.n_items, config.k_responses), threads,
+    )[0]
     out: dict[MetricId, dict[str, float]] = {}
-    for m in config.metrics:
-        score_a = np.concatenate([r[m][0] for r in results]).mean()
-        score_b = np.concatenate([r[m][1] for r in results]).mean()
+    for m, (per_a, per_b) in scores.items():
+        score_a, score_b = per_a.mean(), per_b.mean()
         out[m] = {
             "score_a": float(score_a),
             "score_b": float(score_b),

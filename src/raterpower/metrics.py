@@ -9,9 +9,10 @@ absolute ECDF difference, so ragged collections compare fine.
 One kernel computes per-item scores for batched (..., N, K) arrays, ragged
 ones NaN-padded with per-item counts: ``prepare_gold`` takes gold's item
 means (and sorted rows, for MEMD) once, ``model_items`` scores any number
-of models against them and ``compare`` reduces two models to comparison
-scores. ``batch_scores``, ``model_scores``, ``emd_1d`` and the public
-``score_*``/``gamma_*``/``evaluate`` functions derive from it.
+of models against them and ``pair_scores`` reduces two models to per-model
+scores, from which ``comparison`` derives the comparison score.
+``batch_scores``, ``emd_1d`` and the public ``score_*``/``gamma_*``/``evaluate``
+functions derive from it.
 """
 
 from __future__ import annotations
@@ -191,10 +192,12 @@ def paired_items(
     return out
 
 
-def compare(metric_ids: tuple[MetricId, ...], qa, qb) -> dict[MetricId, np.ndarray]:
-    """Comparison score of each metric, one per leading batch index, from ``model_items``."""
+def pair_scores(
+    metric_ids: tuple[MetricId, ...], qa, qb
+) -> dict[MetricId, tuple[np.ndarray, np.ndarray]]:
+    """Per-model (score_a, score_b) of each metric, one per leading batch index, from ``model_items``."""
     return {
-        m: comparison(m, xa.mean(axis=-1), xb.mean(axis=-1))
+        m: (xa.mean(axis=-1), xb.mean(axis=-1))
         for m, (xa, xb) in paired_items(metric_ids, qa, qb).items()
     }
 
@@ -217,16 +220,6 @@ def item_scores(
     return paired_items(metric_ids, *_both_models(metric_ids, g, a, b, counts))
 
 
-def model_scores(
-    metric_ids: tuple[MetricId, ...], g, a, b, counts=None
-) -> dict[MetricId, tuple[np.ndarray, np.ndarray]]:
-    """Per-model (score_a, score_b) of each metric, one per leading batch index."""
-    return {
-        m: (xa.mean(axis=-1), xb.mean(axis=-1))
-        for m, (xa, xb) in item_scores(metric_ids, g, a, b, counts).items()
-    }
-
-
 def comparison(metric: MetricId, score_a, score_b):
     """score_a for Wins, score_b - score_a for MAE and MEMD; high favours A."""
     return score_a if metric == MetricId.WINS else score_b - score_a
@@ -234,7 +227,8 @@ def comparison(metric: MetricId, score_a, score_b):
 
 def batch_scores(metric_ids: tuple[MetricId, ...], g, a, b, counts=None) -> dict:
     """Comparison score of each metric for batched (optionally padded) arrays."""
-    return compare(metric_ids, *_both_models(metric_ids, g, a, b, counts))
+    scores = pair_scores(metric_ids, *_both_models(metric_ids, g, a, b, counts))
+    return {m: comparison(m, *s) for m, s in scores.items()}
 
 
 def kernel_inputs(*matrices: ResponseMatrix) -> tuple[tuple, tuple | None]:

@@ -25,8 +25,8 @@ from .errors import (
     InvalidParam,
     ItemMismatch,
 )
-from .inference import _chunk_size, _map_chunks, _null_triples
-from .metrics import MetricId, _check_pair, batch_scores, item_scores, kernel_inputs
+from .inference import _chunk_size, _map_chunks, _null_chunk_rect
+from .metrics import MetricId, _check_pair, batch_scores, comparison, item_scores, kernel_inputs, prepare_gold
 from .simulator import ResponseMatrix, simulate_batch
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "permutation_test_paired",
     "multistage_bootstrap_test",
     "estimate_power",
+    "sweep_configs",
     "power_sweep",
 ]
 
@@ -189,13 +190,15 @@ def multistage_bootstrap_test(
 
 
 def _bootstrap_p_value(g, a, b, metric, phi, b_null, rng) -> float:
-    """``multistage_bootstrap_test`` on aligned (N, K) arrays."""
-    observed = float(batch_scores((metric,), g, a, b)[metric])
-    pool = np.concatenate([a, b], axis=1)
+    """``multistage_bootstrap_test`` on aligned (N, K) arrays, in the engine's null chunks."""
+    metrics = (metric,)
+    observed = float(batch_scores(metrics, g, a, b)[metric])
+    gold = prepare_gold(metrics, g)
+    pools = [np.concatenate([a, b], axis=1)]
     hits = 0
     for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*g.shape)):
-        triple = _null_triples(g, pool, phi, rng, hi - lo)
-        hits += int((batch_scores((metric,), *triple)[metric] >= observed).sum())
+        scores = _null_chunk_rect(metrics, phi, g, gold, pools, rng, hi - lo)[0][metric]
+        hits += int((comparison(metric, *scores) >= observed).sum())
     return float((1 + hits) / (1 + b_null))
 
 
@@ -274,7 +277,7 @@ def estimate_power(
     """
     if trials < 1:
         raise InvalidParam("trials", "need at least one trial")
-    config.validate()
+    config = sweep_configs(config, test, "n_items", (config.n_items,))[0]
 
     def run(span: tuple[int, int]) -> int:
         lo, hi = span
@@ -296,14 +299,26 @@ def power_sweep(
     values: tuple[int, ...],
     threads: int = 1,
 ) -> PowerReport:
-    """Power curve along n_items or k_responses."""
-    if axis not in ("n_items", "k_responses"):
-        raise InvalidParam("axis", "axis must be n_items or k_responses")
+    """Power curve along n_items or k_responses; every point is checked before any trial runs."""
     points = []
-    for value in values:
-        cfg = config.with_(**{axis: int(value)})
+    for value, cfg in zip(values, sweep_configs(config, test, axis, values)):
         report = estimate_power(cfg, test, trials, threads=threads)
         points.append(
             PowerPoint(axis_value=int(value), rejections=report.points[0].rejections, trials=trials)
         )
     return PowerReport(test=test, alpha=config.alpha, trials=trials, axis=axis, points=tuple(points))
+
+
+def sweep_configs(
+    config: ExperimentConfig, test: TestId, axis: str, values: tuple[int, ...]
+) -> list[ExperimentConfig]:
+    """The validated config of each sweep point; raises before any trial runs.
+
+    Welch's t test needs at least two items at every point.
+    """
+    if axis not in ("n_items", "k_responses"):
+        raise InvalidParam("axis", "axis must be n_items or k_responses")
+    configs = [config.with_(**{axis: int(value)}).validate() for value in values]
+    if test == TestId.WELCH_T and any(cfg.n_items < 2 for cfg in configs):
+        raise InvalidParam("n_items", "Welch's t test needs at least two items")
+    return configs

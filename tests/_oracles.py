@@ -75,6 +75,35 @@ def null_pair_rows_oracle(pool_rows, counts, rng):
     return a, b
 
 
+def bootstrap_test_oracle(g, a, b, metric, items_boot, responses_boot, b_null, chunk, rng):
+    """The multistage bootstrap test as a plain chunk loop over (N, K) arrays.
+
+    Each chunk of c null triples draws, in order: (c, N) item indices (item
+    bootstrap), gold's response indices (response bootstrap), then A's and
+    B's K indices per item into the pooled A+B responses; the triples are
+    gathered with ``take_along_axis`` and scored with ``batch_scores``.
+    """
+    from raterpower.metrics import batch_scores
+    from raterpower.rngstreams import chunk_ranges
+
+    n, k = g.shape
+    observed = float(batch_scores((metric,), g, a, b)[metric])
+    pool = np.concatenate([a, b], axis=1)
+    hits = 0
+    for lo, hi in chunk_ranges(b_null, chunk):
+        c = hi - lo
+        gs, ps = np.broadcast_to(g, (c, n, k)), np.broadcast_to(pool, (c, n, 2 * k))
+        if items_boot:
+            idx = rng.integers(0, n, (c, n))[:, :, None]
+            gs, ps = np.take_along_axis(gs, idx, axis=1), np.take_along_axis(ps, idx, axis=1)
+        if responses_boot:
+            gs = np.take_along_axis(gs, rng.integers(0, k, (c, n, k)), axis=-1)
+        a_null = np.take_along_axis(ps, rng.integers(0, 2 * k, (c, n, k)), axis=-1)
+        b_null_ = np.take_along_axis(ps, rng.integers(0, 2 * k, (c, n, k)), axis=-1)
+        hits += int((batch_scores((metric,), gs, a_null, b_null_)[metric] >= observed).sum())
+    return float((1 + hits) / (1 + b_null))
+
+
 def p_value_oracle(alt, null) -> tuple[float, list[int]]:
     """Double-loop expected one-sided p-value with median direction."""
     alt = list(map(float, alt))

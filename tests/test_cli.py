@@ -328,6 +328,24 @@ def test_power_command_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_power_rejects_welch_with_one_item_before_any_sweep(tmp_path, capsys, monkeypatch):
+    from raterpower import power
+
+    monkeypatch.setattr(power, "_trial_p_value", lambda *args: pytest.fail("ran a trial"))
+    out = tmp_path / "power.csv"
+    code, _, err = run(
+        [
+            "power", "--default-synthetic", "--test", "all", "--n-sweep", "5,1", "--k", "3",
+            "--epsilon", "0.1", "--trials", "4", "--b-null", "20", "--seed", "1",
+            "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert "n_items" in err
+    assert not out.exists()
+
+
 def test_power_all_tests_on_degenerate_data(tmp_path, capsys):
     # Zero-scale prior and epsilon 0: every per-item error is zero, so no
     # test has evidence. Each gets p = 1 instead of aborting the sweep.

@@ -94,6 +94,12 @@ def test_sample_null_pair_degenerate_pool():
     assert list(b0.rows[0]) == [0.0, 0.0]
 
 
+def test_sample_null_pair_rejects_k_of_wrong_length():
+    pool = ResponseMatrix.from_rows([(str(i), [0.0, 0.5, 1.0, 0.5]) for i in range(3)])
+    with pytest.raises(InvalidParam, match="k"):
+        sample_null_pair(pool, [1, 2], derive_rng(5))
+
+
 def test_sample_null_pair_support_and_frequency():
     pool = ResponseMatrix.from_rows([("a", [0.0, 1.0])])
     ones = 0
@@ -254,6 +260,13 @@ def test_mean_metric_scores_deterministic_and_keys():
     second = mean_metric_scores(config, 40, threads=3)
     assert first == second
     assert set(first[MetricId.MAE]) == {"score_a", "score_b", "comparison", "delta"}
+
+
+def test_mean_metric_scores_rejects_zero_samples():
+    from raterpower import mean_metric_scores
+
+    with pytest.raises(InvalidParam):
+        mean_metric_scores(ExperimentConfig(n_items=5, k_responses=2), 0)
 
 
 def test_config_validation_errors():

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
-from _oracles import permutation_enumeration_oracle, wilcoxon_enumeration_oracle
+from _oracles import (
+    bootstrap_test_oracle,
+    permutation_enumeration_oracle,
+    wilcoxon_enumeration_oracle,
+)
 
 from raterpower import (
     ExperimentConfig,
@@ -16,7 +20,14 @@ from raterpower import (
     welch_t_test,
     wilcoxon_signed_rank,
 )
-from raterpower.errors import AllZeroDifferences, DegenerateVariance, EmptyItem, ItemMismatch
+from raterpower import inference
+from raterpower.errors import (
+    AllZeroDifferences,
+    DegenerateVariance,
+    EmptyItem,
+    InvalidParam,
+    ItemMismatch,
+)
 from raterpower.metrics import MetricId
 from raterpower.rngstreams import derive_rng
 
@@ -177,7 +188,37 @@ def test_bootstrap_test_calibrated_under_null():
     assert (np.asarray(ps) < 0.05).mean() < 0.15
 
 
+@pytest.mark.parametrize("phi", ["boot,boot", "all,boot", "boot,all", "all,all"])
+@pytest.mark.parametrize("metric", [MetricId.MAE, MetricId.WINS, MetricId.MEMD])
+def test_bootstrap_test_matches_chunk_loop(phi, metric, monkeypatch):
+    # A small chunk budget gives the null loop several chunks, the last one short.
+    monkeypatch.setattr(inference, "_CHUNK_BUDGET", 150)
+    config = ExperimentConfig(n_items=12, k_responses=5, epsilon=0.1, seed=3)
+    g, a, b = generate_triple(config, derive_rng(41))
+    strategy = SamplingStrategy.parse(phi)
+    items, responses = (level.value == "boot" for level in (strategy.items, strategy.responses))
+    got_rng, want_rng = derive_rng(42), derive_rng(42)
+    got = multistage_bootstrap_test(g, a, b, metric, strategy, b_null=23, rng=got_rng)
+    want = bootstrap_test_oracle(
+        g.to_array(), a.to_array(), b.to_array(), metric, items, responses, 23,
+        inference._chunk_size(12, 5), want_rng,
+    )
+    assert got == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 # -- estimate_power ---------------------------------------------------------------------
+
+def test_welch_rejects_one_item_before_any_trial(monkeypatch):
+    from raterpower import power as power_mod
+
+    monkeypatch.setattr(power_mod, "_trial_p_value", lambda *args: pytest.fail("ran a trial"))
+    config = ExperimentConfig(n_items=5, k_responses=3, epsilon=0.1)
+    with pytest.raises(InvalidParam):
+        estimate_power(config.with_(n_items=1), TestId.WELCH_T, trials=2)
+    with pytest.raises(InvalidParam):
+        power_sweep(config, TestId.WELCH_T, 2, "n_items", (5, 1))
+
 
 def test_single_trial_power_is_binary():
     config = ExperimentConfig(n_items=30, k_responses=3, epsilon=0.2, seed=2)
