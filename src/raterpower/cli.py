@@ -319,6 +319,7 @@ def cmd_fit(args) -> None:
         scale_fixed=_parse_clip(args.scale_clip, "--scale-clip"),
         sim_count=args.sim_count,
         seed=args.seed or 0,
+        threads=args.threads,
     )
     _emit(args, report_to_json(report))
 

@@ -133,58 +133,82 @@ class DistributionSpec:
     # -- sampling ------------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` independent values.
+        """Draw ``count`` independent values: ``transform`` of ``draw``.
 
         Deterministic given (spec, generator state): each family consumes the
-        stream in a fixed documented order.
+        stream in a fixed documented order (see ``draw``).
+        """
+        return self.transform(self.family, self.params, self.draw(rng, count))
+
+    def draw(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
+        """The raw variates of ``count`` draws, in stream order.
+
+        Uniform and truncated normal draw one ``random`` per value; normal,
+        censored and folded normal one ``standard_normal``; triangular one
+        ``triangular``; gaussian-mixture2 the component uniforms, then one
+        standard normal per value shared across components. A degenerate
+        spec (uniform lo == hi, zero-scale truncated normal, triangular
+        a == c) draws nothing.
         """
         if count < 0:
             raise InvalidParam("count", "negative count")
         p = self.params
         f = self.family
         if f == Family.UNIFORM:
-            if p["lo"] == p["hi"]:
-                return np.full(count, float(p["lo"]))
-            return rng.uniform(p["lo"], p["hi"], count)
-        if f == Family.NORMAL:
-            return rng.normal(p["mu"], p["sigma"], count)
+            return (np.zeros(count) if p["lo"] == p["hi"] else rng.random(count),)
         if f == Family.TRUNCATED_NORMAL:
-            return self._sample_truncated(rng, count)
-        if f == Family.CENSORED_NORMAL:
-            x = rng.normal(p["mu"], p["sigma"], count)
-            return np.clip(x, p["lo"], p["hi"])
-        if f == Family.FOLDED_NORMAL:
-            x = np.abs(rng.normal(p["mu"], p["sigma"], count))
-            return np.clip(x, p.get("lo", -math.inf), p.get("hi", math.inf))
+            return (np.zeros(count) if p["sigma"] == 0 else rng.random(count),)
+        if f in (Family.NORMAL, Family.CENSORED_NORMAL, Family.FOLDED_NORMAL):
+            return (rng.standard_normal(count),)
         if f == Family.TRIANGULAR:
             if p["a"] == p["c"]:
-                x = np.full(count, float(p["a"]))
-            else:
-                x = rng.triangular(p["a"], p["b"], p["c"], count)
-            return np.clip(x, p.get("lo", -math.inf), p.get("hi", math.inf))
+                return (np.full(count, float(p["a"])),)
+            return (rng.triangular(p["a"], p["b"], p["c"], count),)
         if f == Family.GAUSSIAN_MIXTURE2:
-            # Stream order: component indicators, then one standard normal
-            # per draw shared across components.
-            first = rng.random(count) < p["kappa"]
-            z = rng.standard_normal(count)
-            return np.where(
-                first, p["mu1"] + p["sigma1"] * z, p["mu2"] + p["sigma2"] * z
-            )
+            return rng.random(count), rng.standard_normal(count)
         raise AssertionError(f)
 
-    def _sample_truncated(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        # Inverse-CDF on the renormalized interval: stable for wide intervals,
-        # no rejection loop.
-        p = self.params
-        mu, sigma, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
-        if sigma == 0:
-            return np.full(count, float(mu))
-        a = special.ndtr((lo - mu) / sigma)
-        b = special.ndtr((hi - mu) / sigma)
-        if b - a <= 0.0:
-            raise InvalidParam("lo", "truncation interval carries no mass")
-        u = rng.uniform(a, b, count)
-        return np.clip(mu + sigma * special.ndtri(u), lo, hi)
+    @staticmethod
+    def transform(family: Family, params: Mapping, raw: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Map ``draw``'s raw variates of ``family`` to values; ``raw`` is overwritten.
+
+        Each parameter is a scalar or a column that broadcasts against the
+        raw arrays, so one call maps the rows of many specs of one family.
+        The arithmetic is the generator's own (``uniform(lo, hi)`` is
+        lo + (hi - lo) * random, ``normal(mu, sigma)`` is
+        mu + sigma * standard_normal), so every row equals ``sample`` of its
+        spec bit for bit.
+        """
+        p = params
+        x = raw[0]
+        if family == Family.UNIFORM:
+            lo, hi = p["lo"], p["hi"]
+            return _where(lo != hi, _affine(x, hi - lo, lo), lo)
+        if family == Family.NORMAL:
+            return _affine(x, p["sigma"], p["mu"])
+        if family == Family.TRUNCATED_NORMAL:
+            # Inverse-CDF on the renormalized interval: stable for wide
+            # intervals, no rejection loop.
+            mu, sigma, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
+            live = sigma != 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a = special.ndtr(np.divide(lo - mu, sigma))
+                b = special.ndtr(np.divide(hi - mu, sigma))
+                if np.any(live & (b - a <= 0.0)):
+                    raise InvalidParam("lo", "truncation interval carries no mass")
+                x = _affine(special.ndtri(_affine(x, b - a, a)), sigma, mu)
+            return _where(live, np.clip(x, lo, hi, out=x), mu)
+        if family == Family.CENSORED_NORMAL:
+            return np.clip(_affine(x, p["sigma"], p["mu"]), p["lo"], p["hi"], out=x)
+        if family == Family.FOLDED_NORMAL:
+            x = np.abs(_affine(x, p["sigma"], p["mu"]), out=x)
+            return np.clip(x, p.get("lo", -math.inf), p.get("hi", math.inf), out=x)
+        if family == Family.TRIANGULAR:
+            return np.clip(x, p.get("lo", -math.inf), p.get("hi", math.inf), out=x)
+        if family == Family.GAUSSIAN_MIXTURE2:
+            z = raw[1]
+            return np.where(x < p["kappa"], p["mu1"] + p["sigma1"] * z, p["mu2"] + p["sigma2"] * z)
+        raise AssertionError(family)
 
     # -- CDF ------------------------------------------------------------------
 
@@ -282,6 +306,18 @@ class DistributionSpec:
         if not isinstance(params, dict):
             raise InvalidParam("params", "params must be an object")
         return cls(family, {k: float(v) for k, v in params.items()}).validate()
+
+
+def _affine(x: np.ndarray, scale, shift) -> np.ndarray:
+    """shift + scale * x, computed in x's memory."""
+    x *= scale
+    x += shift
+    return x
+
+
+def _where(live, x: np.ndarray, fallback) -> np.ndarray:
+    """x where ``live``, else ``fallback``: a degenerate spec takes one value."""
+    return x if np.all(live) else np.where(live, x, fallback)
 
 
 def uniform(lo: float, hi: float) -> DistributionSpec:

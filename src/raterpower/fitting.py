@@ -7,6 +7,12 @@ sorted-quantile (1-Wasserstein) distance between the real values and a large
 simulated sample. Candidate draws are censored into the observed data range
 before the distance is computed, since fitted families may legally put mass
 outside it.
+
+Candidates are scored in blocks: candidate i draws its raw variates
+(``DistributionSpec.draw``) from its own generator, derive_rng(seed, FIT,
+side, i), into row i of a block, and the family transform, clip, sort and
+distance then run once per block. Blocks run on ``threads``; the report does
+not depend on the block size or the thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import numpy as np
 from . import rngstreams
 from .distributions import DistributionSpec, Family
 from .errors import EmptySample, InvalidParam, NoValidGridPoint
-from .metrics import reduce_rows
+from .inference import _map_chunks
+from .metrics import _mean, reduce_rows
 from .simulator import ResponseMatrix
 
 __all__ = [
@@ -33,6 +40,10 @@ __all__ = [
 ]
 
 _SIM_COUNT_CAP = 100_000
+
+# Floats per block of candidate draws (512 KB), so that a block per thread
+# adds little to peak memory.
+_FIT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,7 +67,7 @@ class ItemStats:
 def per_item_stats(m: ResponseMatrix) -> ItemStats:
     """Mean and population standard deviation (divisor n) per item."""
     values, counts = m.require_responses().padded()
-    means = reduce_rows(lambda x: x.mean(axis=-1), (values,), (counts,))
+    means = reduce_rows(_mean, (values,), (counts,))
     stds = reduce_rows(lambda x: x.std(axis=-1), (values,), (counts,))
     return ItemStats(means, stds)
 
@@ -86,6 +97,38 @@ def ecdf(values) -> Ecdf:
     return Ecdf(xs, np.cumsum(counts) / values.size)
 
 
+def _sorted_real(values, sim_count: int) -> np.ndarray:
+    """The sorted real values, once they and ``sim_count`` are checked."""
+    real = np.sort(np.asarray(values, dtype=float))
+    if real.size == 0:
+        raise EmptySample("stat_distance needs real values")
+    if sim_count < 1:
+        raise InvalidParam("sim_count", "need at least one simulated draw")
+    return real
+
+
+def _distances(real: np.ndarray, sims: np.ndarray) -> list[float]:
+    """``stat_distance`` of sorted ``real`` to each row of (r, n) draws ``sims`` (overwritten)."""
+    np.clip(sims, real[0], real[-1], out=sims)
+    sims.sort(axis=-1)
+    n = sims.shape[-1]
+    if n == real.size:
+        d = np.subtract(real, sims, out=sims)
+    else:
+        # Linear-interpolated quantiles of the simulated sample at the real
+        # sample's quantile midpoints (np.quantile re-partitions per point and
+        # is far too slow for tens of thousands of them).
+        q = (np.arange(real.size) + 0.5) / real.size
+        pos = q * (n - 1)
+        lo = np.floor(pos).astype(np.int64)
+        hi = np.minimum(lo + 1, n - 1)
+        frac = pos - lo
+        d = real - (np.take(sims, lo, axis=-1) * (1.0 - frac) + np.take(sims, hi, axis=-1) * frac)
+    # One 1-D sum per row, as row.mean() takes it: a batched mean(axis=-1)
+    # may add in another order.
+    return [float(np.add.reduce(row)) / row.size for row in np.abs(d, out=d)]
+
+
 def stat_distance(
     real_values,
     spec: DistributionSpec,
@@ -99,25 +142,9 @@ def stat_distance(
     at the real sample's quantile midpoints. Simulated draws are clipped
     into the observed data range first.
     """
-    real = np.sort(np.asarray(real_values, dtype=float))
-    if real.size == 0:
-        raise EmptySample("stat_distance needs real values")
-    if sim_count < 1:
-        raise InvalidParam("sim_count", "need at least one simulated draw")
+    real = _sorted_real(real_values, sim_count)
     spec.validate()
-    sims = np.sort(np.clip(spec.sample(rng, sim_count), real[0], real[-1]))
-    if sims.size == real.size:
-        return float(np.abs(real - sims).mean())
-    # Linear-interpolated quantiles of the simulated sample at the real
-    # sample's quantile midpoints (np.quantile re-partitions per point and
-    # is far too slow for tens of thousands of them).
-    q = (np.arange(real.size) + 0.5) / real.size
-    pos = q * (sims.size - 1)
-    lo = np.floor(pos).astype(np.int64)
-    hi = np.minimum(lo + 1, sims.size - 1)
-    frac = pos - lo
-    sim_q = sims[lo] * (1.0 - frac) + sims[hi] * frac
-    return float(np.abs(real - sim_q).mean())
+    return _distances(real, spec.sample(rng, sim_count)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -170,6 +197,7 @@ def _fit_side(
     sim_count: int,
     seed: int,
     side_tag: int,
+    threads: int = 1,
 ) -> FitSide:
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise InvalidParam("grid", "every grid axis needs at least one value")
@@ -183,11 +211,29 @@ def _fit_side(
             continue
     if not candidates:
         raise NoValidGridPoint(f"no valid {family.value} candidate in the grid")
+    real = _sorted_real(values, sim_count)
+
+    def block(span: tuple[int, int]) -> list[float]:
+        # Candidate i draws from its own generator into row i as it goes, so
+        # one block and one row are alive; the transform, clip, sort and
+        # distance then run once for the block.
+        specs = candidates[slice(*span)]
+        raw = None
+        for row, i in enumerate(range(*span)):
+            draws = specs[row].draw(rngstreams.derive_rng(seed, rngstreams.FIT, side_tag, i), sim_count)
+            raw = raw or tuple(np.empty((len(specs), sim_count)) for _ in draws)
+            for out, x in zip(raw, draws):
+                out[row] = x
+        columns = {name: np.array([spec.params[name] for spec in specs], dtype=float)[:, None]
+                   for name in specs[0].params}
+        return _distances(real, DistributionSpec.transform(family, columns, raw))
+
+    rows = max(1, min(_FIT_BLOCK // sim_count, -(-len(candidates) // max(1, threads))))
+    distances = itertools.chain.from_iterable(
+        _map_chunks(block, rngstreams.chunk_ranges(len(candidates), rows), threads))
     best_idx = 0
     best_dist = np.inf
-    for i, cand in enumerate(candidates):
-        rng = rngstreams.derive_rng(seed, rngstreams.FIT, side_tag, i)
-        dist = stat_distance(values, cand, sim_count, rng)
+    for i, dist in enumerate(distances):
         if dist < best_dist:
             best_idx, best_dist = i, dist
     return FitSide(
@@ -208,26 +254,29 @@ def fit_prior(
     scale_fixed: dict[str, float] | None = None,
     sim_count: int | None = None,
     seed: int = 0,
+    threads: int = 1,
 ) -> FitReport:
     """Independent grid searches for the location and scale distributions.
 
     ``sim_count`` defaults to 10x the number of items, capped at 100,000.
     Ties break to the first grid point in iteration order; one seed gives one
-    report.
+    report, whatever ``threads``.
     """
     if stats.means.size == 0:
         raise EmptySample("fit_prior needs at least one item")
     if sim_count is None:
         sim_count = min(10 * stats.means.size, _SIM_COUNT_CAP)
     location = _fit_side(
-        stats.means, location_family, location_grid, location_fixed or {}, sim_count, seed, 0
+        stats.means, location_family, location_grid, location_fixed or {}, sim_count, seed, 0,
+        threads,
     )
     scale = None
     if scale_family is not None:
         if scale_grid is None:
             raise InvalidParam("scale_grid", "scale family given without a grid")
         scale = _fit_side(
-            stats.stds, scale_family, scale_grid, scale_fixed or {}, sim_count, seed, 1
+            stats.stds, scale_family, scale_grid, scale_fixed or {}, sim_count, seed, 1,
+            threads,
         )
     fit_error = location.distance + (scale.distance if scale else 0.0)
     return FitReport(location=location, scale=scale, fit_error=float(fit_error))

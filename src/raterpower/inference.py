@@ -42,8 +42,11 @@ pool positions once and gathers them from each epsilon's pool.
 
 Ragged given data run NaN-padded with per-item counts
 (``ResponseMatrix.padded``): the response draw reads only each row's valid
-slots, the kernel reduces items with equal counts as one block, and chunks
-hold one resample, so resample j draws from derive_rng(seed, arm, j).
+slots and the kernel reduces items with equal counts as one block.
+Resample j owns its generator, derive_rng(seed, arm, j); a chunk draws each
+of its resamples' indices from that resample's generator, then gathers and
+scores them all as one block. Results therefore do not depend on the chunk
+size, which is picked so that every thread gets a chunk.
 """
 
 from __future__ import annotations
@@ -300,7 +303,7 @@ def _response_step(rng: np.random.Generator, c: int, shape, rows, counts, k):
     return _positions(shape, c, rows, cols.reshape(shape_out)), pad.reshape(shape_out), k
 
 
-def _plan(rng: np.random.Generator, c: int, phi: SamplingStrategy, sources):
+def _plan(rng, c: int, phi: SamplingStrategy, sources):
     """Each source's ``_response_step`` for c resamples, one step at a time.
 
     ``sources`` are aligned (shape, counts, k) as in ``_response_step``;
@@ -308,13 +311,43 @@ def _plan(rng: np.random.Generator, c: int, phi: SamplingStrategy, sources):
     Stream order: the (c, N) item draw shared by every source (when
     phi.items is boot), then each source's response indices in turn. Steps
     are handed out, never kept, so their positions die with their gather.
+
+    ``rng`` is one generator for all c resamples, or a sequence of c
+    generators, one per resample, for (N, W) sources: resample j then draws
+    its own item rows and response indices, in the same order, from its own
+    generator, and each step stacks the c one-resample steps (``_stack``),
+    so many streams are gathered and scored as one block.
     """
+    if not isinstance(rng, np.random.Generator):
+        yield from map(_stack, zip(*(_plan(r, 1, phi, sources) for r in rng)))
+        return
     rows = _item_rows(rng, c, sources[0][0][-2], phi)
     boot = phi.responses == Level.BOOT
     for shape, counts, k in sources:
         if k is None and boot:
             k = shape[-1] if counts is None else counts
         yield _response_step(rng, c, shape, rows, counts, k)
+
+
+def _stack(steps):
+    """One plan step of c resamples from their one-resample steps of an (N, W) source.
+
+    Ragged steps differ in width: the narrower ones are padded with pad
+    slots, which the kernel never reads.
+    """
+    pos, pad, counts = zip(*steps)
+    counts = None if counts[0] is None else np.concatenate(counts)
+    if pos[0] is None:
+        return None, None, counts
+    if pad[0] is None:
+        return np.concatenate(pos), None, counts
+    width = max(p.shape[-1] for p in pos)
+    out = np.zeros((len(pos), pos[0].shape[1], width), dtype=np.int64)
+    mask = np.ones(out.shape, dtype=bool)
+    for j, (p, m) in enumerate(zip(pos, pad)):
+        out[j, :, :p.shape[-1]] = p[0]
+        mask[j, :, :m.shape[-1]] = m[0]
+    return out, mask, counts
 
 
 def _draw(x: np.ndarray, rng: np.random.Generator, c: int, rows=None) -> np.ndarray:
@@ -332,14 +365,15 @@ _NO_RESAMPLE = SamplingStrategy(Level.ALL, Level.ALL)
 
 
 def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsilons, base,
-                          rng: np.random.Generator, c: int) -> list[dict]:
+                          rng, c: int) -> list[dict]:
     """Per-model scores of c alternative resamples at each epsilon, from one draw.
 
     ``base`` is None for c fresh simulator triples drawn from rng, else the
     given (G, A, B) in ``kernel_inputs`` form, which one score dict serves
-    for every epsilon. The triple is resampled under phi along one
-    ``_plan``: G and A are gathered, scored and dropped first, then B is
-    built, gathered and scored one epsilon at a time.
+    for every epsilon; rng may then be one generator per resample. The
+    triple is resampled under phi along one ``_plan``: G and A are
+    gathered, scored and dropped first, then B is built, gathered and
+    scored one epsilon at a time.
     """
     if base is None:
         g, a, draws = draw_batch(config, rng, c)
@@ -370,14 +404,15 @@ def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsil
 
 
 def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
-                     gold: Gold, pools, rng: np.random.Generator, c: int, counts=None) -> list[dict]:
+                     gold: Gold, pools, rng, c: int, counts=None) -> list[dict]:
     """Per-model null scores of c resamples, one dict per (N, W) pool of A+B responses.
 
     G is the base gold g, prepared once as ``gold``, unless phi resamples
     it. A and then B draw W/2 responses per item from the pool, or half of
     each item's ``counts`` when ragged; every pool (one per epsilon) is
-    gathered at the same positions. Stream order (``_plan``): the item draw
-    and gold's response indices as phi says, then A's and B's pool indices.
+    gathered at the same positions. Stream order (``_plan``, whose rng may
+    be one generator per resample): the item draw and gold's response
+    indices as phi says, then A's and B's pool indices.
     """
     k = pools[0].shape[-1] // 2 if counts is None else counts // 2
     plan = _plan(rng, c, phi, [(g.shape, gold.counts, None)] + [(pools[0].shape, counts, k)] * 2)
@@ -392,16 +427,26 @@ def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g:
     ]
 
 
-def _collect(config, arm: int, fn, total: int, chunk: int, threads: int) -> list[dict]:
+def _collect(config, arm: int, fn, total: int, chunk: int, threads: int,
+             streams: bool = False) -> list[dict]:
     """Per-model scores of range(total), (2, total) per metric, one dict per column entry.
 
-    fn(rng, c) scores one chunk's c resamples from derive_rng(seed, arm,
-    chunk start) and returns one {metric: (score_a, score_b)} dict per entry.
+    fn(rng, c) scores one chunk's c resamples and returns one
+    {metric: (score_a, score_b)} dict per entry. The chunk draws from
+    derive_rng(seed, arm, chunk start); with ``streams``, resample j draws
+    from its own derive_rng(seed, arm, j) (``_plan``), so the scores do not
+    depend on the chunking, and the chunk shrinks until every thread has one.
     """
-    chunks = rngstreams.chunk_ranges(total, chunk)
-    results = _map_chunks(
-        lambda span: fn(rngstreams.derive_rng(config.seed, arm, span[0]), span[1] - span[0]),
-        chunks, threads)
+    if streams:
+        chunk = min(chunk, -(-total // max(1, threads)))
+
+    def run(span):
+        lo, hi = span
+        if streams:
+            return fn([rngstreams.derive_rng(config.seed, arm, j) for j in range(lo, hi)], hi - lo)
+        return fn(rngstreams.derive_rng(config.seed, arm, lo), hi - lo)
+
+    results = _map_chunks(run, rngstreams.chunk_ranges(total, chunk), threads)
     return [{m: np.concatenate([p[m] for p in parts], axis=1) for m in config.metrics}
             for parts in zip(*results)]
 
@@ -468,17 +513,17 @@ def run_column(
         pools, pool_counts = [pool], None if counts is None else sizes
         phi = config.phi
 
-    # Ragged data run one resample per chunk, so resample j draws from
-    # derive_rng(seed, arm, j).
-    chunk = _chunk_size(*gb.shape) if counts is None else 1
+    # Ragged resample j draws from its own derive_rng(seed, arm, j).
+    streams = counts is not None
+    chunk = _chunk_size(*gb.shape)
     gold = prepare_gold(config.metrics, gb, None if counts is None else counts[0])
     alt = _collect(config, rngstreams.ALT,
                    lambda rng, c: _alt_chunk_parametric(config, phi, epsilons, base, rng, c),
-                   config.b_alt, chunk, threads)
+                   config.b_alt, chunk, threads, streams)
     null = _collect(config, rngstreams.NULL,
                     lambda rng, c: _null_chunk_rect(config.metrics, _NO_RESAMPLE, gb, gold, pools,
                                                     rng, c, pool_counts),
-                    config.b_null, chunk, threads)
+                    config.b_null, chunk, threads, streams)
     if len(alt) < len(configs):  # given data: one set of scores serves every epsilon
         alt, null = alt * len(configs), null * len(configs)
 

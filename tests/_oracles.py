@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: the transport oracle
 solves an assignment problem, the p-value oracle is a double loop, and the
 sign-test oracles enumerate every pattern. The list-of-rows oracles score
 and resample ragged data one item row at a time, with one generator call
-per row; the batched engine must reproduce them bit for bit.
+per row; the batched engine must reproduce them bit for bit. The fit
+oracles draw and score one grid candidate at a time with the generator's
+own distribution methods.
 """
 
 from __future__ import annotations
@@ -169,3 +171,92 @@ def ks_distance(sample: np.ndarray, cdf, atoms=()) -> float:
     )
     ecdf_vals = np.searchsorted(sample, grid, side="right") / sample.size
     return float(np.max(np.abs(ecdf_vals - cdf(grid))))
+
+
+def ragged_scores_oracle(g, a, b, items_boot, responses_boot, b_alt, b_null, seed):
+    """Comparison scores of both arms on a ragged triple, one resample at a time.
+
+    Resample j of an arm draws from its own generator derive_rng(seed, arm,
+    j): the alternative resamples the triple's rows, the null draws A and B
+    from each item's pooled A+B row. Returns {metric: (alt, null)} in
+    resample order.
+    """
+    from raterpower.rngstreams import ALT, NULL, derive_rng
+
+    alt = [
+        scores_rows_oracle(*resample_rows_oracle(
+            g.rows, a.rows, b.rows, items_boot, responses_boot, derive_rng(seed, ALT, j))[1])
+        for j in range(b_alt)
+    ]
+    pool = [np.concatenate(rows) for rows in zip(a.rows, b.rows)]
+    counts = [row.size for row in a.rows]
+    null = [
+        scores_rows_oracle(g.rows, *null_pair_rows_oracle(pool, counts, derive_rng(seed, NULL, j)))
+        for j in range(b_null)
+    ]
+    return {m: (np.array([s[m] for s in alt]), np.array([s[m] for s in null]))
+            for m in ("mae", "wins", "memd")}
+
+
+def sample_oracle(spec, rng, count):
+    """``count`` draws of a distribution spec through the generator's own methods."""
+    from scipy import special
+
+    from raterpower.errors import InvalidParam
+
+    p, f = spec.params, spec.family.value
+    inf = float("inf")
+    if f == "uniform":
+        return np.full(count, float(p["lo"])) if p["lo"] == p["hi"] else rng.uniform(p["lo"], p["hi"], count)
+    if f == "normal":
+        return rng.normal(p["mu"], p["sigma"], count)
+    if f == "truncated-normal":
+        mu, sigma, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
+        if sigma == 0:
+            return np.full(count, float(mu))
+        a = special.ndtr((lo - mu) / sigma)
+        b = special.ndtr((hi - mu) / sigma)
+        if b - a <= 0.0:
+            raise InvalidParam("lo", "truncation interval carries no mass")
+        return np.clip(mu + sigma * special.ndtri(rng.uniform(a, b, count)), lo, hi)
+    if f == "censored-normal":
+        return np.clip(rng.normal(p["mu"], p["sigma"], count), p["lo"], p["hi"])
+    if f == "folded-normal":
+        return np.clip(np.abs(rng.normal(p["mu"], p["sigma"], count)), p.get("lo", -inf), p.get("hi", inf))
+    if f == "triangular":
+        x = np.full(count, float(p["a"])) if p["a"] == p["c"] else rng.triangular(p["a"], p["b"], p["c"], count)
+        return np.clip(x, p.get("lo", -inf), p.get("hi", inf))
+    if f == "gaussian-mixture2":
+        first = rng.random(count) < p["kappa"]
+        z = rng.standard_normal(count)
+        return np.where(first, p["mu1"] + p["sigma1"] * z, p["mu2"] + p["sigma2"] * z)
+    raise AssertionError(f)
+
+
+def fit_distance_oracle(real_values, sims) -> float:
+    """Sorted-quantile mean absolute distance of data to clipped simulated draws, for one candidate."""
+    real = np.sort(np.asarray(real_values, dtype=float))
+    sims = np.sort(np.clip(sims, real[0], real[-1]))
+    if sims.size == real.size:
+        return float(np.abs(real - sims).mean())
+    pos = (np.arange(real.size) + 0.5) / real.size * (sims.size - 1)
+    lo = np.floor(pos).astype(np.int64)
+    hi = np.minimum(lo + 1, sims.size - 1)
+    frac = pos - lo
+    return float(np.abs(real - (sims[lo] * (1.0 - frac) + sims[hi] * frac)).mean())
+
+
+def fit_side_oracle(values, candidates, sim_count, seed, side):
+    """(best index, distance) of a grid search, one candidate at a time.
+
+    Candidate i draws from derive_rng(seed, FIT, side, i); ties go to the
+    first candidate.
+    """
+    from raterpower.rngstreams import FIT, derive_rng
+
+    best = (0, float("inf"))
+    for i, spec in enumerate(candidates):
+        dist = fit_distance_oracle(values, sample_oracle(spec, derive_rng(seed, FIT, side, i), sim_count))
+        if dist < best[1]:
+            best = (i, dist)
+    return best

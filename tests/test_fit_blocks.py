@@ -1,0 +1,134 @@
+"""Grid-search fitting in blocks, checked against one-candidate-at-a-time oracles.
+
+``fit`` draws each candidate's values from its own generator into one row
+of a block, then transforms, clips, sorts and scores the block at once.
+Every candidate's values and the chosen candidate must equal the oracles in
+``_oracles`` (the generator's own ``uniform``/``normal``/``triangular``
+calls, one candidate per loop turn) bit for bit, whatever the block size
+and thread count.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from _oracles import fit_distance_oracle, fit_side_oracle, sample_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from raterpower import fitting
+from raterpower.distributions import DistributionSpec, Family
+from raterpower.errors import InvalidParam
+from raterpower.fitting import _fit_side, stat_distance
+from raterpower.rngstreams import FIT, derive_rng
+
+unit = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
+scale = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False))
+
+
+def _bounds(draw, optional: bool) -> dict:
+    """lo < hi, or (when optional) any subset of them."""
+    lo, hi = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
+    if not optional:
+        return {"lo": lo, "hi": hi}
+    keep = draw(st.sampled_from([(), ("lo",), ("hi",), ("lo", "hi")]))
+    return {k: v for k, v in (("lo", lo), ("hi", hi)) if k in keep}
+
+
+def _params(draw, family: Family, bounds: dict) -> dict:
+    if family == Family.UNIFORM:
+        lo = draw(unit)
+        return {"lo": lo, "hi": lo + draw(scale)}
+    if family == Family.NORMAL:
+        return {"mu": draw(unit), "sigma": draw(scale)}
+    if family in (Family.TRUNCATED_NORMAL, Family.CENSORED_NORMAL, Family.FOLDED_NORMAL):
+        mu = draw(unit)
+        if family == Family.TRUNCATED_NORMAL:
+            # Keep mass on [lo, hi]: mu inside it.
+            mu = min(max(mu, bounds["lo"]), bounds["hi"])
+        return {"mu": mu, "sigma": draw(scale), **bounds}
+    if family == Family.TRIANGULAR:
+        a, b, c = sorted(draw(st.lists(unit, min_size=3, max_size=3)))
+        return {"a": a, "b": b, "c": c, **bounds}
+    if family == Family.GAUSSIAN_MIXTURE2:
+        return {"mu1": draw(unit), "sigma1": draw(scale), "mu2": draw(unit), "sigma2": draw(scale),
+                "kappa": draw(st.floats(min_value=0.0, max_value=1.0))}
+    raise AssertionError(family)
+
+
+@st.composite
+def spec_blocks(draw):
+    """1-6 valid specs of one family sharing their parameter names."""
+    family = draw(st.sampled_from(list(Family)))
+    optional = family in (Family.FOLDED_NORMAL, Family.TRIANGULAR)
+    needs = family in (Family.TRUNCATED_NORMAL, Family.CENSORED_NORMAL) or optional
+    bounds = _bounds(draw, optional) if needs else {}
+    n = draw(st.integers(min_value=1, max_value=6))
+    return family, [DistributionSpec(family, _params(draw, family, bounds)).validate() for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_blocks(), st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32))
+def test_block_transform_matches_sample_oracle(block, count, seed):
+    family, specs = block
+    raw = [spec.draw(derive_rng(seed, i), count) for i, spec in enumerate(specs)]
+    columns = {name: np.array([s.params[name] for s in specs])[:, None] for name in specs[0].params}
+    block = tuple(np.stack(x) for x in zip(*raw))
+    try:
+        want = [sample_oracle(spec, derive_rng(seed, i), count) for i, spec in enumerate(specs)]
+    except InvalidParam:  # a truncation interval without mass fails the block too
+        with pytest.raises(InvalidParam, match="no mass"):
+            DistributionSpec.transform(family, columns, block)
+        return
+    got = DistributionSpec.transform(family, columns, block)
+    for i, spec in enumerate(specs):
+        rng, want_rng = derive_rng(seed, i), derive_rng(seed, i)
+        assert got[i].tobytes() == want[i].tobytes()
+        assert spec.sample(rng, count).tobytes() == want[i].tobytes()
+        sample_oracle(spec, want_rng, count)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_truncated_without_mass_raises_in_a_block():
+    spec = DistributionSpec(Family.TRUNCATED_NORMAL, {"mu": 40.0, "sigma": 0.1, "lo": 0.0, "hi": 1.0})
+    with pytest.raises(InvalidParam, match="no mass"):
+        spec.sample(derive_rng(1), 5)
+    with pytest.raises(InvalidParam, match="no mass"):
+        sample_oracle(spec, derive_rng(1), 5)
+
+
+VALUES = np.clip(np.random.default_rng(3).normal(0.3, 0.15, 57), 0.0, 1.0)
+
+# (family, grid, fixed params): each grid holds candidates that fail
+# validation (skipped, so candidate index != grid index) or are degenerate.
+GRIDS = [
+    (Family.FOLDED_NORMAL, {"mu": (0.0, 0.1, 0.2, 0.3, 0.4), "sigma": (0.0, 0.05, 0.1, 0.2)},
+     {"lo": 0.0, "hi": 1.0}),
+    (Family.TRIANGULAR, {"a": (-0.1, 0.0, 0.1), "b": (0.0, 0.1, 0.2), "c": (0.1, 0.3, 0.5)}, {"lo": 0.0}),
+    (Family.UNIFORM, {"lo": (0.0, 0.1, 0.2, 0.3), "hi": (0.2, 0.3, 0.5)}, {}),
+    (Family.TRUNCATED_NORMAL, {"mu": (0.0, 0.3, 0.6), "sigma": (0.0, 0.1, 0.3)}, {"lo": 0.0, "hi": 1.0}),
+    (Family.GAUSSIAN_MIXTURE2, {"mu1": (0.1, 0.3), "sigma1": (0.0, 0.1), "mu2": (0.5,), "sigma2": (0.1,),
+                                "kappa": (0.0, 0.5, 1.0, 1.5)}, {}),
+]
+
+
+@pytest.mark.parametrize("family, grid, fixed", GRIDS, ids=[g[0].value for g in GRIDS])
+@pytest.mark.parametrize("sim_count", [57, 200])
+def test_fit_side_matches_candidate_loop(family, grid, fixed, sim_count, monkeypatch):
+    candidates = []
+    for combo in itertools.product(*grid.values()):
+        try:
+            candidates.append(DistributionSpec(family, {**fixed, **dict(zip(grid, combo))}).validate())
+        except InvalidParam:
+            pass
+    best, distance = fit_side_oracle(VALUES, candidates, sim_count, 5, 1)
+    for i, spec in enumerate(candidates):
+        want = fit_distance_oracle(VALUES, sample_oracle(spec, derive_rng(5, FIT, 1, i), sim_count))
+        assert stat_distance(VALUES, spec, sim_count, derive_rng(5, FIT, 1, i)) == want
+    # Blocks of 1 and 7 candidates, and one block for the whole grid.
+    for rows in (1, 7, len(candidates)):
+        monkeypatch.setattr(fitting, "_FIT_BLOCK", rows * sim_count)
+        for threads in (1, 2):
+            side = _fit_side(VALUES, family, grid, fixed, sim_count, 5, 1, threads)
+            assert side.best == candidates[best]
+            assert side.distance == distance

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from _oracles import (
     null_pair_rows_oracle,
+    ragged_scores_oracle,
     resample_rows_oracle,
     scores_rows_oracle,
 )
@@ -26,9 +27,11 @@ from raterpower import (
     estimate_p_value,
     per_item_stats,
     resample_multistage,
+    run_column,
     run_experiment,
     sample_null_pair,
 )
+from raterpower import inference
 from raterpower.errors import EmptyItem
 from raterpower.inference import _summary
 from raterpower.metrics import MetricId, batch_scores, kernel_inputs
@@ -157,6 +160,34 @@ def test_run_experiment_ragged_matches_row_loop(phi):
             assert (result.p_value, result.direction) == estimate_p_value(alt_m, null_m)
             assert result.alt_summary == _summary(alt_m)
             assert result.null_summary == _summary(null_m)
+
+
+@pytest.mark.parametrize("phi", PHIS)
+def test_ragged_chunking_is_free(phi, monkeypatch):
+    # Resample j of an arm owns derive_rng(seed, arm, j), so the scores must
+    # equal the one-resample-at-a-time oracle whatever the chunk size.
+    g, a, b = _ragged_given()
+    config = ExperimentConfig(
+        mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=g.n_items, k_responses=3, b_alt=23, b_null=17,
+        metrics=METRICS, phi=SamplingStrategy.parse(phi), seed=29,
+    )
+    want = ragged_scores_oracle(g, a, b, phi.startswith("boot"), phi.endswith("boot"),
+                                config.b_alt, config.b_null, config.seed)
+    scores = []
+    report = inference._report
+    monkeypatch.setattr(inference, "_report",
+                        lambda cfg, alt, null: scores.append((alt, null)) or report(cfg, alt, null))
+    floats = g.n_items * kernel_inputs(g, a, b)[0][0].shape[-1]
+    for chunk in (1, 7, config.b_alt):
+        monkeypatch.setattr(inference, "_CHUNK_BUDGET", chunk * floats)
+        for threads in (1, 2):
+            scores.clear()
+            run_column(config, (0.0, 0.1), given=(g, a, b), threads=threads)
+            assert len(scores) == 2
+            for alt, null in scores:
+                for m in METRICS:
+                    assert alt[m].tobytes() == want[m.value][0].tobytes()
+                    assert null[m].tobytes() == want[m.value][1].tobytes()
 
 
 def test_run_experiment_rejects_empty_ragged_item():

@@ -4,7 +4,9 @@ The RNG stream order documented in ``simulator.simulate_batch`` and
 ``inference`` is the reproducibility contract: for a fixed seed every
 command prints the same bytes. Each case below runs a small CLI journey (or
 the library's ``mean_metric_scores``) and compares the SHA-256 of its
-output with a digest recorded before the engine was refactored. A
+output with a digest recorded before the engine was refactored; the
+``fit-*`` digests were recorded before ``fit`` scored its candidates in
+blocks. A
 deliberate stream change must re-record these digests and say so in
 CHANGES.md.
 """
@@ -33,6 +35,14 @@ DIGESTS = {
     "simulate": "2bedd46638057133b2ac66e1da5868c391c0a29971522fb71c6697adfeaab114",
     "simulate-toxicity": "246aebcc6d25b55e385e52ba9656a034d98fee1f2b6e4cb26f25624a743bcffc",
     "mean-metric-scores": "96617ba2e8cc0e904b288813f96766685713d7f7f51838d793e41c149a53a3f1",
+    "fit-ragged-clip": "e9b86ae98f35943da0aaec323cbd254e252afd5f546a9dfb21a9fde730a034cd",
+    "fit-normal": "0443ec46cc653aa35bbd09997b8abfc693e89d6940d497dfbbe9a1a8fac733b0",
+    "fit-censored-normal": "aed46e841e932bf33a105620b445b7d2b1822cb0f078e62cd38ca60b7d19ad45",
+    "fit-truncated-normal": "f6d0787e63f6276ee2611ed98aec264174822133d7dce00dbef501ee015801c1",
+    "fit-uniform": "6bda23ee960206cbeaaf98d1e80e68be33806b55bfef6586ae702f4ed8f9ac2e",
+    "fit-gaussian-mixture2": "0526880f2ccea61ba27e3e9950a790ad45460451966fc029342a6764806186ba",
+    "fit-skipped-candidates": "07d79f2c3cb6de8a713a488f2ff69325057a8196e32ab84865ef7cec760c3d06",
+    "fit-equal-count": "f8aa33ded42eb81c2d2774988b03f8ac4733345f7ce95d86b6d942c9632c8abf",
 }
 
 
@@ -66,6 +76,29 @@ def _write_matrices(tmp_path: Path, counts) -> list[Path]:
         paths.append(path)
     return paths
 
+
+# Ragged per-item counts of the fit cases' input: 3-12 responses per item.
+FIT_COUNTS = [3, 7, 12, 5, 9, 4, 11, 6, 8, 10] * 6
+
+# The real-data fit journey: folded-normal location and triangular scale,
+# both censored into fixed bounds.
+FIT_CLIP = ["--location-family", "folded-normal", "--grid", "mu=0:0.5:0.02,sigma=0.05:0.3:0.025",
+            "--location-clip", "0,1", "--scale-family", "triangular",
+            "--scale-grid", "a=-0.1:0:0.05,b=0.1:0.3:0.05,c=0.4:0.5:0.05", "--scale-clip", "0,none"]
+
+# One location fit per other family; zero scales and lo == hi are legal
+# degenerate candidates.
+FIT_FAMILIES = {
+    "fit-normal": ["--location-family", "normal", "--grid", "mu=0:0.6:0.05,sigma=0:0.3:0.05"],
+    "fit-censored-normal": ["--location-family", "censored-normal",
+                            "--grid", "mu=-0.1:0.6:0.05,sigma=0:0.4:0.1", "--location-clip", "0,1"],
+    "fit-truncated-normal": ["--location-family", "truncated-normal",
+                             "--grid", "mu=0:0.6:0.1,sigma=0:0.4:0.1", "--location-clip", "0,1"],
+    "fit-uniform": ["--location-family", "uniform", "--grid", "lo=0:0.3:0.05,hi=0.3:0.8:0.1"],
+    "fit-gaussian-mixture2": ["--location-family", "gaussian-mixture2",
+                              "--grid", "mu1=0.1:0.3:0.1,sigma1=0:0.2:0.1,mu2=0.4:0.6:0.2,"
+                                        "sigma2=0.1,kappa=0:1:0.25"],
+}
 
 PVALUE = ["pvalue", "--default-synthetic", "--n", "30", "--k", "4", "--epsilon", "0.1",
           "--metric", "all", "--b-alt", "60", "--b-null", "60", "--seed", "3"]
@@ -138,6 +171,25 @@ def _case_output(name: str, tmp_path: Path) -> bytes:
                                           family=family, phi=SamplingStrategy.parse(phi), seed=12)
                 values.append(mean_metric_scores(config, 30))
         return repr(values).encode()
+    if name.startswith("fit-"):
+        g = _write_matrices(tmp_path, FIT_COUNTS)[0]
+        fit = ["fit", "--input", str(g), "--seed", "14"]
+        if name == "fit-ragged-clip":
+            one = _run([*fit, *FIT_CLIP, "--threads", "1"], out)
+            assert _run([*fit, *FIT_CLIP, "--threads", "2"], tmp_path / "out2") == one
+            return one
+        if name in FIT_FAMILIES:
+            return _run([*fit, *FIT_FAMILIES[name]], out)
+        if name == "fit-skipped-candidates":
+            # lo > hi, a > b and b > c fail validation and are skipped, so
+            # candidate indices (and their streams) run behind grid indices.
+            return _run([*fit, "--location-family", "uniform", "--grid", "lo=0:0.6:0.1,hi=0.1:0.5:0.1",
+                         "--scale-family", "triangular",
+                         "--scale-grid", "a=0:0.2:0.1,b=0:0.2:0.1,c=0.1:0.3:0.1",
+                         "--threads", "2"], out)
+        if name == "fit-equal-count":
+            # As many simulated draws as items: the sorted-difference branch.
+            return _run([*fit, *FIT_CLIP, "--sim-count", str(len(FIT_COUNTS))], out)
     raise AssertionError(name)
 
 
