@@ -3,9 +3,10 @@
 
 Runs the parametric experiment at every (N, K) pair of the published grid
 layout for each perturbation rate, averaging a few seeds, and writes one
-long-form CSV per metric. Each (N, K, seed) is one ``run_column`` call over
-all perturbation rates, which share their random draws. Expect roughly ten
-minutes at full size; trim --seeds or --pairs for a quick look.
+long-form CSV per metric. Each seed is one ``run_columns`` call: one column
+per (N, K) over all perturbation rates, which share their random draws, and
+every column's chunks on one pool of --threads. Expect roughly ten minutes
+at full size; trim --seeds or --pairs for a quick look.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from raterpower import ExperimentConfig, SamplingStrategy, run_column
+from raterpower import ExperimentConfig, SamplingStrategy, run_columns
 from raterpower.metrics import MetricId
 
 NK_PAIRS = [
@@ -45,22 +46,25 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     phi = SamplingStrategy.parse(args.phi)
     rows = {MetricId.WINS: [], MetricId.MAE: []}
+    pairs = NK_PAIRS[: args.pairs]
+    # per_seed[m][i][j]: the p-values of metric m at pairs[i] and EPSILONS[j], one per seed.
+    per_seed = {m: [[[] for _ in EPSILONS] for _ in pairs] for m in rows}
     t0 = time.time()
-    for (n, k) in NK_PAIRS[: args.pairs]:
-        # per_seed[m][j]: the p-values of metric m at EPSILONS[j], one per seed.
-        per_seed = {m: [[] for _ in EPSILONS] for m in rows}
-        for seed in range(args.seeds):
-            config = ExperimentConfig(
-                n_items=n, k_responses=k, phi=phi, seed=seed,
-                b_alt=args.b, b_null=args.b, metrics=tuple(rows),
-            )
-            for j, report in enumerate(run_column(config, EPSILONS, threads=args.threads)):
+    for seed in range(args.seeds):
+        columns = [
+            (ExperimentConfig(n_items=n, k_responses=k, phi=phi, seed=seed,
+                              b_alt=args.b, b_null=args.b, metrics=tuple(rows)), EPSILONS)
+            for n, k in pairs
+        ]
+        for i, reports in enumerate(run_columns(columns, threads=args.threads)):
+            for j, report in enumerate(reports):
                 for m in rows:
-                    per_seed[m][j].append(report.p_value(m))
+                    per_seed[m][i][j].append(report.p_value(m))
+        print(f"seed {seed} done [{time.time() - t0:.0f}s]", file=sys.stderr)
+    for i, (n, k) in enumerate(pairs):
         for j, eps in enumerate(EPSILONS):
             for m in rows:
-                rows[m].append((n, k, eps, float(np.mean(per_seed[m][j]))))
-        print(f"N={n} K={k} done [{time.time() - t0:.0f}s]", file=sys.stderr)
+                rows[m].append((n, k, eps, float(np.mean(per_seed[m][i][j]))))
 
     for metric, data in rows.items():
         path = out_dir / f"pvalues_{metric.value}_{phi.tag.replace(',', '_')}.csv"

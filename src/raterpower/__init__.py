@@ -18,6 +18,7 @@ from .inference import (
     mean_metric_scores,
     resample_multistage,
     run_column,
+    run_columns,
     run_experiment,
     sample_null_pair,
 )

@@ -22,7 +22,7 @@ from .distributions import Family
 from .errors import InvalidParam, RaterPowerError
 from .fitting import ecdf as compute_ecdf
 from .fitting import fit_prior, per_item_stats
-from .inference import run_column, run_experiment
+from .inference import run_columns, run_experiment
 from .metrics import MetricId
 from .power import TestId, power_sweep, sweep_configs
 from .simulator import ItemPrior, ResponseFamily, default_synthetic_prior
@@ -216,14 +216,17 @@ def cmd_table(args) -> None:
         nk_pairs=_parse_nk_pairs(args.nk_pairs) if args.nk_pairs else None,
     ).validate()
 
-    # One column of epsilon values per (N, K): its draws are shared.
-    rows = []
+    # One column of epsilon values per (N, K), whose draws are shared; every
+    # column runs on one pool.
+    columns = []
     for (n, k), cells in itertools.groupby(grid.cells(), key=lambda cell: cell[:2]):
         eps_values = [e for _, _, e in cells]
-        config = base.with_(n_items=n, k_responses=k, epsilon=eps_values[0])
-        for eps, report in zip(eps_values, run_column(config, eps_values, threads=args.threads)):
+        columns.append((base.with_(n_items=n, k_responses=k, epsilon=eps_values[0]), eps_values))
+    rows = []
+    for (config, eps_values), reports in zip(columns, run_columns(columns, threads=args.threads)):
+        for eps, report in zip(eps_values, reports):
             for metric in metrics:
-                rows.append((n, k, eps, metric.value, report.p_value(metric)))
+                rows.append((config.n_items, config.k_responses, eps, metric.value, report.p_value(metric)))
 
     if args.pivot:
         eps_values = list(dict.fromkeys(r[2] for r in rows))

@@ -23,7 +23,7 @@ bootstrap resamples of the supplied triple. Null resamples never take extra
 resampling layers; drawing from the pooled responses is itself the
 response-level resampling of the null hypothesis.
 
-Engine. ``draw_batch`` draws batched triples; one lazy position plan,
+Engine. ``draw_blocks`` draws batched triples; one lazy position plan,
 ``_plan``, turns a chunk's index draws (the shared item draw, then the one
 response draw ``_response_step`` per array) into flat positions, so each
 gather is one ``np.take``; the ``metrics`` kernel scores against gold
@@ -33,12 +33,27 @@ prepared once. Two chunk functions return per-model scores:
 power module's bootstrap test). Each chunk derives its generator from
 (seed, arm, chunk start), so results do not depend on the thread count.
 
+Row blocks. A chunk streams in row blocks of at most ``_BLOCK`` floats
+(``_spans``; one resample when a resample is larger). NumPy fills a draw
+in order, so a draw split into row blocks gives the values and generator
+state of one call, and every source (G, then A, then B) is drawn,
+gathered and reduced block by block: G to prepared gold (item means, and
+sorted rows for MEMD), A to (c, N) per-item quantities, B straight to
+per-resample scores. A resampled simulator chunk draws whole first, as its
+index draws follow every simulator draw. An unresampled given chunk, whose
+arrays are broadcast views, and a ragged chunk, whose kernel loops over
+count buckets once per block, are one block each. Reductions run per row
+on C-ordered blocks, so the scores do not depend on the block size.
+
 Epsilon column. No draw depends on epsilon, so ``run_column`` runs every
 epsilon of one (N, K) from the same chunks: each chunk draws G, A and B's
 standard normals and indices once, scores G and A once, then builds,
 gathers and scores B per epsilon, one B at a time. The null arm draws its
 pool positions once and gathers them from each epsilon's pool.
-``run_experiment`` is the one-epsilon column.
+``run_experiment`` is the one-epsilon column, and ``run_columns`` runs many
+columns on one pool: every (column, arm, chunk) task goes through one
+``_map_chunks``, so a table whose arms are one chunk each still keeps
+every thread busy.
 
 Ragged given data run NaN-padded with per-item counts
 (``ResponseMatrix.padded``): the response draw reads only each row's valid
@@ -52,7 +67,10 @@ size, which is picked so that every thread gets a chunk.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
+import threading
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,7 +79,7 @@ from .config import ExperimentConfig, Level, Mode, SamplingStrategy
 from .dataio import check_unit_range
 from .errors import EmptyItem, EmptySample, InvalidParam, ItemMismatch
 from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold
-from .simulator import ResponseMatrix, draw_batch
+from .simulator import ResponseMatrix, draw_batch, draw_blocks
 
 __all__ = [
     "resample_multistage",
@@ -70,6 +88,7 @@ __all__ = [
     "estimate_p_value",
     "run_experiment",
     "run_column",
+    "run_columns",
     "Direction",
     "MetricPValue",
     "PValueReport",
@@ -77,6 +96,9 @@ __all__ = [
 
 # Target number of floats per vectorized resample chunk.
 _CHUNK_BUDGET = 2_000_000
+# Target number of floats per row block a chunk streams through (256 KB, a
+# share of an L2 cache): each block is gathered and reduced at once.
+_BLOCK = 32_768
 
 
 def _chunk_size(n: int, k: int) -> int:
@@ -226,10 +248,33 @@ class PValueReport:
 # -- engine -------------------------------------------------------------------------
 
 def _map_chunks(fn, chunks, threads: int):
+    """[fn(c) for c in chunks] on ``threads`` threads, the calling thread among them.
+
+    Each thread takes the next chunk in order when it is free. The caller
+    works rather than waits, which spares a thread and its malloc arena: an
+    arena keeps what its thread freed resident, and a second worker's arena
+    raised a table's peak RSS by about 25 MB.
+    """
     if threads <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, chunks))
+    results = [None] * len(chunks)
+    todo = iter(range(len(chunks)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            results[i] = fn(chunks[i])
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        futures = [pool.submit(work) for _ in range(min(threads, len(chunks)) - 1)]
+        work()
+        for future in futures:
+            future.result()
+    return results
 
 
 def _item_rows(rng: np.random.Generator, c: int, n: int, phi: SamplingStrategy):
@@ -303,30 +348,45 @@ def _response_step(rng: np.random.Generator, c: int, shape, rows, counts, k):
     return _positions(shape, c, rows, cols.reshape(shape_out)), pad.reshape(shape_out), k
 
 
-def _plan(rng, c: int, phi: SamplingStrategy, sources):
-    """Each source's ``_response_step`` for c resamples, one step at a time.
+def _plan(rng, c: int, phi: SamplingStrategy, sources, spans=None):
+    """Each source's ``_response_step`` for c resamples, in row blocks over ``spans``.
 
     ``sources`` are aligned (shape, counts, k) as in ``_response_step``;
     k None redraws a source's own responses when phi.responses is boot.
-    Stream order: the (c, N) item draw shared by every source (when
-    phi.items is boot), then each source's response indices in turn. Steps
-    are handed out, never kept, so their positions die with their gather.
+    Yields, per source in turn, an iterator of its steps for each (lo, hi)
+    span of range(c) (one span, the whole chunk, by default); exhaust it
+    before taking the next source's. A (c, N, W) source's step for a span
+    reads the block x[lo:hi]. Stream order: the (c, N) item draw shared by
+    every source (when phi.items is boot), then each source's response
+    indices in turn, block after block: NumPy fills an ``integers`` draw in
+    order, so the blocks' draws are one whole draw's rows. Steps are handed
+    out, never kept, so their positions die with their gather.
 
     ``rng`` is one generator for all c resamples, or a sequence of c
     generators, one per resample, for (N, W) sources: resample j then draws
     its own item rows and response indices, in the same order, from its own
-    generator, and each step stacks the c one-resample steps (``_stack``),
-    so many streams are gathered and scored as one block.
+    generator, and each block's step stacks the one-resample steps
+    (``_stack``), so many streams are gathered and scored as one block.
     """
+    spans = spans or [(0, c)]
     if not isinstance(rng, np.random.Generator):
-        yield from map(_stack, zip(*(_plan(r, 1, phi, sources) for r in rng)))
+        plans = [_plan(r, 1, phi, sources) for r in rng]
+        for _ in sources:
+            yield (_stack([next(next(p)) for p in plans[lo:hi]]) for lo, hi in spans)
         return
     rows = _item_rows(rng, c, sources[0][0][-2], phi)
     boot = phi.responses == Level.BOOT
     for shape, counts, k in sources:
         if k is None and boot:
             k = shape[-1] if counts is None else counts
-        yield _response_step(rng, c, shape, rows, counts, k)
+        yield _steps(rng, rows, shape, counts, k, spans)
+
+
+def _steps(rng, rows, shape, counts, k, spans):
+    """One source's ``_response_step`` per span; see ``_plan``."""
+    for lo, hi in spans:
+        block = shape if len(shape) == 2 else (hi - lo, *shape[1:])
+        yield _response_step(rng, hi - lo, block, None if rows is None else rows[lo:hi], counts, k)
 
 
 def _stack(steps):
@@ -357,11 +417,29 @@ def _draw(x: np.ndarray, rng: np.random.Generator, c: int, rows=None) -> np.ndar
 
 def _one_resample(arrays, plan, ids) -> tuple[ResponseMatrix, ...]:
     """The matrices of one resample (c = 1) of padded (N, K_max) ``arrays`` along ``plan``."""
-    gathered = (_gather(x, 1, step) for x, step in zip(arrays, plan))
+    gathered = (_gather(x, 1, next(steps)) for x, steps in zip(arrays, plan))
     return tuple(ResponseMatrix.from_padded(x[0], k[0], ids) for x, k in gathered)
 
 
 _NO_RESAMPLE = SamplingStrategy(Level.ALL, Level.ALL)
+
+
+def _spans(c: int, floats: int) -> list[tuple[int, int]]:
+    """Row blocks of c resamples of ``floats`` values each, at most ``_BLOCK`` floats or one resample."""
+    return rngstreams.chunk_ranges(c, max(1, _BLOCK // max(1, floats)))
+
+
+def _cut(arrays: list, spans):
+    """Each array's row blocks over ``spans`` in turn; an array is dropped when the next is taken."""
+    while arrays:
+        x = arrays.pop(0)
+        yield [x[lo:hi] for lo, hi in spans]
+
+
+def _join(parts) -> list[dict]:
+    """One {metric: (2, c) scores} dict per entry from blocks' lists of per-entry score dicts."""
+    return [{m: np.concatenate([p[m] for p in entry], axis=1) for m in entry[0]}
+            for entry in zip(*parts)]
 
 
 def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsilons, base,
@@ -371,36 +449,45 @@ def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsil
     ``base`` is None for c fresh simulator triples drawn from rng, else the
     given (G, A, B) in ``kernel_inputs`` form, which one score dict serves
     for every epsilon; rng may then be one generator per resample. The
-    triple is resampled under phi along one ``_plan``: G and A are
-    gathered, scored and dropped first, then B is built, gathered and
-    scored one epsilon at a time.
+    triple is resampled under phi along one ``_plan`` and streamed in row
+    blocks (``_spans``): every block of G is gathered and reduced to
+    prepared gold, then every block of A to per-item quantities, then each
+    block of B is built, gathered and scored one epsilon at a time. When
+    nothing is gathered the simulator draws in the same blocks
+    (``draw_blocks``); index draws follow every simulator draw, so a
+    resampled simulator chunk draws whole first.
     """
+    metrics = config.metrics
     if base is None:
-        g, a, draws = draw_batch(config, rng, c)
-        sources = [(g.shape, None, None)] * 3
+        n, k = config.n_items, config.k_responses
+        spans = _spans(c, n * k)
+        if phi == _NO_RESAMPLE:
+            sim = draw_blocks(config, rng, c, spans)
+        else:  # the index draws follow every simulator draw
+            sim = _cut([next(phase) for phase in draw_blocks(config, rng, c, [(0, c)])], spans)
+        sources = [((c, n, k), None, None)] * 3
     else:
         (g, a, b), counts = base
+        # One block when unresampled (the arrays are broadcast views, and a
+        # broadcast batch's MEMD means depend on its rows) or ragged (the
+        # kernel loops over count buckets once per block).
+        spans = [(0, c)] if phi == _NO_RESAMPLE or counts is not None else _spans(c, g.size)
+        sim = iter([itertools.repeat(g), itertools.repeat(a), itertools.repeat([b])])  # one B for all
         sources = [(x.shape, k, None) for x, k in zip((g, a, b), counts or (None,) * 3)]
-    plan = _plan(rng, c, phi, sources)
-    # Each array is dropped as soon as it is gathered.
-    gold = prepare_gold(config.metrics, *_gather(g, c, next(plan)))
-    del g
-    a = _gather(a, c, next(plan))
-    score_a = model_items(gold, *a)
-    del a
-    if base is not None:
-        return [pair_scores(config.metrics, score_a, model_items(gold, *_gather(b, c, next(plan))))]
-    pos = next(plan)[0]  # simulated arrays are rectangular: no pad
-    out = []
-    for i, epsilon in enumerate(epsilons):
-        last = i == len(epsilons) - 1
-        # The last epsilon builds B in z's memory.
-        b = _take(draws.responses(epsilon, config.family, out=draws.z if last else None), c, pos)
-        if last:
-            del draws, pos
-        out.append(pair_scores(config.metrics, score_a, model_items(gold, b)))
-        del b
-    return out
+    plan = _plan(rng, c, phi, sources, spans)
+    golds = [prepare_gold(metrics, *_gather(x, hi - lo, step))
+             for (lo, hi), x, step in zip(spans, next(sim), next(plan))]
+    qa = [model_items(gold, *_gather(x, hi - lo, step))
+          for (lo, hi), gold, x, step in zip(spans, golds, next(sim), next(plan))]
+    parts = []
+    for (lo, hi), gold, q, x, step in zip(spans, golds, qa, next(sim), next(plan)):
+        # Each B is scored and dropped before the next; the last builds in z's memory.
+        bs = x if base is not None else (
+            x.responses(e, config.family, out=x.z if i == len(epsilons) - 1 else None)
+            for i, e in enumerate(epsilons))
+        parts.append([pair_scores(metrics, q, model_items(gold, *_gather(b, hi - lo, step)))
+                      for b in bs])
+    return _join(parts)
 
 
 def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
@@ -412,43 +499,59 @@ def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g:
     each item's ``counts`` when ragged; every pool (one per epsilon) is
     gathered at the same positions. Stream order (``_plan``, whose rng may
     be one generator per resample): the item draw and gold's response
-    indices as phi says, then A's and B's pool indices.
+    indices as phi says, then A's and B's pool indices. The chunk streams
+    in row blocks: A's blocks reduce to per-item quantities per pool, and
+    B's go straight to per-resample scores.
     """
     k = pools[0].shape[-1] // 2 if counts is None else counts // 2
-    plan = _plan(rng, c, phi, [(g.shape, gold.counts, None)] + [(pools[0].shape, counts, k)] * 2)
-    step = next(plan)
-    if step[0] is not None:
-        gold = prepare_gold(metric_ids, *_gather(g, c, step))
-    del step
-    step_a, step_b = plan
-    return [
-        pair_scores(metric_ids, *(model_items(gold, *_gather(pool, c, s)) for s in (step_a, step_b)))
-        for pool in pools
-    ]
+    # A ragged chunk is one block: the kernel loops over count buckets once per block.
+    spans = _spans(c, pools[0].size // 2) if counts is None else [(0, c)]
+    plan = _plan(rng, c, phi, [(g.shape, gold.counts, None)] + [(pools[0].shape, counts, k)] * 2, spans)
+    golds = [gold if step[0] is None else prepare_gold(metric_ids, *_gather(g, hi - lo, step))
+             for (lo, hi), step in zip(spans, next(plan))]
+    qa = [[model_items(gd, *_gather(pool, hi - lo, step)) for pool in pools]
+          for (lo, hi), gd, step in zip(spans, golds, next(plan))]
+    return _join([
+        [pair_scores(metric_ids, q, model_items(gd, *_gather(pool, hi - lo, step)))
+         for q, pool in zip(qs, pools)]
+        for (lo, hi), gd, qs, step in zip(spans, golds, qa, next(plan))
+    ])
 
 
-def _collect(config, arm: int, fn, total: int, chunk: int, threads: int,
-             streams: bool = False) -> list[dict]:
-    """Per-model scores of range(total), (2, total) per metric, one dict per column entry.
+class _Arm(NamedTuple):
+    """One arm of a column: fn(rng, c) scores c resamples, one score dict per column entry."""
 
-    fn(rng, c) scores one chunk's c resamples and returns one
-    {metric: (score_a, score_b)} dict per entry. The chunk draws from
-    derive_rng(seed, arm, chunk start); with ``streams``, resample j draws
-    from its own derive_rng(seed, arm, j) (``_plan``), so the scores do not
-    depend on the chunking, and the chunk shrinks until every thread has one.
+    seed: int
+    tag: int
+    fn: Callable
+    total: int
+    chunk: int
+    streams: bool
+
+
+def _collect(arms, threads: int) -> list[list[dict]]:
+    """Per-model scores of each arm's range(total), (2, total) per metric, one dict per entry.
+
+    Every (arm, chunk) task of every arm runs through one ``_map_chunks``.
+    A chunk draws from derive_rng(seed, tag, chunk start); with ``streams``,
+    resample j draws from its own derive_rng(seed, tag, j) (``_plan``), so
+    the scores do not depend on the chunking, and the chunk shrinks until
+    every thread has one.
     """
-    if streams:
-        chunk = min(chunk, -(-total // max(1, threads)))
+    tasks = []
+    for i, arm in enumerate(arms):
+        chunk = min(arm.chunk, -(-arm.total // max(1, threads))) if arm.streams else arm.chunk
+        tasks += [(i, lo, hi) for lo, hi in rngstreams.chunk_ranges(arm.total, chunk)]
 
-    def run(span):
-        lo, hi = span
-        if streams:
-            return fn([rngstreams.derive_rng(config.seed, arm, j) for j in range(lo, hi)], hi - lo)
-        return fn(rngstreams.derive_rng(config.seed, arm, lo), hi - lo)
+    def run(task):
+        i, lo, hi = task
+        arm = arms[i]
+        if arm.streams:
+            return arm.fn([rngstreams.derive_rng(arm.seed, arm.tag, j) for j in range(lo, hi)], hi - lo)
+        return arm.fn(rngstreams.derive_rng(arm.seed, arm.tag, lo), hi - lo)
 
-    results = _map_chunks(run, rngstreams.chunk_ranges(total, chunk), threads)
-    return [{m: np.concatenate([p[m] for p in parts], axis=1) for m in config.metrics}
-            for parts in zip(*results)]
+    results = _map_chunks(run, tasks, threads)
+    return [_join([r for (j, _, _), r in zip(tasks, results) if j == i]) for i in range(len(arms))]
 
 
 def _report(config: ExperimentConfig, alt: dict, null: dict) -> PValueReport:
@@ -468,20 +571,8 @@ def _report(config: ExperimentConfig, alt: dict, null: dict) -> PValueReport:
     return PValueReport(config=config, results=results)
 
 
-def run_column(
-    config: ExperimentConfig,
-    epsilons,
-    given: tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix] | None = None,
-    threads: int = 1,
-) -> list[PValueReport]:
-    """``run_experiment`` at each of ``epsilons`` for the config's (N, K), one report each.
-
-    No random draw depends on epsilon: every chunk of an arm draws from
-    (seed, arm, chunk start) alone. So the column draws each chunk once and
-    only builds, gathers and scores B per epsilon; the reports equal one
-    ``run_experiment`` call per epsilon, bit for bit. In bootstrap-of-given
-    mode epsilon plays no part, and every report holds the same scores.
-    """
+def _column(config: ExperimentConfig, epsilons, given) -> tuple[list, _Arm, _Arm]:
+    """A validated column's per-epsilon configs and its alternative and null arms."""
     config.validate()
     epsilons = tuple(epsilons)
     configs = [config.with_(epsilon=e).validate() for e in epsilons]
@@ -517,20 +608,62 @@ def run_column(
     streams = counts is not None
     chunk = _chunk_size(*gb.shape)
     gold = prepare_gold(config.metrics, gb, None if counts is None else counts[0])
-    alt = _collect(config, rngstreams.ALT,
-                   lambda rng, c: _alt_chunk_parametric(config, phi, epsilons, base, rng, c),
-                   config.b_alt, chunk, threads, streams)
-    null = _collect(config, rngstreams.NULL,
-                    lambda rng, c: _null_chunk_rect(config.metrics, _NO_RESAMPLE, gb, gold, pools,
-                                                    rng, c, pool_counts),
-                    config.b_null, chunk, threads, streams)
-    if len(alt) < len(configs):  # given data: one set of scores serves every epsilon
-        alt, null = alt * len(configs), null * len(configs)
+    alt = _Arm(config.seed, rngstreams.ALT,
+               lambda rng, c: _alt_chunk_parametric(config, phi, epsilons, base, rng, c),
+               config.b_alt, chunk, streams)
+    null = _Arm(config.seed, rngstreams.NULL,
+                lambda rng, c: _null_chunk_rect(config.metrics, _NO_RESAMPLE, gb, gold, pools,
+                                                rng, c, pool_counts),
+                config.b_null, chunk, streams)
+    return configs, alt, null
 
-    def comparisons(scores):
-        return {m: comparison(m, *s) for m, s in scores.items()}
 
-    return [_report(cfg, comparisons(x), comparisons(y)) for cfg, x, y in zip(configs, alt, null)]
+def run_columns(
+    columns,
+    given: tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix] | None = None,
+    threads: int = 1,
+) -> list[list[PValueReport]]:
+    """``run_column`` for each (config, epsilons) of ``columns``, on one pool of ``threads``.
+
+    Every column is validated and prepared first (base draw, pools and
+    gold), so a bad column raises before any chunk runs. Then every chunk
+    of both arms of every column is one task of one ``_map_chunks``; each
+    chunk draws from (seed, arm, chunk start) as in ``run_column``, so the
+    reports equal one ``run_column`` per column, bit for bit.
+    """
+    prepared = [_column(config, epsilons, given) for config, epsilons in columns]
+    configs, alts, nulls = zip(*prepared) if prepared else ((), (), ())
+    # Alternative arms first: they are the longer tasks, and the two arms of
+    # one column (whose (c, N) arrays are largest at K = 1) rarely run at once.
+    scores = _collect(alts + nulls, threads)
+
+    def comparisons(entry):
+        return {m: comparison(m, *s) for m, s in entry.items()}
+
+    out = []
+    for cfgs, alt, null in zip(configs, scores[:len(alts)], scores[len(alts):]):
+        if len(alt) < len(cfgs):  # given data: one set of scores serves every epsilon
+            alt, null = alt * len(cfgs), null * len(cfgs)
+        out.append([_report(cfg, comparisons(x), comparisons(y)) for cfg, x, y in zip(cfgs, alt, null)])
+    return out
+
+
+def run_column(
+    config: ExperimentConfig,
+    epsilons,
+    given: tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix] | None = None,
+    threads: int = 1,
+) -> list[PValueReport]:
+    """``run_experiment`` at each of ``epsilons`` for the config's (N, K), one report each.
+
+    No random draw depends on epsilon: every chunk of an arm draws from
+    (seed, arm, chunk start) alone. So the column draws each chunk once and
+    only builds, gathers and scores B per epsilon; the reports equal one
+    ``run_experiment`` call per epsilon, bit for bit. In bootstrap-of-given
+    mode epsilon plays no part, and every report holds the same scores.
+    The one-column ``run_columns``.
+    """
+    return run_columns([(config, epsilons)], given, threads)[0]
 
 
 def run_experiment(
@@ -568,11 +701,11 @@ def mean_metric_scores(
     config.validate()
     if n_samples < 1:
         raise InvalidParam("n_samples", "need at least one sample")
-    scores = _collect(
-        config, rngstreams.SCORE,
+    scores = _collect([_Arm(
+        config.seed, rngstreams.SCORE,
         lambda rng, c: _alt_chunk_parametric(config, config.phi, (config.epsilon,), None, rng, c),
-        n_samples, _chunk_size(config.n_items, config.k_responses), threads,
-    )[0]
+        n_samples, _chunk_size(config.n_items, config.k_responses), False,
+    )], threads)[0][0]
     out: dict[MetricId, dict[str, float]] = {}
     for m, (per_a, per_b) in scores.items():
         score_a, score_b = per_a.mean(), per_b.mean()

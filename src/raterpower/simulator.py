@@ -27,6 +27,7 @@ __all__ = [
     "perturb_params",
     "generate_matrix",
     "PerturbedDraws",
+    "draw_blocks",
     "draw_batch",
     "simulate_batch",
     "generate_triple",
@@ -295,9 +296,21 @@ class PerturbedDraws:
         delta = self.u * (epsilon - -epsilon) + -epsilon
         return _affine_responses(self.z, self.mu + delta, self.sigma, family, out=out)
 
+    def __getitem__(self, rows: slice) -> "PerturbedDraws":
+        """The draws of the experiments in ``rows``, as views."""
+        return PerturbedDraws(self.mu[rows], self.sigma[rows], self.u[rows], self.z[rows])
 
-def draw_batch(config, rng: np.random.Generator, c: int) -> tuple[np.ndarray, np.ndarray, PerturbedDraws]:
-    """Every draw of c (G, A, B) experiments: (G, A, B's draws), none depending on epsilon.
+
+def draw_blocks(config, rng: np.random.Generator, c: int, spans):
+    """Every draw of c (G, A, B) experiments, in row blocks over ``spans``.
+
+    A generator of three iterators, each to be exhausted before the next is
+    taken: G's (r, N, K) blocks, then A's, then B's draws (``PerturbedDraws``
+    of r experiments) for each (lo, hi) span of range(c). NumPy fills a
+    variate array in order, so drawing it in row blocks gives the values and
+    generator state of one call: the blocks are the rows of ``draw_batch``,
+    and at most one block of each is alive when the caller reduces each
+    block before taking the next.
 
     Stream order, the reproducibility contract: c*N locations, c*N scales,
     G, A, c*N uniforms behind the location shifts, B's standard normals.
@@ -308,10 +321,20 @@ def draw_batch(config, rng: np.random.Generator, c: int) -> tuple[np.ndarray, np
     sigma = config.prior.scale.sample(rng, c * n).reshape(c, n)
     if np.any(sigma < 0):
         raise InvalidParam("sigma", "negative scale")
-    g = _gen_responses(mu, sigma, k, config.family, rng)
-    a = _gen_responses(mu, sigma, k, config.family, rng)
+    for _ in range(2):  # G, then A
+        yield (_gen_responses(mu[lo:hi], sigma[lo:hi], k, config.family, rng) for lo, hi in spans)
     u = rng.random((c, n))
-    return g, a, PerturbedDraws(mu, sigma, u, rng.standard_normal((c, n, k)))
+    yield (PerturbedDraws(mu[lo:hi], sigma[lo:hi], u[lo:hi], rng.standard_normal((hi - lo, n, k)))
+           for lo, hi in spans)
+
+
+def draw_batch(config, rng: np.random.Generator, c: int) -> tuple[np.ndarray, np.ndarray, PerturbedDraws]:
+    """Every draw of c (G, A, B) experiments: (G, A, B's draws), none depending on epsilon.
+
+    ``draw_blocks`` with one block, so its stream order holds.
+    """
+    g, a, draws = (next(phase) for phase in draw_blocks(config, rng, c, [(0, c)]))
+    return g, a, draws
 
 
 def simulate_batch(config, rng: np.random.Generator, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

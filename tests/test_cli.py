@@ -117,7 +117,7 @@ def test_table_pivot_layout(tmp_path, capsys):
 def test_table_pivot_rejects_several_metrics_before_running(tmp_path, capsys, monkeypatch):
     from raterpower import cli
 
-    for name in ("run_experiment", "run_column"):
+    for name in ("run_experiment", "run_columns"):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("ran a cell"))
     out = tmp_path / "pivot.csv"
     code, _, err = run(
