@@ -14,21 +14,13 @@ from pathlib import Path
 
 from raterpower import (
     ExperimentConfig,
-    ItemPrior,
     ResponseFamily,
     SamplingStrategy,
     TestId,
-    power_sweep,
+    power_sweeps,
+    toxicity_prior,
 )
-from raterpower.distributions import folded_normal, triangular
 from raterpower.metrics import MetricId
-
-
-def toxicity_prior() -> ItemPrior:
-    return ItemPrior(
-        folded_normal(0.19, 0.11, lo=0.0, hi=1.0),
-        triangular(-0.05, 0.21, 0.45, lo=0.0),
-    ).validate()
 
 
 def main() -> int:
@@ -54,12 +46,13 @@ def main() -> int:
         seed=args.seed,
     )
     t0 = time.time()
-    rows = []
-    for test in TestId:
-        report = power_sweep(config, test, args.trials, "n_items", values, threads=args.threads)
-        for point in report.points:
-            rows.append([point.axis_value, test.value, f"{point.power:.4f}"])
-        print(f"{test.value} done [{time.time() - t0:.0f}s]", file=sys.stderr)
+    reports = power_sweeps(config, tuple(TestId), args.trials, "n_items", values, threads=args.threads)
+    print(f"all tests done [{time.time() - t0:.0f}s]", file=sys.stderr)
+    rows = [
+        [point.axis_value, report.test.value, f"{point.power:.4f}"]
+        for report in reports
+        for point in report.points
+    ]
 
     path = Path(args.out)
     with path.open("w", newline="", encoding="utf-8") as handle:

@@ -40,20 +40,17 @@ from .power import (
     per_item_errors,
     permutation_test_paired,
     power_sweep,
+    power_sweeps,
     welch_t_test,
     wilcoxon_signed_rank,
 )
 from .simulator import (
-    ItemParams,
     ItemPrior,
     ResponseFamily,
     ResponseMatrix,
     default_synthetic_prior,
-    draw_item_params,
-    generate_matrix,
     generate_triple,
     multidomain_prior,
-    perturb_params,
     toxicity_prior,
 )
 

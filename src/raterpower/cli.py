@@ -24,7 +24,7 @@ from .fitting import ecdf as compute_ecdf
 from .fitting import fit_prior, per_item_stats
 from .inference import run_columns, run_experiment
 from .metrics import MetricId
-from .power import TestId, power_sweep, sweep_configs
+from .power import TestId, power_sweeps
 from .simulator import ItemPrior, ResponseFamily, default_synthetic_prior
 
 MEMD_PAPER_SCALE = 15.5  # documented display factor; see README on MEMD scaling
@@ -268,19 +268,13 @@ def cmd_power(args) -> None:
     config = config.validate()
 
     if args.test == "all":
-        tests = list(TestId)
+        tests = tuple(TestId)
     else:
         try:
-            tests = [TestId(args.test)]
+            tests = (TestId(args.test),)
         except ValueError:
             raise UsageError("--test expects bootstrap, welch, wilcoxon, permutation or all")
-    for test in tests:  # every test's points are checked before any sweep runs
-        sweep_configs(config, test, axis, values)
-
-    reports = [
-        power_sweep(config, test, args.trials, axis, values, threads=args.threads)
-        for test in tests
-    ]
+    reports = power_sweeps(config, tests, args.trials, axis, values, threads=args.threads)
     if args.format == "json":
         payload = {
             "schema_version": 1,

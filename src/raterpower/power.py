@@ -6,6 +6,12 @@ All tests are one-sided toward "B worse than A". The baselines see only the
 pre-computed per-item mean absolute errors; the multistage bootstrap test
 resamples items and, per item, responses drawn from the pooled A+B
 responses, so it sees the full response-level variance.
+
+Power is a rejection rate over simulated trials. ``power_sweeps`` runs
+several tests along one sweep axis: each trial simulates one dataset that
+every test sees, and every (sweep point, chunk of trials) is one task on
+one pool of threads. ``power_sweep`` and ``estimate_power`` are its
+one-test and one-point calls.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "estimate_power",
     "sweep_configs",
     "power_sweep",
+    "power_sweeps",
 ]
 
 
@@ -243,12 +250,32 @@ class PowerReport:
         }
 
 
-def _trial_p_value(config: ExperimentConfig, test: TestId, trial: int) -> float:
+def _trial_p_value(config: ExperimentConfig, tests: tuple[TestId, ...], trial: int) -> list[float]:
+    """One p-value per test, in the order of ``tests``, on trial ``trial``'s dataset.
+
+    The trial simulates one (G, A, B) triple from its own generator. Every
+    test starts from the generator state the simulation left, so each p
+    equals the one the test gets alone; the baselines share one set of MAE
+    item errors.
+    """
     rng = rngstreams.derive_rng(config.seed, rngstreams.TRIAL, trial)
     g, a, b = (x[0] for x in simulate_batch(config, rng, 1))
-    if test == TestId.MULTISTAGE_BOOTSTRAP:
-        return _bootstrap_p_value(g, a, b, config.metrics[0], config.phi, config.b_null, rng)
-    err_a, err_b = item_scores((MetricId.MAE,), g, a, b)[MetricId.MAE]
+    start = rng.bit_generator.state
+    errors = None
+    p = []
+    for test in tests:
+        rng.bit_generator.state = start
+        if test == TestId.MULTISTAGE_BOOTSTRAP:
+            p.append(_bootstrap_p_value(g, a, b, config.metrics[0], config.phi, config.b_null, rng))
+            continue
+        if errors is None:
+            errors = item_scores((MetricId.MAE,), g, a, b)[MetricId.MAE]
+        p.append(_baseline_p_value(test, *errors, rng))
+    return p
+
+
+def _baseline_p_value(test: TestId, err_a: np.ndarray, err_b: np.ndarray, rng: np.random.Generator) -> float:
+    """A classical test on per-item errors; data without evidence give p = 1."""
     if test == TestId.WELCH_T:
         try:
             return welch_t_test(err_a, err_b)
@@ -275,20 +302,7 @@ def estimate_power(
     paired differences zero, or zero variance in both samples) gets p = 1
     rather than aborting the sweep. Deterministic per (config.seed, test).
     """
-    if trials < 1:
-        raise InvalidParam("trials", "need at least one trial")
-    config = sweep_configs(config, test, "n_items", (config.n_items,))[0]
-
-    def run(span: tuple[int, int]) -> int:
-        lo, hi = span
-        return sum(
-            _trial_p_value(config, test, t) < config.alpha for t in range(lo, hi)
-        )
-
-    chunks = rngstreams.chunk_ranges(trials, 8)
-    rejections = int(np.sum(_map_chunks(run, chunks, threads)))
-    point = PowerPoint(axis_value=config.n_items, rejections=rejections, trials=trials)
-    return PowerReport(test=test, alpha=config.alpha, trials=trials, axis="n_items", points=(point,))
+    return power_sweep(config, test, trials, "n_items", (config.n_items,), threads)
 
 
 def power_sweep(
@@ -300,17 +314,47 @@ def power_sweep(
     threads: int = 1,
 ) -> PowerReport:
     """Power curve along n_items or k_responses; every point is checked before any trial runs."""
-    points = []
-    for value, cfg in zip(values, sweep_configs(config, test, axis, values)):
-        report = estimate_power(cfg, test, trials, threads=threads)
-        points.append(
-            PowerPoint(axis_value=int(value), rejections=report.points[0].rejections, trials=trials)
-        )
-    return PowerReport(test=test, alpha=config.alpha, trials=trials, axis=axis, points=tuple(points))
+    return power_sweeps(config, (test,), trials, axis, values, threads)[0]
+
+
+def power_sweeps(
+    config: ExperimentConfig,
+    tests: tuple[TestId, ...],
+    trials: int,
+    axis: str,
+    values: tuple[int, ...],
+    threads: int = 1,
+) -> list[PowerReport]:
+    """Power curves of several tests along one axis: one report per test, in order.
+
+    Every point is checked for every test before any trial runs. Trial t of
+    a point simulates its dataset once and applies every test to it, and
+    each (point, chunk of 8 trials) is one task on one pool of ``threads``
+    threads. Each report equals ``power_sweep`` of its test alone.
+    """
+    configs = sweep_configs(config, tests, axis, values)
+    if trials < 1:
+        raise InvalidParam("trials", "need at least one trial")
+    chunks = rngstreams.chunk_ranges(trials, 8)
+
+    def run(task) -> np.ndarray:
+        cfg, (lo, hi) = task
+        return np.sum([np.less(_trial_p_value(cfg, tests, t), cfg.alpha) for t in range(lo, hi)],
+                      axis=0, dtype=np.int64)
+
+    hits = _map_chunks(run, [(cfg, span) for cfg in configs for span in chunks], threads)
+    rejections = np.reshape(hits, (len(configs), len(chunks), len(tests))).sum(axis=1)
+    return [
+        PowerReport(test=test, alpha=config.alpha, trials=trials, axis=axis, points=tuple(
+            PowerPoint(axis_value=int(value), rejections=int(r), trials=trials)
+            for value, r in zip(values, rejections[:, i])
+        ))
+        for i, test in enumerate(tests)
+    ]
 
 
 def sweep_configs(
-    config: ExperimentConfig, test: TestId, axis: str, values: tuple[int, ...]
+    config: ExperimentConfig, tests: tuple[TestId, ...], axis: str, values: tuple[int, ...]
 ) -> list[ExperimentConfig]:
     """The validated config of each sweep point; raises before any trial runs.
 
@@ -319,6 +363,6 @@ def sweep_configs(
     if axis not in ("n_items", "k_responses"):
         raise InvalidParam("axis", "axis must be n_items or k_responses")
     configs = [config.with_(**{axis: int(value)}).validate() for value in values]
-    if test == TestId.WELCH_T and any(cfg.n_items < 2 for cfg in configs):
+    if TestId.WELCH_T in tests and any(cfg.n_items < 2 for cfg in configs):
         raise InvalidParam("n_items", "Welch's t test needs at least two items")
     return configs

@@ -20,12 +20,8 @@ from .errors import EmptyItem, InvalidParam
 
 __all__ = [
     "ItemPrior",
-    "ItemParams",
     "ResponseFamily",
     "ResponseMatrix",
-    "draw_item_params",
-    "perturb_params",
-    "generate_matrix",
     "PerturbedDraws",
     "draw_blocks",
     "draw_batch",
@@ -64,29 +60,6 @@ class ItemPrior:
             DistributionSpec.from_json_dict(obj["location_spec"]),
             DistributionSpec.from_json_dict(obj["scale_spec"]),
         ).validate()
-
-
-@dataclass(frozen=True)
-class ItemParams:
-    """Drawn per-item (mu_i, sigma_i) pairs."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if mu.shape != sigma.shape or mu.ndim != 1:
-            raise InvalidParam("params", "mu and sigma must be equal-length vectors")
-        if mu.size == 0:
-            raise InvalidParam("params", "empty parameter set")
-        if np.any(sigma < 0):
-            raise InvalidParam("sigma", "negative scale")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-
-    def __len__(self) -> int:
-        return self.mu.size
 
 
 @dataclass(frozen=True)
@@ -200,25 +173,6 @@ class ResponseMatrix:
         )
 
 
-# -- parameter draws ----------------------------------------------------------
-
-def draw_item_params(prior: ItemPrior, n: int, rng: np.random.Generator) -> ItemParams:
-    """Draw n (mu_i, sigma_i) pairs; locations first, then scales."""
-    if n < 1:
-        raise InvalidParam("n", "need at least one item")
-    mu = prior.location.sample(rng, n)
-    sigma = prior.scale.sample(rng, n)
-    return ItemParams(mu, sigma)
-
-
-def perturb_params(params: ItemParams, epsilon: float, rng: np.random.Generator) -> ItemParams:
-    """Shift each location by an independent Uniform(-epsilon, epsilon) draw."""
-    if epsilon < 0:
-        raise InvalidParam("epsilon", "epsilon must be >= 0")
-    delta = rng.uniform(-epsilon, epsilon, len(params))
-    return ItemParams(params.mu + delta, params.sigma)
-
-
 # -- response generation -------------------------------------------------------
 
 def _snap_to_levels(x: np.ndarray, levels: int) -> np.ndarray:
@@ -260,20 +214,6 @@ def _gen_responses(
     """
     z = rng.standard_normal((*mu.shape, k))
     return _affine_responses(z, mu, sigma, family, out=z)
-
-
-def generate_matrix(
-    params: ItemParams,
-    k: int,
-    family: ResponseFamily,
-    rng: np.random.Generator,
-) -> ResponseMatrix:
-    """Draw k responses per item from CensoredNormal(mu_i, sigma_i, 0, 1)."""
-    if k < 1:
-        raise InvalidParam("k", "need at least one response per item")
-    family.validate()
-    values = _gen_responses(params.mu, params.sigma, k, family, rng)
-    return ResponseMatrix.from_array(values)
 
 
 @dataclass(frozen=True)

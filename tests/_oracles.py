@@ -106,6 +106,36 @@ def bootstrap_test_oracle(g, a, b, metric, items_boot, responses_boot, b_null, c
     return float((1 + hits) / (1 + b_null))
 
 
+def power_trial_oracle(config, test, trial) -> float:
+    """One test's p-value on power trial ``trial``, simulated for that test alone.
+
+    Derives the trial's generator, draws its (G, A, B) triple with
+    ``simulate_batch`` and applies the test through the public test
+    functions; a test that draws continues the generator where the
+    simulation left it. Data without evidence give p = 1.
+    """
+    from raterpower import power
+    from raterpower.errors import DegenerateVariance
+    from raterpower.rngstreams import TRIAL, derive_rng
+    from raterpower.simulator import ResponseMatrix, simulate_batch
+
+    rng = derive_rng(config.seed, TRIAL, trial)
+    g, a, b = (ResponseMatrix.from_array(x[0]) for x in simulate_batch(config, rng, 1))
+    if test == power.TestId.MULTISTAGE_BOOTSTRAP:
+        return power.multistage_bootstrap_test(
+            g, a, b, config.metrics[0], config.phi, config.b_null, rng)
+    err_a, err_b = power.per_item_errors(a, g), power.per_item_errors(b, g)
+    if test == power.TestId.WELCH_T:
+        try:
+            return power.welch_t_test(err_a, err_b)
+        except DegenerateVariance:
+            return 1.0
+    if test == power.TestId.WILCOXON_SIGNED_RANK:
+        d = err_b - err_a
+        return power.wilcoxon_signed_rank(d) if np.any(d != 0) else 1.0
+    return power.permutation_test_paired(err_a, err_b, iterations=1000, rng=rng)
+
+
 def p_value_oracle(alt, null) -> tuple[float, list[int]]:
     """Double-loop expected one-sided p-value with median direction."""
     alt = list(map(float, alt))

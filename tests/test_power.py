@@ -3,24 +3,30 @@ import pytest
 from _oracles import (
     bootstrap_test_oracle,
     permutation_enumeration_oracle,
+    power_trial_oracle,
     wilcoxon_enumeration_oracle,
 )
 
 from raterpower import (
     ExperimentConfig,
+    ItemPrior,
     ResponseMatrix,
     SamplingStrategy,
     TestId,
+    default_synthetic_prior,
     estimate_power,
     generate_triple,
     multistage_bootstrap_test,
     per_item_errors,
     permutation_test_paired,
     power_sweep,
+    power_sweeps,
     welch_t_test,
     wilcoxon_signed_rank,
 )
-from raterpower import inference
+from raterpower import inference, power
+from raterpower.cli import main
+from raterpower.distributions import uniform
 from raterpower.errors import (
     AllZeroDifferences,
     DegenerateVariance,
@@ -248,3 +254,45 @@ def test_power_report_json():
     assert payload["test"] == "bootstrap"
     assert payload["points"][0]["trials"] == 8
     assert config.metrics[0] == MetricId.MAE
+
+
+# -- one simulation per trial ------------------------------------------------------------
+
+SHUFFLED = (TestId.PERMUTATION_PAIRED, TestId.WILCOXON_SIGNED_RANK,
+            TestId.MULTISTAGE_BOOTSTRAP, TestId.WELCH_T)
+
+
+@pytest.mark.parametrize("n, prior, epsilon", [
+    (12, default_synthetic_prior(), 0.15),  # exact permutation test
+    (40, default_synthetic_prior(), 0.15),  # Monte Carlo permutation test
+    (12, ItemPrior(uniform(0.0, 1.0), uniform(0.0, 0.0)), 0.0),  # no evidence: p = 1
+])
+def test_trial_p_values_equal_each_test_alone(n, prior, epsilon):
+    config = ExperimentConfig(n_items=n, k_responses=4, epsilon=epsilon, prior=prior,
+                              b_null=60, seed=9)
+    for trial in range(3):
+        want = {test: power_trial_oracle(config, test, trial) for test in TestId}
+        for tests in (tuple(TestId), SHUFFLED):
+            assert dict(zip(tests, power._trial_p_value(config, tests, trial))) == want
+        if epsilon == 0.0:
+            assert set(want.values()) == {1.0}
+
+
+def test_power_sweeps_same_rejections_at_any_thread_count():
+    config = ExperimentConfig(n_items=20, k_responses=3, epsilon=0.15, seed=4, b_null=40)
+    runs = [power_sweeps(config, SHUFFLED, 20, "n_items", (12, 30), threads=t) for t in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == [power_sweep(config, test, 20, "n_items", (12, 30)) for test in SHUFFLED]
+
+
+def test_power_all_simulates_each_trial_once(tmp_path, monkeypatch):
+    calls = []
+    simulate = power.simulate_batch
+    monkeypatch.setattr(power, "simulate_batch", lambda *args: calls.append(1) or simulate(*args))
+    code = main([
+        "power", "--default-synthetic", "--test", "all", "--n-sweep", "12,20,30", "--k", "3",
+        "--epsilon", "0.1", "--trials", "10", "--b-null", "20", "--seed", "1", "--threads", "2",
+        "--out", str(tmp_path / "power.csv"),
+    ])
+    assert code == 0
+    assert len(calls) == 3 * 10

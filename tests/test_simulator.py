@@ -7,36 +7,53 @@ from raterpower import (
     ResponseFamily,
     ResponseMatrix,
     default_synthetic_prior,
-    draw_item_params,
     gamma_mae,
-    generate_matrix,
     generate_triple,
-    perturb_params,
 )
 from raterpower.distributions import uniform
 from raterpower.errors import InvalidParam
 from raterpower.rngstreams import derive_rng
+from raterpower.simulator import PerturbedDraws, draw_batch, simulate_batch
 
 
 def degenerate_prior(mu, sigma):
     return ItemPrior(uniform(mu, mu), uniform(sigma, sigma)).validate()
 
 
+def one_item(mu, k, family=ResponseFamily(), seed=0):
+    """G of one simulated experiment with a single item at location mu and scale 0."""
+    config = ExperimentConfig(n_items=1, k_responses=k, prior=degenerate_prior(mu, 0.0), family=family)
+    return simulate_batch(config, derive_rng(seed), 1)[0][0, 0]
+
+
+# Locations and scales that keep every response at z = 0 and z = 1 inside
+# [0, 1] for epsilon <= 0.1, so censoring cannot hide a shift or a scale.
+INTERIOR = ItemPrior(uniform(0.2, 0.8), uniform(0.0, 0.1)).validate()
+
+
+def b_at(draws, epsilon, z):
+    """B's single response per item at standard normal z: its location plus z times its scale."""
+    fixed = PerturbedDraws(draws.mu, draws.sigma, draws.u, np.full((*draws.mu.shape, 1), float(z)))
+    return fixed.responses(epsilon, ResponseFamily())[..., 0]
+
+
 def test_draw_item_params_degenerate():
-    params = draw_item_params(degenerate_prior(0.3, 0.0), 2, derive_rng(0))
-    assert list(params.mu) == [0.3, 0.3]
-    assert list(params.sigma) == [0.0, 0.0]
+    config = ExperimentConfig(n_items=2, k_responses=1, prior=degenerate_prior(0.3, 0.0))
+    draws = draw_batch(config, derive_rng(0), 1)[2]
+    assert list(draws.mu[0]) == [0.3, 0.3]
+    assert list(draws.sigma[0]) == [0.0, 0.0]
 
 
 def test_draw_item_params_moments():
-    params = draw_item_params(default_synthetic_prior(), 10_000, derive_rng(1))
-    assert abs(params.mu.mean() - 0.5) < 0.02
-    assert abs(params.sigma.mean() - 0.15) < 0.01
+    config = ExperimentConfig(n_items=10_000, k_responses=1)
+    draws = draw_batch(config, derive_rng(1), 1)[2]
+    assert abs(draws.mu.mean() - 0.5) < 0.02
+    assert abs(draws.sigma.mean() - 0.15) < 0.01
 
 
 def test_draw_item_params_rejects_empty():
     with pytest.raises(InvalidParam):
-        draw_item_params(default_synthetic_prior(), 0, derive_rng(2))
+        generate_triple(ExperimentConfig(n_items=0, k_responses=3), derive_rng(2))
 
 
 def test_prior_rejects_negative_scale_support():
@@ -45,46 +62,42 @@ def test_prior_rejects_negative_scale_support():
 
 
 def test_perturb_zero_epsilon_identity():
-    params = draw_item_params(default_synthetic_prior(), 50, derive_rng(3))
-    out = perturb_params(params, 0.0, derive_rng(4))
-    assert np.array_equal(out.mu, params.mu)
-    assert np.array_equal(out.sigma, params.sigma)
+    config = ExperimentConfig(n_items=50, k_responses=1, prior=INTERIOR)
+    draws = draw_batch(config, derive_rng(3), 1)[2]
+    assert np.array_equal(b_at(draws, 0.0, 0), draws.mu)
+    assert np.allclose(b_at(draws, 0.0, 1) - b_at(draws, 0.0, 0), draws.sigma, rtol=0, atol=1e-12)
 
 
 def test_perturb_support_bound():
-    params = draw_item_params(default_synthetic_prior(), 200, derive_rng(5))
-    out = perturb_params(params, 0.07, derive_rng(6))
-    assert np.all(np.abs(out.mu - params.mu) <= 0.07)
-    assert np.array_equal(out.sigma, params.sigma)
+    config = ExperimentConfig(n_items=200, k_responses=1, prior=INTERIOR)
+    draws = draw_batch(config, derive_rng(5), 1)[2]
+    assert np.all(np.abs(b_at(draws, 0.07, 0) - draws.mu) <= 0.07)
+    assert np.allclose(b_at(draws, 0.07, 1) - b_at(draws, 0.07, 0), draws.sigma, rtol=0, atol=1e-12)
 
 
 def test_perturb_mean_absolute_shift():
     # E|U(-eps, eps)| = eps / 2
-    params = draw_item_params(default_synthetic_prior(), 10_000, derive_rng(7))
-    out = perturb_params(params, 0.1, derive_rng(8))
-    assert abs(np.abs(out.mu - params.mu).mean() - 0.05) < 0.005
+    config = ExperimentConfig(n_items=10_000, k_responses=1, prior=INTERIOR)
+    draws = draw_batch(config, derive_rng(7), 1)[2]
+    assert abs(np.abs(b_at(draws, 0.1, 0) - draws.mu).mean() - 0.05) < 0.005
 
 
 def test_generate_matrix_zero_scale():
-    params = draw_item_params(degenerate_prior(0.5, 0.0), 1, derive_rng(9))
-    m = generate_matrix(params, 3, ResponseFamily(), derive_rng(10))
-    assert list(m.rows[0]) == [0.5, 0.5, 0.5]
+    assert list(one_item(0.5, 3)) == [0.5, 0.5, 0.5]
 
 
 def test_generate_matrix_censors_at_hi():
-    params = draw_item_params(degenerate_prior(1.7, 0.0), 1, derive_rng(11))
-    m = generate_matrix(params, 2, ResponseFamily(), derive_rng(12))
-    assert list(m.rows[0]) == [1.0, 1.0]
+    assert list(one_item(1.7, 2)) == [1.0, 1.0]
+
+
+def test_generate_matrix_censors_at_lo():
+    assert list(one_item(-0.4, 2)) == [0.0, 0.0]
 
 
 def test_generate_matrix_discrete_rounding():
-    params = draw_item_params(degenerate_prior(0.49, 0.0), 1, derive_rng(13))
-    m = generate_matrix(params, 1, ResponseFamily(levels=2), derive_rng(14))
-    assert list(m.rows[0]) == [0.0]
+    assert list(one_item(0.49, 1, ResponseFamily(levels=2))) == [0.0]
     # Exact midpoints round toward the higher level.
-    params = draw_item_params(degenerate_prior(0.5, 0.0), 1, derive_rng(15))
-    m = generate_matrix(params, 1, ResponseFamily(levels=2), derive_rng(16))
-    assert list(m.rows[0]) == [1.0]
+    assert list(one_item(0.5, 1, ResponseFamily(levels=2))) == [1.0]
 
 
 def test_generate_matrix_discrete_levels_grid():
