@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidParam
 
@@ -189,6 +188,8 @@ class DistributionSpec:
         if family == Family.TRUNCATED_NORMAL:
             # Inverse-CDF on the renormalized interval: stable for wide
             # intervals, no rejection loop.
+            from scipy import special
+
             mu, sigma, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
             live = sigma != 0
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -233,6 +234,8 @@ class DistributionSpec:
             mu, sigma, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
             if sigma == 0:
                 return (x >= mu).astype(float)
+            from scipy import special
+
             a = special.ndtr((lo - mu) / sigma)
             b = special.ndtr((hi - mu) / sigma)
             core = (special.ndtr((x - mu) / sigma) - a) / (b - a)
@@ -255,12 +258,16 @@ class DistributionSpec:
     def _normal_cdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
         if sigma == 0:
             return (x >= mu).astype(float)
+        from scipy import special
+
         return special.ndtr((x - mu) / sigma)
 
     @staticmethod
     def _folded_cdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
         if sigma == 0:
             return (x >= abs(mu)).astype(float)
+        from scipy import special
+
         pos = special.ndtr((x - mu) / sigma) + special.ndtr((x + mu) / sigma) - 1.0
         return np.where(x < 0, 0.0, np.clip(pos, 0.0, 1.0))
 

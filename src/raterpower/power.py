@@ -20,7 +20,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
 
 from . import rngstreams
 from .config import ExperimentConfig, Level, SamplingStrategy
@@ -31,7 +30,7 @@ from .errors import (
     InvalidParam,
     ItemMismatch,
 )
-from .inference import _chunk_size, _map_chunks, _null_chunk_rect
+from .inference import _chunk_size, _map_chunks, _null_chunk_rect, _spans
 from .metrics import MetricId, _check_pair, batch_scores, comparison, item_scores, kernel_inputs, prepare_gold
 from .simulator import ResponseMatrix, simulate_batch
 
@@ -72,6 +71,8 @@ def per_item_errors(m: ResponseMatrix, g: ResponseMatrix) -> np.ndarray:
 # -- Student t survival via regularized incomplete beta -------------------------
 
 def _t_sf(t: float, df: float) -> float:
+    from scipy import special
+
     if df <= 0:
         raise InvalidParam("df", "degrees of freedom must be positive")
     if t == 0:
@@ -81,10 +82,18 @@ def _t_sf(t: float, df: float) -> float:
     return half_tail if t > 0 else 1.0 - half_tail
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array; NaN or an infinity raises ``InvalidParam``."""
+    x = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidParam(name, "values must be finite (no NaN or infinity)")
+    return x
+
+
 def welch_t_test(x, y) -> float:
     """One-sided Welch p-value for "center of y exceeds center of x"."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = _finite("x", x)
+    y = _finite("y", y)
     if x.size < 2 or y.size < 2:
         raise EmptySample("welch_t_test needs at least two values per sample")
     vx = x.var(ddof=1)
@@ -102,6 +111,22 @@ def welch_t_test(x, y) -> float:
 _WILCOXON_EXACT_MAX = 20
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; a tie group takes the mean of its positions.
+
+    The tie group at sorted positions [start, end) gets (start + end + 1) / 2,
+    an exact half-integer, so the result equals ``scipy.stats.rankdata(x)``
+    bit for bit.
+    """
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_x[1:] != sorted_x[:-1])))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def wilcoxon_signed_rank(d) -> float:
     """One-sided signed-rank p-value P(W >= W+) under sign symmetry.
 
@@ -110,12 +135,12 @@ def wilcoxon_signed_rank(d) -> float:
     normal approximation with tie-corrected variance and continuity
     correction beyond that. Zero differences are dropped first.
     """
-    d = np.asarray(d, dtype=float)
+    d = _finite("d", d)
     d = d[d != 0]
     m = d.size
     if m == 0:
         raise AllZeroDifferences("all paired differences are zero")
-    ranks = stats.rankdata(np.abs(d))
+    ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     if m <= _WILCOXON_EXACT_MAX:
         ranks2 = np.rint(2 * ranks).astype(np.int64)
@@ -126,6 +151,8 @@ def wilcoxon_signed_rank(d) -> float:
             counts[r:] += counts[: total + 1 - r]
         threshold = int(np.rint(2 * w_plus))
         return float(counts[threshold:].sum() / 2.0**m)
+    from scipy import special
+
     mean = m * (m + 1) / 4.0
     var = m * (m + 1) * (2 * m + 1) / 24.0
     _, tie_counts = np.unique(np.abs(d), return_counts=True)
@@ -144,10 +171,12 @@ def permutation_test_paired(x, y, iterations: int = 1000, rng: np.random.Generat
 
     Pairs are swapped independently with probability one half; exact
     enumeration of all 2^N swap patterns when N <= 16, otherwise Monte Carlo
-    with add-one smoothing.
+    with add-one smoothing. The Monte Carlo signs are drawn in row blocks of
+    at most ``inference._BLOCK`` values; ``integers`` fills in order, so the
+    stream does not depend on the blocks.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = _finite("x", x)
+    y = _finite("y", y)
     if x.size != y.size or x.size == 0:
         raise EmptySample("permutation test needs equal-length nonempty samples")
     d = y - x
@@ -164,8 +193,10 @@ def permutation_test_paired(x, y, iterations: int = 1000, rng: np.random.Generat
     if rng is None:
         rng = np.random.default_rng()
     hits = 0
-    for lo, hi in rngstreams.chunk_ranges(iterations, 65536):
-        signs = rng.integers(0, 2, (hi - lo, n)) * 2 - 1
+    for lo, hi in _spans(iterations, n):
+        signs = rng.integers(0, 2, (hi - lo, n))
+        signs *= 2
+        signs -= 1
         hits += int(((signs * d).mean(axis=1) >= observed).sum())
     return float((1 + hits) / (1 + iterations))
 

@@ -384,3 +384,80 @@ def test_simulate_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "--out" in err
     assert list(tmp_path.iterdir()) == []
+
+
+# -- boundary inputs through every command (each exits 0) ------------------------
+
+def test_fit_simulate_ecdf_same_bytes_at_one_and_two_threads(tmp_path, capsys):
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    matrix = tmp_path / "m.jsonl"
+    matrix.write_text("".join(
+        json.dumps({"item_id": str(i), "responses": np.clip(rng.normal(0.4, 0.2, 1 + i % 6), 0, 1).tolist()})
+        + "\n" for i in range(80)
+    ), encoding="utf-8")
+    commands = {
+        "fit": ["fit", "--input", str(matrix), "--location-family", "normal",
+                "--grid", "mu=0.2:0.6:0.1,sigma=0:0.3:0.1", "--scale-family", "uniform",
+                "--scale-grid", "lo=0,hi=0:0.3:0.1", "--seed", "2"],
+        "simulate": ["simulate", "--default-synthetic", "--n", "20", "--k", "3", "--epsilon", "0.1",
+                     "--seed", "2"],
+        "ecdf": ["ecdf", "--input", str(matrix), "--stat", "stds"],
+    }
+    for name, args in commands.items():
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}"
+            code, _, err = run([*args, "--threads", threads, "--out", str(out)], capsys)
+            assert code == 0, err
+            files = sorted(tmp_path.glob(f"{out.name}*"))
+            outputs.append([f.read_bytes() for f in files])
+        assert outputs[0] == outputs[1] and outputs[0], name
+
+
+def test_one_item_one_response_through_pvalue_and_power(tmp_path, capsys):
+    out = tmp_path / "pvalue.json"
+    code, _, err = run([
+        "pvalue", "--default-synthetic", "--n", "1", "--k", "1", "--epsilon", "0.1",
+        "--metric", "all", "--b-alt", "20", "--b-null", "20", "--seed", "1", "--out", str(out),
+    ], capsys)
+    assert code == 0, err
+    results = json.loads(out.read_text())["results"]
+    assert all(0.0 <= results[m]["p_value"] <= 1.0 for m in ("mae", "wins", "memd"))
+    for test in ("bootstrap", "wilcoxon", "permutation"):
+        out = tmp_path / f"power-{test}.csv"
+        code, _, err = run([
+            "power", "--default-synthetic", "--test", test, "--n", "1", "--k", "1",
+            "--epsilon", "0.1", "--trials", "3", "--b-null", "20", "--seed", "1", "--out", str(out),
+        ], capsys)
+        assert code == 0, err
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 1 and 0.0 <= float(rows[0].split(",")[-1]) <= 1.0
+
+
+def test_all_tied_ragged_input_through_pvalue_and_fit(tmp_path, capsys):
+    # Every response is 0.5; G's counts differ from A's and B's.
+    counts = {"G": [3, 1, 2], "A": [2, 4, 1], "B": [2, 4, 1]}
+    paths = []
+    for name, ks in counts.items():
+        path = tmp_path / f"tied.{name}.jsonl"
+        path.write_text("".join(
+            json.dumps({"item_id": f"i{i}", "responses": [0.5] * k}) + "\n" for i, k in enumerate(ks)
+        ), encoding="utf-8")
+        paths.append(str(path))
+    out = tmp_path / "pvalue.json"
+    code, _, err = run(["pvalue", "--input", *paths, "--metric", "all", "--b-alt", "20",
+                        "--b-null", "20", "--seed", "1", "--out", str(out)], capsys)
+    assert code == 0, err
+    # Every alternative and null score ties at zero, so nothing is significant.
+    results = json.loads(out.read_text())["results"]
+    assert [results[m]["p_value"] for m in ("mae", "wins", "memd")] == [1.0, 1.0, 1.0]
+    out = tmp_path / "fit.json"
+    code, _, err = run([
+        "fit", "--input", paths[0], "--location-family", "uniform", "--grid",
+        "lo=0:0.4:0.2,hi=0.5:1:0.25", "--scale-family", "uniform", "--scale-grid", "lo=0,hi=0:0.2:0.1",
+        "--seed", "1", "--out", str(out),
+    ], capsys)
+    assert code == 0, err
+    assert json.loads(out.read_text())["kind"] == "fit_report"

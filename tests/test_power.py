@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _oracles import (
     bootstrap_test_oracle,
     permutation_enumeration_oracle,
@@ -100,6 +102,14 @@ def test_welch_degenerate_variance():
         welch_t_test([1.0, 1.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_welch_rejects_non_finite(bad):
+    with pytest.raises(InvalidParam):
+        welch_t_test([0.1, bad, 0.3], [0.2, 0.4, 0.6])
+    with pytest.raises(InvalidParam):
+        welch_t_test([0.1, 0.2, 0.3], [0.2, 0.4, bad])
+
+
 # -- Wilcoxon ---------------------------------------------------------------------
 
 def test_wilcoxon_all_positive():
@@ -114,6 +124,29 @@ def test_wilcoxon_drops_zeros_and_rejects_all_zero():
     assert wilcoxon_signed_rank([0.0, 1.0, 2.0, 3.0]) == pytest.approx(1 / 8)
     with pytest.raises(AllZeroDifferences):
         wilcoxon_signed_rank([0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wilcoxon_rejects_non_finite(bad):
+    # Short input used to fail on a negative array size, long input to return NaN.
+    with pytest.raises(InvalidParam):
+        wilcoxon_signed_rank([0.1, bad, 0.3])
+    with pytest.raises(InvalidParam):
+        wilcoxon_signed_rank([*np.linspace(0.1, 1.0, 25), bad])
+
+
+_TIE_PRONE = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_TIE_PRONE, st.floats(allow_nan=False, allow_infinity=False)), max_size=60))
+def test_average_ranks_equal_scipy_rankdata(values):
+    from scipy.stats import rankdata
+
+    x = np.array(values, dtype=float)
+    got, want = power._average_ranks(x), rankdata(x)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_wilcoxon_exact_matches_enumeration():
@@ -162,6 +195,28 @@ def test_permutation_monte_carlo_bounds():
     y = rng.random(40)
     p = permutation_test_paired(x, y, iterations=500, rng=derive_rng(35))
     assert 0.0 < p <= 1.0
+
+
+def test_permutation_monte_carlo_blocks_keep_the_stream(monkeypatch):
+    # The signs of all iterations drawn in one call, as before row blocks.
+    x, y = derive_rng(34).random((2, 40))
+    want_rng = derive_rng(35)
+    signs = want_rng.integers(0, 2, (500, 40)) * 2 - 1
+    d = y - x
+    want = (1 + int(((signs * d).mean(axis=1) >= d.mean()).sum())) / 501
+    monkeypatch.setattr(inference, "_BLOCK", 130)  # 3 rows a block, the last one short
+    got_rng = derive_rng(35)
+    assert permutation_test_paired(x, y, iterations=500, rng=got_rng) == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_permutation_rejects_non_finite(bad):
+    # A NaN difference used to compare false everywhere and give p = 0.
+    with pytest.raises(InvalidParam):
+        permutation_test_paired([0.1, 0.2, bad], [0.3, 0.4, 0.5])
+    with pytest.raises(InvalidParam):
+        permutation_test_paired(np.full(40, 0.1), [*np.full(39, 0.2), bad], rng=derive_rng(1))
 
 
 def test_permutation_exact_matches_enumeration():

@@ -6,7 +6,8 @@ command prints the same bytes. Each case below runs a small CLI journey (or
 the library's ``mean_metric_scores``) and compares the SHA-256 of its
 output with a digest recorded before the engine was refactored; the
 ``fit-*`` digests were recorded before ``fit`` scored its candidates in
-blocks. A
+blocks, and ``power-trial-p-values`` before the Wilcoxon ranks left SciPy
+and the permutation test drew its signs in row blocks. A
 deliberate stream change must re-record these digests and say so in
 CHANGES.md.
 """
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from raterpower import ExperimentConfig, ResponseFamily, SamplingStrategy, mean_metric_scores
+from raterpower import ExperimentConfig, ResponseFamily, SamplingStrategy, TestId, mean_metric_scores
+from raterpower import power
 from raterpower.cli import main
 from raterpower.simulator import default_synthetic_prior, toxicity_prior
 
@@ -32,6 +34,7 @@ DIGESTS = {
     "table": "7fb1d01f4f683a7fad3bb60cc126936ce6ad3bc40631852e1291f365b6899252",
     "table-toxicity-boot-boot": "1ae754fb189ab52d210f755f664df44543e77eaf8391cf32a905f079efbeffcc",
     "power": "159fd81fc161eacb74478d7291df84828ecda4f7c17328dd8505b605ca59d0b9",
+    "power-trial-p-values": "27bedc4460d1e813ebfa75f6056c459e016480437710ea7d71b6578a748b7acd",
     "simulate": "2bedd46638057133b2ac66e1da5868c391c0a29971522fb71c6697adfeaab114",
     "simulate-toxicity": "246aebcc6d25b55e385e52ba9656a034d98fee1f2b6e4cb26f25624a743bcffc",
     "mean-metric-scores": "96617ba2e8cc0e904b288813f96766685713d7f7f51838d793e41c149a53a3f1",
@@ -153,6 +156,18 @@ def _case_output(name: str, tmp_path: Path) -> bytes:
         return _run(["power", "--prior-spec", str(_write_prior(tmp_path)), "--levels", "5",
                      "--test", "all", "--n-sweep", "20,40", "--k", "4", "--epsilon", "0.1",
                      "--trials", "10", "--b-null", "40", "--seed", "9"], out)
+    if name == "power-trial-p-values":
+        # Every test's p on four trials. N = 12 runs the exact permutation and
+        # Wilcoxon tests, N = 40 the Monte Carlo permutation test and the
+        # Wilcoxon normal approximation (with ties on the 5-level prior).
+        values = []
+        for prior, family in ((default_synthetic_prior(), ResponseFamily()),
+                              (toxicity_prior(), ResponseFamily(5))):
+            for n in (12, 40):
+                config = ExperimentConfig(n_items=n, k_responses=4, epsilon=0.1, prior=prior,
+                                          family=family, b_null=40, seed=15)
+                values.append([power._trial_p_value(config, tuple(TestId), t) for t in range(4)])
+        return repr(values).encode()
     if name == "simulate":
         assert main(["simulate", "--default-synthetic", "--n", "6", "--k", "3",
                      "--epsilon", "0.1", "--seed", "10", "--out", str(out)]) == 0
