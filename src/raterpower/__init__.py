@@ -48,6 +48,7 @@ from .simulator import (
     ItemPrior,
     ResponseFamily,
     ResponseMatrix,
+    check_matrices,
     default_synthetic_prior,
     generate_triple,
     multidomain_prior,

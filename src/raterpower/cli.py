@@ -177,12 +177,10 @@ def cmd_pvalue(args) -> None:
         given = (matrices[0], matrices[1], matrices[2])
         if args.n is not None or args.k is not None:
             raise UsageError("--n/--k come from the input matrices in --input mode")
-        n = given[0].n_items
-        k = given[0].rows[0].size if n else 1
         config = _base_config(args).with_(
             mode=Mode.BOOTSTRAP_OF_GIVEN,
-            n_items=max(n, 1),
-            k_responses=max(int(k), 1),
+            n_items=given[0].n_items,
+            k_responses=given[0].rows[0].size,
         )
     else:
         prior = _load_prior(args)

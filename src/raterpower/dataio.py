@@ -28,11 +28,10 @@ from .errors import (
     InvalidParam,
     ParseError,
     RaggedNotSupported,
-    ValueOutOfRange,
 )
-from .simulator import ResponseMatrix
+from .simulator import ResponseMatrix, check_matrices
 
-__all__ = ["load_responses", "check_unit_range", "save_matrix", "save_report", "matrix_to_jsonl", "matrix_to_csv"]
+__all__ = ["load_responses", "save_matrix", "save_report", "matrix_to_jsonl", "matrix_to_csv"]
 
 
 def _detect_format(path: Path, fmt: str | None) -> str:
@@ -118,22 +117,6 @@ def _to_float(raw, line_no: int) -> float:
         raise ParseError(line_no, f"non-numeric response {raw!r}")
 
 
-def check_unit_range(m: ResponseMatrix) -> ResponseMatrix:
-    """Return ``m`` if every response is in [0, 1], else raise ValueOutOfRange.
-
-    NaN is out of range. The error names the first offending response in
-    item order.
-    """
-    if not m.rows:
-        return m
-    values = np.concatenate(m.rows)
-    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
-    if bad.size:
-        item = int(np.searchsorted(np.cumsum(m.counts()), bad[0], side="right"))
-        raise ValueOutOfRange(m.ids[item], float(values[bad[0]]))
-    return m
-
-
 def _convert(records, value_map, levels) -> ResponseMatrix:
     if value_map is not None:
         rows = [[_lookup(value_map, r, line_no) for r in raws] for _, raws, line_no in records]
@@ -144,8 +127,9 @@ def _convert(records, value_map, levels) -> ResponseMatrix:
         observed = [v for row in rows for v in row]
         offset = 0.0 if observed and min(observed) < 1.0 else 1.0
         arrays = [(x - offset) / (levels - 1) for x in arrays]
-    ids = tuple(item_id for item_id, _, _ in records)
-    return check_unit_range(ResponseMatrix(ids, tuple(arrays)))
+    m = ResponseMatrix(tuple(item_id for item_id, _, _ in records), tuple(arrays))
+    check_matrices(m)
+    return m
 
 
 def load_responses(
@@ -158,7 +142,8 @@ def load_responses(
 
     ``value_map`` maps raw labels onto [0, 1]; ``levels=k`` applies the
     linear level map instead. Raw values must already be in [0, 1] when
-    neither is given.
+    neither is given. The matrix passes ``check_matrices``: a file without
+    items or with an item without responses raises ``EmptyItem``.
     """
     if levels is not None and levels < 2:
         raise InvalidParam("levels", "level map needs k >= 2")

@@ -48,7 +48,7 @@ class ParseError(RaterPowerError):
 
 
 class ValueOutOfRange(RaterPowerError):
-    """A loaded response is outside [0, 1] after mapping."""
+    """A response is NaN or outside [0, 1] (after mapping, when loaded)."""
 
     def __init__(self, item_id: str, value: float):
         self.item_id = item_id

@@ -27,7 +27,7 @@ from .distributions import DistributionSpec, Family
 from .errors import EmptySample, InvalidParam, NoValidGridPoint
 from .inference import _map_chunks
 from .metrics import _mean, reduce_rows
-from .simulator import ResponseMatrix
+from .simulator import ResponseMatrix, check_finite, check_matrices
 
 __all__ = [
     "ItemStats",
@@ -54,8 +54,8 @@ class ItemStats:
     stds: np.ndarray
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        stds = np.asarray(self.stds, dtype=float)
+        means = check_finite("means", self.means)
+        stds = check_finite("stds", self.stds)
         if means.shape != stds.shape or means.ndim != 1:
             raise InvalidParam("stats", "means and stds must be equal-length vectors")
         if np.any(stds < 0):
@@ -66,7 +66,8 @@ class ItemStats:
 
 def per_item_stats(m: ResponseMatrix) -> ItemStats:
     """Mean and population standard deviation (divisor n) per item."""
-    values, counts = m.require_responses().padded()
+    check_matrices(m)
+    values, counts = m.padded()
     means = reduce_rows(_mean, (values,), (counts,))
     stds = reduce_rows(lambda x: x.std(axis=-1), (values,), (counts,))
     return ItemStats(means, stds)
@@ -90,7 +91,7 @@ class Ecdf:
 
 
 def ecdf(values) -> Ecdf:
-    values = np.asarray(values, dtype=float)
+    values = check_finite("values", values)
     if values.size == 0:
         raise EmptySample("ecdf needs at least one value")
     xs, counts = np.unique(values, return_counts=True)
@@ -99,7 +100,7 @@ def ecdf(values) -> Ecdf:
 
 def _sorted_real(values, sim_count: int) -> np.ndarray:
     """The sorted real values, once they and ``sim_count`` are checked."""
-    real = np.sort(np.asarray(values, dtype=float))
+    real = np.sort(check_finite("real_values", values))
     if real.size == 0:
         raise EmptySample("stat_distance needs real values")
     if sim_count < 1:

@@ -76,10 +76,9 @@ import numpy as np
 
 from . import rngstreams
 from .config import ExperimentConfig, Level, Mode, SamplingStrategy
-from .dataio import check_unit_range
-from .errors import EmptyItem, EmptySample, InvalidParam, ItemMismatch
+from .errors import EmptySample, InvalidParam, ItemMismatch
 from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold
-from .simulator import ResponseMatrix, draw_batch, draw_blocks
+from .simulator import ResponseMatrix, check_finite, check_matrices, draw_batch, draw_blocks
 
 __all__ = [
     "resample_multistage",
@@ -121,8 +120,7 @@ def resample_multistage(
     item's responses are then resampled with replacement independently
     within each matrix (G first, then A, then B).
     """
-    if not (g.ids == a.ids == b.ids):
-        raise ItemMismatch("triple does not share item ids")
+    check_matrices(g, a, b)
     rows = _item_rows(rng, 1, g.n_items, phi)
     idx = np.arange(g.n_items) if rows is None else rows[0]
     values, counts = zip(*(m.padded() for m in (g, a, b)))
@@ -134,12 +132,10 @@ def resample_multistage(
 
 def build_null_pool(a: ResponseMatrix, b: ResponseMatrix) -> ResponseMatrix:
     """Per-item multiset union of A's and B's responses."""
-    if a.ids != b.ids:
-        raise ItemMismatch("matrices do not share item ids")
+    check_matrices(a, b)
     differ = np.flatnonzero(a.counts() != b.counts())
     if differ.size:
         raise ItemMismatch(f"item {a.ids[differ[0]]!r}: per-item counts differ")
-    a.require_responses()
     return ResponseMatrix(a.ids, tuple(map(np.concatenate, zip(a.rows, b.rows))))
 
 
@@ -155,7 +151,8 @@ def sample_null_pair(
     counts = np.broadcast_to(k, (pool.n_items,))
     if np.any(counts < 1):
         raise InvalidParam("k", "need at least one response per item")
-    values, sizes = pool.require_responses().padded()
+    check_matrices(pool)
+    values, sizes = pool.padded()
     plan = _plan(rng, 1, _NO_RESAMPLE, [(values.shape, sizes, counts)] * 2)  # A's, then B's
     return _one_resample((values, values), plan, pool.ids)
 
@@ -175,8 +172,8 @@ def estimate_p_value(alt_scores, null_scores) -> tuple[float, str]:
     per-alternative fraction found by binary search; the returned p is the
     mean of those fractions.
     """
-    alt = np.asarray(alt_scores, dtype=float)
-    null = np.asarray(null_scores, dtype=float)
+    alt = check_finite("alt_scores", alt_scores)
+    null = check_finite("null_scores", null_scores)
     if alt.size == 0 or null.size == 0:
         raise EmptySample("need nonempty alternative and null score collections")
     null_sorted = np.sort(null)
@@ -592,12 +589,7 @@ def _column(config: ExperimentConfig, epsilons, given) -> tuple[list, _Arm, _Arm
         if given is None:
             raise InvalidParam("given", "bootstrap-of-given mode needs input matrices")
         g, a, b = given
-        if not (g.ids == a.ids == b.ids):
-            raise ItemMismatch("input triple does not share item ids")
-        if g.n_items == 0:
-            raise EmptyItem("input matrices have no items")
-        for m in given:
-            check_unit_range(m).require_responses()
+        check_matrices(g, a, b)
         base = kernel_inputs(g, a, b)
         (gb, _, _), counts = base
         pool, sizes = build_null_pool(a, b).padded()

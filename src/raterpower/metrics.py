@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyItem, ItemMismatch
-from .simulator import ResponseMatrix
+from .errors import EmptyItem
+from .simulator import ResponseMatrix, check_finite, check_matrices
 
 __all__ = [
     "MetricId",
@@ -65,13 +65,6 @@ class MetricResult:
         if self.tie_fraction is not None:
             out["tie_fraction"] = self.tie_fraction
         return out
-
-
-def _check_pair(m: ResponseMatrix, g: ResponseMatrix) -> None:
-    if m.ids != g.ids:
-        raise ItemMismatch("matrices do not share item ids in order")
-    m.require_responses()
-    g.require_responses()
 
 
 # -- the metric kernel ----------------------------------------------------------
@@ -144,8 +137,8 @@ def emd_1d(x, y) -> float:
     Integral of |ECDF_x - ECDF_y|; for equal-size collections this equals the
     mean absolute difference of sorted order statistics.
     """
-    x = np.sort(np.asarray(x, dtype=float).reshape(1, -1))
-    y = np.sort(np.asarray(y, dtype=float).reshape(1, -1))
+    x = np.sort(check_finite("x", x).reshape(1, -1))
+    y = np.sort(check_finite("y", y).reshape(1, -1))
     if x.size == 0 or y.size == 0:
         raise EmptyItem("emd_1d needs nonempty collections")
     return float(_emd_sorted(x, y)[0])
@@ -259,8 +252,7 @@ def kernel_inputs(*matrices: ResponseMatrix) -> tuple[tuple, tuple | None]:
 
 def evaluate(metric: MetricId, a: ResponseMatrix, b: ResponseMatrix, g: ResponseMatrix) -> MetricResult:
     """Scores of A and B against G under one metric, and their comparison."""
-    _check_pair(a, g)
-    _check_pair(b, g)
+    check_matrices(g, a, b)
     arrays, counts = kernel_inputs(g, a, b)
     item_a, item_b = item_scores((metric,), *arrays, counts)[metric]
     sa, sb = float(item_a.mean()), float(item_b.mean())

@@ -28,11 +28,10 @@ from .errors import (
     DegenerateVariance,
     EmptySample,
     InvalidParam,
-    ItemMismatch,
 )
 from .inference import _chunk_size, _map_chunks, _null_chunk_rect, _spans
-from .metrics import MetricId, _check_pair, batch_scores, comparison, item_scores, kernel_inputs, prepare_gold
-from .simulator import ResponseMatrix, simulate_batch
+from .metrics import MetricId, batch_scores, comparison, item_scores, kernel_inputs, prepare_gold
+from .simulator import ResponseMatrix, check_finite, check_matrices, simulate_batch
 
 __all__ = [
     "TestId",
@@ -63,7 +62,7 @@ class TestId(str, enum.Enum):
 
 def per_item_errors(m: ResponseMatrix, g: ResponseMatrix) -> np.ndarray:
     """|mean(M_i) - mean(G_i)| per item, in item order: the kernel's MAE item scores."""
-    _check_pair(m, g)
+    check_matrices(g, m)
     arrays, counts = kernel_inputs(g, m, m)
     return item_scores((MetricId.MAE,), *arrays, counts)[MetricId.MAE][0]
 
@@ -82,18 +81,10 @@ def _t_sf(t: float, df: float) -> float:
     return half_tail if t > 0 else 1.0 - half_tail
 
 
-def _finite(name: str, values) -> np.ndarray:
-    """``values`` as a float array; NaN or an infinity raises ``InvalidParam``."""
-    x = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidParam(name, "values must be finite (no NaN or infinity)")
-    return x
-
-
 def welch_t_test(x, y) -> float:
     """One-sided Welch p-value for "center of y exceeds center of x"."""
-    x = _finite("x", x)
-    y = _finite("y", y)
+    x = check_finite("x", x)
+    y = check_finite("y", y)
     if x.size < 2 or y.size < 2:
         raise EmptySample("welch_t_test needs at least two values per sample")
     vx = x.var(ddof=1)
@@ -111,20 +102,22 @@ def welch_t_test(x, y) -> float:
 _WILCOXON_EXACT_MAX = 20
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a 1-D array; a tie group takes the mean of its positions.
+def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks of a 1-D array, and the sizes of its tie groups in sorted order.
 
-    The tie group at sorted positions [start, end) gets (start + end + 1) / 2,
-    an exact half-integer, so the result equals ``scipy.stats.rankdata(x)``
-    bit for bit.
+    A tie group takes the mean of its positions: the group at sorted
+    positions [start, end) gets (start + end + 1) / 2, an exact half-integer,
+    so the ranks equal ``scipy.stats.rankdata(x)`` bit for bit, and the sizes
+    equal ``np.unique(x, return_counts=True)[1]``.
     """
     order = np.argsort(x, kind="stable")
     sorted_x = x[order]
     starts = np.flatnonzero(np.concatenate(([True], sorted_x[1:] != sorted_x[:-1])))
     ends = np.append(starts[1:], x.size)
+    sizes = ends - starts
     ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, sizes)
+    return ranks, sizes
 
 
 def wilcoxon_signed_rank(d) -> float:
@@ -135,12 +128,12 @@ def wilcoxon_signed_rank(d) -> float:
     normal approximation with tie-corrected variance and continuity
     correction beyond that. Zero differences are dropped first.
     """
-    d = _finite("d", d)
+    d = check_finite("d", d)
     d = d[d != 0]
     m = d.size
     if m == 0:
         raise AllZeroDifferences("all paired differences are zero")
-    ranks = _average_ranks(np.abs(d))
+    ranks, tie_counts = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     if m <= _WILCOXON_EXACT_MAX:
         ranks2 = np.rint(2 * ranks).astype(np.int64)
@@ -155,7 +148,6 @@ def wilcoxon_signed_rank(d) -> float:
 
     mean = m * (m + 1) / 4.0
     var = m * (m + 1) * (2 * m + 1) / 24.0
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
     var -= (tie_counts**3 - tie_counts).sum() / 48.0
     z = (w_plus - 0.5 - mean) / np.sqrt(var)
     return float(special.ndtr(-z))
@@ -175,8 +167,8 @@ def permutation_test_paired(x, y, iterations: int = 1000, rng: np.random.Generat
     at most ``inference._BLOCK`` values; ``integers`` fills in order, so the
     stream does not depend on the blocks.
     """
-    x = _finite("x", x)
-    y = _finite("y", y)
+    x = check_finite("x", x)
+    y = check_finite("y", y)
     if x.size != y.size or x.size == 0:
         raise EmptySample("permutation test needs equal-length nonempty samples")
     d = y - x
@@ -220,8 +212,7 @@ def multistage_bootstrap_test(
     A/B responses always drawn from the pooled A+B responses. p-value is
     add-one smoothed.
     """
-    if not (g.ids == a.ids == b.ids):
-        raise ItemMismatch("triple does not share item ids")
+    check_matrices(g, a, b)
     if rng is None:
         rng = np.random.default_rng()
     return _bootstrap_p_value(g.to_array(), a.to_array(), b.to_array(), metric, phi, b_null, rng)

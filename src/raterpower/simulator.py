@@ -16,12 +16,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import DistributionSpec, uniform
-from .errors import EmptyItem, InvalidParam
+from .errors import EmptyItem, InvalidParam, ItemMismatch, ValueOutOfRange
 
 __all__ = [
     "ItemPrior",
     "ResponseFamily",
     "ResponseMatrix",
+    "check_matrices",
+    "check_finite",
     "PerturbedDraws",
     "draw_blocks",
     "draw_batch",
@@ -122,13 +124,6 @@ class ResponseMatrix:
     def counts(self) -> np.ndarray:
         return np.array([r.size for r in self.rows], dtype=np.int64)
 
-    def require_responses(self) -> "ResponseMatrix":
-        """Return self, or raise EmptyItem naming the first item without responses."""
-        empty = np.flatnonzero(self.counts() == 0)
-        if empty.size:
-            raise EmptyItem(f"item {self.ids[empty[0]]!r} has no responses")
-        return self
-
     def to_array(self) -> np.ndarray:
         if not self.is_rectangular:
             raise InvalidParam("matrix", "ragged matrix cannot become a dense array")
@@ -171,6 +166,40 @@ class ResponseMatrix:
             a.size == b.size and np.allclose(np.sort(a), np.sort(b))
             for a, b in zip(self.rows, other.rows)
         )
+
+
+def check_matrices(*matrices: ResponseMatrix) -> None:
+    """Raise unless ``matrices`` are one valid input, such as a (G, A, B) triple.
+
+    They must share item ids in order (else ``ItemMismatch``), hold at least
+    one item and at least one response per item (else ``EmptyItem``), and
+    every response must lie in [0, 1] (else ``ValueOutOfRange``, naming the
+    first offending response in matrix, then item order; NaN is out of
+    range). Every function that takes matrices from outside calls it.
+    """
+    ids = matrices[0].ids
+    if any(m.ids != ids for m in matrices[1:]):
+        raise ItemMismatch("matrices do not share item ids in order")
+    if not ids:
+        raise EmptyItem("matrices have no items")
+    for m in matrices:
+        empty = np.flatnonzero(m.counts() == 0)
+        if empty.size:
+            raise EmptyItem(f"item {ids[empty[0]]!r} has no responses")
+    for m in matrices:
+        values = np.concatenate(m.rows)
+        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+        if bad.size:
+            item = int(np.searchsorted(np.cumsum(m.counts()), bad[0], side="right"))
+            raise ValueOutOfRange(ids[item], float(values[bad[0]]))
+
+
+def check_finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array; NaN or an infinity raises ``InvalidParam``."""
+    x = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidParam(name, "values must be finite (no NaN or infinity)")
+    return x
 
 
 # -- response generation -------------------------------------------------------

@@ -7,12 +7,17 @@ and that neither the block size nor the one pool of (column, arm, chunk)
 tasks moves a single bit: ``run_columns`` at any block size and thread
 count must equal one whole-block ``run_column`` per column, and power's
 bootstrap test must equal its chunk-loop oracle at small blocks. The last
-test bounds the traced memory of a ``table`` run by the chunk's size.
+tests bound the traced memory of a ``table`` run and the peak resident
+memory of a large ``pvalue`` process by the chunk's size.
 """
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,3 +224,46 @@ def test_table_memory_stays_below_two_chunk_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2 * b * n * k * 8
+
+
+_PEAK_RSS = """
+import contextlib, io, sys
+from raterpower.cli import main
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+"""
+
+
+def _peak_rss_mb(*argv: str) -> float:
+    """Peak resident MB of a fresh interpreter that imports the CLI and runs ``argv``.
+
+    VmHWM is the peak of the child's own address space. ``ru_maxrss`` would
+    not do: Linux carries into it the peak of the address space that exec
+    replaced, which for a child spawned here is this test process's.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env, capture_output=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return int(proc.stdout) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_pvalue_peak_rss_stays_within_six_chunk_arrays_per_thread():
+    # One (c, N, K) array of a chunk holds at most _CHUNK_BUDGET floats
+    # (16 MB). Peak RSS over the import's own peak measured 4.6-5.1 such
+    # arrays at 1 thread and 3.7-4.7 per thread at 2 (five runs per case,
+    # 2 vCPU, Python 3.11, NumPy 2.4): flat in N * K and in b, so the bound
+    # is six per thread. Chunks of twice the budget read 8.7 at 1 thread.
+    array_mb = inference._CHUNK_BUDGET * 8 / 2**20
+    import_mb = _peak_rss_mb()
+    for n, k, b in ((1000, 50, 80), (2000, 100, 40)):
+        for threads in (1, 2):
+            peak = _peak_rss_mb("pvalue", "--default-synthetic", "--epsilon", "0.02", "--phi", "boot,boot",
+                                "--metric", "all", "--n", str(n), "--k", str(k), "--b-alt", str(b),
+                                "--b-null", str(b), "--threads", str(threads))
+            assert peak - import_mb <= 6 * array_mb * threads, (n, k, b, threads, peak, import_mb)

@@ -144,7 +144,17 @@ def test_average_ranks_equal_scipy_rankdata(values):
     from scipy.stats import rankdata
 
     x = np.array(values, dtype=float)
-    got, want = power._average_ranks(x), rankdata(x)
+    got, want = power._average_ranks(x)[0], rankdata(x)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_TIE_PRONE, st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=60))
+def test_average_ranks_tie_sizes_equal_unique_counts(values):
+    # The Wilcoxon normal approximation's tie correction takes these sizes.
+    x = np.abs(np.array(values, dtype=float))
+    got, want = power._average_ranks(x)[1], np.unique(x, return_counts=True)[1]
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
