@@ -173,14 +173,13 @@ def cmd_pvalue(args) -> None:
     if args.input is not None:
         if args.default_synthetic or args.prior_spec is not None:
             raise UsageError("choose exactly one of --default-synthetic, --prior-spec, --input")
-        matrices = [load_responses(p, levels=args.levels) for p in args.input]
-        given = (matrices[0], matrices[1], matrices[2])
+        given = tuple(load_responses(p, levels=args.levels) for p in args.input)
         if args.n is not None or args.k is not None:
             raise UsageError("--n/--k come from the input matrices in --input mode")
         config = _base_config(args).with_(
             mode=Mode.BOOTSTRAP_OF_GIVEN,
             n_items=given[0].n_items,
-            k_responses=given[0].rows[0].size,
+            k_responses=int(given[0].counts()[0]),
         )
     else:
         prior = _load_prior(args)

@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     RaggedNotSupported,
 )
-from .simulator import ResponseMatrix, check_matrices
+from .simulator import ResponseMatrix, _pad, check_matrices
 
 __all__ = ["load_responses", "save_matrix", "save_report", "matrix_to_jsonl", "matrix_to_csv"]
 
@@ -118,16 +118,14 @@ def _to_float(raw, line_no: int) -> float:
 
 
 def _convert(records, value_map, levels) -> ResponseMatrix:
-    if value_map is not None:
-        rows = [[_lookup(value_map, r, line_no) for r in raws] for _, raws, line_no in records]
-    else:
-        rows = [[_to_float(r, line_no) for r in raws] for _, raws, line_no in records]
-    arrays = [np.asarray(row, dtype=float) for row in rows]
+    flat = [_to_float(r, line_no) if value_map is None else _lookup(value_map, r, line_no)
+            for _, raws, line_no in records for r in raws]
+    values = np.array(flat, dtype=float)
     if value_map is None and levels is not None:
-        observed = [v for row in rows for v in row]
-        offset = 0.0 if observed and min(observed) < 1.0 else 1.0
-        arrays = [(x - offset) / (levels - 1) for x in arrays]
-    m = ResponseMatrix(tuple(item_id for item_id, _, _ in records), tuple(arrays))
+        offset = 0.0 if flat and min(flat) < 1.0 else 1.0
+        values = (values - offset) / (levels - 1)
+    counts = np.array([len(raws) for _, raws, _ in records], dtype=np.int64)
+    m = ResponseMatrix.from_padded(_pad(values, counts), counts, [item_id for item_id, _, _ in records])
     check_matrices(m)
     return m
 
@@ -168,10 +166,9 @@ def matrix_to_csv(m: ResponseMatrix) -> str:
         raise RaggedNotSupported("CSV holds rectangular matrices only")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    k = m.k_responses
-    writer.writerow(["item_id"] + [f"r{i + 1}" for i in range(k)])
-    for item_id, row in zip(m.ids, m.rows):
-        writer.writerow([item_id] + [repr(float(v)) for v in row])
+    writer.writerow(["item_id"] + [f"r{i + 1}" for i in range(m.k_responses)])
+    for item_id, row in zip(m.ids, m.values.tolist()):
+        writer.writerow([item_id] + [repr(v) for v in row])
     return out.getvalue()
 
 

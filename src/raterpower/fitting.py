@@ -67,9 +67,8 @@ class ItemStats:
 def per_item_stats(m: ResponseMatrix) -> ItemStats:
     """Mean and population standard deviation (divisor n) per item."""
     check_matrices(m)
-    values, counts = m.padded()
-    means = reduce_rows(_mean, (values,), (counts,))
-    stds = reduce_rows(lambda x: x.std(axis=-1), (values,), (counts,))
+    means = reduce_rows(_mean, (m.values,), (m.counts(),))
+    stds = reduce_rows(lambda x: x.std(axis=-1), (m.values,), (m.counts(),))
     return ItemStats(means, stds)
 
 

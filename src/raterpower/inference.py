@@ -55,9 +55,9 @@ columns on one pool: every (column, arm, chunk) task goes through one
 ``_map_chunks``, so a table whose arms are one chunk each still keeps
 every thread busy.
 
-Ragged given data run NaN-padded with per-item counts
-(``ResponseMatrix.padded``): the response draw reads only each row's valid
-slots and the kernel reduces items with equal counts as one block.
+Ragged given data run in the form ``ResponseMatrix`` stores them,
+NaN-padded with per-item counts: the response draw reads only each row's
+valid slots and the kernel reduces items with equal counts as one block.
 Resample j owns its generator, derive_rng(seed, arm, j); a chunk draws each
 of its resamples' indices from that resample's generator, then gathers and
 scores them all as one block. Results therefore do not depend on the chunk
@@ -78,7 +78,7 @@ from . import rngstreams
 from .config import ExperimentConfig, Level, Mode, SamplingStrategy
 from .errors import EmptySample, InvalidParam, ItemMismatch
 from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold
-from .simulator import ResponseMatrix, check_finite, check_matrices, draw_batch, draw_blocks
+from .simulator import ResponseMatrix, _pad, _slots, check_finite, check_matrices, draw_batch, draw_blocks
 
 __all__ = [
     "resample_multistage",
@@ -123,20 +123,27 @@ def resample_multistage(
     check_matrices(g, a, b)
     rows = _item_rows(rng, 1, g.n_items, phi)
     idx = np.arange(g.n_items) if rows is None else rows[0]
-    values, counts = zip(*(m.padded() for m in (g, a, b)))
-    values = [x[idx] for x in values]
-    responses_only = SamplingStrategy(Level.ALL, phi.responses)
-    plan = _plan(rng, 1, responses_only, [(x.shape, k[idx], None) for x, k in zip(values, counts)])
+    values = [m.values[idx] for m in (g, a, b)]
+    plan = _plan(rng, 1, SamplingStrategy(Level.ALL, phi.responses),
+                 [(x.shape, m.counts()[idx], None) for x, m in zip(values, (g, a, b))])
     return _one_resample(values, plan, tuple(g.ids[i] for i in idx))
 
 
 def build_null_pool(a: ResponseMatrix, b: ResponseMatrix) -> ResponseMatrix:
-    """Per-item multiset union of A's and B's responses."""
+    """Per-item multiset union of A's and B's responses: A's, then B's."""
     check_matrices(a, b)
-    differ = np.flatnonzero(a.counts() != b.counts())
+    return ResponseMatrix.from_padded(*_null_pool(a, b), a.ids)
+
+
+def _null_pool(a: ResponseMatrix, b: ResponseMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``build_null_pool``'s padded values and counts, for checked A and B of equal per-item counts."""
+    counts = a.counts()
+    differ = np.flatnonzero(counts != b.counts())
     if differ.size:
         raise ItemMismatch(f"item {a.ids[differ[0]]!r}: per-item counts differ")
-    return ResponseMatrix(a.ids, tuple(map(np.concatenate, zip(a.rows, b.rows))))
+    valid = _slots(counts, a.values.shape[1])
+    both = np.concatenate([a.values, b.values], axis=1)[np.concatenate([valid, valid], axis=1)]
+    return _pad(both, 2 * counts), 2 * counts
 
 
 def sample_null_pair(
@@ -152,9 +159,8 @@ def sample_null_pair(
     if np.any(counts < 1):
         raise InvalidParam("k", "need at least one response per item")
     check_matrices(pool)
-    values, sizes = pool.padded()
-    plan = _plan(rng, 1, _NO_RESAMPLE, [(values.shape, sizes, counts)] * 2)  # A's, then B's
-    return _one_resample((values, values), plan, pool.ids)
+    plan = _plan(rng, 1, _NO_RESAMPLE, [(pool.values.shape, pool.counts(), counts)] * 2)  # A's, then B's
+    return _one_resample((pool.values,) * 2, plan, pool.ids)
 
 
 # -- p-value estimator -----------------------------------------------------------
@@ -326,8 +332,8 @@ def _response_step(rng: np.random.Generator, c: int, shape, rows, counts, k):
     item draws k responses (an int, or (N,) sizes when ragged; None keeps
     the rows): one scalar-high ``integers`` call, or for ragged data one
     array-high call that consumes the generator as one call per row would,
-    with ``pad`` marking the slots past each row's size. The step's counts
-    are the gathered (c, N) counts, None when rectangular.
+    with ``pad`` marking the slots past each row's size (width: the largest
+    k). The step's counts are the gathered (c, N) counts, None when rectangular.
     """
     n = shape[-2]
     if counts is not None:
@@ -336,9 +342,10 @@ def _response_step(rng: np.random.Generator, c: int, shape, rows, counts, k):
         return _positions(shape, c, rows), None, counts
     if counts is None:
         return _positions(shape, c, rows, rng.integers(0, shape[-1], (c, n, k))), None, None
+    width = np.max(k, initial=0)
     k = np.broadcast_to(k, (c, n)) if rows is None else k[rows]
     sizes = k.ravel()
-    pad = np.arange(sizes.max(initial=0)) >= sizes[:, None]
+    pad = np.arange(width) >= sizes[:, None]
     cols = np.zeros(pad.shape, dtype=np.int64)
     cols[~pad] = rng.integers(0, np.repeat(counts.ravel(), sizes))
     shape_out = (c, n, pad.shape[1])
@@ -387,24 +394,8 @@ def _steps(rng, rows, shape, counts, k, spans):
 
 
 def _stack(steps):
-    """One plan step of c resamples from their one-resample steps of an (N, W) source.
-
-    Ragged steps differ in width: the narrower ones are padded with pad
-    slots, which the kernel never reads.
-    """
-    pos, pad, counts = zip(*steps)
-    counts = None if counts[0] is None else np.concatenate(counts)
-    if pos[0] is None:
-        return None, None, counts
-    if pad[0] is None:
-        return np.concatenate(pos), None, counts
-    width = max(p.shape[-1] for p in pos)
-    out = np.zeros((len(pos), pos[0].shape[1], width), dtype=np.int64)
-    mask = np.ones(out.shape, dtype=bool)
-    for j, (p, m) in enumerate(zip(pos, pad)):
-        out[j, :, :p.shape[-1]] = p[0]
-        mask[j, :, :m.shape[-1]] = m[0]
-    return out, mask, counts
+    """One plan step of c resamples from their one-resample steps of an (N, W) source."""
+    return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*steps))
 
 
 def _draw(x: np.ndarray, rng: np.random.Generator, c: int, rows=None) -> np.ndarray:
@@ -588,11 +579,10 @@ def _column(config: ExperimentConfig, epsilons, given) -> tuple[list, _Arm, _Arm
     else:
         if given is None:
             raise InvalidParam("given", "bootstrap-of-given mode needs input matrices")
-        g, a, b = given
-        check_matrices(g, a, b)
-        base = kernel_inputs(g, a, b)
+        check_matrices(*given)
+        base = kernel_inputs(*given)
         (gb, _, _), counts = base
-        pool, sizes = build_null_pool(a, b).padded()
+        pool, sizes = _null_pool(*given[1:])
         pools, pool_counts = [pool], None if counts is None else sizes
         phi = config.phi
 

@@ -238,14 +238,10 @@ def batch_scores(metric_ids: tuple[MetricId, ...], g, a, b, counts=None) -> dict
 
 
 def kernel_inputs(*matrices: ResponseMatrix) -> tuple[tuple, tuple | None]:
-    """The kernel's (arrays, counts) form of aligned matrices.
-
-    counts is None when every matrix is rectangular with one K, else the
-    matrices are NaN-padded (``ResponseMatrix.padded``).
-    """
-    if all(m.is_rectangular for m in matrices) and len({m.k_responses for m in matrices}) == 1:
-        return tuple(m.to_array() for m in matrices), None
-    return tuple(zip(*(m.padded() for m in matrices)))
+    """The kernel's (arrays, counts) of aligned matrices; counts None when all are rectangular with one K."""
+    arrays = tuple(m.values for m in matrices)
+    rect = all(m.is_rectangular for m in matrices) and len({x.shape[1] for x in arrays}) == 1
+    return arrays, None if rect else tuple(m.counts() for m in matrices)
 
 
 # -- public metric functions -------------------------------------------------------

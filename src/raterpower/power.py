@@ -29,7 +29,7 @@ from .errors import (
     EmptySample,
     InvalidParam,
 )
-from .inference import _chunk_size, _map_chunks, _null_chunk_rect, _spans
+from .inference import _chunk_size, _map_chunks, _null_chunk_rect, _null_pool, _spans
 from .metrics import MetricId, batch_scores, comparison, item_scores, kernel_inputs, prepare_gold
 from .simulator import ResponseMatrix, check_finite, check_matrices, simulate_batch
 
@@ -204,29 +204,32 @@ def multistage_bootstrap_test(
     b_null: int = 500,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """One-sided bootstrap test of "B worse than A" on one dataset.
+    """One-sided bootstrap test of "B worse than A" on one dataset, ragged or not.
 
     The observed comparison score is referred to a null distribution built
     by resampling: items with replacement (when phi.items is boot), gold
     responses within each item (when phi.responses is boot), and per-item
-    A/B responses always drawn from the pooled A+B responses. p-value is
-    add-one smoothed.
+    A/B responses always drawn from the pooled A+B responses, so A and B
+    must share per-item counts. p-value is add-one smoothed.
     """
     check_matrices(g, a, b)
+    pool = _null_pool(a, b)[0]
     if rng is None:
         rng = np.random.default_rng()
-    return _bootstrap_p_value(g.to_array(), a.to_array(), b.to_array(), metric, phi, b_null, rng)
+    arrays, counts = kernel_inputs(g, a, b)
+    return _bootstrap_p_value(*arrays, pool, metric, phi, b_null, rng, counts)
 
 
-def _bootstrap_p_value(g, a, b, metric, phi, b_null, rng) -> float:
-    """``multistage_bootstrap_test`` on aligned (N, K) arrays, in the engine's null chunks."""
+def _bootstrap_p_value(g, a, b, pool, metric, phi, b_null, rng, counts=None) -> float:
+    """``multistage_bootstrap_test`` on aligned arrays and their A+B pool; padded ones with counts."""
+    cg, ca, _ = counts or (None,) * 3
     metrics = (metric,)
-    observed = float(batch_scores(metrics, g, a, b)[metric])
-    gold = prepare_gold(metrics, g)
-    pools = [np.concatenate([a, b], axis=1)]
+    observed = float(batch_scores(metrics, g, a, b, counts)[metric])
+    gold = prepare_gold(metrics, g, cg)
     hits = 0
     for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*g.shape)):
-        scores = _null_chunk_rect(metrics, phi, g, gold, pools, rng, hi - lo)[0][metric]
+        scores = _null_chunk_rect(metrics, phi, g, gold, [pool], rng, hi - lo,
+                                  None if ca is None else 2 * ca)[0][metric]
         hits += int((comparison(metric, *scores) >= observed).sum())
     return float((1 + hits) / (1 + b_null))
 
@@ -288,7 +291,8 @@ def _trial_p_value(config: ExperimentConfig, tests: tuple[TestId, ...], trial: i
     for test in tests:
         rng.bit_generator.state = start
         if test == TestId.MULTISTAGE_BOOTSTRAP:
-            p.append(_bootstrap_p_value(g, a, b, config.metrics[0], config.phi, config.b_null, rng))
+            p.append(_bootstrap_p_value(g, a, b, np.concatenate([a, b], axis=1), config.metrics[0],
+                                        config.phi, config.b_null, rng))
             continue
         if errors is None:
             errors = item_scores((MetricId.MAE,), g, a, b)[MetricId.MAE]

@@ -1,11 +1,13 @@
-"""Two-stage response simulator.
+"""Two-stage response simulator, and the response matrix every entry point takes.
 
 Stage one draws per-item location/scale parameters from an item prior; stage
 two draws responses per item from a censored normal on [0, 1] (optionally
 snapped to a discrete level grid). A simulated experiment produces a triple
 of matrices: gold G, an ideal model A drawn from the same per-item
 distributions, and a perturbed model B whose locations are shifted by
-delta_i ~ Uniform(-epsilon, epsilon).
+delta_i ~ Uniform(-epsilon, epsilon). The engine draws them as (c, N, K)
+arrays. ``ResponseMatrix`` holds one matrix, rectangular or ragged, in the
+NaN-padded form the engine reads; ``check_matrices`` validates input.
 """
 
 from __future__ import annotations
@@ -81,28 +83,44 @@ class ResponseFamily:
         return self
 
 
-@dataclass(frozen=True)
+def _slots(counts: np.ndarray, width: int) -> np.ndarray:
+    """The (N, width) mask of each row's first counts[i] slots."""
+    return np.arange(width) < counts[:, None]
+
+
+def _pad(flat, counts: np.ndarray) -> np.ndarray:
+    """``flat``'s values row after row, counts[i] in row i, NaN-padded to (N, max count)."""
+    values = np.full((counts.size, counts.max(initial=0)), np.nan)
+    values[_slots(counts, values.shape[1])] = flat
+    return values
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ResponseMatrix:
-    """N items, each an unordered collection of responses in [0, 1].
+    """N items, each an unordered collection of responses in [0, 1], ragged or not.
 
-    Rows are float arrays; simulator output is rectangular (K per item) but
-    ingested real data may be ragged. Response order within an item carries
-    no meaning.
-
-    The engine's form of a ragged matrix is ``padded()``: an (N, K_max)
-    array holding item i's responses in the first counts[i] slots of row i
-    and NaN after them, plus those counts.
+    Stored padded: read-only (N, K_max) ``values`` hold item i's responses in
+    the first counts[i] slots of row i and NaN after them, with K_max the
+    largest of the (N,) int64 ``counts()``; ``rows`` are views of the valid
+    slots. Rectangular data are their plain (N, K) array.
     """
 
     ids: tuple[str, ...]
-    rows: tuple[np.ndarray, ...]
+    values: np.ndarray
+    _counts: np.ndarray
 
-    def __post_init__(self):
-        if len(self.ids) != len(self.rows):
-            raise InvalidParam("matrix", "ids and rows differ in length")
-        rows = tuple(np.asarray(r, dtype=float) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
+    def __init__(self, ids: Sequence[str], rows: Sequence):
+        rows = [np.asarray(r, dtype=float) for r in rows]
+        for item_id, r in zip(ids, rows):
+            if r.ndim != 1:
+                raise InvalidParam("matrix", f"item {str(item_id)!r}: responses must be a 1-D sequence")
+        counts = np.array([r.size for r in rows], dtype=np.int64)
+        padded = ResponseMatrix.from_padded(_pad(np.concatenate(rows) if rows else [], counts), counts, ids)
+        self.__dict__.update(padded.__dict__)
+
+    @property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        return tuple(row[:k] for row, k in zip(self.values, self._counts.tolist()))
 
     @property
     def n_items(self) -> int:
@@ -110,62 +128,58 @@ class ResponseMatrix:
 
     @property
     def is_rectangular(self) -> bool:
-        if not self.rows:
-            return True
-        k = self.rows[0].size
-        return all(r.size == k for r in self.rows)
+        return bool(np.all(self._counts == self.values.shape[1]))
 
     @property
     def k_responses(self) -> int:
         if not self.is_rectangular:
             raise InvalidParam("matrix", "ragged matrix has no single K")
-        return self.rows[0].size if self.rows else 0
+        return self.values.shape[1]
 
     def counts(self) -> np.ndarray:
-        return np.array([r.size for r in self.rows], dtype=np.int64)
+        return self._counts
 
     def to_array(self) -> np.ndarray:
+        """A dense (N, K) copy of a rectangular matrix."""
         if not self.is_rectangular:
             raise InvalidParam("matrix", "ragged matrix cannot become a dense array")
-        return np.stack(self.rows) if self.rows else np.empty((0, 0))
+        return self.values.copy()
 
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
         """NaN-padded (N, K_max) values and per-item response counts."""
-        counts = self.counts()
-        values = np.full((self.n_items, counts.max(initial=0)), np.nan)
-        if self.rows:
-            values[np.arange(values.shape[1]) < counts[:, None]] = np.concatenate(self.rows)
-        return values, counts
+        return self.values, self._counts
 
     @classmethod
     def from_padded(cls, values: np.ndarray, counts, ids: Sequence[str]) -> "ResponseMatrix":
-        """Inverse of ``padded``: row i keeps the first counts[i] values."""
-        return cls(tuple(ids), tuple(row[:k] for row, k in zip(values, counts)))
+        """Inverse of ``padded``: row i keeps its first counts[i] values; width the largest count."""
+        values, counts = np.asarray(values, dtype=float), np.array(counts, dtype=np.int64)
+        if (values.ndim != 2 or counts.shape != values.shape[:1] or len(ids) != counts.size
+                or np.any(counts < 0) or np.any(counts > values.shape[1])):
+            raise InvalidParam("matrix", "need N ids, (N, W) values and N counts in [0, W]")
+        valid = _slots(counts, counts.max(initial=0))
+        values = np.ascontiguousarray(np.where(valid, values[:, :valid.shape[1]], np.nan))
+        values.flags.writeable = counts.flags.writeable = False
+        m = object.__new__(cls)  # the frozen fields, set once
+        m.__dict__.update(ids=tuple(map(str, ids)), values=values, _counts=counts)
+        return m
 
     @classmethod
     def from_array(cls, values: np.ndarray, ids: Sequence[str] | None = None) -> "ResponseMatrix":
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise InvalidParam("matrix", "expected a 2-D array")
-        if ids is None:
-            ids = [str(i) for i in range(values.shape[0])]
-        return cls(tuple(ids), tuple(values[i] for i in range(values.shape[0])))
+        ids = [str(i) for i in range(len(values))] if ids is None else ids
+        return cls.from_padded(values, np.full(len(values), values.shape[1]), ids)
 
     @classmethod
     def from_rows(cls, items: Iterable[tuple[str, Sequence[float]]]) -> "ResponseMatrix":
-        ids, rows = [], []
-        for item_id, responses in items:
-            ids.append(item_id)
-            rows.append(np.asarray(list(responses), dtype=float))
-        return cls(tuple(ids), tuple(rows))
+        items = [(item_id, list(responses)) for item_id, responses in items]
+        return cls([item_id for item_id, _ in items], [responses for _, responses in items])
 
     def multiset_equal(self, other: "ResponseMatrix") -> bool:
-        if self.ids != other.ids:
-            return False
-        return all(
-            a.size == b.size and np.allclose(np.sort(a), np.sort(b))
-            for a, b in zip(self.rows, other.rows)
-        )
+        valid = _slots(self._counts, self.values.shape[1])
+        return (self.ids == other.ids and np.array_equal(self._counts, other._counts)
+                and bool(np.allclose(np.sort(self.values)[valid], np.sort(other.values)[valid])))
 
 
 def check_matrices(*matrices: ResponseMatrix) -> None:
@@ -186,12 +200,11 @@ def check_matrices(*matrices: ResponseMatrix) -> None:
         empty = np.flatnonzero(m.counts() == 0)
         if empty.size:
             raise EmptyItem(f"item {ids[empty[0]]!r} has no responses")
-    for m in matrices:
-        values = np.concatenate(m.rows)
-        bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
-        if bad.size:
-            item = int(np.searchsorted(np.cumsum(m.counts()), bad[0], side="right"))
-            raise ValueOutOfRange(ids[item], float(values[bad[0]]))
+    for m in matrices:  # padding masked out
+        bad = _slots(m.counts(), m.values.shape[1]) & ~((m.values >= 0.0) & (m.values <= 1.0))
+        if bad.any():
+            item, slot = np.argwhere(bad)[0]
+            raise ValueOutOfRange(ids[item], float(m.values[item, slot]))
 
 
 def check_finite(name: str, values) -> np.ndarray:

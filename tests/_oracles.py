@@ -106,6 +106,62 @@ def bootstrap_test_oracle(g, a, b, metric, items_boot, responses_boot, b_null, c
     return float((1 + hits) / (1 + b_null))
 
 
+def bootstrap_test_rows_oracle(g_rows, a_rows, b_rows, metric, items_boot, responses_boot, b_null,
+                               chunk, rng):
+    """The multistage bootstrap test on row lists, one generator call per row.
+
+    Each chunk of c null triples draws, in the engine's stream order: the
+    (c, N) item indices (item bootstrap), then gold's rows (response
+    bootstrap), then A's and then B's rows drawn from each item's pooled
+    A+B row, row after row over the chunk's resamples and items; every
+    resample is scored with ``scores_rows_oracle``.
+    """
+    from raterpower.rngstreams import chunk_ranges
+
+    n = len(g_rows)
+    observed = scores_rows_oracle(g_rows, a_rows, b_rows)[metric]
+    pool = [np.concatenate(rows) for rows in zip(a_rows, b_rows)]
+    hits = 0
+    for lo, hi in chunk_ranges(b_null, chunk):
+        c = hi - lo
+        idx = rng.integers(0, n, (c, n)) if items_boot else np.tile(np.arange(n), (c, 1))
+        gold = [[g_rows[i] for i in items] for items in idx]
+        if responses_boot:
+            gold = [[row[rng.integers(0, row.size, row.size)] for row in rows] for rows in gold]
+        a_null, b_null_ = (
+            [[pool[i][rng.integers(0, pool[i].size, a_rows[i].size)] for i in items] for items in idx]
+            for _ in range(2)
+        )
+        hits += sum(scores_rows_oracle(*triple)[metric] >= observed
+                    for triple in zip(gold, a_null, b_null_))
+    return float((1 + hits) / (1 + b_null))
+
+
+def check_rows_oracle(*matrices):
+    """The input check of (ids, rows) pairs, row by row: ids, then empty items, then values.
+
+    Raises what ``simulator.check_matrices`` raises: ``ItemMismatch``, then
+    ``EmptyItem``, then ``ValueOutOfRange`` for the first response outside
+    [0, 1] (NaN included) in matrix, then item order.
+    """
+    from raterpower.errors import EmptyItem, ItemMismatch, ValueOutOfRange
+
+    ids = list(matrices[0][0])
+    if any(list(m_ids) != ids for m_ids, _ in matrices[1:]):
+        raise ItemMismatch("matrices do not share item ids in order")
+    if not ids:
+        raise EmptyItem("matrices have no items")
+    for _, rows in matrices:
+        for item_id, row in zip(ids, rows):
+            if len(row) == 0:
+                raise EmptyItem(f"item {item_id!r} has no responses")
+    for _, rows in matrices:
+        for item_id, row in zip(ids, rows):
+            for value in row:
+                if not 0.0 <= value <= 1.0:
+                    raise ValueOutOfRange(item_id, float(value))
+
+
 def power_trial_oracle(config, test, trial) -> float:
     """One test's p-value on power trial ``trial``, simulated for that test alone.
 

@@ -5,13 +5,19 @@ one response per item and every response in [0, 1]; every function that
 takes response matrices from outside checks this through
 ``simulator.check_matrices``. Functions that take raw value arrays reject
 NaN and infinities with ``InvalidParam``. One table: each entry point
-against each fault, planted in A (or in the one matrix it takes).
+against each fault, planted in A (or in the one matrix it takes); every
+entry point also takes a valid ragged triple. A Hypothesis property holds
+``check_matrices`` to a value-by-value oracle on ragged, rectangular and
+zero-item inputs.
 """
 
 import math
 
 import numpy as np
 import pytest
+from _oracles import check_rows_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raterpower import (
     ExperimentConfig,
@@ -20,6 +26,7 @@ from raterpower import (
     ResponseMatrix,
     SamplingStrategy,
     build_null_pool,
+    check_matrices,
     ecdf,
     emd_1d,
     estimate_p_value,
@@ -40,7 +47,7 @@ from raterpower import (
 )
 from raterpower.dataio import load_responses, save_matrix
 from raterpower.distributions import uniform
-from raterpower.errors import EmptyItem, InvalidParam, ItemMismatch, ValueOutOfRange
+from raterpower.errors import EmptyItem, InvalidParam, ItemMismatch, RaterPowerError, ValueOutOfRange
 from raterpower.metrics import MetricId, evaluate
 from raterpower.rngstreams import derive_rng
 
@@ -48,6 +55,10 @@ IDS = ("a", "b", "c")
 ROWS = {"g": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
         "a": [[0.2, 0.2], [0.3, 0.5], [0.6, 0.6]],
         "b": [[0.0, 0.4], [0.9, 0.7], [0.1, 1.0]]}
+# A valid ragged input: A and B share per-item counts, G has its own.
+RAGGED = {"g": [[0.1, 0.2, 0.9], [0.3], [0.5, 0.6]],
+          "a": [[0.2, 0.2], [0.3, 0.5, 0.0], [0.6]],
+          "b": [[0.0, 0.4], [0.9, 0.7, 1.0], [0.1]]}
 CONFIG = ExperimentConfig(mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=3, k_responses=2, b_alt=5, b_null=5)
 BOOT = SamplingStrategy.parse("boot,boot")
 
@@ -90,9 +101,9 @@ ENTRY_POINTS = {
 }
 
 
-def _triple(fault: str | None):
+def _triple(fault: str | None, rows=ROWS):
     """(G, A, B) with ``fault`` planted in A's second item (or in every matrix, for no items)."""
-    g, a, b = (ResponseMatrix(IDS, tuple(np.array(r) for r in ROWS[m])) for m in "gab")
+    g, a, b = (ResponseMatrix(IDS, tuple(np.array(r) for r in rows[m])) for m in "gab")
     if fault is None:
         return g, a, b
     if fault == "no items":
@@ -127,9 +138,10 @@ def test_matrix_entry_point_rejects_bad_input(entry, fault, tmp_path):
         assert str(err.value.value) == fault or (fault == "nan" and math.isnan(err.value.value))
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_matrix_entry_point_accepts_valid_input(entry, tmp_path):
-    ENTRY_POINTS[entry][0](*_triple(None), tmp_path)
+@pytest.mark.parametrize("entry, rows", [pytest.param(e, ROWS, id=e) for e in ENTRY_POINTS]
+                         + [pytest.param(e, RAGGED, id=f"{e}-ragged") for e in ENTRY_POINTS])
+def test_matrix_entry_point_accepts_valid_input(entry, rows, tmp_path):
+    ENTRY_POINTS[entry][0](*_triple(None, rows), tmp_path)
 
 
 OK = [0.1, 0.2, 0.3]
@@ -150,3 +162,41 @@ RAW_ENTRY_POINTS = {
 def test_raw_value_entry_point_rejects_non_finite(entry, bad):
     with pytest.raises(InvalidParam):
         RAW_ENTRY_POINTS[entry]([0.1, bad, 0.3])
+
+
+responses = st.one_of(st.floats(min_value=-0.5, max_value=1.5, allow_subnormal=False),
+                      st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0]))
+
+
+@st.composite
+def matrix_sets(draw):
+    """1-3 (ids, rows) pairs, ragged, rectangular or without items; some ids, rows or values bad."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    shape = draw(st.sampled_from(["ragged", "rectangular"]))
+    k = draw(st.integers(min_value=0, max_value=4))
+    ids = [f"i{i}" for i in range(n)]
+    matrices = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        m_ids = ids if draw(st.integers(0, 9)) else ids[::-1] + ["x"]
+        rows = [draw(st.lists(responses, min_size=k if shape == "rectangular" else 0,
+                              max_size=k if shape == "rectangular" else 4))
+                for _ in m_ids]
+        matrices.append((m_ids, rows))
+    return matrices
+
+
+def _outcome(check, *args):
+    """(error type, message, item, repr of the value) that ``check`` raises, or None."""
+    try:
+        check(*args)
+    except RaterPowerError as err:
+        value = getattr(err, "value", None)
+        return type(err), str(err), getattr(err, "item_id", None), None if value is None else repr(value)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_sets())
+def test_check_matrices_matches_row_check(matrices):
+    built = [ResponseMatrix(ids, rows) for ids, rows in matrices]
+    assert _outcome(check_matrices, *built) == _outcome(check_rows_oracle, *matrices)

@@ -1,10 +1,10 @@
 """Ragged data on the batched engine, checked against list-of-rows oracles.
 
-Ragged matrices enter the engine NaN-padded with per-item counts. The
-kernel reduces them count bucket by count bucket and the resampler draws
-every row's indices in one call, so scores and draws must equal the
-item-by-item computations in ``_oracles`` bit for bit, and a resample must
-leave the generator in the same state.
+Ragged matrices are stored, and enter the engine, NaN-padded with per-item
+counts. The kernel reduces them count bucket by count bucket and the
+resampler draws every row's indices in one call, so scores and draws must
+equal the item-by-item computations in ``_oracles`` bit for bit, and a
+resample, or a bootstrap test, must leave the generator in the same state.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from _oracles import (
+    bootstrap_test_rows_oracle,
     null_pair_rows_oracle,
     ragged_scores_oracle,
     resample_rows_oracle,
@@ -25,6 +26,7 @@ from raterpower import (
     SamplingStrategy,
     build_null_pool,
     estimate_p_value,
+    multistage_bootstrap_test,
     per_item_stats,
     resample_multistage,
     run_column,
@@ -32,7 +34,7 @@ from raterpower import (
     sample_null_pair,
 )
 from raterpower import inference
-from raterpower.errors import EmptyItem
+from raterpower.errors import EmptyItem, ItemMismatch
 from raterpower.inference import _summary
 from raterpower.metrics import MetricId, batch_scores, kernel_inputs
 from raterpower.power import per_item_errors
@@ -208,3 +210,55 @@ def test_padded_round_trip():
     back = ResponseMatrix.from_padded(values, counts, m.ids)
     assert back.ids == m.ids
     assert all(np.array_equal(x, y) for x, y in zip(back.rows, m.rows))
+
+
+def _bootstrap_case(g, a, b, metric, phi, seed, b_null=23):
+    """(engine p, oracle p) of the bootstrap test on one triple, and whether both generators end alike."""
+    strategy = SamplingStrategy.parse(phi)
+    got_rng, want_rng = derive_rng(seed), derive_rng(seed)
+    got = multistage_bootstrap_test(g, a, b, metric, strategy, b_null=b_null, rng=got_rng)
+    chunk = inference._chunk_size(*kernel_inputs(g, a, b)[0][0].shape)
+    want = bootstrap_test_rows_oracle(g.rows, a.rows, b.rows, metric.value, phi.startswith("boot"),
+                                      phi.endswith("boot"), b_null, chunk, want_rng)
+    return got, want, got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("phi", PHIS)
+@pytest.mark.parametrize("metric", METRICS)
+def test_bootstrap_test_ragged_matches_row_oracle(phi, metric, monkeypatch):
+    # A small chunk budget gives the null loop several chunks, the last one short.
+    monkeypatch.setattr(inference, "_CHUNK_BUDGET", 5 * 8 * 9)
+    g, a, b = _ragged_given()
+    got, want, same_state = _bootstrap_case(g, a, b, metric, phi, 43)
+    assert got == want
+    assert same_state
+    assert 0.0 < got <= 1.0
+
+
+@pytest.mark.parametrize("phi", PHIS)
+@pytest.mark.parametrize("metric", METRICS)
+def test_bootstrap_test_rectangular_gold_of_another_k_matches_row_oracle(phi, metric, monkeypatch):
+    monkeypatch.setattr(inference, "_CHUNK_BUDGET", 5 * 8 * 4)
+    rng = np.random.default_rng(19)
+    ids = [f"i{i}" for i in range(8)]
+    g, a, b = (ResponseMatrix.from_array(rng.random((8, k)), ids) for k in (4, 3, 3))
+    got, want, same_state = _bootstrap_case(g, a, b, metric, phi, 47)
+    assert got == want
+    assert same_state
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_triples(), st.sampled_from(PHIS), st.sampled_from(METRICS),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_bootstrap_test_matches_row_oracle_on_any_triple(triple, phi, metric, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_CHUNK_BUDGET", 64)
+        got, want, same_state = _bootstrap_case(*triple, metric, phi, seed, b_null=9)
+    assert got == want
+    assert same_state
+
+
+def test_bootstrap_test_rejects_a_and_b_of_different_counts():
+    g, a, b = _ragged_given()
+    with pytest.raises(ItemMismatch):
+        multistage_bootstrap_test(g, a, g, b_null=5, rng=derive_rng(1))

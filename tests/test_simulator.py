@@ -173,3 +173,41 @@ def test_response_matrix_ragged_helpers():
     assert list(m.counts()) == [2, 1]
     with pytest.raises(InvalidParam):
         m.to_array()
+
+
+@pytest.mark.parametrize("row", [np.array([[0.1, 0.2]]), np.array(0.3)], ids=["2-D", "0-D"])
+def test_response_matrix_rejects_rows_that_are_not_1d(row):
+    with pytest.raises(InvalidParam):
+        ResponseMatrix(("a",), (row,))
+    with pytest.raises(InvalidParam):
+        ResponseMatrix(("a", "b"), (np.array([0.5]), row))
+
+
+def test_response_matrix_stores_padded_values_and_counts():
+    m = ResponseMatrix.from_rows([("a", [0.5, 0.25, 1.0]), ("b", [0.0]), ("c", [0.75, 0.5])])
+    values, counts = m.padded()
+    assert values is m.values and counts is m.counts()
+    assert counts.dtype == np.int64 and list(counts) == [3, 1, 2]
+    assert np.array_equal(values, [[0.5, 0.25, 1.0], [0.0, np.nan, np.nan], [0.75, 0.5, np.nan]],
+                          equal_nan=True)
+    assert all(np.shares_memory(row, values) for row in m.rows)
+    with pytest.raises(ValueError):
+        values[0, 0] = 0.0  # read-only
+    # Rectangular data are stored as their plain array, and to_array is a copy.
+    dense = np.array([[0.1, 0.2], [0.3, 0.4]])
+    r = ResponseMatrix.from_array(dense)
+    assert r.is_rectangular and r.k_responses == 2 and np.array_equal(r.values, dense)
+    out = r.to_array()
+    out[0, 0] = 1.0
+    assert r.values[0, 0] == 0.1
+
+
+def test_from_padded_trims_and_masks_the_padding():
+    values = np.array([[0.1, 0.2, 7.0, 7.0], [0.3, 7.0, 7.0, 7.0]])
+    m = ResponseMatrix.from_padded(values, [2, 1], ("a", "b"))
+    assert m.values.shape == (2, 2)
+    assert np.array_equal(m.values, [[0.1, 0.2], [0.3, np.nan]], equal_nan=True)
+    assert [list(r) for r in m.rows] == [[0.1, 0.2], [0.3]]
+    for counts in ([3, 5], [2], [-1, 1]):
+        with pytest.raises(InvalidParam):
+            ResponseMatrix.from_padded(values[:, :3], counts, ("a", "b"))
