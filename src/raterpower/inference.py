@@ -29,9 +29,10 @@ response draw ``_response_step`` per array) into flat positions, so each
 gather is one ``np.take``; the ``metrics`` kernel scores against gold
 prepared once. Two chunk functions return per-model scores:
 ``_alt_chunk_parametric`` (simulated or given triples, and
-``mean_metric_scores``) and ``_null_chunk_rect`` (this null arm and the
-power module's bootstrap test). Each chunk derives its generator from
-(seed, arm, chunk start), so results do not depend on the thread count.
+``mean_metric_scores``) and ``_null_chunk_rect`` (this null arm; the
+power module's bootstrap test takes its row blocks, ``_null_blocks``, one
+by one). Each chunk derives its generator from (seed, arm, chunk start),
+so results do not depend on the thread count.
 
 Row blocks. A chunk streams in row blocks of at most ``_BLOCK`` floats
 (``_spans``; one resample when a resample is larger). NumPy fills a draw
@@ -480,7 +481,17 @@ def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsil
 
 def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
                      gold: Gold, pools, rng, c: int, counts=None) -> list[dict]:
-    """Per-model null scores of c resamples, one dict per (N, W) pool of A+B responses.
+    """Per-model null scores of c resamples, one dict per (N, W) pool: ``_null_blocks`` joined.
+
+    The null arm calls this whole-chunk form, which ``perfbench/tracer.py``
+    times as the ``inference.null_chunk`` layer.
+    """
+    return _join(_null_blocks(metric_ids, phi, g, gold, pools, rng, c, counts))
+
+
+def _null_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
+                 gold: Gold, pools, rng, c: int, counts=None):
+    """Per-model null scores of c resamples: per row block, one dict per (N, W) pool of A+B responses.
 
     G is the base gold g, prepared once as ``gold``, unless phi resamples
     it. A and then B draw W/2 responses per item from the pool, or half of
@@ -489,7 +500,10 @@ def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g:
     be one generator per resample): the item draw and gold's response
     indices as phi says, then A's and B's pool indices. The chunk streams
     in row blocks: A's blocks reduce to per-item quantities per pool, and
-    B's go straight to per-resample scores.
+    B's go straight to per-resample scores. The first block's scores come
+    after every G and A block; each later B block is drawn, gathered and
+    scored only when its scores are asked for, so a caller that stops early
+    skips the rest of B's draws (and leaves rng mid-chunk).
     """
     k = pools[0].shape[-1] // 2 if counts is None else counts // 2
     # A ragged chunk is one block: the kernel loops over count buckets once per block.
@@ -499,11 +513,9 @@ def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g:
              for (lo, hi), step in zip(spans, next(plan))]
     qa = [[model_items(gd, *_gather(pool, hi - lo, step)) for pool in pools]
           for (lo, hi), gd, step in zip(spans, golds, next(plan))]
-    return _join([
-        [pair_scores(metric_ids, q, model_items(gd, *_gather(pool, hi - lo, step)))
-         for q, pool in zip(qs, pools)]
-        for (lo, hi), gd, qs, step in zip(spans, golds, qa, next(plan))
-    ])
+    for (lo, hi), gd, qs, step in zip(spans, golds, qa, next(plan)):
+        yield [pair_scores(metric_ids, q, model_items(gd, *_gather(pool, hi - lo, step)))
+               for q, pool in zip(qs, pools)]
 
 
 class _Arm(NamedTuple):

@@ -12,6 +12,12 @@ several tests along one sweep axis: each trial simulates one dataset that
 every test sees, and every (sweep point, chunk of trials) is one task on
 one pool of threads. ``power_sweep`` and ``estimate_power`` are its
 one-test and one-point calls.
+
+A rejection rate needs only each trial's verdict, p < alpha. So a sweep
+stops the bootstrap test and the Monte Carlo permutation test as soon as
+their add-one p can no longer fall below alpha (the curtailed test of
+Besag & Clifford, 1991): the verdict, and a rejecting p, equal the full
+run's. The public tests always run to the end and return the full p.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .errors import (
     EmptySample,
     InvalidParam,
 )
-from .inference import _chunk_size, _map_chunks, _null_chunk_rect, _null_pool, _spans
+from .inference import _chunk_size, _map_chunks, _null_blocks, _null_pool, _spans
 from .metrics import MetricId, batch_scores, comparison, item_scores, kernel_inputs, prepare_gold
 from .simulator import ResponseMatrix, check_finite, check_matrices, simulate_batch
 
@@ -167,6 +173,20 @@ def permutation_test_paired(x, y, iterations: int = 1000, rng: np.random.Generat
     at most ``inference._BLOCK`` values; ``integers`` fills in order, so the
     stream does not depend on the blocks.
     """
+    return _permutation_p_value(x, y, iterations, rng)
+
+
+def _permutation_p_value(x, y, iterations: int, rng: np.random.Generator | None,
+                         alpha: float | None = None) -> float:
+    """``permutation_test_paired``; with ``alpha``, the Monte Carlo loop may stop early.
+
+    After each row block the loop stops once (1 + hits) / (1 + iterations)
+    >= alpha, and returns that partial p: hits only grow, so the full p is
+    >= alpha too and ``p < alpha`` gives the full run's verdict. The signs
+    are drawn as int32, which consumes the generator exactly as the default
+    int64 draw does (one 32-bit draw per value below 2^32) and multiplies
+    into float64 faster.
+    """
     x = check_finite("x", x)
     y = check_finite("y", y)
     if x.size != y.size or x.size == 0:
@@ -186,11 +206,18 @@ def permutation_test_paired(x, y, iterations: int = 1000, rng: np.random.Generat
         rng = np.random.default_rng()
     hits = 0
     for lo, hi in _spans(iterations, n):
-        signs = rng.integers(0, 2, (hi - lo, n))
+        signs = rng.integers(0, 2, (hi - lo, n), dtype=np.int32)
         signs *= 2
         signs -= 1
         hits += int(((signs * d).mean(axis=1) >= observed).sum())
+        if _settled(hits, iterations, alpha):
+            break
     return float((1 + hits) / (1 + iterations))
+
+
+def _settled(hits: int, total: int, alpha: float | None) -> bool:
+    """Whether the add-one p of ``total`` draws is >= alpha already, whatever the rest give."""
+    return alpha is not None and (1 + hits) / (1 + total) >= alpha
 
 
 # -- multistage bootstrap test ------------------------------------------------------
@@ -220,17 +247,24 @@ def multistage_bootstrap_test(
     return _bootstrap_p_value(*arrays, pool, metric, phi, b_null, rng, counts)
 
 
-def _bootstrap_p_value(g, a, b, pool, metric, phi, b_null, rng, counts=None) -> float:
-    """``multistage_bootstrap_test`` on aligned arrays and their A+B pool; padded ones with counts."""
+def _bootstrap_p_value(g, a, b, pool, metric, phi, b_null, rng, counts=None, alpha=None) -> float:
+    """``multistage_bootstrap_test`` on aligned arrays and their A+B pool; padded ones with counts.
+
+    Hits are counted per row block of null scores. With ``alpha`` the loop
+    stops, as ``_permutation_p_value``'s does, once p >= alpha is settled,
+    so the remaining B blocks and chunks are never drawn.
+    """
     cg, ca, _ = counts or (None,) * 3
     metrics = (metric,)
     observed = float(batch_scores(metrics, g, a, b, counts)[metric])
     gold = prepare_gold(metrics, g, cg)
     hits = 0
     for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*g.shape)):
-        scores = _null_chunk_rect(metrics, phi, g, gold, [pool], rng, hi - lo,
-                                  None if ca is None else 2 * ca)[0][metric]
-        hits += int((comparison(metric, *scores) >= observed).sum())
+        for (scores,) in _null_blocks(metrics, phi, g, gold, [pool], rng, hi - lo,
+                                      None if ca is None else 2 * ca):
+            hits += int((comparison(metric, *scores[metric]) >= observed).sum())
+            if _settled(hits, b_null, alpha):
+                return float((1 + hits) / (1 + b_null))
     return float((1 + hits) / (1 + b_null))
 
 
@@ -275,13 +309,20 @@ class PowerReport:
         }
 
 
-def _trial_p_value(config: ExperimentConfig, tests: tuple[TestId, ...], trial: int) -> list[float]:
+def _trial_p_value(config: ExperimentConfig, tests: tuple[TestId, ...], trial: int,
+                   alpha: float | None = None) -> list[float]:
     """One p-value per test, in the order of ``tests``, on trial ``trial``'s dataset.
 
     The trial simulates one (G, A, B) triple from its own generator. Every
     test starts from the generator state the simulation left, so each p
     equals the one the test gets alone; the baselines share one set of MAE
     item errors.
+
+    With ``alpha``, the bootstrap and Monte Carlo permutation tests stop
+    drawing once their p >= alpha is settled and return that partial p:
+    ``p < alpha`` is then the full p's verdict, and a rejecting p is the
+    full p. A stopped test leaves the generator mid-stream, which no later
+    test reads, since each restarts from the simulation's state.
     """
     rng = rngstreams.derive_rng(config.seed, rngstreams.TRIAL, trial)
     g, a, b = (x[0] for x in simulate_batch(config, rng, 1))
@@ -292,16 +333,20 @@ def _trial_p_value(config: ExperimentConfig, tests: tuple[TestId, ...], trial: i
         rng.bit_generator.state = start
         if test == TestId.MULTISTAGE_BOOTSTRAP:
             p.append(_bootstrap_p_value(g, a, b, np.concatenate([a, b], axis=1), config.metrics[0],
-                                        config.phi, config.b_null, rng))
+                                        config.phi, config.b_null, rng, alpha=alpha))
             continue
         if errors is None:
             errors = item_scores((MetricId.MAE,), g, a, b)[MetricId.MAE]
-        p.append(_baseline_p_value(test, *errors, rng))
+        p.append(_baseline_p_value(test, *errors, rng, alpha))
     return p
 
 
-def _baseline_p_value(test: TestId, err_a: np.ndarray, err_b: np.ndarray, rng: np.random.Generator) -> float:
-    """A classical test on per-item errors; data without evidence give p = 1."""
+def _baseline_p_value(test: TestId, err_a: np.ndarray, err_b: np.ndarray, rng: np.random.Generator,
+                      alpha: float | None) -> float:
+    """A classical test on per-item errors; data without evidence give p = 1.
+
+    ``alpha`` is the permutation test's stopping level (``_permutation_p_value``).
+    """
     if test == TestId.WELCH_T:
         try:
             return welch_t_test(err_a, err_b)
@@ -313,7 +358,7 @@ def _baseline_p_value(test: TestId, err_a: np.ndarray, err_b: np.ndarray, rng: n
             return 1.0
         return wilcoxon_signed_rank(d)
     if test == TestId.PERMUTATION_PAIRED:
-        return permutation_test_paired(err_a, err_b, iterations=1000, rng=rng)
+        return _permutation_p_value(err_a, err_b, 1000, rng, alpha)
     raise AssertionError(test)
 
 
@@ -365,8 +410,8 @@ def power_sweeps(
 
     def run(task) -> np.ndarray:
         cfg, (lo, hi) = task
-        return np.sum([np.less(_trial_p_value(cfg, tests, t), cfg.alpha) for t in range(lo, hi)],
-                      axis=0, dtype=np.int64)
+        return np.sum([np.less(_trial_p_value(cfg, tests, t, cfg.alpha), cfg.alpha)
+                       for t in range(lo, hi)], axis=0, dtype=np.int64)
 
     hits = _map_chunks(run, [(cfg, span) for cfg in configs for span in chunks], threads)
     rejections = np.reshape(hits, (len(configs), len(chunks), len(tests))).sum(axis=1)

@@ -220,6 +220,24 @@ def test_permutation_monte_carlo_blocks_keep_the_stream(monkeypatch):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@settings(max_examples=200, deadline=None)
+@given(high=st.integers(1, 2**31 - 1), rows=st.integers(0, 6), cols=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1), half_used=st.booleans())
+def test_int32_draws_consume_the_generator_as_int64_draws(high, rows, cols, seed, half_used):
+    # The permutation test draws its signs as int32 and keeps the stream of
+    # int64 draws: NumPy draws every bound below 2^32 with one 32-bit draw per
+    # value at either width. A NumPy that breaks this fails here first.
+    narrow_rng, wide_rng = derive_rng(seed), derive_rng(seed)
+    if half_used:  # one 32-bit draw leaves the other half of a 64-bit output buffered
+        for rng in (narrow_rng, wide_rng):
+            rng.integers(0, 10)
+        assert narrow_rng.bit_generator.state["has_uint32"] == 1
+    narrow = narrow_rng.integers(0, high, (rows, cols), dtype=np.int32)
+    wide = wide_rng.integers(0, high, (rows, cols))
+    assert np.array_equal(narrow, wide)
+    assert narrow_rng.bit_generator.state == wide_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_permutation_rejects_non_finite(bad):
     # A NaN difference used to compare false everywhere and give p = 0.
@@ -361,3 +379,88 @@ def test_power_all_simulates_each_trial_once(tmp_path, monkeypatch):
     ])
     assert code == 0
     assert len(calls) == 3 * 10
+
+
+# -- stopping a trial's Monte Carlo tests at alpha -----------------------------------------
+
+def _stopped_verdicts(config, tests, trials):
+    """Check every trial's stopped p against its full p; return the full verdicts per test."""
+    verdicts = {test: set() for test in tests}
+    for trial in trials:
+        full = power._trial_p_value(config, tests, trial)
+        stopped = power._trial_p_value(config, tests, trial, config.alpha)
+        assert list(np.less(stopped, config.alpha)) == list(np.less(full, config.alpha))
+        for test, f, s in zip(tests, full, stopped):
+            assert s == f if f < config.alpha else config.alpha <= s <= f
+            verdicts[test].add(bool(f < config.alpha))
+    return verdicts
+
+
+NO_EVIDENCE = ItemPrior(uniform(0.0, 1.0), uniform(0.0, 0.0))
+
+
+@pytest.mark.parametrize("n, prior, epsilon", [
+    (12, default_synthetic_prior(), 0.15),  # exact permutation test
+    (40, default_synthetic_prior(), 0.15),  # Monte Carlo permutation test
+    (12, NO_EVIDENCE, 0.0),  # no evidence: p = 1
+    (40, NO_EVIDENCE, 0.0),
+])
+def test_stopped_trials_keep_every_verdict(n, prior, epsilon, monkeypatch):
+    # Small row blocks give each Monte Carlo test several blocks to stop after.
+    monkeypatch.setattr(inference, "_BLOCK", 400)
+    config = ExperimentConfig(n_items=n, k_responses=4, epsilon=epsilon, prior=prior,
+                              b_null=60, seed=9)
+    verdicts = _stopped_verdicts(config, tuple(TestId), range(8))
+    if epsilon == 0.0:
+        assert all(v == {False} for v in verdicts.values())
+    else:
+        assert verdicts[TestId.PERMUTATION_PAIRED] == {True, False}
+        assert verdicts[TestId.MULTISTAGE_BOOTSTRAP] == {True, False}
+
+
+@pytest.mark.parametrize("phi", ["boot,boot", "all,boot", "boot,all", "all,all"])
+@pytest.mark.parametrize("metric", [MetricId.MAE, MetricId.WINS, MetricId.MEMD])
+def test_stopped_bootstrap_keeps_the_verdict(phi, metric, monkeypatch):
+    # Several chunks of several row blocks each: a stop may skip whole chunks.
+    monkeypatch.setattr(inference, "_BLOCK", 400)
+    monkeypatch.setattr(inference, "_CHUNK_BUDGET", 2000)
+    config = ExperimentConfig(n_items=20, k_responses=4, epsilon=0.1, metrics=(metric,),
+                              phi=SamplingStrategy.parse(phi), b_null=60, seed=9)
+    _stopped_verdicts(config, (TestId.MULTISTAGE_BOOTSTRAP,), range(8))
+
+
+def test_a_bootstrap_p_equal_to_alpha_is_no_rejection(monkeypatch):
+    monkeypatch.setattr(inference, "_BLOCK", 800)  # 10 resamples a block
+    config = ExperimentConfig(n_items=20, k_responses=4, epsilon=0.1, b_null=99, seed=9, alpha=0.05)
+    tests = (TestId.MULTISTAGE_BOOTSTRAP,)
+    # 4 of 99 null scores at least as extreme: p = (1 + 4) / (1 + 99), the float 0.05.
+    assert power._trial_p_value(config, tests, 16) == [0.05]
+    assert power._trial_p_value(config, tests, 16, 0.05) == [0.05]
+    assert _stopped_verdicts(config, tests, [16]) == {tests[0]: {False}}
+
+
+def test_a_stopped_trial_scores_fewer_blocks(monkeypatch):
+    monkeypatch.setattr(inference, "_BLOCK", 800)
+    blocks = []
+
+    def counted(blocks_of):
+        def wrapper(*args):
+            for block in blocks_of(*args):
+                blocks.append(block)
+                yield block
+        return wrapper
+
+    monkeypatch.setattr(power, "_null_blocks", counted(inference._null_blocks))
+    monkeypatch.setattr(power, "_spans", counted(inference._spans))
+    config = ExperimentConfig(n_items=40, k_responses=4, epsilon=0.0, b_null=60, seed=9)
+    tests = (TestId.MULTISTAGE_BOOTSTRAP, TestId.PERMUTATION_PAIRED)
+    counts = []
+    for alpha in (None, config.alpha):
+        for test in tests:
+            blocks.clear()
+            p = power._trial_p_value(config, (test,), 1, alpha)[0]
+            assert p >= config.alpha
+            counts.append(len(blocks))
+    (boot_full, perm_full), (boot_stopped, perm_stopped) = counts[:2], counts[2:]
+    assert boot_stopped < boot_full == 12  # 60 resamples of 5 a block
+    assert perm_stopped < perm_full == 50  # 1000 rows of 20 a block
