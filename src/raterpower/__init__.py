@@ -7,7 +7,7 @@ collections, sweeping (N, K, epsilon) grids, and fitting the simulator's
 distributions to real disaggregated rating data.
 """
 
-from .config import ExperimentConfig, GridSpec, Level, Mode, SamplingStrategy
+from .config import ExperimentConfig, Level, Mode, SamplingStrategy
 from .distributions import DistributionSpec, Family
 from .errors import RaterPowerError
 from .fitting import FitReport, ItemStats, ecdf, fit_prior, per_item_stats, stat_distance

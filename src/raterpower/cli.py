@@ -13,10 +13,12 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, GridSpec, Mode, SamplingStrategy
+from . import rngstreams
+from .config import ExperimentConfig, Mode, SamplingStrategy
 from .dataio import load_responses, report_to_json, save_matrix
 from .distributions import Family
 from .errors import InvalidParam, RaterPowerError
@@ -25,7 +27,7 @@ from .fitting import fit_prior, per_item_stats
 from .inference import run_columns, run_experiment
 from .metrics import MetricId
 from .power import TestId, power_sweeps
-from .simulator import ItemPrior, ResponseFamily, default_synthetic_prior
+from .simulator import ItemPrior, ResponseFamily, default_synthetic_prior, generate_triple
 
 MEMD_PAPER_SCALE = 15.5  # documented display factor; see README on MEMD scaling
 
@@ -54,8 +56,6 @@ def _parse_nk_pairs(text: str) -> tuple[tuple[int, int], ...]:
             pairs.append((int(n), int(k)))
         except ValueError:
             raise UsageError("--nk-pairs expects entries like 100:10,1000:1")
-    if not pairs:
-        raise UsageError("--nk-pairs is empty")
     return tuple(pairs)
 
 
@@ -113,12 +113,27 @@ def _parse_clip(text: str | None, flag: str) -> dict[str, float]:
     return out
 
 
-def _load_prior(args) -> ItemPrior:
-    chosen = [bool(args.default_synthetic), args.prior_spec is not None]
-    if hasattr(args, "input") and args.input is not None:
-        chosen.append(True)
-    if sum(chosen) != 1:
+def _positive(kind, noun: str):
+    """An argparse ``type`` that accepts a finite ``kind`` value > 0."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value) or value <= 0:
+            raise argparse.ArgumentTypeError(f"expected {noun} > 0, got {text!r}")
+        return value
+    return parse
+
+
+def _load_prior(args) -> ItemPrior | None:
+    """The prior the flags choose, or None when ``--input`` supplies the data."""
+    if sum((args.default_synthetic, args.prior_spec is not None, args.input is not None)) != 1:
         raise UsageError("choose exactly one of --default-synthetic, --prior-spec, --input")
+    if args.input is not None:
+        if args.n is not None or args.k is not None:
+            raise UsageError("--n/--k come from the input matrices in --input mode")
+        return None
     if args.default_synthetic:
         return default_synthetic_prior()
     obj = json.loads(Path(args.prior_spec).read_text(encoding="utf-8"))
@@ -169,21 +184,18 @@ def _emit(args, text: str) -> None:
 # -- commands ----------------------------------------------------------------------
 
 def cmd_pvalue(args) -> None:
+    prior = _load_prior(args)
+    config = _base_config(args)
     given = None
-    if args.input is not None:
-        if args.default_synthetic or args.prior_spec is not None:
-            raise UsageError("choose exactly one of --default-synthetic, --prior-spec, --input")
+    if prior is None:
         given = tuple(load_responses(p, levels=args.levels) for p in args.input)
-        if args.n is not None or args.k is not None:
-            raise UsageError("--n/--k come from the input matrices in --input mode")
-        config = _base_config(args).with_(
+        config = config.with_(
             mode=Mode.BOOTSTRAP_OF_GIVEN,
             n_items=given[0].n_items,
             k_responses=int(given[0].counts()[0]),
         )
     else:
-        prior = _load_prior(args)
-        config = _base_config(args).with_(prior=prior, mode=Mode.PARAMETRIC)
+        config = config.with_(prior=prior, mode=Mode.PARAMETRIC)
     config = config.validate()
     report = run_experiment(config, given=given, threads=args.threads)
     obj = report.to_json_dict()
@@ -200,34 +212,30 @@ def cmd_pvalue(args) -> None:
 
 
 def cmd_table(args) -> None:
-    prior = _load_prior(args)
-    base = _base_config(args).with_(prior=prior)
-    metrics = _parse_metrics(args.metric if args.metric is not None else "all")
+    base = _base_config(args).with_(prior=_load_prior(args))
+    metrics = base.metrics
     if args.pivot and len(metrics) != 1:
         raise UsageError("--pivot needs a single --metric")
-    base = base.with_(metrics=metrics)
-    grid = GridSpec(
-        n_values=_parse_list(args.n_values, "--n-values") if args.n_values else (),
-        k_values=_parse_list(args.k_values, "--k-values") if args.k_values else (),
-        epsilon_values=_parse_list(args.epsilon_values, "--epsilon-values", float),
-        nk_pairs=_parse_nk_pairs(args.nk_pairs) if args.nk_pairs else None,
-    ).validate()
+    if args.nk_pairs:
+        pairs = _parse_nk_pairs(args.nk_pairs)
+    else:
+        pairs = tuple(itertools.product(_parse_list(args.n_values or "", "--n-values"),
+                                        _parse_list(args.k_values or "", "--k-values")))
+    eps_values = _parse_list(args.epsilon_values, "--epsilon-values", float)
+    if not pairs or not eps_values:
+        raise UsageError("table needs --epsilon-values and --nk-pairs (or --n-values and --k-values)")
 
     # One column of epsilon values per (N, K), whose draws are shared; every
     # column runs on one pool.
-    columns = []
-    for (n, k), cells in itertools.groupby(grid.cells(), key=lambda cell: cell[:2]):
-        eps_values = [e for _, _, e in cells]
-        columns.append((base.with_(n_items=n, k_responses=k, epsilon=eps_values[0]), eps_values))
+    columns = [(base.with_(n_items=n, k_responses=k, epsilon=eps_values[0]), eps_values) for n, k in pairs]
     rows = []
-    for (config, eps_values), reports in zip(columns, run_columns(columns, threads=args.threads)):
+    for (n, k), reports in zip(pairs, run_columns(columns, threads=args.threads)):
         for eps, report in zip(eps_values, reports):
             for metric in metrics:
-                rows.append((config.n_items, config.k_responses, eps, metric.value, report.p_value(metric)))
+                rows.append((n, k, eps, metric.value, report.p_value(metric)))
 
     if args.pivot:
-        eps_values = list(dict.fromkeys(r[2] for r in rows))
-        pairs = list(dict.fromkeys((r[0], r[1]) for r in rows))
+        eps_values, pairs = list(dict.fromkeys(eps_values)), list(dict.fromkeys(pairs))
         lookup = {(r[0], r[1], r[2]): r[4] for r in rows}
         header = ["N", "K"] + [f"{e:g}" for e in eps_values]
         body = [
@@ -250,10 +258,7 @@ def cmd_table(args) -> None:
 
 
 def cmd_power(args) -> None:
-    prior = _load_prior(args)
-    config = _base_config(args).with_(prior=prior)
-    if args.metric is None:
-        config = config.with_(metrics=(MetricId.MAE,))
+    config = _base_config(args).with_(prior=_load_prior(args))
     if args.n_sweep and args.k_sweep:
         raise UsageError("choose one of --n-sweep / --k-sweep")
     if args.n_sweep:
@@ -321,11 +326,7 @@ def cmd_fit(args) -> None:
 def cmd_simulate(args) -> None:
     if not args.out:
         raise UsageError("simulate needs --out PREFIX")
-    prior = _load_prior(args)
-    config = _base_config(args).with_(prior=prior).validate()
-    from . import rngstreams
-    from .simulator import generate_triple
-
+    config = _base_config(args).with_(prior=_load_prior(args)).validate()
     rng = rngstreams.derive_rng(config.seed, rngstreams.BASE)
     g, a, b = generate_triple(config, rng)
     suffix = "csv" if args.format == "csv" else "jsonl"
@@ -358,7 +359,7 @@ def cmd_ecdf(args) -> None:
 
 def _add_shared(p: argparse.ArgumentParser, *, formats: tuple[str, ...], default_format: str) -> None:
     p.add_argument("--seed", type=int, default=None, help="root RNG seed (default 0)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive(int, "an integer"), default=1)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=formats, default=default_format)
 
@@ -369,6 +370,7 @@ def _add_prior_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prior-spec", default=None, help="fitted prior JSON (fit output)")
     p.add_argument("--levels", type=int, default=None,
                    help="discrete response domain with this many levels")
+    p.set_defaults(input=None)  # pvalue adds --input; the other commands have none
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
@@ -395,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(p)
     p.add_argument("--input", nargs=3, metavar=("G", "A", "B"), default=None,
                    help="three matrix files; runs the bootstrap on the given data")
-    p.add_argument("--memd-scale", type=float, default=1.0,
+    p.add_argument("--memd-scale", type=_positive(float, "a finite number"), default=1.0,
                    help="display factor applied to MEMD medians (paper tables used a scaled variant)")
     _add_shared(p, formats=("json",), default_format="json")
     p.set_defaults(func=cmd_pvalue)
@@ -461,17 +463,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         args.func(args)
-    except UsageError as exc:
+    except (UsageError, InvalidParam) as exc:
+        # Bad flag values surface as usage errors; InvalidParam is a
+        # RaterPowerError, so this handler comes first.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvalidParam as exc:
-        # Bad flag values surface as usage errors; see the exit-code contract.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RaterPowerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RaterPowerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field, replace
 
 from .errors import InvalidParam
 from .metrics import MetricId
-from .simulator import ItemPrior, ResponseFamily, default_synthetic_prior
+from .simulator import ItemPrior, ResponseFamily, check_count, default_synthetic_prior
 
-__all__ = ["Level", "SamplingStrategy", "Mode", "ExperimentConfig", "GridSpec"]
+__all__ = ["Level", "SamplingStrategy", "Mode", "ExperimentConfig"]
 
 
 class Level(str, enum.Enum):
@@ -63,16 +63,12 @@ class ExperimentConfig:
     mode: Mode = Mode.PARAMETRIC
 
     def validate(self) -> "ExperimentConfig":
-        if self.n_items < 1:
-            raise InvalidParam("n_items", "need at least one item")
-        if self.k_responses < 1:
-            raise InvalidParam("k_responses", "need at least one response per item")
+        check_count("n_items", self.n_items, "need at least one item")
+        check_count("k_responses", self.k_responses, "need at least one response per item")
         if self.epsilon < 0:
             raise InvalidParam("epsilon", "epsilon must be >= 0")
-        if self.b_alt < 1:
-            raise InvalidParam("b_alt", "need at least one alternative resample")
-        if self.b_null < 1:
-            raise InvalidParam("b_null", "need at least one null resample")
+        check_count("b_alt", self.b_alt, "need at least one alternative resample")
+        check_count("b_null", self.b_null, "need at least one null resample")
         if not 0 < self.alpha < 1:
             raise InvalidParam("alpha", "alpha must lie in (0, 1)")
         if not self.metrics:
@@ -120,31 +116,3 @@ class ExperimentConfig:
         if obj.get("prior") is not None:
             kwargs["prior"] = ItemPrior.from_json_dict(obj["prior"])
         return cls(**kwargs).validate()
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Sweep axes for p-value tables."""
-
-    n_values: tuple[int, ...]
-    k_values: tuple[int, ...]
-    epsilon_values: tuple[float, ...]
-    nk_pairs: tuple[tuple[int, int], ...] | None = None
-
-    def validate(self) -> "GridSpec":
-        if self.nk_pairs is not None:
-            if not self.nk_pairs:
-                raise InvalidParam("nk_pairs", "empty pair list")
-        elif not self.n_values or not self.k_values:
-            raise InvalidParam("grid", "empty N or K axis")
-        if not self.epsilon_values:
-            raise InvalidParam("epsilon_values", "empty epsilon axis")
-        return self
-
-    def cells(self) -> list[tuple[int, int, float]]:
-        pairs = (
-            list(self.nk_pairs)
-            if self.nk_pairs is not None
-            else [(n, k) for n in self.n_values for k in self.k_values]
-        )
-        return [(n, k, e) for (n, k) in pairs for e in self.epsilon_values]

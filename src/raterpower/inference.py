@@ -79,7 +79,7 @@ from . import rngstreams
 from .config import ExperimentConfig, Level, Mode, SamplingStrategy
 from .errors import EmptySample, InvalidParam, ItemMismatch
 from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold
-from .simulator import ResponseMatrix, _pad, _slots, check_finite, check_matrices, draw_batch, draw_blocks
+from .simulator import ResponseMatrix, _pad, _slots, check_count, check_finite, check_matrices, draw_batch, draw_blocks
 
 __all__ = [
     "resample_multistage",
@@ -399,11 +399,6 @@ def _stack(steps):
     return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*steps))
 
 
-def _draw(x: np.ndarray, rng: np.random.Generator, c: int, rows=None) -> np.ndarray:
-    """c response bootstraps of x, (N, W) or (c, N, W), after the item draw ``rows``."""
-    return _gather(x, c, _response_step(rng, c, x.shape, rows, None, x.shape[-1]))[0]
-
-
 def _one_resample(arrays, plan, ids) -> tuple[ResponseMatrix, ...]:
     """The matrices of one resample (c = 1) of padded (N, K_max) ``arrays`` along ``plan``."""
     gathered = (_gather(x, 1, next(steps)) for x, steps in zip(arrays, plan))
@@ -693,8 +688,7 @@ def mean_metric_scores(
     It runs the alternative chunk under the SCORE stream tag.
     """
     config.validate()
-    if n_samples < 1:
-        raise InvalidParam("n_samples", "need at least one sample")
+    check_count("n_samples", n_samples, "need at least one sample")
     scores = _collect([_Arm(
         config.seed, rngstreams.SCORE,
         lambda rng, c: _alt_chunk_parametric(config, config.phi, (config.epsilon,), None, rng, c),

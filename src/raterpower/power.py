@@ -37,7 +37,7 @@ from .errors import (
 )
 from .inference import _chunk_size, _map_chunks, _null_blocks, _null_pool, _spans
 from .metrics import MetricId, batch_scores, comparison, item_scores, kernel_inputs, prepare_gold
-from .simulator import ResponseMatrix, check_finite, check_matrices, simulate_batch
+from .simulator import ResponseMatrix, check_count, check_finite, check_matrices, simulate_batch
 
 __all__ = [
     "TestId",
@@ -200,8 +200,7 @@ def _permutation_p_value(x, y, iterations: int, rng: np.random.Generator | None,
         ) * 2 - 1
         perm_stats = (signs * d).mean(axis=1)
         return float((perm_stats >= observed).sum() / 2.0**n)
-    if iterations < 1:
-        raise InvalidParam("iterations", "need at least one iteration")
+    check_count("iterations", iterations, "need at least one iteration")
     if rng is None:
         rng = np.random.default_rng()
     hits = 0
@@ -240,6 +239,7 @@ def multistage_bootstrap_test(
     must share per-item counts. p-value is add-one smoothed.
     """
     check_matrices(g, a, b)
+    check_count("b_null", b_null, "need at least one null resample")
     pool = _null_pool(a, b)[0]
     if rng is None:
         rng = np.random.default_rng()
@@ -404,8 +404,7 @@ def power_sweeps(
     threads. Each report equals ``power_sweep`` of its test alone.
     """
     configs = sweep_configs(config, tests, axis, values)
-    if trials < 1:
-        raise InvalidParam("trials", "need at least one trial")
+    check_count("trials", trials, "need at least one trial")
     chunks = rngstreams.chunk_ranges(trials, 8)
 
     def run(task) -> np.ndarray:

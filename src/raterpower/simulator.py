@@ -12,6 +12,7 @@ NaN-padded form the engine reads; ``check_matrices`` validates input.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -213,6 +214,16 @@ def check_finite(name: str, values) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InvalidParam(name, "values must be finite (no NaN or infinity)")
     return x
+
+
+def check_count(name: str, value, reason: str) -> None:
+    """A count (resamples, trials, items) must be an integer >= 1; else ``InvalidParam``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InvalidParam(name, f"expected an integer, got {value!r}") from None
+    if count < 1:
+        raise InvalidParam(name, reason)
 
 
 # -- response generation -------------------------------------------------------

@@ -373,10 +373,10 @@ def test_power_all_tests_on_degenerate_data(tmp_path, capsys):
 
 
 def test_simulate_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
-    from raterpower import simulator
+    from raterpower import cli
 
     # The usage error comes before any simulation work.
-    monkeypatch.setattr(simulator, "generate_triple", lambda *args: pytest.fail("simulated"))
+    monkeypatch.setattr(cli, "generate_triple", lambda *args: pytest.fail("simulated"))
     monkeypatch.chdir(tmp_path)
     code, _, err = run(
         ["simulate", "--default-synthetic", "--n", "3", "--k", "2", "--seed", "1"], capsys
@@ -461,3 +461,82 @@ def test_all_tied_ragged_input_through_pvalue_and_fit(tmp_path, capsys):
     ], capsys)
     assert code == 0, err
     assert json.loads(out.read_text())["kind"] == "fit_report"
+
+
+# -- each input decided once -------------------------------------------------------
+
+def test_config_file_metrics_apply_to_table_and_power(tmp_path, capsys):
+    # Without --metric, the config file's metrics hold; the flag would say the same.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"metrics": ["wins"]}), encoding="utf-8")
+    commands = {
+        "table": ["table", "--default-synthetic", "--nk-pairs", "20:3", "--epsilon-values", "0.1",
+                  "--b-alt", "30", "--b-null", "30", "--seed", "5"],
+        "power": ["power", "--default-synthetic", "--test", "bootstrap", "--n", "30", "--k", "3",
+                  "--epsilon", "0.3", "--trials", "8", "--b-null", "40", "--seed", "1"],
+    }
+    for name, args in commands.items():
+        outputs = []
+        for source in (["--config", str(config)], ["--metric", "wins"]):
+            out = tmp_path / f"{name}.csv"
+            code, _, err = run([*args, *source, "--out", str(out)], capsys)
+            assert code == 0, err
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1], name
+    assert [row.split(",")[3] for row in (tmp_path / "table.csv").read_text().splitlines()[1:]] == ["wins"]
+
+
+def test_pvalue_input_with_n_is_a_usage_error_before_reading_files(tmp_path, capsys):
+    missing = [str(tmp_path / f"nope.{m}.jsonl") for m in "GAB"]
+    code, _, err = run(["pvalue", "--input", *missing, "--n", "5"], capsys)
+    assert code == 2
+    assert "--n/--k" in err
+
+
+@pytest.mark.parametrize("axes", [
+    ["--n-values", "10", "--epsilon-values", "0.1"],
+    ["--nk-pairs", ",", "--epsilon-values", "0.1"],
+    ["--nk-pairs", "20:3", "--epsilon-values", ","],
+], ids=["no-k-values", "empty-nk-pairs", "empty-epsilon-values"])
+def test_table_empty_axis_exits_2_before_running(axes, tmp_path, capsys, monkeypatch):
+    from raterpower import cli
+
+    monkeypatch.setattr(cli, "run_columns", lambda *args, **kwargs: pytest.fail("ran a cell"))
+    code, _, err = run(["table", "--default-synthetic", *axes, "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 2
+    assert "table needs" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-2"], ids=["nan", "inf", "zero", "negative"])
+def test_pvalue_memd_scale_must_be_finite_and_positive(scale, tmp_path, capsys, monkeypatch):
+    from raterpower import cli
+
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("ran a cell"))
+    out = tmp_path / "pvalue.json"
+    code, _, err = run(["pvalue", "--default-synthetic", "--n", "10", "--k", "2", "--metric", "memd",
+                        "--memd-scale", scale, "--out", str(out)], capsys)
+    assert code == 2
+    assert "--memd-scale" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["pvalue", "--default-synthetic"],
+    ["table", "--default-synthetic", "--nk-pairs", "20:3", "--epsilon-values", "0.1"],
+    ["power", "--default-synthetic", "--trials", "2"],
+    ["fit", "--input", "m.jsonl", "--location-family", "normal", "--grid", "mu=0.5,sigma=0.1"],
+    ["simulate", "--default-synthetic"],
+    ["ecdf", "--input", "m.jsonl"],
+], ids=lambda command: command[0])
+def test_threads_below_one_exits_2_before_any_work(command, tmp_path, capsys, monkeypatch):
+    from raterpower import cli
+
+    for name in ("run_experiment", "run_columns", "power_sweeps", "load_responses"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("did work"))
+    monkeypatch.chdir(tmp_path)
+    for threads in ("0", "-3"):
+        code, _, err = run([*command, "--threads", threads, "--out", "out"], capsys)
+        assert code == 2
+        assert "--threads" in err
+    assert list(tmp_path.iterdir()) == []

@@ -25,7 +25,7 @@ from raterpower import (
 from raterpower import inference
 from raterpower.distributions import uniform
 from raterpower.errors import InvalidParam
-from raterpower.inference import PValueReport, _draw, _report
+from raterpower.inference import PValueReport, _gather, _report, _response_step
 from raterpower.metrics import MetricId, batch_scores
 from raterpower.rngstreams import ALT, BASE, NULL, chunk_ranges, derive_rng
 from raterpower.simulator import _gen_responses, simulate_batch, toxicity_prior
@@ -148,7 +148,8 @@ def test_draw_matches_take_along_axis(c, n, w, batched, items, seed):
     x = np.random.default_rng(seed).random((c, n, w) if batched else (n, w))
     got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     rows = got_rng.integers(0, n, (c, n)) if items else None
-    got = _draw(x, got_rng, c, rows)
+    # c response bootstraps of x, (N, W) or (c, N, W), after the item draw rows.
+    got, _ = _gather(x, c, _response_step(got_rng, c, x.shape, rows, None, w))
     want = np.broadcast_to(x, (c, n, w))
     if items:
         want = np.take_along_axis(want, want_rng.integers(0, n, (c, n))[:, :, None], axis=1)

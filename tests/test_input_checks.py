@@ -4,7 +4,8 @@ A valid (G, A, B) input shares item ids, has at least one item, at least
 one response per item and every response in [0, 1]; every function that
 takes response matrices from outside checks this through
 ``simulator.check_matrices``. Functions that take raw value arrays reject
-NaN and infinities with ``InvalidParam``. One table: each entry point
+NaN and infinities with ``InvalidParam``, and every resample, trial, item
+or response count must be an integer >= 1. One table: each entry point
 against each fault, planted in A (or in the one matrix it takes); every
 entry point also takes a valid ragged triple. A Hypothesis property holds
 ``check_matrices`` to a value-by-value oracle on ragged, rectangular and
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from raterpower import (
     ExperimentConfig,
+    TestId,
     ItemStats,
     Mode,
     ResponseMatrix,
@@ -30,12 +32,16 @@ from raterpower import (
     ecdf,
     emd_1d,
     estimate_p_value,
+    estimate_power,
     gamma_mae,
     gamma_memd,
     gamma_wins,
+    mean_metric_scores,
     multistage_bootstrap_test,
     per_item_errors,
     per_item_stats,
+    permutation_test_paired,
+    power_sweeps,
     resample_multistage,
     run_column,
     run_columns,
@@ -200,3 +206,28 @@ def _outcome(check, *args):
 def test_check_matrices_matches_row_check(matrices):
     built = [ResponseMatrix(ids, rows) for ids, rows in matrices]
     assert _outcome(check_matrices, *built) == _outcome(check_rows_oracle, *matrices)
+
+
+SMALL = ExperimentConfig(n_items=3, k_responses=2, b_alt=5, b_null=5)
+# entry point -> call with one count set to ``bad``; the permutation test
+# needs N > 16 pairs to draw Monte Carlo signs.
+COUNT_ENTRY_POINTS = {
+    "multistage_bootstrap_test b_null": lambda bad: multistage_bootstrap_test(
+        *_triple(None), b_null=bad, rng=derive_rng(1)),
+    "permutation_test_paired iterations": lambda bad: permutation_test_paired(
+        np.zeros(20), np.linspace(0, 1, 20), iterations=bad, rng=derive_rng(1)),
+    "mean_metric_scores n_samples": lambda bad: mean_metric_scores(SMALL, bad),
+    "estimate_power trials": lambda bad: estimate_power(SMALL, TestId.WELCH_T, bad),
+    "power_sweeps trials": lambda bad: power_sweeps(SMALL, tuple(TestId), bad, "n_items", (3,)),
+    "run_experiment n_items": lambda bad: run_experiment(SMALL.with_(n_items=bad)),
+    "run_experiment k_responses": lambda bad: run_experiment(SMALL.with_(k_responses=bad)),
+    "run_experiment b_alt": lambda bad: run_experiment(SMALL.with_(b_alt=bad)),
+    "run_experiment b_null": lambda bad: run_experiment(SMALL.with_(b_null=bad)),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -1, -5, 2.5, 1.0, "3"], ids=["0", "-1", "-5", "2.5", "1.0", "str"])
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_count_entry_point_rejects_non_counts(entry, bad):
+    with pytest.raises(InvalidParam):
+        COUNT_ENTRY_POINTS[entry](bad)

@@ -7,7 +7,9 @@ the library's ``mean_metric_scores``) and compares the SHA-256 of its
 output with a digest recorded before the engine was refactored; the
 ``fit-*`` digests were recorded before ``fit`` scored its candidates in
 blocks, and ``power-trial-p-values`` before the Wilcoxon ranks left SciPy
-and the permutation test drew its signs in row blocks. A
+and the permutation test drew its signs in row blocks; ``table-grid`` and
+``table-repeated-pair`` were recorded before ``table`` built its (N, K)
+columns without a grid type. A
 deliberate stream change must re-record these digests and say so in
 CHANGES.md.
 """
@@ -33,6 +35,8 @@ DIGESTS = {
     "pvalue-input-ragged": "591caae90783b71f3163ad65b01f9153e12739bc8b905c6099c17d1f3d89caba",
     "table": "7fb1d01f4f683a7fad3bb60cc126936ce6ad3bc40631852e1291f365b6899252",
     "table-toxicity-boot-boot": "1ae754fb189ab52d210f755f664df44543e77eaf8391cf32a905f079efbeffcc",
+    "table-grid": "d8f78271f9db56612f24e89b21f0c593e47e1a543a782c784658cb63d1817923",
+    "table-repeated-pair": "0913e06c9ef82abe65cf20d9673f5e243547300e211a96876368fa6fad300c53",
     "power": "159fd81fc161eacb74478d7291df84828ecda4f7c17328dd8505b605ca59d0b9",
     "power-trial-p-values": "27bedc4460d1e813ebfa75f6056c459e016480437710ea7d71b6578a748b7acd",
     "simulate": "2bedd46638057133b2ac66e1da5868c391c0a29971522fb71c6697adfeaab114",
@@ -140,6 +144,19 @@ def _case_output(name: str, tmp_path: Path) -> bytes:
         return one
     if name == "table":
         return _run(["table", "--default-synthetic", "--nk-pairs", "20:3,15:1",
+                     "--epsilon-values", "0.0,0.1", "--metric", "all", "--phi", "all,boot",
+                     "--b-alt", "40", "--b-null", "40", "--seed", "8"], out)
+    if name == "table-grid":
+        # The --n-values x --k-values product: four (N, K) columns.
+        args = ["table", "--default-synthetic", "--n-values", "10,20", "--k-values", "2,3",
+                "--epsilon-values", "0,0.1", "--metric", "all", "--phi", "all,boot",
+                "--b-alt", "40", "--b-null", "40", "--seed", "16"]
+        one = _run([*args, "--threads", "1"], out)
+        assert _run([*args, "--threads", "2"], tmp_path / "out2") == one
+        return one
+    if name == "table-repeated-pair":
+        # A pair given twice prints its rows twice, the same bytes each time.
+        return _run(["table", "--default-synthetic", "--nk-pairs", "20:3,20:3,15:1",
                      "--epsilon-values", "0.0,0.1", "--metric", "all", "--phi", "all,boot",
                      "--b-alt", "40", "--b-null", "40", "--seed", "8"], out)
     if name == "table-toxicity-boot-boot":
