@@ -154,12 +154,14 @@ def _base_config(args) -> ExperimentConfig:
         )
     else:
         config = ExperimentConfig()
-    updates = {field: getattr(args, flag) for flag, field in _FLAG_FIELDS.items()
-               if getattr(args, flag) is not None}
-    if args.phi is not None:
-        updates["phi"] = SamplingStrategy.parse(args.phi)
-    if args.metric is not None:
-        updates["metrics"] = _parse_metrics(args.metric)
+    # A flag that is unset, or that the command does not take, keeps the config's value.
+    updates = {field: value for flag, field in _FLAG_FIELDS.items()
+               if (value := getattr(args, flag, None)) is not None}
+    phi, metric = getattr(args, "phi", None), getattr(args, "metric", None)
+    if phi is not None:
+        updates["phi"] = SamplingStrategy.parse(phi)
+    if metric is not None:
+        updates["metrics"] = _parse_metrics(metric)
     if args.levels is not None:
         updates["family"] = ResponseFamily(args.levels)
     return config.with_(**updates)
@@ -373,15 +375,23 @@ def _add_prior_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(input=None)  # pvalue adds --input; the other commands have none
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=None, help="items per test set")
-    p.add_argument("--k", type=int, default=None, help="responses per item")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--b-alt", type=int, default=None, help="alternative resamples (default 500)")
-    p.add_argument("--b-null", type=int, default=None, help="null resamples (default 500)")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--phi", default=None, help="sampling strategy items,responses (e.g. all,boot)")
-    p.add_argument("--metric", default=None, help="mae, wins, memd, comma list, or all")
+_EXPERIMENT_FLAGS = {
+    "--n": {"type": int, "help": "items per test set"},
+    "--k": {"type": int, "help": "responses per item"},
+    "--epsilon": {"type": float},
+    "--b-alt": {"type": int, "help": "alternative resamples (default 500)"},
+    "--b-null": {"type": int, "help": "null resamples (default 500)"},
+    "--alpha": {"type": float},
+    "--phi": {"help": "sampling strategy items,responses (e.g. all,boot)"},
+    "--metric": {"help": "mae, wins, memd, comma list, or all"},
+}
+
+
+def _add_experiment_flags(p: argparse.ArgumentParser, *skip: str) -> None:
+    """``--config`` and every experiment flag but ``skip``: a command takes only the flags it reads."""
+    for flag, kwargs in _EXPERIMENT_FLAGS.items():
+        if flag not in skip:
+            p.add_argument(flag, default=None, **kwargs)
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
 
 
@@ -392,7 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pvalue", help="expected one-sided p-value for one (N, K, epsilon)")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        # No prefix matching, so that a flag a command lacks (table's
+        # --epsilon) is an error rather than a prefix of one it has.
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    p = command("pvalue", "expected one-sided p-value for one (N, K, epsilon)")
     _add_prior_flags(p)
     _add_experiment_flags(p)
     p.add_argument("--input", nargs=3, metavar=("G", "A", "B"), default=None,
@@ -402,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, formats=("json",), default_format="json")
     p.set_defaults(func=cmd_pvalue)
 
-    p = sub.add_parser("table", help="p-value grid over N, K and epsilon")
+    p = command("table", "p-value grid over N, K and epsilon")
     _add_prior_flags(p)
-    _add_experiment_flags(p)
+    _add_experiment_flags(p, "--n", "--k", "--epsilon")
     p.add_argument("--n-values", default=None)
     p.add_argument("--k-values", default=None)
     p.add_argument("--epsilon-values", required=True)
@@ -414,9 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("power", help="power curves for the bootstrap test and baselines")
+    p = command("power", "power curves for the bootstrap test and baselines")
     _add_prior_flags(p)
-    _add_experiment_flags(p)
+    _add_experiment_flags(p, "--b-alt")
     p.add_argument("--test", default="all",
                    help="bootstrap, welch, wilcoxon, permutation, or all")
     p.add_argument("--n-sweep", default=None, help="comma list of N values")
@@ -425,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_power)
 
-    p = sub.add_parser("fit", help="grid-search distribution fit to per-item stats")
+    p = command("fit", "grid-search distribution fit to per-item stats")
     p.add_argument("--input", required=True, help="matrix file (jsonl or csv)")
     p.add_argument("--levels", type=int, default=None, help="map raw ordinal labels onto [0,1]")
     p.add_argument("--location-family", default=None)
@@ -439,13 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, formats=("json",), default_format="json")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("simulate", help="write one (G, A, B) triple")
+    p = command("simulate", "write one (G, A, B) triple")
     _add_prior_flags(p)
-    _add_experiment_flags(p)
+    _add_experiment_flags(p, "--b-alt", "--b-null", "--alpha", "--phi", "--metric")
     _add_shared(p, formats=("jsonl", "csv"), default_format="jsonl")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("ecdf", help="empirical CDF of per-item means or stds")
+    p = command("ecdf", "empirical CDF of per-item means or stds")
     p.add_argument("--input", required=True)
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--stat", choices=("means", "stds"), default="means")

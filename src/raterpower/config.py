@@ -69,6 +69,7 @@ class ExperimentConfig:
             raise InvalidParam("epsilon", "epsilon must be >= 0")
         check_count("b_alt", self.b_alt, "need at least one alternative resample")
         check_count("b_null", self.b_null, "need at least one null resample")
+        check_count("seed", self.seed, "seed must be a nonnegative integer", least=0)
         if not 0 < self.alpha < 1:
             raise InvalidParam("alpha", "alpha must lie in (0, 1)")
         if not self.metrics:
@@ -98,10 +99,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
-        kwargs = {}
-        for key in ("n_items", "k_responses", "b_alt", "b_null", "seed"):
-            if key in obj:
-                kwargs[key] = int(obj[key])
+        # Counts pass as given, so validate() rejects 2.7, 2.0 and "3" alike.
+        kwargs = {key: obj[key] for key in ("n_items", "k_responses", "b_alt", "b_null", "seed")
+                  if key in obj}
         for key in ("epsilon", "alpha"):
             if key in obj:
                 kwargs[key] = float(obj[key])
@@ -110,7 +110,7 @@ class ExperimentConfig:
         if "metrics" in obj:
             kwargs["metrics"] = tuple(MetricId(m) for m in obj["metrics"])
         if obj.get("levels") is not None:
-            kwargs["family"] = ResponseFamily(int(obj["levels"]))
+            kwargs["family"] = ResponseFamily(obj["levels"])
         if "mode" in obj:
             kwargs["mode"] = Mode(obj["mode"])
         if obj.get("prior") is not None:

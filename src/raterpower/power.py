@@ -36,7 +36,15 @@ from .errors import (
     InvalidParam,
 )
 from .inference import _chunk_size, _map_chunks, _null_blocks, _null_pool, _spans
-from .metrics import MetricId, batch_scores, comparison, item_scores, kernel_inputs, prepare_gold
+from .metrics import (
+    MetricId,
+    comparison,
+    item_scores,
+    kernel_inputs,
+    model_items,
+    pair_scores,
+    prepare_gold,
+)
 from .simulator import ResponseMatrix, check_count, check_finite, check_matrices, simulate_batch
 
 __all__ = [
@@ -170,8 +178,11 @@ def permutation_test_paired(x, y, iterations: int = 1000, rng: np.random.Generat
     Pairs are swapped independently with probability one half; exact
     enumeration of all 2^N swap patterns when N <= 16, otherwise Monte Carlo
     with add-one smoothing. The Monte Carlo signs are drawn in row blocks of
-    at most ``inference._BLOCK`` values; ``integers`` fills in order, so the
-    stream does not depend on the blocks.
+    at most ``inference._BLOCK`` values, each block equal to
+    ``rng.integers(0, 2, block_shape) * 2 - 1``; ``integers`` fills in order,
+    so the stream does not depend on the blocks. A PCG64 generator's signs
+    are read from its raw 64-bit outputs (``rngstreams.signs``): the same
+    values and the same final state, without NumPy's per-value loop.
     """
     return _permutation_p_value(x, y, iterations, rng)
 
@@ -183,9 +194,9 @@ def _permutation_p_value(x, y, iterations: int, rng: np.random.Generator | None,
     After each row block the loop stops once (1 + hits) / (1 + iterations)
     >= alpha, and returns that partial p: hits only grow, so the full p is
     >= alpha too and ``p < alpha`` gives the full run's verdict. The signs
-    are drawn as int32, which consumes the generator exactly as the default
-    int64 draw does (one 32-bit draw per value below 2^32) and multiplies
-    into float64 faster.
+    are int32, which consume the generator exactly as the default int64
+    draw does (one 32-bit draw per value below 2^32) and multiply into
+    float64 faster.
     """
     x = check_finite("x", x)
     y = check_finite("y", y)
@@ -205,9 +216,7 @@ def _permutation_p_value(x, y, iterations: int, rng: np.random.Generator | None,
         rng = np.random.default_rng()
     hits = 0
     for lo, hi in _spans(iterations, n):
-        signs = rng.integers(0, 2, (hi - lo, n), dtype=np.int32)
-        signs *= 2
-        signs -= 1
+        signs = rngstreams.signs(rng, (hi - lo, n))
         hits += int(((signs * d).mean(axis=1) >= observed).sum())
         if _settled(hits, iterations, alpha):
             break
@@ -254,10 +263,11 @@ def _bootstrap_p_value(g, a, b, pool, metric, phi, b_null, rng, counts=None, alp
     stops, as ``_permutation_p_value``'s does, once p >= alpha is settled,
     so the remaining B blocks and chunks are never drawn.
     """
-    cg, ca, _ = counts or (None,) * 3
+    cg, ca, cb = counts or (None,) * 3
     metrics = (metric,)
-    observed = float(batch_scores(metrics, g, a, b, counts)[metric])
     gold = prepare_gold(metrics, g, cg)
+    observed = float(comparison(metric, *pair_scores(
+        metrics, model_items(gold, a, ca), model_items(gold, b, cb))[metric]))
     hits = 0
     for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*g.shape)):
         for (scores,) in _null_blocks(metrics, phi, g, gold, [pool], rng, hi - lo,

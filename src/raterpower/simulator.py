@@ -79,8 +79,8 @@ class ResponseFamily:
     levels: int | None = None
 
     def validate(self) -> "ResponseFamily":
-        if self.levels is not None and self.levels < 2:
-            raise InvalidParam("levels", "discrete response domain needs >= 2 levels")
+        if self.levels is not None:
+            check_count("levels", self.levels, "discrete response domain needs >= 2 levels", least=2)
         return self
 
 
@@ -216,13 +216,13 @@ def check_finite(name: str, values) -> np.ndarray:
     return x
 
 
-def check_count(name: str, value, reason: str) -> None:
-    """A count (resamples, trials, items) must be an integer >= 1; else ``InvalidParam``."""
+def check_count(name: str, value, reason: str, least: int = 1) -> None:
+    """A count (resamples, trials, items) must be an integer >= ``least``; else ``InvalidParam``."""
     try:
         count = operator.index(value)
     except TypeError:
         raise InvalidParam(name, f"expected an integer, got {value!r}") from None
-    if count < 1:
+    if count < least:
         raise InvalidParam(name, reason)
 
 

@@ -540,3 +540,41 @@ def test_threads_below_one_exits_2_before_any_work(command, tmp_path, capsys, mo
         assert code == 2
         assert "--threads" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["table", "--nk-pairs", "5:2", "--epsilon-values", "0"], ["--n", "99"]),
+    (["table", "--nk-pairs", "5:2", "--epsilon-values", "0"], ["--k", "3"]),
+    (["table", "--nk-pairs", "5:2", "--epsilon-values", "0"], ["--epsilon", "0.5"]),
+    (["simulate"], ["--b-alt", "5"]),
+    (["simulate"], ["--b-null", "5"]),
+    (["simulate"], ["--alpha", "0.1"]),
+    (["simulate"], ["--phi", "all,boot"]),
+    (["simulate"], ["--metric", "mae"]),
+    (["power", "--trials", "2"], ["--b-alt", "5"]),
+    (["pvalue", "--n", "5"], ["--default-synth"]),
+    (["table", "--epsilon-values", "0"], ["--nk-pair", "5:2"]),
+], ids=lambda x: " ".join(x))
+def test_a_flag_the_command_does_not_read_exits_2(command, flag, tmp_path, capsys, monkeypatch):
+    # Each command takes only the flags it reads, and no flag matches by
+    # prefix: table's --epsilon used to pass for --epsilon-values.
+    from raterpower import cli
+
+    for name in ("run_experiment", "run_columns", "power_sweeps", "generate_triple"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("did work"))
+    code, _, err = run([command[0], "--default-synthetic", *command[1:], *flag,
+                        "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {flag[0]}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_with_a_non_integer_count_exits_2(tmp_path, capsys, monkeypatch):
+    from raterpower import cli
+
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("ran a cell"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_items": 2.7}), encoding="utf-8")
+    code, _, err = run(["pvalue", "--default-synthetic", "--config", str(config)], capsys)
+    assert code == 2
+    assert "n_items" in err

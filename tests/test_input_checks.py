@@ -231,3 +231,25 @@ COUNT_ENTRY_POINTS = {
 def test_count_entry_point_rejects_non_counts(entry, bad):
     with pytest.raises(InvalidParam):
         COUNT_ENTRY_POINTS[entry](bad)
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, "3"], ids=["2.7", "2.0", "str"])
+@pytest.mark.parametrize("key", ["n_items", "k_responses", "b_alt", "b_null", "seed", "levels"])
+def test_config_file_rejects_non_integer_counts(key, bad):
+    # Counts used to pass through int(), which truncated 2.7 and parsed "3".
+    with pytest.raises(InvalidParam):
+        ExperimentConfig.from_json_dict({key: bad})
+
+
+@pytest.mark.parametrize("seed", [-1, 0.5, "1"], ids=["negative", "float", "str"])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(InvalidParam):
+        ExperimentConfig(seed=seed).validate()
+    with pytest.raises(InvalidParam):
+        ExperimentConfig.from_json_dict({"seed": seed})
+
+
+def test_config_file_keeps_integer_counts():
+    obj = {"n_items": 7, "k_responses": 3, "b_alt": 4, "b_null": 5, "seed": 0, "levels": 2}
+    config = ExperimentConfig.from_json_dict(obj)
+    assert {key: config.to_json_dict()[key] for key in obj} == obj

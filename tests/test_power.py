@@ -26,7 +26,7 @@ from raterpower import (
     welch_t_test,
     wilcoxon_signed_rank,
 )
-from raterpower import inference, power
+from raterpower import inference, power, rngstreams
 from raterpower.cli import main
 from raterpower.distributions import uniform
 from raterpower.errors import (
@@ -207,17 +207,63 @@ def test_permutation_monte_carlo_bounds():
     assert 0.0 < p <= 1.0
 
 
-def test_permutation_monte_carlo_blocks_keep_the_stream(monkeypatch):
+# p of the test below at the last commit that drew every generator's signs
+# through ``integers``: each bit generator's p is pinned, not only its formula.
+_BLOCKED_PERMUTATION_P = {"PCG64": 0.872255489021956, "MT19937": 0.8842315369261478,
+                          "Philox": 0.872255489021956}
+
+
+def _same_state(a, b) -> bool:
+    """Equal bit generator state dicts; MT19937 and Philox hold arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox],
+                         ids=lambda bit_generator: bit_generator.__name__)
+def test_permutation_monte_carlo_blocks_keep_the_stream(bit_generator, monkeypatch):
     # The signs of all iterations drawn in one call, as before row blocks.
+    # PCG64 reads its signs from raw words (``rngstreams.signs``); other bit
+    # generators draw them through ``integers``; both keep p and state.
     x, y = derive_rng(34).random((2, 40))
-    want_rng = derive_rng(35)
+
+    def generator():
+        return np.random.Generator(bit_generator(np.random.SeedSequence(35)))
+
+    want_rng = generator()
     signs = want_rng.integers(0, 2, (500, 40)) * 2 - 1
     d = y - x
     want = (1 + int(((signs * d).mean(axis=1) >= d.mean()).sum())) / 501
+    assert want == _BLOCKED_PERMUTATION_P[bit_generator.__name__]
     monkeypatch.setattr(inference, "_BLOCK", 130)  # 3 rows a block, the last one short
-    got_rng = derive_rng(35)
+    got_rng = generator()
     assert permutation_test_paired(x, y, iterations=500, rng=got_rng) == want
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert _same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+
+_ROW_BLOCKS = st.sampled_from([(655, 50), (65, 503)])  # permutation row blocks at N = 50 and 503
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), half_used=st.booleans(),
+       shapes=st.lists(st.one_of(st.tuples(st.integers(0, 9), st.integers(0, 9)), _ROW_BLOCKS),
+                       min_size=1, max_size=3))
+def test_signs_equal_integer_draws_and_leave_the_same_state(seed, half_used, shapes):
+    # Zero-size, odd and even counts up to row-block size, a fresh or
+    # half-used 64-bit output, and calls in a row: values and the whole state
+    # dict (the buffered word too) equal NumPy's. A NumPy that changes its
+    # bounded draw or PCG64's buffering fails here first.
+    fast, slow = derive_rng(seed), derive_rng(seed)
+    if half_used:  # one 32-bit draw leaves the other half of a 64-bit output buffered
+        for rng in (fast, slow):
+            rng.integers(0, 10)
+        assert fast.bit_generator.state["has_uint32"] == 1
+    for shape in shapes:
+        want = slow.integers(0, 2, shape, dtype=np.int32) * 2 - 1
+        got = rngstreams.signs(fast, shape)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 @settings(max_examples=200, deadline=None)
