@@ -2,14 +2,16 @@
 
 Subcommands: fit | simulate | pvalue | table | power | ecdf. Shared flags:
 --seed, --threads, --out, --format. Exit codes: 0 success, 1 runtime
-failure, 2 usage error. Every command is deterministic given --seed,
-regardless of --threads.
+failure, 2 usage error. The parser types every flag value, so a malformed
+value or a pair of conflicting flags exits 2 before any input is read.
+Every command is deterministic given --seed, regardless of --threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -33,97 +35,72 @@ MEMD_PAPER_SCALE = 15.5  # documented display factor; see README on MEMD scaling
 
 
 class UsageError(Exception):
-    pass
+    """A rule that spans several flags (or a flag and the --config file) is broken."""
 
 
-# -- small parsers ---------------------------------------------------------------
+# -- flag value types ----------------------------------------------------------------
 
-def _parse_list(text: str, flag: str, kind=int) -> tuple:
-    try:
-        return tuple(kind(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        noun = "integer" if kind is int else "number"
-        raise UsageError(f"{flag} expects a comma-separated {noun} list")
-
-
-def _parse_nk_pairs(text: str) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for token in text.split(","):
-        if not token.strip():
-            continue
+def _typed(parse, expected: str):
+    """An argparse ``type``: ``parse(text)``, whose ValueError exits 2 naming the flag."""
+    def convert(text: str):
         try:
-            n, k = token.split(":")
-            pairs.append((int(n), int(k)))
-        except ValueError:
-            raise UsageError("--nk-pairs expects entries like 100:10,1000:1")
-    return tuple(pairs)
+            return parse(text)
+        except (ValueError, OverflowError):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    return convert
 
 
-def _parse_grid(text: str, flag: str) -> dict[str, tuple[float, ...]]:
+def _items(parse):
+    """Parse each nonblank comma-separated entry of a text."""
+    return lambda text: tuple(parse(p.strip()) for p in text.split(",") if p.strip())
+
+
+def _nk_pair(text: str) -> tuple[int, int]:
+    n, k = text.split(":")
+    return int(n), int(k)
+
+
+def _metrics(text: str) -> tuple[MetricId, ...]:
+    return tuple(MetricId) if text == "all" else _items(MetricId)(text)
+
+
+def _grid(text: str) -> dict[str, tuple[float, ...]]:
+    """``name=start:stop:step`` or ``name=value`` entries: each name's grid values."""
     grid: dict[str, tuple[float, ...]] = {}
-    for token in text.split(","):
-        if not token.strip():
-            continue
-        if "=" not in token:
-            raise UsageError(f"{flag}: expected name=start:stop:step, got {token!r}")
+    for token in filter(str.strip, text.split(",")):
         name, valspec = token.split("=", 1)
-        parts = valspec.split(":")
-        try:
-            if len(parts) == 1:
-                values = (float(parts[0]),)
-            elif len(parts) == 3:
-                start, stop, step = (float(p) for p in parts)
-                if step <= 0 or stop < start:
-                    raise ValueError
-                count = int(round((stop - start) / step)) + 1
-                values = tuple(round(start + i * step, 12) for i in range(count) if start + i * step <= stop + step * 1e-9)
-            else:
+        parts = [float(p) for p in valspec.split(":")]
+        if len(parts) == 3:
+            start, stop, step = parts
+            if step <= 0 or stop < start:
                 raise ValueError
-        except ValueError:
-            raise UsageError(f"{flag}: bad values for {name!r}; use start:stop:step or a single number")
+            count = int(round((stop - start) / step)) + 1
+            values = tuple(round(start + i * step, 12) for i in range(count) if start + i * step <= stop + step * 1e-9)
+        elif len(parts) == 1:
+            values = tuple(parts)
+        else:
+            raise ValueError
         grid[name.strip()] = values
     if not grid:
-        raise UsageError(f"{flag} is empty")
+        raise ValueError
     return grid
 
 
-def _parse_metrics(text: str) -> tuple[MetricId, ...]:
-    if text == "all":
-        return (MetricId.MAE, MetricId.WINS, MetricId.MEMD)
-    try:
-        return tuple(MetricId(p.strip()) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise UsageError("--metric expects mae, wins, memd, a comma list, or all")
-
-
-def _parse_clip(text: str | None, flag: str) -> dict[str, float]:
-    if text is None:
-        return {}
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{flag} expects lo,hi (use 'none' to leave a side open)")
-    out = {}
-    for name, part in zip(("lo", "hi"), parts):
-        part = part.strip().lower()
-        if part not in ("", "none"):
-            try:
-                out[name] = float(part)
-            except ValueError:
-                raise UsageError(f"{flag}: bad bound {part!r}")
-    return out
+def _clip(text: str) -> dict[str, float]:
+    """``lo,hi`` censoring bounds; a blank or ``none`` side stays open."""
+    lo, hi = text.split(",")
+    return {name: float(part) for name, part in (("lo", lo), ("hi", hi))
+            if part.strip().lower() not in ("", "none")}
 
 
 def _positive(kind, noun: str):
     """An argparse ``type`` that accepts a finite ``kind`` value > 0."""
     def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = None
-        if value is None or not math.isfinite(value) or value <= 0:
-            raise argparse.ArgumentTypeError(f"expected {noun} > 0, got {text!r}")
+        value = kind(text)
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError
         return value
-    return parse
+    return _typed(parse, f"{noun} > 0")
 
 
 def _load_prior(args) -> ItemPrior | None:
@@ -131,7 +108,7 @@ def _load_prior(args) -> ItemPrior | None:
     if sum((args.default_synthetic, args.prior_spec is not None, args.input is not None)) != 1:
         raise UsageError("choose exactly one of --default-synthetic, --prior-spec, --input")
     if args.input is not None:
-        if args.n is not None or args.k is not None:
+        if args.n_items is not None or args.k_responses is not None:
             raise UsageError("--n/--k come from the input matrices in --input mode")
         return None
     if args.default_synthetic:
@@ -142,12 +119,9 @@ def _load_prior(args) -> ItemPrior | None:
     return ItemPrior.from_json_dict(obj)
 
 
-# ExperimentConfig field set by each flag that needs no conversion.
-_FLAG_FIELDS = {"n": "n_items", "k": "k_responses", "epsilon": "epsilon", "b_alt": "b_alt",
-                "b_null": "b_null", "alpha": "alpha", "seed": "seed"}
-
-
 def _base_config(args) -> ExperimentConfig:
+    """The ``--config`` file's config, overridden by the flags and the prior they choose."""
+    prior = _load_prior(args)
     if args.config:
         config = ExperimentConfig.from_json_dict(
             json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -155,15 +129,12 @@ def _base_config(args) -> ExperimentConfig:
     else:
         config = ExperimentConfig()
     # A flag that is unset, or that the command does not take, keeps the config's value.
-    updates = {field: value for flag, field in _FLAG_FIELDS.items()
-               if (value := getattr(args, flag, None)) is not None}
-    phi, metric = getattr(args, "phi", None), getattr(args, "metric", None)
-    if phi is not None:
-        updates["phi"] = SamplingStrategy.parse(phi)
-    if metric is not None:
-        updates["metrics"] = _parse_metrics(metric)
+    updates = {f.name: value for f in dataclasses.fields(config)
+               if (value := getattr(args, f.name, None)) is not None}
     if args.levels is not None:
         updates["family"] = ResponseFamily(args.levels)
+    if prior is not None:
+        updates["prior"] = prior
     return config.with_(**updates)
 
 
@@ -186,10 +157,9 @@ def _emit(args, text: str) -> None:
 # -- commands ----------------------------------------------------------------------
 
 def cmd_pvalue(args) -> None:
-    prior = _load_prior(args)
     config = _base_config(args)
     given = None
-    if prior is None:
+    if args.input is not None:
         given = tuple(load_responses(p, levels=args.levels) for p in args.input)
         config = config.with_(
             mode=Mode.BOOTSTRAP_OF_GIVEN,
@@ -197,7 +167,7 @@ def cmd_pvalue(args) -> None:
             k_responses=int(given[0].counts()[0]),
         )
     else:
-        config = config.with_(prior=prior, mode=Mode.PARAMETRIC)
+        config = config.with_(mode=Mode.PARAMETRIC)
     config = config.validate()
     report = run_experiment(config, given=given, threads=args.threads)
     obj = report.to_json_dict()
@@ -214,18 +184,18 @@ def cmd_pvalue(args) -> None:
 
 
 def cmd_table(args) -> None:
-    base = _base_config(args).with_(prior=_load_prior(args))
+    if args.nk_pairs is not None and (args.n_values, args.k_values) != (None, None):
+        raise UsageError("--nk-pairs replaces --n-values and --k-values; give one or the other")
+    if args.pivot and args.format == "json":
+        raise UsageError("--pivot writes CSV only; drop --format json")
+    pairs = args.nk_pairs or tuple(itertools.product(args.n_values or (), args.k_values or ()))
+    eps_values = args.epsilon_values
+    if not pairs or not eps_values:
+        raise UsageError("table needs --epsilon-values and --nk-pairs (or --n-values and --k-values)")
+    base = _base_config(args)
     metrics = base.metrics
     if args.pivot and len(metrics) != 1:
         raise UsageError("--pivot needs a single --metric")
-    if args.nk_pairs:
-        pairs = _parse_nk_pairs(args.nk_pairs)
-    else:
-        pairs = tuple(itertools.product(_parse_list(args.n_values or "", "--n-values"),
-                                        _parse_list(args.k_values or "", "--k-values")))
-    eps_values = _parse_list(args.epsilon_values, "--epsilon-values", float)
-    if not pairs or not eps_values:
-        raise UsageError("table needs --epsilon-values and --nk-pairs (or --n-values and --k-values)")
 
     # One column of epsilon values per (N, K), whose draws are shared; every
     # column runs on one pool.
@@ -260,24 +230,12 @@ def cmd_table(args) -> None:
 
 
 def cmd_power(args) -> None:
-    config = _base_config(args).with_(prior=_load_prior(args))
-    if args.n_sweep and args.k_sweep:
-        raise UsageError("choose one of --n-sweep / --k-sweep")
-    if args.n_sweep:
-        axis, values = "n_items", _parse_list(args.n_sweep, "--n-sweep")
-    elif args.k_sweep:
-        axis, values = "k_responses", _parse_list(args.k_sweep, "--k-sweep")
+    config = _base_config(args).validate()
+    if args.k_sweep is not None:
+        axis, values = "k_responses", args.k_sweep
     else:
-        axis, values = "n_items", (config.n_items,)
-    config = config.validate()
-
-    if args.test == "all":
-        tests = tuple(TestId)
-    else:
-        try:
-            tests = (TestId(args.test),)
-        except ValueError:
-            raise UsageError("--test expects bootstrap, welch, wilcoxon, permutation or all")
+        axis, values = "n_items", (args.n_sweep if args.n_sweep is not None else (config.n_items,))
+    tests = tuple(TestId) if args.test == "all" else (TestId(args.test),)
     reports = power_sweeps(config, tests, args.trials, axis, values, threads=args.threads)
     if args.format == "json":
         payload = {
@@ -298,26 +256,17 @@ def cmd_power(args) -> None:
 
 
 def cmd_fit(args) -> None:
-    matrix = load_responses(args.input, levels=args.levels)
-    stats = per_item_stats(matrix)
-    location_grid = args.location_grid or args.grid
-    if args.location_family is None or location_grid is None:
-        raise UsageError("fit needs --location-family and --location-grid (or --grid)")
-    try:
-        location_family = Family(args.location_family)
-        scale_family = Family(args.scale_family) if args.scale_family else None
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if scale_family is not None and args.scale_grid is None:
+    if args.scale_family is not None and args.scale_grid is None:
         raise UsageError("--scale-family needs --scale-grid")
+    matrix = load_responses(args.input, levels=args.levels)
     report = fit_prior(
-        stats,
-        location_family,
-        _parse_grid(location_grid, "--location-grid"),
-        scale_family=scale_family,
-        scale_grid=_parse_grid(args.scale_grid, "--scale-grid") if args.scale_grid else None,
-        location_fixed=_parse_clip(args.location_clip, "--location-clip"),
-        scale_fixed=_parse_clip(args.scale_clip, "--scale-clip"),
+        per_item_stats(matrix),
+        args.location_family,
+        args.location_grid,
+        scale_family=args.scale_family,
+        scale_grid=args.scale_grid,
+        location_fixed=args.location_clip,
+        scale_fixed=args.scale_clip,
         sim_count=args.sim_count,
         seed=args.seed or 0,
         threads=args.threads,
@@ -326,9 +275,7 @@ def cmd_fit(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    if not args.out:
-        raise UsageError("simulate needs --out PREFIX")
-    config = _base_config(args).with_(prior=_load_prior(args)).validate()
+    config = _base_config(args).validate()
     rng = rngstreams.derive_rng(config.seed, rngstreams.BASE)
     g, a, b = generate_triple(config, rng)
     suffix = "csv" if args.format == "csv" else "jsonl"
@@ -359,10 +306,12 @@ def cmd_ecdf(args) -> None:
 
 # -- parser ---------------------------------------------------------------------------
 
-def _add_shared(p: argparse.ArgumentParser, *, formats: tuple[str, ...], default_format: str) -> None:
+def _add_shared(p: argparse.ArgumentParser, *, formats: tuple[str, ...], default_format: str,
+                out_prefix: bool = False) -> None:
     p.add_argument("--seed", type=int, default=None, help="root RNG seed (default 0)")
     p.add_argument("--threads", type=_positive(int, "an integer"), default=1)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--out", default=None, required=out_prefix,
+                   help="path prefix of the output files" if out_prefix else "output path (default stdout)")
     p.add_argument("--format", choices=formats, default=default_format)
 
 
@@ -375,15 +324,18 @@ def _add_prior_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(input=None)  # pvalue adds --input; the other commands have none
 
 
+# Each flag's dest is the ExperimentConfig field it sets (see _base_config).
 _EXPERIMENT_FLAGS = {
-    "--n": {"type": int, "help": "items per test set"},
-    "--k": {"type": int, "help": "responses per item"},
+    "--n": {"dest": "n_items", "metavar": "N", "type": int, "help": "items per test set"},
+    "--k": {"dest": "k_responses", "metavar": "K", "type": int, "help": "responses per item"},
     "--epsilon": {"type": float},
     "--b-alt": {"type": int, "help": "alternative resamples (default 500)"},
     "--b-null": {"type": int, "help": "null resamples (default 500)"},
     "--alpha": {"type": float},
-    "--phi": {"help": "sampling strategy items,responses (e.g. all,boot)"},
-    "--metric": {"help": "mae, wins, memd, comma list, or all"},
+    "--phi": {"type": _typed(SamplingStrategy.parse, "items,responses, each all or boot"),
+              "help": "sampling strategy items,responses (e.g. all,boot)"},
+    "--metric": {"dest": "metrics", "type": _typed(_metrics, "mae, wins, memd, a comma list, or all"),
+                 "help": "mae, wins, memd, comma list, or all"},
 }
 
 
@@ -401,6 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation-based power analysis for rater-response evaluations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ints = _typed(_items(int), "a comma-separated integer list")
+    family = _typed(Family, "one of " + ", ".join(f.value for f in Family))
+    grid = _typed(_grid, "name=start:stop:step or name=value entries")
+    clip = _typed(_clip, "lo,hi (use 'none' to leave a side open)")
 
     def command(name: str, help: str) -> argparse.ArgumentParser:
         # No prefix matching, so that a flag a command lacks (table's
@@ -420,22 +376,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("table", "p-value grid over N, K and epsilon")
     _add_prior_flags(p)
     _add_experiment_flags(p, "--n", "--k", "--epsilon")
-    p.add_argument("--n-values", default=None)
-    p.add_argument("--k-values", default=None)
-    p.add_argument("--epsilon-values", required=True)
-    p.add_argument("--nk-pairs", default=None, help="restrict to zipped pairs, e.g. 100:10,1000:1")
-    p.add_argument("--group-by-nk", action="store_true", help="annotate and sort by equal N*K groups")
-    p.add_argument("--pivot", action="store_true", help="wide layout: one row per (N,K), one column per epsilon")
+    p.add_argument("--n-values", type=ints, default=None)
+    p.add_argument("--k-values", type=ints, default=None)
+    p.add_argument("--epsilon-values", type=_typed(_items(float), "a comma-separated number list"),
+                   required=True)
+    p.add_argument("--nk-pairs", type=_typed(_items(_nk_pair), "entries like 100:10,1000:1"), default=None,
+                   help="zipped pairs instead of --n-values x --k-values, e.g. 100:10,1000:1")
+    layout = p.add_mutually_exclusive_group()
+    layout.add_argument("--group-by-nk", action="store_true", help="annotate and sort by equal N*K groups")
+    layout.add_argument("--pivot", action="store_true",
+                        help="wide CSV layout: one row per (N,K), one column per epsilon")
     _add_shared(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_table)
 
     p = command("power", "power curves for the bootstrap test and baselines")
     _add_prior_flags(p)
     _add_experiment_flags(p, "--b-alt")
-    p.add_argument("--test", default="all",
-                   help="bootstrap, welch, wilcoxon, permutation, or all")
-    p.add_argument("--n-sweep", default=None, help="comma list of N values")
-    p.add_argument("--k-sweep", default=None, help="comma list of K values")
+    p.add_argument("--test", choices=[*(t.value for t in TestId), "all"], default="all")
+    sweep = p.add_mutually_exclusive_group()
+    sweep.add_argument("--n-sweep", type=ints, default=None, help="comma list of N values")
+    sweep.add_argument("--k-sweep", type=ints, default=None, help="comma list of K values")
     p.add_argument("--trials", type=int, default=200)
     _add_shared(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_power)
@@ -443,13 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("fit", "grid-search distribution fit to per-item stats")
     p.add_argument("--input", required=True, help="matrix file (jsonl or csv)")
     p.add_argument("--levels", type=int, default=None, help="map raw ordinal labels onto [0,1]")
-    p.add_argument("--location-family", default=None)
-    p.add_argument("--location-grid", default=None)
-    p.add_argument("--grid", default=None, help="alias for --location-grid")
-    p.add_argument("--location-clip", default=None, help="fixed censoring bounds lo,hi")
-    p.add_argument("--scale-family", default=None)
-    p.add_argument("--scale-grid", default=None)
-    p.add_argument("--scale-clip", default=None)
+    p.add_argument("--location-family", type=family, required=True)
+    p.add_argument("--location-grid", "--grid", type=grid, required=True)
+    p.add_argument("--location-clip", type=clip, default=None, help="fixed censoring bounds lo,hi")
+    p.add_argument("--scale-family", type=family, default=None)
+    p.add_argument("--scale-grid", type=grid, default=None)
+    p.add_argument("--scale-clip", type=clip, default=None)
     p.add_argument("--sim-count", type=int, default=None)
     _add_shared(p, formats=("json",), default_format="json")
     p.set_defaults(func=cmd_fit)
@@ -457,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("simulate", "write one (G, A, B) triple")
     _add_prior_flags(p)
     _add_experiment_flags(p, "--b-alt", "--b-null", "--alpha", "--phi", "--metric")
-    _add_shared(p, formats=("jsonl", "csv"), default_format="jsonl")
+    _add_shared(p, formats=("jsonl", "csv"), default_format="jsonl", out_prefix=True)
     p.set_defaults(func=cmd_simulate)
 
     p = command("ecdf", "empirical CDF of per-item means or stds")
@@ -479,7 +438,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except (UsageError, InvalidParam) as exc:
-        # Bad flag values surface as usage errors; InvalidParam is a
+        # Bad config values surface as usage errors; InvalidParam is a
         # RaterPowerError, so this handler comes first.
         print(f"error: {exc}", file=sys.stderr)
         return 2

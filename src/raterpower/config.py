@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import InvalidParam
@@ -65,8 +66,8 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         check_count("n_items", self.n_items, "need at least one item")
         check_count("k_responses", self.k_responses, "need at least one response per item")
-        if self.epsilon < 0:
-            raise InvalidParam("epsilon", "epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise InvalidParam("epsilon", f"epsilon must be >= 0 and finite, got {self.epsilon}")
         check_count("b_alt", self.b_alt, "need at least one alternative resample")
         check_count("b_null", self.b_null, "need at least one null resample")
         check_count("seed", self.seed, "seed must be a nonnegative integer", least=0)
@@ -99,6 +100,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
+        # Only the keys to_json_dict writes, so a misspelt key is not ignored.
+        unknown = sorted(set(obj) - set(cls().to_json_dict()))
+        if unknown:
+            raise InvalidParam("config", f"unknown keys {unknown}")
         # Counts pass as given, so validate() rejects 2.7, 2.0 and "3" alike.
         kwargs = {key: obj[key] for key in ("n_items", "k_responses", "b_alt", "b_null", "seed")
                   if key in obj}

@@ -578,3 +578,132 @@ def test_config_file_with_a_non_integer_count_exits_2(tmp_path, capsys, monkeypa
     code, _, err = run(["pvalue", "--default-synthetic", "--config", str(config)], capsys)
     assert code == 2
     assert "n_items" in err
+
+
+# -- the parser decides every flag -------------------------------------------------
+
+def _no_work(monkeypatch):
+    from raterpower import cli, inference, power
+
+    for name in ("run_experiment", "run_columns", "power_sweeps", "load_responses", "fit_prior",
+                 "generate_triple"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("did work"))
+    monkeypatch.setattr(power, "_trial_p_value", lambda *args, **kwargs: pytest.fail("ran a trial"))
+    monkeypatch.setattr(inference, "draw_batch", lambda *args, **kwargs: pytest.fail("drew a column"))
+
+
+TABLE = ["table", "--prior-spec", "{missing}.json", "--config", "{missing}-config.json"]
+POWER = ["power", "--prior-spec", "{missing}.json"]
+PVALUE = ["pvalue", "--prior-spec", "{missing}.json"]
+FIT = ["fit", "--input", "{missing}.jsonl"]
+FIT_OK = ["--location-family", "normal", "--grid", "mu=0.5,sigma=0.1"]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (TABLE + ["--k-values", "2", "--epsilon-values", "0"], "--n-values", "10,x"),
+    (TABLE + ["--n-values", "10", "--epsilon-values", "0"], "--k-values", "2.5"),
+    (TABLE + ["--nk-pairs", "5:2"], "--epsilon-values", "0.1,abc"),
+    (TABLE + ["--epsilon-values", "0"], "--nk-pairs", "5"),
+    (TABLE + ["--epsilon-values", "0"], "--nk-pairs", "5:2:1"),
+    (TABLE + ["--nk-pairs", "5:2", "--epsilon-values", "0"], "--metric", "mae,bogus"),
+    (TABLE + ["--nk-pairs", "5:2", "--epsilon-values", "0"], "--phi", "all"),
+    (PVALUE, "--phi", "all,sometimes"),
+    (PVALUE, "--metric", "all,mae"),
+    (POWER, "--n-sweep", "x"),
+    (POWER, "--k-sweep", "3;4"),
+    (POWER, "--test", "bogus"),
+    (FIT + ["--grid", "mu=0"], "--location-family", "bogus"),
+    (FIT + FIT_OK + ["--scale-grid", "lo=0"], "--scale-family", "bogus"),
+    (FIT + ["--location-family", "normal"], "--location-grid", "mu"),
+    (FIT + ["--location-family", "normal"], "--grid", "mu=0:1"),
+    (FIT + ["--location-family", "normal"], "--grid", "mu=0:inf:1"),
+    (FIT + FIT_OK + ["--scale-family", "uniform"], "--scale-grid", "lo=1:0:0.1"),
+    (FIT + FIT_OK, "--location-clip", "0"),
+    (FIT + FIT_OK, "--scale-clip", "0,x"),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_a_malformed_flag_value_exits_2_naming_it_before_any_file_is_read(
+        command, flag, value, tmp_path, capsys, monkeypatch):
+    _no_work(monkeypatch)
+    missing = str(tmp_path / "missing")
+    argv = [part.format(missing=missing) for part in command]
+    code, _, err = run([*argv, flag, value, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2, err
+    assert flag in err and "missing" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("present", [["--location-family", "normal"], ["--grid", "mu=0.5,sigma=0.1"]],
+                         ids=["no-grid", "no-family"])
+def test_fit_needs_a_location_family_and_grid_before_reading_input(present, tmp_path, capsys, monkeypatch):
+    _no_work(monkeypatch)
+    code, _, err = run(["fit", "--input", str(tmp_path / "missing.jsonl"), *present], capsys)
+    assert code == 2
+    assert "required" in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    (TABLE + ["--nk-pairs", "5:2", "--epsilon-values", "0"], ["--n-values", "5"]),
+    (TABLE + ["--nk-pairs", "5:2", "--epsilon-values", "0"], ["--k-values", "2"]),
+    (TABLE + ["--nk-pairs", "5:2", "--epsilon-values", "0", "--metric", "mae"], ["--pivot", "--format", "json"]),
+    (TABLE + ["--nk-pairs", "5:2", "--epsilon-values", "0", "--metric", "mae"], ["--pivot", "--group-by-nk"]),
+    (POWER, ["--n-sweep", "5", "--k-sweep", "2"]),
+], ids=["nk-pairs+n-values", "nk-pairs+k-values", "pivot+json", "pivot+group-by-nk", "n-sweep+k-sweep"])
+def test_conflicting_flags_exit_2_before_any_file_is_read(command, flags, tmp_path, capsys, monkeypatch):
+    # Each pair used to run, one flag silently overriding or ignoring the other.
+    _no_work(monkeypatch)
+    argv = [part.format(missing=str(tmp_path / "missing")) for part in command]
+    code, _, err = run([*argv, *flags, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2, err
+    assert flags[0] in err and flags[-2] in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["pvalue", "--n", "5", "--k", "2", "--b-alt", "5", "--b-null", "5", "--epsilon", "{}"],
+    ["power", "--n", "5", "--k", "2", "--test", "bootstrap", "--trials", "2", "--b-null", "5", "--epsilon", "{}"],
+    ["table", "--nk-pairs", "5:2", "--b-alt", "5", "--b-null", "5", "--epsilon-values", "0,{}"],
+], ids=lambda command: command[0])
+def test_a_non_finite_epsilon_exits_2_before_any_work(command, value, tmp_path, capsys, monkeypatch):
+    from raterpower import cli, inference
+
+    _no_work(monkeypatch)
+    # run_columns validates every column before it draws one.
+    monkeypatch.setattr(cli, "run_columns", inference.run_columns)
+    out = tmp_path / "out"
+    code, _, err = run([command[0], "--default-synthetic", *(part.format(value) for part in command[1:]),
+                        "--out", str(out)], capsys)
+    assert code == 2, err
+    assert "epsilon must be >= 0 and finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_config_file_with_a_non_finite_epsilon_exits_2(epsilon, tmp_path, capsys, monkeypatch):
+    _no_work(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epsilon": epsilon}), encoding="utf-8")
+    code, _, err = run(["pvalue", "--default-synthetic", "--config", str(config)], capsys)
+    assert code == 2
+    assert "epsilon must be >= 0 and finite" in err
+
+
+def test_config_file_takes_exactly_the_keys_a_report_writes(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "report.json"
+    argv = ["pvalue", "--default-synthetic", "--n", "6", "--k", "2", "--epsilon", "0.1", "--b-alt", "8",
+            "--b-null", "8", "--seed", "3"]
+    code, _, err = run([*argv, "--out", str(out)], capsys)
+    assert code == 0, err
+    block = json.loads(out.read_text())["config"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(block), encoding="utf-8")
+    again = tmp_path / "again.json"
+    code, _, err = run(["pvalue", "--default-synthetic", "--config", str(config), "--out", str(again)], capsys)
+    assert code == 0, err
+    assert again.read_bytes() == out.read_bytes()
+    # A misspelt key used to be ignored: this ran at the default N = 100.
+    _no_work(monkeypatch)
+    config.write_text(json.dumps({**block, "n_item": 7}), encoding="utf-8")
+    code, _, err = run(["pvalue", "--default-synthetic", "--config", str(config)], capsys)
+    assert code == 2
+    assert "n_item" in err
