@@ -258,6 +258,8 @@ def cmd_power(args) -> None:
 def cmd_fit(args) -> None:
     if args.scale_family is not None and args.scale_grid is None:
         raise UsageError("--scale-family needs --scale-grid")
+    if args.scale_family is None and (args.scale_grid is not None or args.scale_clip is not None):
+        raise UsageError("--scale-grid and --scale-clip need --scale-family")
     matrix = load_responses(args.input, levels=args.levels)
     report = fit_prior(
         per_item_stats(matrix),

@@ -9,9 +9,12 @@ before the distance is computed, since fitted families may legally put mass
 outside it.
 
 Candidates are scored in blocks: candidate i draws its raw variates
-(``DistributionSpec.draw``) from its own generator, derive_rng(seed, FIT,
-side, i), into row i of a block, and the family transform, clip, sort and
-distance then run once per block. Blocks run on ``threads``; the report does
+(``DistributionSpec.draw``) from its own stream, derive_rng(seed, FIT, side,
+i), into row i of a block, and the family transform, clip, sort and
+distance then run once per block. The starting states of every candidate's
+stream come from one ``rngstreams.stream_states`` pass before any block
+runs; each block re-states one generator per candidate instead of deriving
+one, and draws the same values. Blocks run on ``threads``; the report does
 not depend on the block size or the thread count.
 """
 
@@ -124,9 +127,10 @@ def _distances(real: np.ndarray, sims: np.ndarray) -> list[float]:
         hi = np.minimum(lo + 1, n - 1)
         frac = pos - lo
         d = real - (np.take(sims, lo, axis=-1) * (1.0 - frac) + np.take(sims, hi, axis=-1) * frac)
-    # One 1-D sum per row, as row.mean() takes it: a batched mean(axis=-1)
-    # may add in another order.
-    return [float(np.add.reduce(row)) / row.size for row in np.abs(d, out=d)]
+    # d is C-contiguous, so the reduction over its last axis adds each row
+    # pairwise as row.mean() does (a column-major block would add column by
+    # column).
+    return (np.add.reduce(np.abs(d, out=d), axis=-1) / d.shape[-1]).tolist()
 
 
 def stat_distance(
@@ -212,15 +216,18 @@ def _fit_side(
     if not candidates:
         raise NoValidGridPoint(f"no valid {family.value} candidate in the grid")
     real = _sorted_real(values, sim_count)
+    states = rngstreams.stream_states(seed, rngstreams.FIT, side_tag, count=len(candidates))
 
     def block(span: tuple[int, int]) -> list[float]:
-        # Candidate i draws from its own generator into row i as it goes, so
-        # one block and one row are alive; the transform, clip, sort and
-        # distance then run once for the block.
+        # Candidate i draws from its own stream (one generator, re-stated)
+        # into row i as it goes, so one block and one row are alive; the
+        # transform, clip, sort and distance then run once for the block.
         specs = candidates[slice(*span)]
+        rng = np.random.Generator(np.random.PCG64(0))
         raw = None
-        for row, i in enumerate(range(*span)):
-            draws = specs[row].draw(rngstreams.derive_rng(seed, rngstreams.FIT, side_tag, i), sim_count)
+        for row, (spec, state) in enumerate(zip(specs, states[slice(*span)])):
+            rng.bit_generator.state = state
+            draws = spec.draw(rng, sim_count)
             raw = raw or tuple(np.empty((len(specs), sim_count)) for _ in draws)
             for out, x in zip(raw, draws):
                 out[row] = x

@@ -346,6 +346,19 @@ def test_power_rejects_welch_with_one_item_before_any_sweep(tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep", ["--n-sweep", "--k-sweep"])
+def test_power_empty_sweep_exits_2_with_nothing_on_stdout(sweep, capsys, monkeypatch):
+    # Used to exit 0 and print only the CSV header.
+    from raterpower import power
+
+    monkeypatch.setattr(power, "_trial_p_value", lambda *args: pytest.fail("ran a trial"))
+    code, out, err = run(["power", "--default-synthetic", sweep, ",", "--test", "permutation", "--trials", "3"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "at least one value" in err
+
+
 def test_power_all_tests_on_degenerate_data(tmp_path, capsys):
     # Zero-scale prior and epsilon 0: every per-item error is zero, so no
     # test has evidence. Each gets p = 1 instead of aborting the sweep.
@@ -639,6 +652,19 @@ def test_fit_needs_a_location_family_and_grid_before_reading_input(present, tmp_
     code, _, err = run(["fit", "--input", str(tmp_path / "missing.jsonl"), *present], capsys)
     assert code == 2
     assert "required" in err
+
+
+@pytest.mark.parametrize("flags", [["--scale-grid", "lo=0,hi=0.2"], ["--scale-clip", "0,none"],
+                                   ["--scale-grid", "lo=0,hi=0.2", "--scale-clip", "0,none"]],
+                         ids=["grid", "clip", "grid+clip"])
+def test_fit_scale_flags_without_a_scale_family_exit_2_before_reading_input(flags, tmp_path, capsys, monkeypatch):
+    # Used to fit the location only and report "scale_spec": null.
+    _no_work(monkeypatch)
+    argv = [part.format(missing=str(tmp_path / "missing")) for part in FIT]
+    code, out, err = run([*argv, *FIT_OK, *flags], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert flags[0] in err and "--scale-family" in err
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from raterpower import fitting
 from raterpower.distributions import DistributionSpec, Family
 from raterpower.errors import InvalidParam
-from raterpower.fitting import _fit_side, stat_distance
+from raterpower.fitting import _distances, _fit_side, stat_distance
 from raterpower.rngstreams import FIT, derive_rng
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
@@ -132,3 +132,17 @@ def test_fit_side_matches_candidate_loop(family, grid, fixed, sim_count, monkeyp
             side = _fit_side(VALUES, family, grid, fixed, sim_count, 5, 1, threads)
             assert side.best == candidates[best]
             assert side.distance == distance
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 129, 300, 3000])
+def test_block_distances_equal_the_row_loop(n):
+    # One reduction over the block's last axis must add every row as a 1-D
+    # row.mean() does: pairwise, in blocks of 8, below and above 128 terms.
+    rng = np.random.default_rng(n)
+    real = np.sort(rng.normal(0.3, 0.2, n))
+    for sim_count in (n, 2 * n + 3, max(1, n // 3)):  # equal sizes, then interpolated quantiles
+        sims = rng.normal(0.3, 0.25, (5, sim_count))
+        want = [fit_distance_oracle(real, row) for row in sims]
+        got = _distances(real, sims.copy())
+        assert got == want
+        assert all(type(d) is float for d in got)

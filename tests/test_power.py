@@ -355,6 +355,17 @@ def test_welch_rejects_one_item_before_any_trial(monkeypatch):
         power_sweep(config, TestId.WELCH_T, 2, "n_items", (5, 1))
 
 
+@pytest.mark.parametrize("axis", ["n_items", "k_responses"])
+def test_an_empty_sweep_raises_before_any_trial(axis, monkeypatch):
+    # An empty sweep used to return reports with no points.
+    monkeypatch.setattr(power, "_trial_p_value", lambda *args: pytest.fail("ran a trial"))
+    config = ExperimentConfig(n_items=5, k_responses=3, epsilon=0.1)
+    with pytest.raises(InvalidParam, match="at least one value"):
+        power.sweep_configs(config, (TestId.PERMUTATION_PAIRED,), axis, ())
+    with pytest.raises(InvalidParam, match="at least one value"):
+        power_sweeps(config, tuple(TestId), 2, axis, ())
+
+
 def test_single_trial_power_is_binary():
     config = ExperimentConfig(n_items=30, k_responses=3, epsilon=0.2, seed=2)
     report = estimate_power(config, TestId.WELCH_T, trials=1)
