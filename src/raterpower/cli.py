@@ -113,21 +113,22 @@ def _load_prior(args) -> ItemPrior | None:
         return None
     if args.default_synthetic:
         return default_synthetic_prior()
-    obj = json.loads(Path(args.prior_spec).read_text(encoding="utf-8"))
-    if "location_spec" not in obj or obj.get("scale_spec") is None:
-        raise InvalidParam("prior-spec", "fitted JSON needs location_spec and scale_spec")
-    return ItemPrior.from_json_dict(obj)
+    return ItemPrior.from_json_dict(_read_json(args.prior_spec, "prior-spec"))
+
+
+def _read_json(path: str, name: str):
+    """File ``path``'s JSON value; content that is not JSON raises ``InvalidParam`` naming ``name``."""
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data)
+    except ValueError as exc:
+        raise InvalidParam(name, f"not a JSON file: {exc}") from None
 
 
 def _base_config(args) -> ExperimentConfig:
     """The ``--config`` file's config, overridden by the flags and the prior they choose."""
     prior = _load_prior(args)
-    if args.config:
-        config = ExperimentConfig.from_json_dict(
-            json.loads(Path(args.config).read_text(encoding="utf-8"))
-        )
-    else:
-        config = ExperimentConfig()
+    config = ExperimentConfig.from_json_dict(_read_json(args.config, "config")) if args.config else ExperimentConfig()
     # A flag that is unset, or that the command does not take, keeps the config's value.
     updates = {f.name: value for f in dataclasses.fields(config)
                if (value := getattr(args, f.name, None)) is not None}
@@ -168,7 +169,6 @@ def cmd_pvalue(args) -> None:
         )
     else:
         config = config.with_(mode=Mode.PARAMETRIC)
-    config = config.validate()
     report = run_experiment(config, given=given, threads=args.threads)
     obj = report.to_json_dict()
     if args.memd_scale != 1.0 and MetricId.MEMD.value in obj["results"]:
@@ -230,7 +230,7 @@ def cmd_table(args) -> None:
 
 
 def cmd_power(args) -> None:
-    config = _base_config(args).validate()
+    config = _base_config(args)
     if args.k_sweep is not None:
         axis, values = "k_responses", args.k_sweep
     else:
@@ -277,7 +277,7 @@ def cmd_fit(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    config = _base_config(args).validate()
+    config = _base_config(args)
     rng = rngstreams.derive_rng(config.seed, rngstreams.BASE)
     g, a, b = generate_triple(config, rng)
     suffix = "csv" if args.format == "csv" else "jsonl"

@@ -1,4 +1,4 @@
-"""Experiment configuration types shared by the inference, power and CLI layers."""
+"""Experiment configuration types shared by the inference, power and CLI layers; each checks itself when built."""
 
 from __future__ import annotations
 
@@ -13,6 +13,14 @@ from .simulator import ItemPrior, ResponseFamily, check_count, default_synthetic
 __all__ = ["Level", "SamplingStrategy", "Mode", "ExperimentConfig"]
 
 
+def _member(kind: type[enum.Enum], name: str, value):
+    """``kind(value)``; a value that names no member raises ``InvalidParam`` naming field ``name``."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise InvalidParam(name, f"expected one of {', '.join(m.value for m in kind)}, got {value!r}") from None
+
+
 class Level(str, enum.Enum):
     ALL = "all"
     BOOT = "boot"
@@ -25,15 +33,16 @@ class SamplingStrategy:
     items: Level = Level.BOOT
     responses: Level = Level.BOOT
 
+    def __post_init__(self):
+        object.__setattr__(self, "items", _member(Level, "phi", self.items))
+        object.__setattr__(self, "responses", _member(Level, "phi", self.responses))
+
     @classmethod
     def parse(cls, text: str) -> "SamplingStrategy":
-        parts = [p.strip().lower() for p in text.split(",")]
+        parts = [p.strip().lower() for p in text.split(",")] if isinstance(text, str) else []
         if len(parts) != 2:
-            raise InvalidParam("phi", "expected 'items,responses' e.g. 'all,boot'")
-        try:
-            return cls(Level(parts[0]), Level(parts[1]))
-        except ValueError:
-            raise InvalidParam("phi", f"levels must be 'all' or 'boot', got {text!r}")
+            raise InvalidParam("phi", f"expected 'items,responses' e.g. 'all,boot', got {text!r}")
+        return cls(*parts)
 
     @property
     def tag(self) -> str:
@@ -63,7 +72,7 @@ class ExperimentConfig:
     alpha: float = 0.05
     mode: Mode = Mode.PARAMETRIC
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         check_count("n_items", self.n_items, "need at least one item")
         check_count("k_responses", self.k_responses, "need at least one response per item")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
@@ -73,11 +82,12 @@ class ExperimentConfig:
         check_count("seed", self.seed, "seed must be a nonnegative integer", least=0)
         if not 0 < self.alpha < 1:
             raise InvalidParam("alpha", "alpha must lie in (0, 1)")
-        if not self.metrics:
-            raise InvalidParam("metrics", "need at least one metric")
-        self.prior.validate()
-        self.family.validate()
-        return self
+        if not isinstance(self.phi, SamplingStrategy):
+            raise InvalidParam("phi", f"expected a SamplingStrategy, got {self.phi!r}")
+        if not (isinstance(self.metrics, (list, tuple)) and self.metrics):
+            raise InvalidParam("metrics", f"need a nonempty list of metric names, got {self.metrics!r}")
+        object.__setattr__(self, "metrics", tuple(_member(MetricId, "metrics", m) for m in self.metrics))
+        object.__setattr__(self, "mode", _member(Mode, "mode", self.mode))
 
     def with_(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
@@ -100,24 +110,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise InvalidParam("config", f"expected a JSON object, got {obj!r}")
         # Only the keys to_json_dict writes, so a misspelt key is not ignored.
         unknown = sorted(set(obj) - set(cls().to_json_dict()))
         if unknown:
             raise InvalidParam("config", f"unknown keys {unknown}")
-        # Counts pass as given, so validate() rejects 2.7, 2.0 and "3" alike.
-        kwargs = {key: obj[key] for key in ("n_items", "k_responses", "b_alt", "b_null", "seed")
-                  if key in obj}
+        # Counts, metrics and mode pass as given, so the constructor rejects
+        # 2.7, 2.0 and "3" alike, and names a bad metric or mode.
+        kwargs = {key: obj[key] for key in ("n_items", "k_responses", "b_alt", "b_null", "seed", "metrics",
+                                            "mode") if key in obj}
         for key in ("epsilon", "alpha"):
             if key in obj:
-                kwargs[key] = float(obj[key])
+                try:
+                    kwargs[key] = float(obj[key])
+                except (TypeError, ValueError):
+                    raise InvalidParam(key, f"expected a number, got {obj[key]!r}") from None
         if "phi" in obj:
             kwargs["phi"] = SamplingStrategy.parse(obj["phi"])
-        if "metrics" in obj:
-            kwargs["metrics"] = tuple(MetricId(m) for m in obj["metrics"])
-        if obj.get("levels") is not None:
+        if "levels" in obj:
             kwargs["family"] = ResponseFamily(obj["levels"])
-        if "mode" in obj:
-            kwargs["mode"] = Mode(obj["mode"])
         if obj.get("prior") is not None:
             kwargs["prior"] = ItemPrior.from_json_dict(obj["prior"])
-        return cls(**kwargs).validate()
+        return cls(**kwargs)

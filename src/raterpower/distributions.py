@@ -46,25 +46,28 @@ class DistributionSpec:
     """A parameterized distribution family.
 
     ``params`` maps parameter names to values; see ``Family`` for the
-    accepted names. Instances are immutable values; ``validate`` checks the
-    family invariants and raises :class:`InvalidParam` on the first
-    violation.
+    accepted names. Instances are immutable values that check the family
+    invariants when built: the first violation raises :class:`InvalidParam`.
     """
 
     family: Family
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", dict(self.params))
-
-    # -- validation ---------------------------------------------------------
-
-    def validate(self) -> "DistributionSpec":
+        try:
+            object.__setattr__(self, "family", Family(self.family))
+        except ValueError:
+            raise InvalidParam("family", f"unknown family {self.family!r}") from None
+        # + 0.0 turns -0.0 into 0.0: np.clip keeps a zero's sign differently
+        # at a scalar bound (sample) and at a column of bounds (a fit block).
+        object.__setattr__(self, "params", {name: value + 0.0 for name, value in self.params.items()})
         required, optional = _PARAMS[self.family]
         allowed = set(required) | set(optional)
-        for name in self.params:
+        for name, value in self.params.items():
             if name not in allowed:
                 raise InvalidParam(name, f"unknown parameter for {self.family.value}")
+            if math.isnan(value):
+                raise InvalidParam(name, "parameter is NaN")
         for name in required:
             if name not in self.params:
                 raise InvalidParam(name, f"missing parameter for {self.family.value}")
@@ -93,7 +96,6 @@ class DistributionSpec:
         elif f == Family.GAUSSIAN_MIXTURE2:
             if not 0.0 <= p["kappa"] <= 1.0:
                 raise InvalidParam("kappa", "mixing weight outside [0, 1]")
-        return self
 
     @staticmethod
     def _check_censor_bounds(p: Mapping[str, float]) -> None:
@@ -305,14 +307,13 @@ class DistributionSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DistributionSpec":
+        if not (isinstance(obj, dict) and isinstance(obj.get("params", {}), dict)):
+            raise InvalidParam("spec", f"expected an object with a family and a params object, got {obj!r}")
         try:
-            family = Family(obj["family"])
-        except (KeyError, ValueError):
-            raise InvalidParam("family", f"unknown family {obj.get('family')!r}")
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise InvalidParam("params", "params must be an object")
-        return cls(family, {k: float(v) for k, v in params.items()}).validate()
+            params = {k: float(v) for k, v in obj.get("params", {}).items()}
+        except (TypeError, ValueError):
+            raise InvalidParam("params", f"expected numbers, got {obj['params']!r}") from None
+        return cls(obj.get("family"), params)
 
 
 def _affine(x: np.ndarray, scale, shift) -> np.ndarray:
@@ -328,45 +329,36 @@ def _where(live, x: np.ndarray, fallback) -> np.ndarray:
 
 
 def uniform(lo: float, hi: float) -> DistributionSpec:
-    return DistributionSpec(Family.UNIFORM, {"lo": lo, "hi": hi}).validate()
+    return DistributionSpec(Family.UNIFORM, {"lo": lo, "hi": hi})
 
 
 def normal(mu: float, sigma: float) -> DistributionSpec:
-    return DistributionSpec(Family.NORMAL, {"mu": mu, "sigma": sigma}).validate()
+    return DistributionSpec(Family.NORMAL, {"mu": mu, "sigma": sigma})
 
 
 def truncated_normal(mu: float, sigma: float, lo: float, hi: float) -> DistributionSpec:
-    return DistributionSpec(
-        Family.TRUNCATED_NORMAL, {"mu": mu, "sigma": sigma, "lo": lo, "hi": hi}
-    ).validate()
+    return DistributionSpec(Family.TRUNCATED_NORMAL, {"mu": mu, "sigma": sigma, "lo": lo, "hi": hi})
 
 
 def censored_normal(mu: float, sigma: float, lo: float, hi: float) -> DistributionSpec:
-    return DistributionSpec(
-        Family.CENSORED_NORMAL, {"mu": mu, "sigma": sigma, "lo": lo, "hi": hi}
-    ).validate()
+    return DistributionSpec(Family.CENSORED_NORMAL, {"mu": mu, "sigma": sigma, "lo": lo, "hi": hi})
+
+
+def _bounds(lo: float | None, hi: float | None) -> dict[str, float]:
+    """The optional censoring bounds that are given."""
+    return {name: v for name, v in (("lo", lo), ("hi", hi)) if v is not None}
 
 
 def folded_normal(mu: float, sigma: float, lo: float | None = None, hi: float | None = None) -> DistributionSpec:
-    params = {"mu": mu, "sigma": sigma}
-    if lo is not None:
-        params["lo"] = lo
-    if hi is not None:
-        params["hi"] = hi
-    return DistributionSpec(Family.FOLDED_NORMAL, params).validate()
+    return DistributionSpec(Family.FOLDED_NORMAL, {"mu": mu, "sigma": sigma, **_bounds(lo, hi)})
 
 
 def triangular(a: float, b: float, c: float, lo: float | None = None, hi: float | None = None) -> DistributionSpec:
-    params = {"a": a, "b": b, "c": c}
-    if lo is not None:
-        params["lo"] = lo
-    if hi is not None:
-        params["hi"] = hi
-    return DistributionSpec(Family.TRIANGULAR, params).validate()
+    return DistributionSpec(Family.TRIANGULAR, {"a": a, "b": b, "c": c, **_bounds(lo, hi)})
 
 
 def gaussian_mixture2(mu1: float, sigma1: float, mu2: float, sigma2: float, kappa: float) -> DistributionSpec:
     return DistributionSpec(
         Family.GAUSSIAN_MIXTURE2,
         {"mu1": mu1, "sigma1": sigma1, "mu2": mu2, "sigma2": sigma2, "kappa": kappa},
-    ).validate()
+    )

@@ -147,7 +147,6 @@ def stat_distance(
     into the observed data range first.
     """
     real = _sorted_real(real_values, sim_count)
-    spec.validate()
     return _distances(real, spec.sample(rng, sim_count)[None])[0]
 
 
@@ -210,7 +209,7 @@ def _fit_side(
     for combo in itertools.product(*(grid[n] for n in names)):
         params = {**fixed_params, **dict(zip(names, combo))}
         try:
-            candidates.append(DistributionSpec(family, params).validate())
+            candidates.append(DistributionSpec(family, params))
         except InvalidParam:
             continue
     if not candidates:

@@ -567,10 +567,9 @@ def _report(config: ExperimentConfig, alt: dict, null: dict) -> PValueReport:
 
 
 def _column(config: ExperimentConfig, epsilons, given) -> tuple[list, _Arm, _Arm]:
-    """A validated column's per-epsilon configs and its alternative and null arms."""
-    config.validate()
+    """A column's per-epsilon configs and its alternative and null arms."""
     epsilons = tuple(epsilons)
-    configs = [config.with_(epsilon=e).validate() for e in epsilons]
+    configs = [config.with_(epsilon=e) for e in epsilons]
     if not configs:
         raise InvalidParam("epsilons", "need at least one epsilon")
     counts = None
@@ -614,11 +613,12 @@ def run_columns(
 ) -> list[list[PValueReport]]:
     """``run_column`` for each (config, epsilons) of ``columns``, on one pool of ``threads``.
 
-    Every column is validated and prepared first (base draw, pools and
-    gold), so a bad column raises before any chunk runs. Then every chunk
-    of both arms of every column is one task of one ``_map_chunks``; each
-    chunk draws from (seed, arm, chunk start) as in ``run_column``, so the
-    reports equal one ``run_column`` per column, bit for bit.
+    Every column is prepared first (its per-epsilon configs, base draw,
+    pools and gold), so a bad column raises before any chunk runs. Then
+    every chunk of both arms of every column is one task of one
+    ``_map_chunks``; each chunk draws from (seed, arm, chunk start) as in
+    ``run_column``, so the reports equal one ``run_column`` per column, bit
+    for bit.
     """
     prepared = [_column(config, epsilons, given) for config, epsilons in columns]
     configs, alts, nulls = zip(*prepared) if prepared else ((), (), ())
@@ -687,7 +687,6 @@ def mean_metric_scores(
     on epsilon, so score gaps across epsilon values share their randomness.
     It runs the alternative chunk under the SCORE stream tag.
     """
-    config.validate()
     check_count("n_samples", n_samples, "need at least one sample")
     scores = _collect([_Arm(
         config.seed, rngstreams.SCORE,

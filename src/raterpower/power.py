@@ -436,7 +436,7 @@ def power_sweeps(
 def sweep_configs(
     config: ExperimentConfig, tests: tuple[TestId, ...], axis: str, values: tuple[int, ...]
 ) -> list[ExperimentConfig]:
-    """The validated config of each sweep point; raises before any trial runs.
+    """The config of each sweep point; raises before any trial runs.
 
     A sweep needs at least one point, and Welch's t test needs at least two
     items at every point.
@@ -445,7 +445,7 @@ def sweep_configs(
         raise InvalidParam("axis", "axis must be n_items or k_responses")
     if not values:
         raise InvalidParam(axis, "a sweep needs at least one value")
-    configs = [config.with_(**{axis: int(value)}).validate() for value in values]
+    configs = [config.with_(**{axis: int(value)}) for value in values]
     if TestId.WELCH_T in tests and any(cfg.n_items < 2 for cfg in configs):
         raise InvalidParam("n_items", "Welch's t test needs at least two items")
     return configs

@@ -7,7 +7,7 @@ of matrices: gold G, an ideal model A drawn from the same per-item
 distributions, and a perturbed model B whose locations are shifted by
 delta_i ~ Uniform(-epsilon, epsilon). The engine draws them as (c, N, K)
 arrays. ``ResponseMatrix`` holds one matrix, rectangular or ragged, in the
-NaN-padded form the engine reads; ``check_matrices`` validates input.
+NaN-padded form the engine reads; ``check_matrices`` checks input.
 """
 
 from __future__ import annotations
@@ -40,18 +40,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ItemPrior:
-    """Pair of distributions for per-item location and scale."""
+    """Pair of distributions for per-item location and scale; the scale's mass must lie at or above 0."""
 
     location: DistributionSpec
     scale: DistributionSpec
 
-    def validate(self) -> "ItemPrior":
-        self.location.validate()
-        self.scale.validate()
+    def __post_init__(self):
         lo, _ = self.scale.support()
         if lo < 0:
             raise InvalidParam("scale", "scale distribution puts mass below 0")
-        return self
 
     def to_json_dict(self) -> dict:
         return {
@@ -61,10 +58,12 @@ class ItemPrior:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ItemPrior":
+        if not (isinstance(obj, dict) and obj.get("location_spec") and obj.get("scale_spec")):
+            raise InvalidParam("prior", "needs a location_spec and a scale_spec")
         return cls(
             DistributionSpec.from_json_dict(obj["location_spec"]),
             DistributionSpec.from_json_dict(obj["scale_spec"]),
-        ).validate()
+        )
 
 
 @dataclass(frozen=True)
@@ -78,10 +77,9 @@ class ResponseFamily:
 
     levels: int | None = None
 
-    def validate(self) -> "ResponseFamily":
+    def __post_init__(self):
         if self.levels is not None:
             check_count("levels", self.levels, "discrete response domain needs >= 2 levels", least=2)
-        return self
 
 
 def _slots(counts: np.ndarray, width: int) -> np.ndarray:
@@ -343,11 +341,8 @@ def simulate_batch(config, rng: np.random.Generator, c: int) -> tuple[np.ndarray
 
 
 def generate_triple(config, rng: np.random.Generator) -> tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix]:
-    """Draw one (G, A, B) experiment: ``simulate_batch`` with c = 1.
-
-    ``config`` is an ExperimentConfig; it is validated first.
-    """
-    g, a, b = simulate_batch(config.validate(), rng, 1)
+    """Draw one (G, A, B) experiment of an ExperimentConfig: ``simulate_batch`` with c = 1."""
+    g, a, b = simulate_batch(config, rng, 1)
     return ResponseMatrix.from_array(g[0]), ResponseMatrix.from_array(a[0]), ResponseMatrix.from_array(b[0])
 
 
@@ -355,7 +350,7 @@ def generate_triple(config, rng: np.random.Generator) -> tuple[ResponseMatrix, R
 
 def default_synthetic_prior() -> ItemPrior:
     """Locations Uniform(0, 1), scales Uniform(0, 0.3)."""
-    return ItemPrior(uniform(0.0, 1.0), uniform(0.0, 0.3)).validate()
+    return ItemPrior(uniform(0.0, 1.0), uniform(0.0, 0.3))
 
 
 def toxicity_prior() -> ItemPrior:
@@ -365,7 +360,7 @@ def toxicity_prior() -> ItemPrior:
     return ItemPrior(
         folded_normal(0.19, 0.11, lo=0.0, hi=1.0),
         triangular(-0.05, 0.21, 0.45, lo=0.0),
-    ).validate()
+    )
 
 
 def multidomain_prior() -> ItemPrior:
@@ -375,4 +370,4 @@ def multidomain_prior() -> ItemPrior:
     return ItemPrior(
         truncated_normal(-0.5, 1.0, 0.0, 1.0),
         truncated_normal(-0.3923, 0.8502, 0.0, 1.0),
-    ).validate()
+    )

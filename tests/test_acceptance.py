@@ -227,7 +227,7 @@ def test_c5_null_calibration():
     # (unpaired) Welch test is genuinely conservative on these paired error
     # samples (shared gold means correlate them), which is a property of the
     # test, not of the implementation under check.
-    prior = ItemPrior(uniform(0.0, 1.0), uniform(0.15, 0.15)).validate()
+    prior = ItemPrior(uniform(0.0, 1.0), uniform(0.15, 0.15))
     baselines = (TestId.WELCH_T, TestId.WILCOXON_SIGNED_RANK, TestId.PERMUTATION_PAIRED)
     for test in baselines:
         config = ExperimentConfig(
@@ -298,7 +298,7 @@ def toxicity_config(seed: int) -> ExperimentConfig:
     prior = ItemPrior(
         folded_normal(0.19, 0.11, lo=0.0, hi=1.0),
         triangular(-0.05, 0.21, 0.45, lo=0.0),
-    ).validate()
+    )
     return ExperimentConfig(
         n_items=100,
         k_responses=5,

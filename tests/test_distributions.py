@@ -37,9 +37,9 @@ def test_validate_negative_scale():
 
 def test_validate_unknown_and_missing_params():
     with pytest.raises(InvalidParam):
-        DistributionSpec(Family.UNIFORM, {"lo": 0, "hi": 1, "mid": 0.5}).validate()
+        DistributionSpec(Family.UNIFORM, {"lo": 0, "hi": 1, "mid": 0.5})
     with pytest.raises(InvalidParam):
-        DistributionSpec(Family.NORMAL, {"mu": 0}).validate()
+        DistributionSpec(Family.NORMAL, {"mu": 0})
 
 
 def test_validate_mixture_weight():

@@ -8,6 +8,8 @@ against the straightforward computations they replace: ``rng.normal`` and
 per epsilon.
 """
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,10 +130,13 @@ def test_simulate_batch_matches_normal_and_uniform_draws(epsilon, levels):
 
 
 def test_simulate_batch_rejects_negative_scale():
-    # The prior is left unvalidated, as a direct library caller may build it.
-    prior = ItemPrior(uniform(0.2, 0.8), uniform(-0.2, 0.1))
-    config = ExperimentConfig(n_items=50, k_responses=2, prior=prior)
+    # ItemPrior refuses this scale when built; a duck-typed prior, as a
+    # library caller may pass, meets the simulator's own check instead.
     with pytest.raises(InvalidParam):
+        ItemPrior(uniform(0.2, 0.8), uniform(-0.2, 0.1))
+    prior = types.SimpleNamespace(location=uniform(0.2, 0.8), scale=uniform(-0.2, 0.1))
+    config = ExperimentConfig(n_items=50, k_responses=2, prior=prior)
+    with pytest.raises(InvalidParam, match="sigma"):
         simulate_batch(config, derive_rng(0), 3)
 
 

@@ -187,7 +187,7 @@ def test_fit_error_is_minimum_of_surface():
     for i, params in enumerate(candidates):
         from raterpower.distributions import DistributionSpec
 
-        spec = DistributionSpec(Family.UNIFORM, params).validate()
+        spec = DistributionSpec(Family.UNIFORM, params)
         distances.append(
             stat_distance(stats.means, spec, 20_000, derive_rng(52, 4, 0, i))
         )

@@ -271,11 +271,11 @@ def test_mean_metric_scores_rejects_zero_samples():
 
 def test_config_validation_errors():
     with pytest.raises(InvalidParam):
-        ExperimentConfig(epsilon=-0.1).validate()
+        ExperimentConfig(epsilon=-0.1)
     with pytest.raises(InvalidParam):
-        ExperimentConfig(n_items=0).validate()
+        ExperimentConfig(n_items=0)
     with pytest.raises(InvalidParam):
-        ExperimentConfig(alpha=1.5).validate()
+        ExperimentConfig(alpha=1.5)
     with pytest.raises(InvalidParam):
         SamplingStrategy.parse("all")
     with pytest.raises(InvalidParam):

@@ -244,7 +244,7 @@ def test_config_file_rejects_non_integer_counts(key, bad):
 @pytest.mark.parametrize("seed", [-1, 0.5, "1"], ids=["negative", "float", "str"])
 def test_seed_must_be_a_nonnegative_integer(seed):
     with pytest.raises(InvalidParam):
-        ExperimentConfig(seed=seed).validate()
+        ExperimentConfig(seed=seed)
     with pytest.raises(InvalidParam):
         ExperimentConfig.from_json_dict({"seed": seed})
 

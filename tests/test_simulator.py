@@ -17,7 +17,7 @@ from raterpower.simulator import PerturbedDraws, draw_batch, simulate_batch
 
 
 def degenerate_prior(mu, sigma):
-    return ItemPrior(uniform(mu, mu), uniform(sigma, sigma)).validate()
+    return ItemPrior(uniform(mu, mu), uniform(sigma, sigma))
 
 
 def one_item(mu, k, family=ResponseFamily(), seed=0):
@@ -28,7 +28,7 @@ def one_item(mu, k, family=ResponseFamily(), seed=0):
 
 # Locations and scales that keep every response at z = 0 and z = 1 inside
 # [0, 1] for epsilon <= 0.1, so censoring cannot hide a shift or a scale.
-INTERIOR = ItemPrior(uniform(0.2, 0.8), uniform(0.0, 0.1)).validate()
+INTERIOR = ItemPrior(uniform(0.2, 0.8), uniform(0.0, 0.1))
 
 
 def b_at(draws, epsilon, z):
@@ -58,7 +58,7 @@ def test_draw_item_params_rejects_empty():
 
 def test_prior_rejects_negative_scale_support():
     with pytest.raises(InvalidParam):
-        ItemPrior(uniform(0, 1), uniform(-0.1, 0.3)).validate()
+        ItemPrior(uniform(0, 1), uniform(-0.1, 0.3))
 
 
 def test_perturb_zero_epsilon_identity():

@@ -57,7 +57,7 @@ def _candidates(family, grid, fixed):
     out = []
     for combo in itertools.product(*grid.values()):
         try:
-            out.append(DistributionSpec(family, {**fixed, **dict(zip(grid, combo))}).validate())
+            out.append(DistributionSpec(family, {**fixed, **dict(zip(grid, combo))}))
         except InvalidParam:
             pass
     return out
