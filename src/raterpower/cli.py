@@ -25,7 +25,7 @@ from .dataio import load_responses, report_to_json, save_matrix
 from .distributions import Family
 from .errors import InvalidParam, RaterPowerError
 from .fitting import ecdf as compute_ecdf
-from .fitting import fit_prior, per_item_stats
+from .fitting import fit_prior, grid_columns, per_item_stats
 from .inference import run_columns, run_experiment
 from .metrics import MetricId
 from .power import TestId, power_sweeps
@@ -260,6 +260,11 @@ def cmd_fit(args) -> None:
         raise UsageError("--scale-family needs --scale-grid")
     if args.scale_family is None and (args.scale_grid is not None or args.scale_clip is not None):
         raise UsageError("--scale-grid and --scale-clip need --scale-family")
+    # A grid or clip naming a parameter the family does not take, or lacking one it
+    # needs, exits 2 before the input is read.
+    grid_columns(args.location_family, args.location_grid, args.location_clip or {})
+    if args.scale_family is not None:
+        grid_columns(args.scale_family, args.scale_grid, args.scale_clip or {})
     matrix = load_responses(args.input, levels=args.levels)
     report = fit_prior(
         per_item_stats(matrix),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .errors import InvalidParam
@@ -19,6 +20,12 @@ def _member(kind: type[enum.Enum], name: str, value):
         return kind(value)
     except ValueError:
         raise InvalidParam(name, f"expected one of {', '.join(m.value for m in kind)}, got {value!r}") from None
+
+
+def _check_number(name: str, value) -> None:
+    """A value that is not a real number (a bool is not) raises ``InvalidParam`` naming field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParam(name, f"expected a number, got {value!r}")
 
 
 class Level(str, enum.Enum):
@@ -75,15 +82,18 @@ class ExperimentConfig:
     def __post_init__(self):
         check_count("n_items", self.n_items, "need at least one item")
         check_count("k_responses", self.k_responses, "need at least one response per item")
+        _check_number("epsilon", self.epsilon)
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise InvalidParam("epsilon", f"epsilon must be >= 0 and finite, got {self.epsilon}")
         check_count("b_alt", self.b_alt, "need at least one alternative resample")
         check_count("b_null", self.b_null, "need at least one null resample")
         check_count("seed", self.seed, "seed must be a nonnegative integer", least=0)
+        _check_number("alpha", self.alpha)
         if not 0 < self.alpha < 1:
             raise InvalidParam("alpha", "alpha must lie in (0, 1)")
-        if not isinstance(self.phi, SamplingStrategy):
-            raise InvalidParam("phi", f"expected a SamplingStrategy, got {self.phi!r}")
+        for name, kind in (("phi", SamplingStrategy), ("prior", ItemPrior), ("family", ResponseFamily)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidParam(name, f"expected a {kind.__name__}, got {getattr(self, name)!r}")
         if not (isinstance(self.metrics, (list, tuple)) and self.metrics):
             raise InvalidParam("metrics", f"need a nonempty list of metric names, got {self.metrics!r}")
         object.__setattr__(self, "metrics", tuple(_member(MetricId, "metrics", m) for m in self.metrics))

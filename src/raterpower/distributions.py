@@ -41,6 +41,86 @@ _PARAMS: dict[Family, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
+# Families whose draws take more than one raw variate array (see ``draw_into``).
+_RAW_ARRAYS = {Family.GAUSSIAN_MIXTURE2: 2}
+
+_SCALES = ("sigma", "sigma1", "sigma2")
+
+
+# lo < hi where both bounds are given; censored and truncated normals need both.
+_BOUNDS = ("lo", "lo < hi violated", lambda p: "lo" not in p or "hi" not in p or p["lo"] < p["hi"])
+
+# Each family's invariants on parameter values, checked in this order after
+# the name, NaN and scale checks: (parameter named, message, predicate that
+# holds where the parameters are valid). A predicate takes scalars or
+# equal-length columns alike, so it combines conditions with & and |.
+_RULES: dict[Family, tuple] = {
+    # lo == hi is allowed as a degenerate point mass; priors use it.
+    Family.UNIFORM: (("lo", "lo > hi", lambda p: p["lo"] <= p["hi"]),),
+    Family.NORMAL: (),
+    Family.TRUNCATED_NORMAL: (
+        _BOUNDS,
+        ("mu", "zero-scale truncated normal outside bounds",
+         lambda p: (p["sigma"] != 0) | ((p["lo"] <= p["mu"]) & (p["mu"] <= p["hi"]))),
+    ),
+    Family.CENSORED_NORMAL: (_BOUNDS,),
+    Family.FOLDED_NORMAL: (_BOUNDS,),
+    Family.TRIANGULAR: (("b", "a <= b <= c violated", lambda p: (p["a"] <= p["b"]) & (p["b"] <= p["c"])), _BOUNDS),
+    Family.GAUSSIAN_MIXTURE2: (
+        ("kappa", "mixing weight outside [0, 1]", lambda p: (0.0 <= p["kappa"]) & (p["kappa"] <= 1.0)),
+    ),
+}
+
+
+def _canonical(params: Mapping) -> dict:
+    """``params`` with each -0.0 stored as 0.0, in scalars and columns alike.
+
+    np.clip keeps a zero's sign differently at a scalar bound (``sample``)
+    and at a column of bounds (a fit block).
+    """
+    return {name: value + 0.0 for name, value in params.items()}
+
+
+def _checks(family: Family, p: Mapping):
+    """Every invariant of ``family`` on params ``p``, in check order: (name, message, ok).
+
+    ``p`` maps names to scalars or to equal-length columns. ``ok`` is true
+    where the invariant holds: a bool, or a bool column where it depends on
+    column values. The name checks (unknown, missing) are plain bools, and
+    the scale and family checks run only once every required name is present.
+    """
+    required, optional = _PARAMS[family]
+    unknown, missing = f"unknown parameter for {family.value}", f"missing parameter for {family.value}"
+    for name, value in p.items():
+        yield name, unknown, name in required or name in optional
+        yield name, "parameter is NaN", value == value
+    for name in required:
+        yield name, missing, name in p
+    for name in required:
+        if name in _SCALES:
+            yield name, "negative scale", p[name] >= 0
+    for name, message, holds in _RULES[family]:
+        yield name, message, holds(p)
+
+
+def valid_columns(family: Family, columns: Mapping[str, np.ndarray]) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Parameter ``columns`` as specs of ``family`` store them, and which rows are valid specs.
+
+    Row i is valid exactly when ``DistributionSpec(family, {name: column[i]})``
+    builds, and its stored params are row i of the returned columns. A
+    check with one outcome for every row (a name the family does not take,
+    or needs and lacks) that fails raises :class:`InvalidParam` naming the
+    parameter, since no row can pass it.
+    """
+    columns = _canonical(columns)
+    keep = True
+    for name, message, ok in _checks(family, columns):
+        if np.ndim(ok) == 0 and not ok:
+            raise InvalidParam(name, message)
+        keep = keep & ok
+    return columns, np.asarray(keep, dtype=bool)
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A parameterized distribution family.
@@ -58,49 +138,10 @@ class DistributionSpec:
             object.__setattr__(self, "family", Family(self.family))
         except ValueError:
             raise InvalidParam("family", f"unknown family {self.family!r}") from None
-        # + 0.0 turns -0.0 into 0.0: np.clip keeps a zero's sign differently
-        # at a scalar bound (sample) and at a column of bounds (a fit block).
-        object.__setattr__(self, "params", {name: value + 0.0 for name, value in self.params.items()})
-        required, optional = _PARAMS[self.family]
-        allowed = set(required) | set(optional)
-        for name, value in self.params.items():
-            if name not in allowed:
-                raise InvalidParam(name, f"unknown parameter for {self.family.value}")
-            if math.isnan(value):
-                raise InvalidParam(name, "parameter is NaN")
-        for name in required:
-            if name not in self.params:
-                raise InvalidParam(name, f"missing parameter for {self.family.value}")
-        p = self.params
-        for name in ("sigma", "sigma1", "sigma2"):
-            if name in p and p[name] < 0:
-                raise InvalidParam(name, "negative scale")
-        f = self.family
-        if f == Family.UNIFORM:
-            # lo == hi is allowed as a degenerate point mass; priors use it.
-            if p["lo"] > p["hi"]:
-                raise InvalidParam("lo", "lo > hi")
-        elif f in (Family.TRUNCATED_NORMAL, Family.CENSORED_NORMAL):
-            if not p["lo"] < p["hi"]:
-                raise InvalidParam("lo", "lo < hi violated")
-            if f == Family.TRUNCATED_NORMAL and p["sigma"] == 0 and not (
-                p["lo"] <= p["mu"] <= p["hi"]
-            ):
-                raise InvalidParam("mu", "zero-scale truncated normal outside bounds")
-        elif f == Family.FOLDED_NORMAL:
-            self._check_censor_bounds(p)
-        elif f == Family.TRIANGULAR:
-            if not (p["a"] <= p["b"] <= p["c"]):
-                raise InvalidParam("b", "a <= b <= c violated")
-            self._check_censor_bounds(p)
-        elif f == Family.GAUSSIAN_MIXTURE2:
-            if not 0.0 <= p["kappa"] <= 1.0:
-                raise InvalidParam("kappa", "mixing weight outside [0, 1]")
-
-    @staticmethod
-    def _check_censor_bounds(p: Mapping[str, float]) -> None:
-        if "lo" in p and "hi" in p and not p["lo"] < p["hi"]:
-            raise InvalidParam("lo", "lo < hi violated")
+        object.__setattr__(self, "params", _canonical(self.params))
+        for name, message, ok in _checks(self.family, self.params):
+            if not ok:
+                raise InvalidParam(name, message)
 
     # -- support ------------------------------------------------------------
 
@@ -142,32 +183,48 @@ class DistributionSpec:
         return self.transform(self.family, self.params, self.draw(rng, count))
 
     def draw(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-        """The raw variates of ``count`` draws, in stream order.
-
-        Uniform and truncated normal draw one ``random`` per value; normal,
-        censored and folded normal one ``standard_normal``; triangular one
-        ``triangular``; gaussian-mixture2 the component uniforms, then one
-        standard normal per value shared across components. A degenerate
-        spec (uniform lo == hi, zero-scale truncated normal, triangular
-        a == c) draws nothing.
-        """
+        """The raw variates of ``count`` draws, in stream order (see ``draw_into``)."""
         if count < 0:
             raise InvalidParam("count", "negative count")
-        p = self.params
-        f = self.family
-        if f == Family.UNIFORM:
-            return (np.zeros(count) if p["lo"] == p["hi"] else rng.random(count),)
-        if f == Family.TRUNCATED_NORMAL:
-            return (np.zeros(count) if p["sigma"] == 0 else rng.random(count),)
-        if f in (Family.NORMAL, Family.CENSORED_NORMAL, Family.FOLDED_NORMAL):
-            return (rng.standard_normal(count),)
-        if f == Family.TRIANGULAR:
-            if p["a"] == p["c"]:
-                return (np.full(count, float(p["a"])),)
-            return (rng.triangular(p["a"], p["b"], p["c"], count),)
-        if f == Family.GAUSSIAN_MIXTURE2:
-            return rng.random(count), rng.standard_normal(count)
-        raise AssertionError(f)
+        raw = self.raw_arrays(self.family, count)
+        self.draw_into(self.family, self.params, rng, raw)
+        return raw
+
+    @staticmethod
+    def raw_arrays(family: Family, shape) -> tuple[np.ndarray, ...]:
+        """Uninitialised arrays of ``shape`` for ``draw_into``'s raw variates of ``family``."""
+        return tuple(np.empty(shape) for _ in range(_RAW_ARRAYS.get(family, 1)))
+
+    @staticmethod
+    def draw_into(family: Family, p: Mapping[str, float], rng: np.random.Generator,
+                  raw: tuple[np.ndarray, ...]) -> None:
+        """Fill ``raw`` (from ``raw_arrays``) with the raw variates of a spec's draws.
+
+        ``p`` holds the spec's scalar params. Uniform and truncated normal
+        draw one ``random`` per value; normal, censored and folded normal
+        one ``standard_normal``; triangular one ``triangular``;
+        gaussian-mixture2 the component uniforms, then one standard normal
+        per value shared across components. A degenerate spec (uniform
+        lo == hi, zero-scale truncated normal, triangular a == c) draws
+        nothing. The generator fills C-contiguous ``raw`` in place, so a
+        row of a block takes the same values as a fresh array.
+        """
+        x = raw[0]
+        if family in (Family.UNIFORM, Family.TRUNCATED_NORMAL):
+            if p["lo"] == p["hi"] if family == Family.UNIFORM else p["sigma"] == 0:
+                x[...] = 0.0
+            else:
+                rng.random(out=x)
+        elif family in (Family.NORMAL, Family.CENSORED_NORMAL, Family.FOLDED_NORMAL):
+            rng.standard_normal(out=x)
+        elif family == Family.TRIANGULAR:
+            # Generator.triangular takes no ``out``.
+            x[...] = float(p["a"]) if p["a"] == p["c"] else rng.triangular(p["a"], p["b"], p["c"], x.shape)
+        elif family == Family.GAUSSIAN_MIXTURE2:
+            rng.random(out=x)
+            rng.standard_normal(out=raw[1])
+        else:
+            raise AssertionError(family)
 
     @staticmethod
     def transform(family: Family, params: Mapping, raw: tuple[np.ndarray, ...]) -> np.ndarray:

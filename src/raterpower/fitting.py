@@ -8,10 +8,15 @@ simulated sample. Candidate draws are censored into the observed data range
 before the distance is computed, since fitted families may legally put mass
 outside it.
 
-Candidates are scored in blocks: candidate i draws its raw variates
-(``DistributionSpec.draw``) from its own stream, derive_rng(seed, FIT, side,
-i), into row i of a block, and the family transform, clip, sort and
-distance then run once per block. The starting states of every candidate's
+A grid is held as parameter columns (``grid_columns``): one row per grid
+point, fixed parameters first, then the axes in ``itertools.product``
+order, keeping the rows that are valid specs (``distributions.
+valid_columns``); only the winner becomes a ``DistributionSpec``.
+Candidates are scored in blocks: candidate i, the i-th kept row, draws its
+raw variates (``DistributionSpec.draw_into``) from its own stream,
+derive_rng(seed, FIT, side, i), straight into row i of a block, and the
+family transform (on the block's columns), clip, sort and distance then
+run once per block. The starting states of every candidate's
 stream come from one ``rngstreams.stream_states`` pass before any block
 runs; each block re-states one generator per candidate instead of deriving
 one, and draws the same values. Blocks run on ``threads``; the report does
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rngstreams
-from .distributions import DistributionSpec, Family
+from .distributions import DistributionSpec, Family, valid_columns
 from .errors import EmptySample, InvalidParam, NoValidGridPoint
 from .inference import _map_chunks
 from .metrics import _mean, reduce_rows
@@ -39,6 +44,7 @@ __all__ = [
     "per_item_stats",
     "ecdf",
     "stat_distance",
+    "grid_columns",
     "fit_prior",
 ]
 
@@ -192,6 +198,27 @@ class FitReport:
         }
 
 
+def grid_columns(
+    family: Family, grid: dict[str, tuple[float, ...]], fixed_params: dict[str, float]
+) -> dict[str, np.ndarray]:
+    """The grid's candidates as parameter columns: row i is candidate i's params.
+
+    The points are ``fixed_params`` overridden by each combination of the
+    grid axes in ``itertools.product`` order; the points that are not valid
+    specs of ``family`` are skipped, so candidate i is the i-th valid point.
+    A grid axis without values, or a parameter name the family does not
+    take or needs and lacks, raises :class:`InvalidParam` naming it.
+    """
+    if not grid or any(len(v) == 0 for v in grid.values()):
+        raise InvalidParam("grid", "every grid axis needs at least one value")
+    # meshgrid's "ij" layout varies the last axis fastest, as product does.
+    axes = [a.ravel() for a in np.meshgrid(*(np.asarray(v, dtype=float) for v in grid.values()), indexing="ij")]
+    points = {name: np.full(axes[0].size, value, dtype=float) for name, value in fixed_params.items()}
+    points.update(zip(grid, axes))
+    columns, keep = valid_columns(family, points)
+    return {name: column[keep] for name, column in columns.items()}
+
+
 def _fit_side(
     values: np.ndarray,
     family: Family,
@@ -202,41 +229,30 @@ def _fit_side(
     side_tag: int,
     threads: int = 1,
 ) -> FitSide:
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise InvalidParam("grid", "every grid axis needs at least one value")
-    names = list(grid)
-    candidates = []
-    for combo in itertools.product(*(grid[n] for n in names)):
-        params = {**fixed_params, **dict(zip(names, combo))}
-        try:
-            candidates.append(DistributionSpec(family, params))
-        except InvalidParam:
-            continue
-    if not candidates:
+    columns = grid_columns(family, grid, fixed_params)
+    count = len(next(iter(columns.values())))
+    if not count:
         raise NoValidGridPoint(f"no valid {family.value} candidate in the grid")
     real = _sorted_real(values, sim_count)
-    states = rngstreams.stream_states(seed, rngstreams.FIT, side_tag, count=len(candidates))
+    states = rngstreams.stream_states(seed, rngstreams.FIT, side_tag, count=count)
 
     def block(span: tuple[int, int]) -> list[float]:
         # Candidate i draws from its own stream (one generator, re-stated)
-        # into row i as it goes, so one block and one row are alive; the
-        # transform, clip, sort and distance then run once for the block.
-        specs = candidates[slice(*span)]
+        # straight into row i; the transform, clip, sort and distance then
+        # run once for the block.
+        block_columns = {name: column[slice(*span)] for name, column in columns.items()}
+        raw = DistributionSpec.raw_arrays(family, (span[1] - span[0], sim_count))
         rng = np.random.Generator(np.random.PCG64(0))
-        raw = None
-        for row, (spec, state) in enumerate(zip(specs, states[slice(*span)])):
+        row_params = zip(*(column.tolist() for column in block_columns.values()))
+        for state, row, out in zip(states[slice(*span)], row_params, zip(*raw)):
             rng.bit_generator.state = state
-            draws = spec.draw(rng, sim_count)
-            raw = raw or tuple(np.empty((len(specs), sim_count)) for _ in draws)
-            for out, x in zip(raw, draws):
-                out[row] = x
-        columns = {name: np.array([spec.params[name] for spec in specs], dtype=float)[:, None]
-                   for name in specs[0].params}
-        return _distances(real, DistributionSpec.transform(family, columns, raw))
+            DistributionSpec.draw_into(family, dict(zip(block_columns, row)), rng, out)
+        params = {name: column[:, None] for name, column in block_columns.items()}
+        return _distances(real, DistributionSpec.transform(family, params, raw))
 
-    rows = max(1, min(_FIT_BLOCK // sim_count, -(-len(candidates) // max(1, threads))))
+    rows = max(1, min(_FIT_BLOCK // sim_count, -(-count // max(1, threads))))
     distances = itertools.chain.from_iterable(
-        _map_chunks(block, rngstreams.chunk_ranges(len(candidates), rows), threads))
+        _map_chunks(block, rngstreams.chunk_ranges(count, rows), threads))
     best_idx = 0
     best_dist = np.inf
     for i, dist in enumerate(distances):
@@ -245,7 +261,7 @@ def _fit_side(
     return FitSide(
         family=family,
         grid={k: tuple(v) for k, v in grid.items()},
-        best=candidates[best_idx],
+        best=DistributionSpec(family, {name: column[best_idx].item() for name, column in columns.items()}),
         distance=float(best_dist),
     )
 

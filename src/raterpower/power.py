@@ -438,14 +438,15 @@ def sweep_configs(
 ) -> list[ExperimentConfig]:
     """The config of each sweep point; raises before any trial runs.
 
-    A sweep needs at least one point, and Welch's t test needs at least two
+    A sweep needs at least one point, each an integer (the config names the
+    axis of a value that is not), and Welch's t test needs at least two
     items at every point.
     """
     if axis not in ("n_items", "k_responses"):
         raise InvalidParam("axis", "axis must be n_items or k_responses")
     if not values:
         raise InvalidParam(axis, "a sweep needs at least one value")
-    configs = [config.with_(**{axis: int(value)}) for value in values]
+    configs = [config.with_(**{axis: value}) for value in values]
     if TestId.WELCH_T in tests and any(cfg.n_items < 2 for cfg in configs):
         raise InvalidParam("n_items", "Welch's t test needs at least two items")
     return configs

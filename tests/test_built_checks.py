@@ -56,6 +56,18 @@ def test_an_invalid_value_raises_when_built_naming_its_field(kind, kwargs, field
     assert err.value.name == field
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", "0.1"), ("epsilon", None), ("epsilon", True), ("alpha", None), ("alpha", "0.05"),
+    ("prior", None), ("prior", uniform(0, 1)), ("family", 5), ("family", None),
+], ids=["epsilon-text", "epsilon-none", "epsilon-bool", "alpha-none", "alpha-text", "prior-none",
+        "prior-spec", "family-int", "family-none"])
+def test_a_config_value_of_the_wrong_type_raises_naming_its_field(field, value):
+    # Used to raise TypeError, or (prior=None) AttributeError later in generate_triple.
+    with pytest.raises(InvalidParam) as err:
+        ExperimentConfig(**{field: value})
+    assert err.value.name == field
+
+
 @pytest.mark.parametrize("field, value", [("n_items", 0), ("metrics", ("maee",)), ("mode", "x")])
 def test_with_rechecks(field, value):
     with pytest.raises(InvalidParam) as err:

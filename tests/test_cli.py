@@ -667,6 +667,34 @@ def test_fit_scale_flags_without_a_scale_family_exit_2_before_reading_input(flag
     assert flags[0] in err and "--scale-family" in err
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--location-family", "folded-normal", "--grid", "mu=0:0.5:0.1,sgima=0.05:0.3:0.05"], "sgima"),
+    (["--location-family", "folded-normal", "--grid", "mu=0:0.5:0.1"], "sigma"),
+    (FIT_OK + ["--location-clip", "0,1"], "lo"),
+    (FIT_OK + ["--scale-family", "triangular", "--scale-grid", "a=0,b=0.1,cc=0.2"], "cc"),
+    (FIT_OK + ["--scale-family", "uniform", "--scale-grid", "lo=0"], "hi"),
+    (FIT_OK + ["--scale-family", "normal", "--scale-grid", "mu=0.1,sigma=0.1", "--scale-clip", "0,none"], "lo"),
+], ids=["misspelt", "missing", "clip", "scale-misspelt", "scale-missing", "scale-clip"])
+def test_fit_parameter_names_exit_2_naming_them_before_reading_input(flags, name, tmp_path, capsys, monkeypatch):
+    # Used to read the input, then exit 1 with "no valid ... candidate in the grid".
+    _no_work(monkeypatch)
+    argv = [part.format(missing=str(tmp_path / "missing")) for part in FIT]
+    code, out, err = run([*argv, *flags], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith(f"error: {name}: ") and "missing.jsonl" not in err
+
+
+def test_fit_grid_without_a_valid_point_still_exits_1(tmp_path, capsys):
+    matrix = tmp_path / "m.jsonl"
+    matrix.write_text('{"item_id": "a", "responses": [0.2, 0.4]}\n', encoding="utf-8")
+    code, out, err = run(["fit", "--input", str(matrix), "--location-family", "folded-normal",
+                          "--grid", "mu=0:0.5:0.1,sigma=-0.3:-0.1:0.1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "no valid folded-normal candidate" in err
+
+
 @pytest.mark.parametrize("command, flags", [
     (TABLE + ["--nk-pairs", "5:2", "--epsilon-values", "0"], ["--n-values", "5"]),
     (TABLE + ["--nk-pairs", "5:2", "--epsilon-values", "0"], ["--k-values", "2"]),

@@ -130,12 +130,13 @@ def test_simulate_batch_matches_normal_and_uniform_draws(epsilon, levels):
 
 
 def test_simulate_batch_rejects_negative_scale():
-    # ItemPrior refuses this scale when built; a duck-typed prior, as a
-    # library caller may pass, meets the simulator's own check instead.
+    # ItemPrior refuses this scale when built, and ExperimentConfig a prior
+    # that is not an ItemPrior; a duck-typed config and prior, as a library
+    # caller may pass, meet the simulator's own check instead.
     with pytest.raises(InvalidParam):
         ItemPrior(uniform(0.2, 0.8), uniform(-0.2, 0.1))
     prior = types.SimpleNamespace(location=uniform(0.2, 0.8), scale=uniform(-0.2, 0.1))
-    config = ExperimentConfig(n_items=50, k_responses=2, prior=prior)
+    config = types.SimpleNamespace(**{**vars(ExperimentConfig(n_items=50, k_responses=2)), "prior": prior})
     with pytest.raises(InvalidParam, match="sigma"):
         simulate_batch(config, derive_rng(0), 3)
 

@@ -1,14 +1,17 @@
 """Grid-search fitting in blocks, checked against one-candidate-at-a-time oracles.
 
-``fit`` draws each candidate's values from its own generator into one row
-of a block, then transforms, clips, sorts and scores the block at once.
-Every candidate's values and the chosen candidate must equal the oracles in
+``fit`` holds a grid's valid points as parameter columns, draws each
+candidate's values from its own generator straight into one row of a
+block, then transforms, clips, sorts and scores the block at once. The
+kept points must be exactly those ``DistributionSpec`` accepts, and every
+candidate's values and the chosen candidate must equal the oracles in
 ``_oracles`` (the generator's own ``uniform``/``normal``/``triangular``
 calls, one candidate per loop turn) bit for bit, whatever the block size
 and thread count.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,9 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raterpower import fitting
-from raterpower.distributions import DistributionSpec, Family
+from raterpower.distributions import _PARAMS, DistributionSpec, Family
 from raterpower.errors import InvalidParam
-from raterpower.fitting import _distances, _fit_side, stat_distance
+from raterpower.fitting import _distances, _fit_side, grid_columns, stat_distance
 from raterpower.rngstreams import FIT, derive_rng
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
@@ -102,6 +105,58 @@ def test_truncated_without_mass_raises_in_a_block():
         sample_oracle(spec, derive_rng(1), 5)
 
 
+# Parameter values that make points NaN, signed zeros, degenerate or invalid.
+point_values = st.one_of(st.sampled_from([math.nan, -0.0, 0.0, 0.5, -0.5, 1.0]), unit)
+
+
+@st.composite
+def grids(draw):
+    """A family, a grid and fixed params over its names; sometimes a name it lacks or does not take."""
+    family = draw(st.sampled_from(list(Family)))
+    required, optional = _PARAMS[family]
+    names = [*required, *draw(st.lists(st.sampled_from(optional), unique=True))] if optional else list(required)
+    if draw(st.integers(0, 9)) == 0:
+        names.remove(draw(st.sampled_from(required)))
+    if draw(st.integers(0, 9)) == 0:
+        names.append("bogus")
+    names = draw(st.permutations(names))
+    # Each name is fixed, a grid axis, or both (the axis overrides the fixed value).
+    roles = {name: draw(st.sampled_from(["fixed", "grid", "both"])) for name in names}
+    fixed = {n: draw(point_values) for n in names if roles[n] != "grid"}
+    grid = {n: tuple(draw(st.lists(point_values, min_size=1, max_size=3))) for n in names if roles[n] != "fixed"}
+    if not grid:
+        grid = {names[0]: (fixed.pop(names[0]),)}
+    return family, grid, fixed
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids())
+def test_grid_columns_keep_exactly_the_points_a_spec_accepts(case):
+    family, grid, fixed = case
+    accepted = []
+    for combo in itertools.product(*grid.values()):
+        try:
+            accepted.append(DistributionSpec(family, {**fixed, **dict(zip(grid, combo))}).params)
+        except InvalidParam:
+            pass
+    try:
+        columns = grid_columns(family, grid, fixed)
+    except InvalidParam as exc:
+        # A name the family does not take, or needs and lacks, fails every point.
+        assert not accepted
+        with pytest.raises(InvalidParam) as err:
+            DistributionSpec(family, {**dict.fromkeys(fixed, 0.0), **dict.fromkeys(grid, 0.0)})
+        assert str(err.value) == str(exc)
+        return
+    assert all(column.dtype == np.float64 and column.shape == (len(accepted),) for column in columns.values())
+    assert list(columns) == list({**fixed, **grid})
+    rows = [dict(zip(columns, row)) for row in zip(*(column.tolist() for column in columns.values()))]
+    assert len(rows) == len(accepted)
+    for row, params in zip(rows, accepted):
+        assert list(row) == list(params)
+        assert [np.float64(row[n]).tobytes() for n in row] == [np.float64(params[n]).tobytes() for n in params]
+
+
 VALUES = np.clip(np.random.default_rng(3).normal(0.3, 0.15, 57), 0.0, 1.0)
 
 # (family, grid, fixed params): each grid holds candidates that fail
@@ -114,6 +169,8 @@ GRIDS = [
     (Family.TRUNCATED_NORMAL, {"mu": (0.0, 0.3, 0.6), "sigma": (0.0, 0.1, 0.3)}, {"lo": 0.0, "hi": 1.0}),
     (Family.GAUSSIAN_MIXTURE2, {"mu1": (0.1, 0.3), "sigma1": (0.0, 0.1), "mu2": (0.5,), "sigma2": (0.1,),
                                 "kappa": (0.0, 0.5, 1.0, 1.5)}, {}),
+    # A NaN point is skipped; a -0.0 bound is stored as 0.0.
+    (Family.CENSORED_NORMAL, {"mu": (0.0, math.nan, 0.3), "sigma": (0.0, 0.1), "lo": (-0.0, 0.2)}, {"hi": 1.0}),
 ]
 
 

@@ -366,6 +366,16 @@ def test_an_empty_sweep_raises_before_any_trial(axis, monkeypatch):
         power_sweeps(config, tuple(TestId), 2, axis, ())
 
 
+@pytest.mark.parametrize("axis", ["n_items", "k_responses"])
+def test_a_non_integer_sweep_value_raises_naming_the_axis(axis):
+    # Used to truncate: (2.7, 3.9) swept N = 2 and 3.
+    config = ExperimentConfig(n_items=5, k_responses=3, epsilon=0.1)
+    for values in ((2.7, 3.9), (4, 5.0), ("4",)):
+        with pytest.raises(InvalidParam, match="integer") as err:
+            power.sweep_configs(config, (TestId.PERMUTATION_PAIRED,), axis, values)
+        assert err.value.name == axis
+
+
 def test_single_trial_power_is_binary():
     config = ExperimentConfig(n_items=30, k_responses=3, epsilon=0.2, seed=2)
     report = estimate_power(config, TestId.WELCH_T, trials=1)
