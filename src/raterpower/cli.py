@@ -65,10 +65,12 @@ def _metrics(text: str) -> tuple[MetricId, ...]:
 
 
 def _grid(text: str) -> dict[str, tuple[float, ...]]:
-    """``name=start:stop:step`` or ``name=value`` entries: each name's grid values."""
+    """``name=start:stop:step`` or ``name=value`` entries: each name's grid values, each name once."""
     grid: dict[str, tuple[float, ...]] = {}
     for token in filter(str.strip, text.split(",")):
         name, valspec = token.split("=", 1)
+        if name.strip() in grid:
+            raise argparse.ArgumentTypeError(f"{name.strip()!r} appears more than once in {text!r}")
         parts = [float(p) for p in valspec.split(":")]
         if len(parts) == 3:
             start, stop, step = parts

@@ -138,6 +138,9 @@ class DistributionSpec:
             object.__setattr__(self, "family", Family(self.family))
         except ValueError:
             raise InvalidParam("family", f"unknown family {self.family!r}") from None
+        for name, value in self.params.items():
+            if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in "biuf":
+                raise InvalidParam(name, f"expected one number, got {value!r}")
         object.__setattr__(self, "params", _canonical(self.params))
         for name, message, ok in _checks(self.family, self.params):
             if not ok:

@@ -48,10 +48,15 @@ on C-ordered blocks, so the scores do not depend on the block size.
 
 Epsilon column. No draw depends on epsilon, so ``run_column`` runs every
 epsilon of one (N, K) from the same chunks: each chunk draws G, A and B's
-standard normals and indices once, scores G and A once, then builds,
-gathers and scores B per epsilon, one B at a time. The null arm draws its
-pool positions once and gathers them from each epsilon's pool.
-``run_experiment`` is the one-epsilon column, and ``run_columns`` runs many
+standard normals and indices once and scores G and A once. B carries a
+leading epsilon axis: each row block builds B for all E epsilons as one
+(E, r, N, K) array, gathers it at the one set of positions and scores it
+in one kernel call. The null arm's pools are one (E, N, 2K) array, drawn
+from once and gathered with one ``np.take`` along axis 1. The kernel sorts
+and differences in place only what a chunk drew or gathered itself, so the
+batch costs no more memory than one epsilon's B, sorted copy and
+difference did. ``run_experiment`` is the one-epsilon column (E = 1, the
+same path), and ``run_columns`` runs many
 columns on one pool: every (column, arm, chunk) task goes through one
 ``_map_chunks``, so a table whose arms are one chunk each still keeps
 every thread busy.
@@ -307,22 +312,28 @@ def _positions(shape, c: int, rows=None, cols=None):
     return cols
 
 
-def _take(x: np.ndarray, c: int, pos, pad=None) -> np.ndarray:
-    """The (c, N, k) gather of x, (N, W) or (c, N, W), at ``_positions``; ``pad`` slots read NaN."""
+def _take(x: np.ndarray, c: int, pos, pad=None, lead: int = 0) -> np.ndarray:
+    """The (*lead, c, N, k) gather of x, (*lead, N, W) or (*lead, c, N, W), at ``_positions``.
+
+    ``lead`` leading axes (one B or pool per epsilon) are gathered at the
+    same positions in one call; ``pad`` slots read NaN. A (c, N, W) array
+    read whole comes back as itself, an (N, W) one as a broadcast view.
+    """
+    head, (n, w) = x.shape[:lead], x.shape[-2:]
     if pos is None:
-        return np.broadcast_to(x, (c, *x.shape[-2:]))
+        return x if x.ndim == lead + 3 else np.broadcast_to(x, (*head, c, n, w))
     if pos.ndim == 2:
-        return np.take(x.reshape(-1, x.shape[-1]), pos, axis=0)
-    out = np.take(x.reshape(-1), pos)
+        return np.take(x.reshape(*head, -1, w), pos, axis=lead)
+    out = np.take(x.reshape(*head, -1), pos, axis=lead)
     if pad is not None:
-        out[pad] = np.nan
+        np.copyto(out, np.nan, where=pad)
     return out
 
 
-def _gather(x: np.ndarray, c: int, step):
-    """(x gathered at a ``_plan`` step, the gathered per-item counts)."""
+def _gather(x: np.ndarray, c: int, step, lead: int = 0):
+    """(x gathered at a ``_plan`` step, the gathered per-item counts); see ``_take``."""
     pos, pad, counts = step
-    return _take(x, c, pos, pad), counts
+    return _take(x, c, pos, pad, lead), counts
 
 
 def _response_step(rng: np.random.Generator, c: int, shape, rows, counts, k):
@@ -426,6 +437,13 @@ def _join(parts) -> list[dict]:
             for entry in zip(*parts)]
 
 
+def _entries(scores: dict) -> list[dict]:
+    """``pair_scores`` of E models B (scores (E, r), A's (r,) or (E, r)), as one dict per B."""
+    e = len(next(iter(scores.values()))[1])
+    return [{m: (sa if sa.ndim == 1 else sa[i], sb[i]) for m, (sa, sb) in scores.items()}
+            for i in range(e)]
+
+
 def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsilons, base,
                           rng, c: int) -> list[dict]:
     """Per-model scores of c alternative resamples at each epsilon, from one draw.
@@ -436,10 +454,11 @@ def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsil
     triple is resampled under phi along one ``_plan`` and streamed in row
     blocks (``_spans``): every block of G is gathered and reduced to
     prepared gold, then every block of A to per-item quantities, then each
-    block of B is built, gathered and scored one epsilon at a time. When
-    nothing is gathered the simulator draws in the same blocks
-    (``draw_blocks``); index draws follow every simulator draw, so a
-    resampled simulator chunk draws whole first.
+    block of B is built for all E epsilons at once, (E, r, N, K), gathered
+    at one set of positions and scored in one kernel call. When nothing is
+    gathered the simulator draws in the same blocks (``draw_blocks``); index
+    draws follow every simulator draw, so a resampled simulator chunk draws
+    whole first.
     """
     metrics = config.metrics
     if base is None:
@@ -456,27 +475,27 @@ def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsil
         # broadcast batch's MEMD means depend on its rows) or ragged (the
         # kernel loops over count buckets once per block).
         spans = [(0, c)] if phi == _NO_RESAMPLE or counts is not None else _spans(c, g.size)
-        sim = iter([itertools.repeat(g), itertools.repeat(a), itertools.repeat([b])])  # one B for all
+        sim = iter([itertools.repeat(g), itertools.repeat(a), itertools.repeat(b[None])])  # one B for all
         sources = [(x.shape, k, None) for x, k in zip((g, a, b), counts or (None,) * 3)]
+    # Drawn or gathered blocks are the chunk's own, so the kernel sorts them in place.
+    scratch = base is None or phi != _NO_RESAMPLE
     plan = _plan(rng, c, phi, sources, spans)
     golds = [prepare_gold(metrics, *_gather(x, hi - lo, step))
              for (lo, hi), x, step in zip(spans, next(sim), next(plan))]
-    qa = [model_items(gold, *_gather(x, hi - lo, step))
+    qa = [model_items(gold, *_gather(x, hi - lo, step), scratch=scratch)
           for (lo, hi), gold, x, step in zip(spans, golds, next(sim), next(plan))]
     parts = []
     for (lo, hi), gold, q, x, step in zip(spans, golds, qa, next(sim), next(plan)):
-        # Each B is scored and dropped before the next; the last builds in z's memory.
-        bs = x if base is not None else (
-            x.responses(e, config.family, out=x.z if i == len(epsilons) - 1 else None)
-            for i, e in enumerate(epsilons))
-        parts.append([pair_scores(metrics, q, model_items(gold, *_gather(b, hi - lo, step)))
-                      for b in bs])
+        # sigma * z builds in z's memory, and so does B when there is one epsilon.
+        bs = x if base is not None else x.responses(epsilons, config.family, out=x.z)
+        qb = model_items(gold, *_gather(bs, hi - lo, step, lead=1), scratch=scratch)
+        parts.append(_entries(pair_scores(metrics, q, qb)))
     return _join(parts)
 
 
 def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
                      gold: Gold, pools, rng, c: int, counts=None) -> list[dict]:
-    """Per-model null scores of c resamples, one dict per (N, W) pool: ``_null_blocks`` joined.
+    """Per-model null scores of c resamples, one dict per (N, W) pool of ``pools``: ``_null_blocks`` joined.
 
     The null arm calls this whole-chunk form, which ``perfbench/tracer.py``
     times as the ``inference.null_chunk`` layer.
@@ -485,32 +504,33 @@ def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g:
 
 
 def _null_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
-                 gold: Gold, pools, rng, c: int, counts=None):
-    """Per-model null scores of c resamples: per row block, one dict per (N, W) pool of A+B responses.
+                 gold: Gold, pools: np.ndarray, rng, c: int, counts=None):
+    """Per-model null scores of c resamples: per row block, one dict per pool of A+B responses.
 
-    G is the base gold g, prepared once as ``gold``, unless phi resamples
-    it. A and then B draw W/2 responses per item from the pool, or half of
-    each item's ``counts`` when ragged; every pool (one per epsilon) is
-    gathered at the same positions. Stream order (``_plan``, whose rng may
-    be one generator per resample): the item draw and gold's response
-    indices as phi says, then A's and B's pool indices. The chunk streams
-    in row blocks: A's blocks reduce to per-item quantities per pool, and
-    B's go straight to per-resample scores. The first block's scores come
-    after every G and A block; each later B block is drawn, gathered and
-    scored only when its scores are asked for, so a caller that stops early
-    skips the rest of B's draws (and leaves rng mid-chunk).
+    ``pools`` is (E, N, W), one pool per epsilon. G is the base gold g,
+    prepared once as ``gold``, unless phi resamples it. A and then B draw
+    W/2 responses per item from the pool, or half of each item's ``counts``
+    when ragged; all E pools are gathered at the same positions in one call
+    and scored in one kernel call. Stream order (``_plan``, whose rng may be
+    one generator per resample): the item draw and gold's response indices
+    as phi says, then A's and B's pool indices. The chunk streams in row
+    blocks: A's blocks reduce to per-item quantities, and B's go straight
+    to per-resample scores. The first block's scores come after every G and
+    A block; each later B block is drawn, gathered and scored only when its
+    scores are asked for, so a caller that stops early skips the rest of
+    B's draws (and leaves rng mid-chunk).
     """
-    k = pools[0].shape[-1] // 2 if counts is None else counts // 2
+    k = pools.shape[-1] // 2 if counts is None else counts // 2
     # A ragged chunk is one block: the kernel loops over count buckets once per block.
     spans = _spans(c, pools[0].size // 2) if counts is None else [(0, c)]
-    plan = _plan(rng, c, phi, [(g.shape, gold.counts, None)] + [(pools[0].shape, counts, k)] * 2, spans)
+    plan = _plan(rng, c, phi, [(g.shape, gold.counts, None)] + [(pools.shape[1:], counts, k)] * 2, spans)
     golds = [gold if step[0] is None else prepare_gold(metric_ids, *_gather(g, hi - lo, step))
              for (lo, hi), step in zip(spans, next(plan))]
-    qa = [[model_items(gd, *_gather(pool, hi - lo, step)) for pool in pools]
+    qa = [model_items(gd, *_gather(pools, hi - lo, step, lead=1), scratch=True)
           for (lo, hi), gd, step in zip(spans, golds, next(plan))]
-    for (lo, hi), gd, qs, step in zip(spans, golds, qa, next(plan)):
-        yield [pair_scores(metric_ids, q, model_items(gd, *_gather(pool, hi - lo, step)))
-               for q, pool in zip(qs, pools)]
+    for (lo, hi), gd, q, step in zip(spans, golds, qa, next(plan)):
+        yield _entries(pair_scores(metric_ids, q, model_items(gd, *_gather(pools, hi - lo, step, lead=1),
+                                                              scratch=True)))
 
 
 class _Arm(NamedTuple):
@@ -578,7 +598,8 @@ def _column(config: ExperimentConfig, epsilons, given) -> tuple[list, _Arm, _Arm
             raise InvalidParam("given", "parametric mode simulates its own data")
         g, a, draws = draw_batch(config, rngstreams.derive_rng(config.seed, rngstreams.BASE), 1)
         gb, base, pool_counts = g[0], None, None
-        pools = [np.concatenate([a[0], draws.responses(e, config.family)[0]], axis=1) for e in epsilons]
+        b = draws.responses(epsilons, config.family)[:, 0]
+        pools = np.concatenate([np.broadcast_to(a[0], b.shape), b], axis=-1)  # (E, N, 2K)
         # The fresh draw is itself the response-level resample, so responses
         # are redrawn only after an item bootstrap.
         phi = config.phi if config.phi.items == Level.BOOT else _NO_RESAMPLE
@@ -589,7 +610,7 @@ def _column(config: ExperimentConfig, epsilons, given) -> tuple[list, _Arm, _Arm
         base = kernel_inputs(*given)
         (gb, _, _), counts = base
         pool, sizes = _null_pool(*given[1:])
-        pools, pool_counts = [pool], None if counts is None else sizes
+        pools, pool_counts = pool[None], None if counts is None else sizes
         phi = config.phi
 
     # Ragged resample j draws from its own derive_rng(seed, arm, j).
@@ -647,7 +668,7 @@ def run_column(
 
     No random draw depends on epsilon: every chunk of an arm draws from
     (seed, arm, chunk start) alone. So the column draws each chunk once and
-    only builds, gathers and scores B per epsilon; the reports equal one
+    builds, gathers and scores B for every epsilon at once; the reports equal one
     ``run_experiment`` call per epsilon, bit for bit. In bootstrap-of-given
     mode epsilon plays no part, and every report holds the same scores.
     The one-column ``run_columns``.

@@ -83,7 +83,7 @@ def reduce_rows(fn, arrays, counts) -> np.ndarray:
     """
     if counts[0] is None:
         return fn(*arrays)
-    counts = np.broadcast_arrays(*counts)
+    counts = [np.broadcast_to(k, arrays[0].shape[:-1]) for k in counts]  # the arrays share leading axes
     dims = tuple(int(k.max()) + 1 for k in counts)
     code = np.ravel_multi_index(counts, dims)
     out = np.empty(code.shape)
@@ -120,11 +120,17 @@ def _count_le(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     return found.reshape(points.shape) - r * rows.shape[1]
 
 
-def _emd_sorted(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Per-row 1-Wasserstein distance of row-sorted (r, p) and (r, q) samples."""
+def _minus(x: np.ndarray, y: np.ndarray, scratch: bool) -> np.ndarray:
+    """x - y, in x's memory when ``scratch`` and y's shape is x's trailing shape."""
+    fits = scratch and x.shape[x.ndim - y.ndim:] == y.shape
+    return np.subtract(x, y, out=x if fits else None)
+
+
+def _emd_sorted(xs: np.ndarray, ys: np.ndarray, scratch: bool = False) -> np.ndarray:
+    """Per-row 1-Wasserstein distance of row-sorted (r, p) and (r, q) samples; ``scratch``: see ``_minus``."""
     if xs.shape[-1] == ys.shape[-1]:
-        d = xs - ys
-        return _mean(np.abs(d, out=d))  # in place: the caller still holds xs
+        d = _minus(xs, ys, scratch)
+        return _mean(np.abs(d, out=d))
     grid = np.sort(np.concatenate([xs, ys], axis=-1), axis=-1)
     fx = _count_le(xs, grid[:, :-1]) / xs.shape[-1]
     fy = _count_le(ys, grid[:, :-1]) / ys.shape[-1]
@@ -163,20 +169,26 @@ def prepare_gold(metric_ids: tuple[MetricId, ...], g, counts=None) -> Gold:
     return Gold(means, np.sort(g, axis=-1) if MetricId.MEMD in metric_ids else None, counts)
 
 
-def model_items(gold: Gold, m, counts=None) -> tuple[np.ndarray, np.ndarray | None]:
+def model_items(gold: Gold, m, counts=None, scratch: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """One model's per-item (absolute mean error, EMD to gold) against ``gold``.
 
     m is (..., N, K) and broadcasts against gold's leading axes; the EMD is
-    None when gold holds no sorted rows.
+    None when gold holds no sorted rows. With ``scratch`` m is memory the
+    caller no longer needs: it is sorted, and for rectangular data
+    differenced against gold, in place.
     """
-    err = np.abs(reduce_rows(_mean, (m,), (counts,)) - gold.means)
+    err = _minus(reduce_rows(_mean, (m,), (counts,)), gold.means, scratch=True)  # the means are new
+    np.abs(err, out=err)
     if gold.sorted is None:
         return err, None
-    sm = np.sort(m, axis=-1)
+    if scratch:
+        m.sort(axis=-1)
+    sm = m if scratch else np.sort(m, axis=-1)
     sg = gold.sorted
-    if gold.counts is not None:
-        # Ragged blocks select items by (model, gold) counts, so both need m's shape.
-        sg = np.broadcast_to(sg, (*sm.shape[:-1], sg.shape[-1]))
+    if counts is None and gold.counts is None:
+        return err, _emd_sorted(sm, sg, scratch)
+    # Ragged blocks select items by (model, gold) counts, so both need m's shape.
+    sg = np.broadcast_to(sg, (*sm.shape[:-1], sg.shape[-1]))
     return err, reduce_rows(_emd_sorted, (sm, sg), (counts, gold.counts))
 
 

@@ -270,7 +270,7 @@ def _bootstrap_p_value(g, a, b, pool, metric, phi, b_null, rng, counts=None, alp
         metrics, model_items(gold, a, ca), model_items(gold, b, cb))[metric]))
     hits = 0
     for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*g.shape)):
-        for (scores,) in _null_blocks(metrics, phi, g, gold, [pool], rng, hi - lo,
+        for (scores,) in _null_blocks(metrics, phi, g, gold, pool[None], rng, hi - lo,
                                       None if ca is None else 2 * ca):
             hits += int((comparison(metric, *scores[metric]) >= observed).sum())
             if _settled(hits, b_null, alpha):

@@ -240,11 +240,18 @@ def _affine_responses(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
                       family: ResponseFamily, out: np.ndarray | None = None) -> np.ndarray:
     """clip(mu + sigma * z) per item, snapped when family has levels; z is (..., k).
 
+    mu is sigma's shape or adds leading axes: then sigma * z is computed once
+    and one response array comes out per leading index, (*lead, ..., k).
     NumPy's ``normal(loc, scale)`` is loc + scale * standard_normal, so this
-    gives its values bit for bit. ``out`` may be z itself.
+    gives its values bit for bit. ``out`` may be z itself; the responses
+    build in it when mu has one value per item.
     """
     x = np.multiply(z, sigma[..., None], out=out)
-    x += mu[..., None]
+    if mu.size == sigma.size:
+        x = x.reshape(*mu.shape, x.shape[-1])
+        x += mu[..., None]
+    else:
+        x = np.add(x, mu[..., None])
     np.clip(x, 0.0, 1.0, out=x)
     if family.levels is not None:
         _snap_to_levels(x, family.levels)
@@ -273,7 +280,7 @@ class PerturbedDraws:
 
     mu and sigma are the (c, N) item parameters, u the (c, N) uniforms
     behind the location shifts and z the (c, N, K) standard normals behind
-    B's responses. ``responses`` turns them into B for one epsilon.
+    B's responses. ``responses`` turns them into B for any number of epsilons.
     """
 
     mu: np.ndarray
@@ -281,10 +288,16 @@ class PerturbedDraws:
     u: np.ndarray
     z: np.ndarray
 
-    def responses(self, epsilon: float, family: ResponseFamily, out: np.ndarray | None = None) -> np.ndarray:
-        """B at this epsilon; ``out=self.z`` reuses z's memory once z is no longer needed."""
+    def responses(self, epsilon, family: ResponseFamily, out: np.ndarray | None = None) -> np.ndarray:
+        """B at ``epsilon``, a float or an (E,) array: (c, N, K), or (E, c, N, K) with one B per epsilon.
+
+        sigma * z is computed once for every epsilon. ``out=self.z`` reuses
+        z's memory once z is no longer needed: for it, and for B itself when
+        there is one epsilon.
+        """
+        e = np.asarray(epsilon, dtype=float)[..., None, None]
         # rng.uniform(lo, hi) is lo + (hi - lo) * random(): the same deltas bit for bit.
-        delta = self.u * (epsilon - -epsilon) + -epsilon
+        delta = self.u * (e - -e) + -e
         return _affine_responses(self.z, self.mu + delta, self.sigma, family, out=out)
 
     def __getitem__(self, rows: slice) -> "PerturbedDraws":

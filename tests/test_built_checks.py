@@ -11,6 +11,7 @@ exits 2 naming its field instead of raising a traceback.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from raterpower import ExperimentConfig, Mode, SamplingStrategy, run_experiment
@@ -47,6 +48,10 @@ TINY = {"n_items": 5, "k_responses": 2, "b_alt": 4, "b_null": 4}
     (DistributionSpec, {"family": Family.UNIFORM, "params": {"lo": 0, "hi": 1, "mid": 0.5}}, "mid"),
     (DistributionSpec, {"family": Family.UNIFORM, "params": {"lo": math.nan, "hi": 1}}, "lo"),
     (DistributionSpec, {"family": "bogus"}, "family"),
+    (DistributionSpec, {"family": Family.NORMAL, "params": {"mu": np.array([0.1, 0.2]), "sigma": 1.0}}, "mu"),
+    (DistributionSpec, {"family": Family.NORMAL, "params": {"mu": 0.1, "sigma": [1.0]}}, "sigma"),
+    (DistributionSpec, {"family": Family.UNIFORM, "params": {"lo": "0", "hi": 1}}, "lo"),
+    (DistributionSpec, {"family": Family.UNIFORM, "params": {"lo": 0, "hi": None}}, "hi"),
     (ResponseFamily, {"levels": 1}, "levels"),
     (ResponseFamily, {"levels": 2.5}, "levels"),
 ], ids=lambda x: x.__name__ if isinstance(x, type) else x if isinstance(x, str) else "")

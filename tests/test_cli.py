@@ -685,6 +685,20 @@ def test_fit_parameter_names_exit_2_naming_them_before_reading_input(flags, name
     assert err.startswith(f"error: {name}: ") and "missing.jsonl" not in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--location-family", "uniform", "--grid", "lo=0:0.2:0.1,hi=0.8:1:0.1,lo=0.3"],
+    FIT_OK + ["--scale-family", "uniform", "--scale-grid", "lo=0,hi=0.2, lo =0.1"],
+], ids=["grid", "scale-grid"])
+def test_fit_grid_repeating_a_name_exits_2_naming_it_before_reading_input(flags, tmp_path, capsys, monkeypatch):
+    # Used to keep only the last axis of the name: lo = 0.3 alone, exit 0.
+    _no_work(monkeypatch)
+    argv = [part.format(missing=str(tmp_path / "missing")) for part in FIT]
+    code, out, err = run([*argv, *flags], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert flags[-2] in err and "'lo' appears more than once" in err and "missing.jsonl" not in err
+
+
 def test_fit_grid_without_a_valid_point_still_exits_1(tmp_path, capsys):
     matrix = tmp_path / "m.jsonl"
     matrix.write_text('{"item_id": "a", "responses": [0.2, 0.4]}\n', encoding="utf-8")
