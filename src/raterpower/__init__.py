@@ -17,7 +17,6 @@ from .inference import (
     estimate_p_value,
     mean_metric_scores,
     resample_multistage,
-    run_column,
     run_columns,
     run_experiment,
     sample_null_pair,
@@ -39,7 +38,6 @@ from .power import (
     multistage_bootstrap_test,
     per_item_errors,
     permutation_test_paired,
-    power_sweep,
     power_sweeps,
     welch_t_test,
     wilcoxon_signed_rank,

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import rngstreams
-from .config import ExperimentConfig, Mode, SamplingStrategy
+from .config import ExperimentConfig, SamplingStrategy
 from .dataio import load_responses, report_to_json, save_matrix
 from .distributions import Family
 from .errors import InvalidParam, RaterPowerError
@@ -29,7 +29,7 @@ from .fitting import fit_prior, grid_columns, per_item_stats
 from .inference import run_columns, run_experiment
 from .metrics import MetricId
 from .power import TestId, power_sweeps
-from .simulator import ItemPrior, ResponseFamily, default_synthetic_prior, generate_triple
+from .simulator import ItemPrior, ResponseFamily, check_count, default_synthetic_prior, generate_triple
 
 MEMD_PAPER_SCALE = 15.5  # documented display factor; see README on MEMD scaling
 
@@ -129,16 +129,16 @@ def _read_json(path: str, name: str):
 
 def _base_config(args) -> ExperimentConfig:
     """The ``--config`` file's config, overridden by the flags and the prior they choose."""
-    prior = _load_prior(args)
-    config = ExperimentConfig.from_json_dict(_read_json(args.config, "config")) if args.config else ExperimentConfig()
     # A flag that is unset, or that the command does not take, keeps the config's value.
-    updates = {f.name: value for f in dataclasses.fields(config)
+    updates = {f.name: value for f in dataclasses.fields(ExperimentConfig)
                if (value := getattr(args, f.name, None)) is not None}
     if args.levels is not None:
         updates["family"] = ResponseFamily(args.levels)
-    if prior is not None:
-        updates["prior"] = prior
-    return config.with_(**updates)
+    config = ExperimentConfig(**updates)  # the flags alone: a bad value exits 2 before any file is read
+    prior = _load_prior(args)
+    if args.config:
+        config = ExperimentConfig.from_json_dict(_read_json(args.config, "config")).with_(**updates)
+    return config if prior is None else config.with_(prior=prior)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -161,16 +161,7 @@ def _emit(args, text: str) -> None:
 
 def cmd_pvalue(args) -> None:
     config = _base_config(args)
-    given = None
-    if args.input is not None:
-        given = tuple(load_responses(p, levels=args.levels) for p in args.input)
-        config = config.with_(
-            mode=Mode.BOOTSTRAP_OF_GIVEN,
-            n_items=given[0].n_items,
-            k_responses=int(given[0].counts()[0]),
-        )
-    else:
-        config = config.with_(mode=Mode.PARAMETRIC)
+    given = None if args.input is None else tuple(load_responses(p, levels=args.levels) for p in args.input)
     report = run_experiment(config, given=given, threads=args.threads)
     obj = report.to_json_dict()
     if args.memd_scale != 1.0 and MetricId.MEMD.value in obj["results"]:
@@ -263,10 +254,11 @@ def cmd_fit(args) -> None:
     if args.scale_family is None and (args.scale_grid is not None or args.scale_clip is not None):
         raise UsageError("--scale-grid and --scale-clip need --scale-family")
     # A grid or clip naming a parameter the family does not take, or lacking one it
-    # needs, exits 2 before the input is read.
+    # needs, or a negative seed, exits 2 before the input is read.
     grid_columns(args.location_family, args.location_grid, args.location_clip or {})
     if args.scale_family is not None:
         grid_columns(args.scale_family, args.scale_grid, args.scale_clip or {})
+    check_count("seed", args.seed or 0, "seed must be a nonnegative integer", least=0)
     matrix = load_responses(args.input, levels=args.levels)
     report = fit_prior(
         per_item_stats(matrix),
@@ -405,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = p.add_mutually_exclusive_group()
     sweep.add_argument("--n-sweep", type=ints, default=None, help="comma list of N values")
     sweep.add_argument("--k-sweep", type=ints, default=None, help="comma list of K values")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive(int, "an integer"), default=200)
     _add_shared(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_power)
 
@@ -418,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-family", type=family, default=None)
     p.add_argument("--scale-grid", type=grid, default=None)
     p.add_argument("--scale-clip", type=clip, default=None)
-    p.add_argument("--sim-count", type=int, default=None)
+    p.add_argument("--sim-count", type=_positive(int, "an integer"), default=None)
     _add_shared(p, formats=("json",), default_format="json")
     p.set_defaults(func=cmd_fit)
 

@@ -57,6 +57,8 @@ class SamplingStrategy:
 
 
 class Mode(str, enum.Enum):
+    """How a run got its data, as its report records it: given (G, A, B) matrices, or none."""
+
     PARAMETRIC = "parametric"
     BOOTSTRAP_OF_GIVEN = "bootstrap-of-given"
 
@@ -77,7 +79,6 @@ class ExperimentConfig:
     family: ResponseFamily = ResponseFamily()
     seed: int = 0
     alpha: float = 0.05
-    mode: Mode = Mode.PARAMETRIC
 
     def __post_init__(self):
         check_count("n_items", self.n_items, "need at least one item")
@@ -97,7 +98,6 @@ class ExperimentConfig:
         if not (isinstance(self.metrics, (list, tuple)) and self.metrics):
             raise InvalidParam("metrics", f"need a nonempty list of metric names, got {self.metrics!r}")
         object.__setattr__(self, "metrics", tuple(_member(MetricId, "metrics", m) for m in self.metrics))
-        object.__setattr__(self, "mode", _member(Mode, "mode", self.mode))
 
     def with_(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
@@ -114,7 +114,6 @@ class ExperimentConfig:
             "levels": self.family.levels,
             "seed": self.seed,
             "alpha": self.alpha,
-            "mode": self.mode.value,
             "prior": self.prior.to_json_dict(),
         }
 
@@ -122,14 +121,17 @@ class ExperimentConfig:
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise InvalidParam("config", f"expected a JSON object, got {obj!r}")
-        # Only the keys to_json_dict writes, so a misspelt key is not ignored.
-        unknown = sorted(set(obj) - set(cls().to_json_dict()))
+        # Only the keys a report's config block holds, so a misspelt key is not ignored.
+        unknown = sorted(set(obj) - set(cls().to_json_dict()) - {"mode"})
         if unknown:
             raise InvalidParam("config", f"unknown keys {unknown}")
-        # Counts, metrics and mode pass as given, so the constructor rejects
-        # 2.7, 2.0 and "3" alike, and names a bad metric or mode.
-        kwargs = {key: obj[key] for key in ("n_items", "k_responses", "b_alt", "b_null", "seed", "metrics",
-                                            "mode") if key in obj}
+        # A report records its run's mode, which the data decide: a valid one is ignored.
+        if "mode" in obj:
+            _member(Mode, "mode", obj["mode"])
+        # Counts and metrics pass as given, so the constructor rejects 2.7,
+        # 2.0 and "3" alike, and names a bad metric.
+        kwargs = {key: obj[key] for key in ("n_items", "k_responses", "b_alt", "b_null", "seed", "metrics")
+                  if key in obj}
         for key in ("epsilon", "alpha"):
             if key in obj:
                 try:

@@ -7,6 +7,9 @@ Interchange formats:
 * CSV: header ``item_id,r1,...,rK``, RFC 4180 quoting, rectangular only.
 * Reports: one JSON document with a top-level ``"schema_version": 1``.
 
+A matrix file's suffix names its format: ``.jsonl``, ``.ndjson`` or
+``.json`` for JSONL, ``.csv`` for CSV.
+
 Raw ordinal labels can be mapped onto [0, 1] with an explicit value map or
 the linear level map (level j of k -> j/(k-1)). The level map treats labels
 as 1-based (Likert style) unless a label below 1 appears in the file, in
@@ -34,11 +37,7 @@ from .simulator import ResponseMatrix, _pad, check_matrices
 __all__ = ["load_responses", "save_matrix", "save_report", "matrix_to_jsonl", "matrix_to_csv"]
 
 
-def _detect_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("jsonl", "csv"):
-            raise InvalidParam("format", f"unknown matrix format {fmt!r}")
-        return fmt
+def _detect_format(path: Path) -> str:
     suffix = path.suffix.lower()
     if suffix in (".jsonl", ".ndjson", ".json"):
         return "jsonl"
@@ -132,7 +131,7 @@ def _convert(records, value_map, levels) -> ResponseMatrix:
 
 def load_responses(
     path: str | Path,
-    fmt: str | None = None,
+    *,
     value_map: Mapping | None = None,
     levels: int | None = None,
 ) -> ResponseMatrix:
@@ -146,7 +145,7 @@ def load_responses(
     if levels is not None and levels < 2:
         raise InvalidParam("levels", "level map needs k >= 2")
     path = Path(path)
-    fmt = _detect_format(path, fmt)
+    fmt = _detect_format(path)
     text = path.read_text(encoding="utf-8")
     records = _parse_jsonl(text) if fmt == "jsonl" else _parse_csv(text)
     return _convert(records, value_map, levels)
@@ -172,10 +171,9 @@ def matrix_to_csv(m: ResponseMatrix) -> str:
     return out.getvalue()
 
 
-def save_matrix(m: ResponseMatrix, path: str | Path, fmt: str | None = None) -> None:
+def save_matrix(m: ResponseMatrix, path: str | Path) -> None:
     path = Path(path)
-    fmt = _detect_format(path, fmt)
-    text = matrix_to_jsonl(m) if fmt == "jsonl" else matrix_to_csv(m)
+    text = matrix_to_jsonl(m) if _detect_format(path) == "jsonl" else matrix_to_csv(m)
     path.write_text(text, encoding="utf-8")
 
 

@@ -12,16 +12,18 @@ The reported p-value is the mean, over alternative scores, of the one-sided
 fraction of null scores at least as extreme, with the side chosen by
 comparing the two medians.
 
-Resampling strategy semantics. In parametric mode every alternative
-resample is a fresh simulator draw (new item params, responses and
-perturbations); this fresh draw is the parametric counterpart of the
-response-level bootstrap, so ``phi.responses`` adds no further layer. When
-``phi.items`` is boot, the fresh triple is additionally multistage-resampled
-(items with replacement, then responses per ``phi.responses``). In
-bootstrap-of-given mode alternative resamples are plain multistage
-bootstrap resamples of the supplied triple. Null resamples never take extra
-resampling layers; drawing from the pooled responses is itself the
-response-level resampling of the null hypothesis.
+Resampling strategy semantics. The data decide a run's mode: a run given
+a (G, A, B) triple is in bootstrap-of-given mode, any other run in
+parametric mode. In parametric mode every alternative resample is a fresh
+simulator draw (new item params, responses and perturbations); this fresh
+draw is the parametric counterpart of the response-level bootstrap, so
+``phi.responses`` adds no further layer. When ``phi.items`` is boot, the
+fresh triple is additionally multistage-resampled (items with replacement,
+then responses per ``phi.responses``). In bootstrap-of-given mode
+alternative resamples are plain multistage bootstrap resamples of the
+supplied triple. Null resamples never take extra resampling layers;
+drawing from the pooled responses is itself the response-level resampling
+of the null hypothesis.
 
 Engine. ``draw_blocks`` draws batched triples; one lazy position plan,
 ``_plan``, turns a chunk's index draws (the shared item draw, then the one
@@ -46,7 +48,7 @@ arrays are broadcast views, and a ragged chunk, whose kernel loops over
 count buckets once per block, are one block each. Reductions run per row
 on C-ordered blocks, so the scores do not depend on the block size.
 
-Epsilon column. No draw depends on epsilon, so ``run_column`` runs every
+Epsilon column. No draw depends on epsilon, so ``run_columns`` runs every
 epsilon of one (N, K) from the same chunks: each chunk draws G, A and B's
 standard normals and indices once and scores G and A once. B carries a
 leading epsilon axis: each row block builds B for all E epsilons as one
@@ -56,10 +58,9 @@ from once and gathered with one ``np.take`` along axis 1. The kernel sorts
 and differences in place only what a chunk drew or gathered itself, so the
 batch costs no more memory than one epsilon's B, sorted copy and
 difference did. ``run_experiment`` is the one-epsilon column (E = 1, the
-same path), and ``run_columns`` runs many
-columns on one pool: every (column, arm, chunk) task goes through one
-``_map_chunks``, so a table whose arms are one chunk each still keeps
-every thread busy.
+same path). Many columns run on one pool: every (column, arm, chunk) task
+goes through one ``_map_chunks``, so a table whose arms are one chunk each
+still keeps every thread busy.
 
 Ragged given data run in the form ``ResponseMatrix`` stores them,
 NaN-padded with per-item counts: the response draw reads only each row's
@@ -92,7 +93,6 @@ __all__ = [
     "sample_null_pair",
     "estimate_p_value",
     "run_experiment",
-    "run_column",
     "run_columns",
     "Direction",
     "MetricPValue",
@@ -239,17 +239,22 @@ class MetricPValue:
 
 @dataclass(frozen=True)
 class PValueReport:
+    """A run's config (its N and K the data's when given), the run's ``Mode`` and each metric's result."""
+
     config: ExperimentConfig
+    mode: Mode
     results: dict[MetricId, MetricPValue]
 
     def p_value(self, metric: MetricId) -> float:
         return self.results[metric].p_value
 
     def to_json_dict(self) -> dict:
+        config = self.config.to_json_dict()
+        prior = config.pop("prior")  # the report's layout puts "mode" between "alpha" and "prior"
         return {
             "schema_version": 1,
             "kind": "pvalue_report",
-            "config": self.config.to_json_dict(),
+            "config": {**config, "mode": self.mode.value, "prior": prior},
             "results": {m.value: r.to_json_dict() for m, r in self.results.items()},
         }
 
@@ -467,7 +472,7 @@ def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsil
         if phi == _NO_RESAMPLE:
             sim = draw_blocks(config, rng, c, spans)
         else:  # the index draws follow every simulator draw
-            sim = _cut([next(phase) for phase in draw_blocks(config, rng, c, [(0, c)])], spans)
+            sim = _cut(list(draw_batch(config, rng, c)), spans)
         sources = [((c, n, k), None, None)] * 3
     else:
         (g, a, b), counts = base
@@ -569,7 +574,7 @@ def _collect(arms, threads: int) -> list[list[dict]]:
     return [_join([r for (j, _, _), r in zip(tasks, results) if j == i]) for i in range(len(arms))]
 
 
-def _report(config: ExperimentConfig, alt: dict, null: dict) -> PValueReport:
+def _report(config: ExperimentConfig, alt: dict, null: dict, mode: Mode = Mode.PARAMETRIC) -> PValueReport:
     results = {}
     for m in config.metrics:
         p, direction = estimate_p_value(alt[m], null[m])
@@ -583,19 +588,24 @@ def _report(config: ExperimentConfig, alt: dict, null: dict) -> PValueReport:
             alt_summary=_summary(alt[m]),
             null_summary=_summary(null[m]),
         )
-    return PValueReport(config=config, results=results)
+    return PValueReport(config=config, mode=mode, results=results)
 
 
 def _column(config: ExperimentConfig, epsilons, given) -> tuple[list, _Arm, _Arm]:
-    """A column's per-epsilon configs and its alternative and null arms."""
+    """A column's per-epsilon configs and its alternative and null arms.
+
+    Given data set the configs' N, and their K to G's first item's count (a
+    ragged input's report states that one count until ROADMAP item 9).
+    """
     epsilons = tuple(epsilons)
-    configs = [config.with_(epsilon=e) for e in epsilons]
-    if not configs:
+    if not epsilons:
         raise InvalidParam("epsilons", "need at least one epsilon")
+    if given is not None:
+        check_matrices(*given)  # before N and K are read: an empty input raises EmptyItem
+        config = config.with_(n_items=given[0].n_items, k_responses=int(given[0].counts()[0]))
+    configs = [config.with_(epsilon=e) for e in epsilons]
     counts = None
-    if config.mode == Mode.PARAMETRIC:
-        if given is not None:
-            raise InvalidParam("given", "parametric mode simulates its own data")
+    if given is None:
         g, a, draws = draw_batch(config, rngstreams.derive_rng(config.seed, rngstreams.BASE), 1)
         gb, base, pool_counts = g[0], None, None
         b = draws.responses(epsilons, config.family)[:, 0]
@@ -604,9 +614,6 @@ def _column(config: ExperimentConfig, epsilons, given) -> tuple[list, _Arm, _Arm
         # are redrawn only after an item bootstrap.
         phi = config.phi if config.phi.items == Level.BOOT else _NO_RESAMPLE
     else:
-        if given is None:
-            raise InvalidParam("given", "bootstrap-of-given mode needs input matrices")
-        check_matrices(*given)
         base = kernel_inputs(*given)
         (gb, _, _), counts = base
         pool, sizes = _null_pool(*given[1:])
@@ -632,14 +639,21 @@ def run_columns(
     given: tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix] | None = None,
     threads: int = 1,
 ) -> list[list[PValueReport]]:
-    """``run_column`` for each (config, epsilons) of ``columns``, on one pool of ``threads``.
+    """``run_experiment`` at each epsilon of each (config, epsilons) of ``columns``, one report each.
+
+    No random draw depends on epsilon: every chunk of an arm draws from
+    (seed, arm, chunk start) alone. So a column draws each chunk once and
+    builds, gathers and scores B for every epsilon at once; its reports
+    equal one ``run_experiment`` call per epsilon, bit for bit. With
+    ``given`` data every column runs on them (bootstrap-of-given mode), its
+    reports state the data's N and K, and epsilon plays no part: every
+    report of a column holds the same scores.
 
     Every column is prepared first (its per-epsilon configs, base draw,
     pools and gold), so a bad column raises before any chunk runs. Then
     every chunk of both arms of every column is one task of one
-    ``_map_chunks``; each chunk draws from (seed, arm, chunk start) as in
-    ``run_column``, so the reports equal one ``run_column`` per column, bit
-    for bit.
+    ``_map_chunks`` on ``threads`` threads, so the reports equal one
+    ``run_columns`` call per column, bit for bit.
     """
     prepared = [_column(config, epsilons, given) for config, epsilons in columns]
     configs, alts, nulls = zip(*prepared) if prepared else ((), (), ())
@@ -650,30 +664,13 @@ def run_columns(
     def comparisons(entry):
         return {m: comparison(m, *s) for m, s in entry.items()}
 
+    mode = Mode.PARAMETRIC if given is None else Mode.BOOTSTRAP_OF_GIVEN
     out = []
     for cfgs, alt, null in zip(configs, scores[:len(alts)], scores[len(alts):]):
         if len(alt) < len(cfgs):  # given data: one set of scores serves every epsilon
             alt, null = alt * len(cfgs), null * len(cfgs)
-        out.append([_report(cfg, comparisons(x), comparisons(y)) for cfg, x, y in zip(cfgs, alt, null)])
+        out.append([_report(cfg, comparisons(x), comparisons(y), mode) for cfg, x, y in zip(cfgs, alt, null)])
     return out
-
-
-def run_column(
-    config: ExperimentConfig,
-    epsilons,
-    given: tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix] | None = None,
-    threads: int = 1,
-) -> list[PValueReport]:
-    """``run_experiment`` at each of ``epsilons`` for the config's (N, K), one report each.
-
-    No random draw depends on epsilon: every chunk of an arm draws from
-    (seed, arm, chunk start) alone. So the column draws each chunk once and
-    builds, gathers and scores B for every epsilon at once; the reports equal one
-    ``run_experiment`` call per epsilon, bit for bit. In bootstrap-of-given
-    mode epsilon plays no part, and every report holds the same scores.
-    The one-column ``run_columns``.
-    """
-    return run_columns([(config, epsilons)], given, threads)[0]
 
 
 def run_experiment(
@@ -683,14 +680,15 @@ def run_experiment(
 ) -> PValueReport:
     """Estimate per-metric expected one-sided p-values.
 
-    Parametric mode simulates its own base triple and draws every
-    alternative resample fresh from the simulator; bootstrap-of-given mode
-    takes ``given`` as the base triple and multistage-resamples it. Null
-    resamples always draw per-item A/B pairs from the pooled base responses
-    and are scored against the base gold matrix. Deterministic for a given
-    (config, seed) regardless of ``threads``. The one-epsilon ``run_column``.
+    Without ``given`` (parametric mode) the run simulates its own base
+    triple and draws every alternative resample fresh from the simulator;
+    with ``given`` (bootstrap-of-given mode) it takes them as the base
+    triple and multistage-resamples it. Null resamples always draw per-item
+    A/B pairs from the pooled base responses and are scored against the
+    base gold matrix. Deterministic for a given (config, seed) regardless of
+    ``threads``. The one-epsilon, one-column ``run_columns``.
     """
-    return run_column(config, (config.epsilon,), given, threads)[0]
+    return run_columns([(config, (config.epsilon,))], given, threads)[0][0]
 
 
 # -- mean metric scores (effect-size summaries) -----------------------------------

@@ -10,8 +10,7 @@ responses, so it sees the full response-level variance.
 Power is a rejection rate over simulated trials. ``power_sweeps`` runs
 several tests along one sweep axis: each trial simulates one dataset that
 every test sees, and every (sweep point, chunk of trials) is one task on
-one pool of threads. ``power_sweep`` and ``estimate_power`` are its
-one-test and one-point calls.
+one pool of threads. ``estimate_power`` is its one-test, one-point call.
 
 A rejection rate needs only each trial's verdict, p < alpha. So a sweep
 stops the bootstrap test and the Monte Carlo permutation test as soon as
@@ -58,7 +57,6 @@ __all__ = [
     "multistage_bootstrap_test",
     "estimate_power",
     "sweep_configs",
-    "power_sweep",
     "power_sweeps",
 ]
 
@@ -383,19 +381,7 @@ def estimate_power(
     paired differences zero, or zero variance in both samples) gets p = 1
     rather than aborting the sweep. Deterministic per (config.seed, test).
     """
-    return power_sweep(config, test, trials, "n_items", (config.n_items,), threads)
-
-
-def power_sweep(
-    config: ExperimentConfig,
-    test: TestId,
-    trials: int,
-    axis: str,
-    values: tuple[int, ...],
-    threads: int = 1,
-) -> PowerReport:
-    """Power curve along n_items or k_responses; every point is checked before any trial runs."""
-    return power_sweeps(config, (test,), trials, axis, values, threads)[0]
+    return power_sweeps(config, (test,), trials, "n_items", (config.n_items,), threads)[0]
 
 
 def power_sweeps(
@@ -411,7 +397,7 @@ def power_sweeps(
     Every point is checked for every test before any trial runs. Trial t of
     a point simulates its dataset once and applies every test to it, and
     each (point, chunk of 8 trials) is one task on one pool of ``threads``
-    threads. Each report equals ``power_sweep`` of its test alone.
+    threads. Each report equals ``power_sweeps`` of its test alone.
     """
     configs = sweep_configs(config, tests, axis, values)
     check_count("trials", trials, "need at least one trial")

@@ -43,12 +43,8 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([_check_seed(seed), *[int(p) for p in path]])
-
-
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
-    return np.random.default_rng(seed_sequence(seed, *path))
+    return np.random.default_rng(np.random.SeedSequence([_check_seed(seed), *[int(p) for p in path]]))
 
 
 def _words(n: int) -> list[int]:

@@ -144,13 +144,9 @@ class ResponseMatrix:
             raise InvalidParam("matrix", "ragged matrix cannot become a dense array")
         return self.values.copy()
 
-    def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """NaN-padded (N, K_max) values and per-item response counts."""
-        return self.values, self._counts
-
     @classmethod
     def from_padded(cls, values: np.ndarray, counts, ids: Sequence[str]) -> "ResponseMatrix":
-        """Inverse of ``padded``: row i keeps its first counts[i] values; width the largest count."""
+        """Inverse of (``values``, ``counts()``): row i keeps its first counts[i] values; width the largest count."""
         values, counts = np.asarray(values, dtype=float), np.array(counts, dtype=np.int64)
         if (values.ndim != 2 or counts.shape != values.shape[:1] or len(ids) != counts.size
                 or np.any(counts < 0) or np.any(counts > values.shape[1])):

@@ -5,7 +5,7 @@ order, so a chunk may draw each source in row blocks and reduce every block
 at once. These tests check that fact for every draw kind the engine splits,
 and that neither the block size nor the one pool of (column, arm, chunk)
 tasks moves a single bit: ``run_columns`` at any block size and thread
-count must equal one whole-block ``run_column`` per column, and power's
+count must equal one whole-block ``run_columns`` call per column, and power's
 bootstrap test must equal its chunk-loop oracle at small blocks. The last
 tests bound the traced memory of a ``table`` run and the peak resident
 memory of a large ``pvalue`` process by the chunk's size.
@@ -27,12 +27,10 @@ from hypothesis import strategies as st
 
 from raterpower import (
     ExperimentConfig,
-    Mode,
     ResponseMatrix,
     SamplingStrategy,
     mean_metric_scores,
     multistage_bootstrap_test,
-    run_column,
     run_columns,
 )
 from raterpower import cli, inference
@@ -113,8 +111,7 @@ def _given(ragged: bool):
 
 
 def _given_columns():
-    base = ExperimentConfig(mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=12, k_responses=3, b_alt=23,
-                            b_null=19, metrics=METRICS)
+    base = ExperimentConfig(n_items=12, k_responses=3, b_alt=23, b_null=19, metrics=METRICS)
     return [(base.with_(phi=SamplingStrategy.parse(phi), seed=seed), (0.0, 0.1))
             for seed, phi in enumerate(PHIS)]
 
@@ -133,7 +130,7 @@ def test_pool_and_blocks_equal_one_whole_block_column_each(case, chunk, monkeypa
     columns = columns()
     monkeypatch.setattr(inference, "_CHUNK_BUDGET", chunk * FLOATS)
     monkeypatch.setattr(inference, "_BLOCK", WHOLE)
-    want = [[r.to_json_dict() for r in run_column(config, eps, given_triple)] for config, eps in columns]
+    want = [[r.to_json_dict() for r in run_columns([column], given_triple)[0]] for column in columns]
     for block in (1, 7, WHOLE):
         monkeypatch.setattr(inference, "_BLOCK", block * FLOATS)
         for threads in (1, 2, 3):
@@ -174,7 +171,8 @@ def test_bootstrap_test_matches_chunk_loop_at_small_blocks(phi, metric, block, m
 def test_per_resample_plan_blocks_equal_the_whole_chunk(rows):
     # Ragged chunks run as one block, so the engine never splits a plan of
     # per-resample generators; its blocks must still be the chunk's rows.
-    values, counts = _given(True)[1].padded()
+    m = _given(True)[1]
+    values, counts = m.values, m.counts()
     phi = SamplingStrategy.parse("boot,boot")
 
     def gathered(spans):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from raterpower import ExperimentConfig, Mode, SamplingStrategy, run_experiment
+from raterpower import ExperimentConfig, SamplingStrategy, run_experiment
 from raterpower.cli import main
 from raterpower.config import Level
 from raterpower.distributions import DistributionSpec, Family, uniform
@@ -37,7 +37,6 @@ TINY = {"n_items": 5, "k_responses": 2, "b_alt": 4, "b_null": 4}
     (ExperimentConfig, {"metrics": ("maee",)}, "metrics"),
     (ExperimentConfig, {"metrics": "mae"}, "metrics"),
     (ExperimentConfig, {"metrics": ()}, "metrics"),
-    (ExperimentConfig, {"mode": "x"}, "mode"),
     (ExperimentConfig, {"phi": "all,boot"}, "phi"),
     (SamplingStrategy, {"items": "bot"}, "phi"),
     (SamplingStrategy, {"responses": "sometimes"}, "phi"),
@@ -73,7 +72,7 @@ def test_a_config_value_of_the_wrong_type_raises_naming_its_field(field, value):
     assert err.value.name == field
 
 
-@pytest.mark.parametrize("field, value", [("n_items", 0), ("metrics", ("maee",)), ("mode", "x")])
+@pytest.mark.parametrize("field, value", [("n_items", 0), ("metrics", ("maee",))])
 def test_with_rechecks(field, value):
     with pytest.raises(InvalidParam) as err:
         ExperimentConfig().with_(**{field: value})
@@ -81,10 +80,8 @@ def test_with_rechecks(field, value):
 
 
 def test_enum_fields_are_converted_when_built():
-    config = ExperimentConfig(metrics=["mae", MetricId.WINS], mode="bootstrap-of-given",
-                              phi=SamplingStrategy("all", "boot"))
+    config = ExperimentConfig(metrics=["mae", MetricId.WINS], phi=SamplingStrategy("all", "boot"))
     assert config.metrics == (MetricId.MAE, MetricId.WINS)
-    assert config.mode is Mode.BOOTSTRAP_OF_GIVEN
     assert (config.phi.items, config.phi.responses) == (Level.ALL, Level.BOOT)
     assert SamplingStrategy("boot", "boot").tag == "boot,boot"
     assert SamplingStrategy.parse(" ALL , boot ") == SamplingStrategy(Level.ALL, Level.BOOT)

@@ -775,3 +775,60 @@ def test_config_file_takes_exactly_the_keys_a_report_writes(tmp_path, capsys, mo
     code, _, err = run(["pvalue", "--default-synthetic", "--config", str(config)], capsys)
     assert code == 2
     assert "n_item" in err
+
+
+@pytest.mark.parametrize("command, name", [
+    (PVALUE + ["--b-alt", "0"], "b_alt"),
+    (["pvalue", "--config", "{missing}-config.json", "--default-synthetic", "--n", "0"], "n_items"),
+    (TABLE + ["--nk-pairs", "5:2", "--epsilon-values", "0", "--alpha", "1"], "alpha"),
+    (POWER + ["--trials", "0"], "--trials"),
+    (["simulate", "--prior-spec", "{missing}.json", "--seed", "-1"], "seed"),
+    (FIT + FIT_OK + ["--sim-count", "0"], "--sim-count"),
+    (["fit", "--input", "{present}"] + FIT_OK + ["--sim-count", "0"], "--sim-count"),
+    (["fit", "--input", "{present}"] + FIT_OK + ["--seed", "-1"], "seed"),
+], ids=["pvalue-prior-spec", "pvalue-config", "table", "power", "simulate", "fit", "fit-present", "fit-seed"])
+def test_a_bad_flag_value_exits_2_before_any_file_is_read(command, name, tmp_path, capsys, monkeypatch):
+    # Each used to read --prior-spec, --config or --input first: a missing
+    # file exited 1, and fit read a present one before it exited 2.
+    from raterpower import cli
+
+    _no_work(monkeypatch)
+    monkeypatch.setattr(cli, "_read_json", lambda *args: pytest.fail("read a file"))
+    present = tmp_path / "m.jsonl"
+    present.write_text('{"item_id": "a", "responses": [0.2, 0.4]}\n', encoding="utf-8")
+    argv = [part.format(missing=str(tmp_path / "missing"), present=present) for part in command]
+    code, out, err = run([*argv, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert name in err and "missing" not in err
+    assert sorted(tmp_path.iterdir()) == [present]
+
+
+def test_a_config_mode_key_is_treated_alike_by_table_pvalue_and_power(tmp_path, capsys):
+    # A report's config block records its run's mode, and the data decide
+    # the mode: a valid "mode" key is ignored by every command, an unknown
+    # one exits 2 naming it. The same key used to make table exit 2,
+    # pvalue override it and power ignore it.
+    commands = {
+        "table": ["table", "--default-synthetic", "--nk-pairs", "6:2", "--epsilon-values", "0.1",
+                  "--b-alt", "8", "--b-null", "8", "--seed", "5"],
+        "pvalue": ["pvalue", "--default-synthetic", "--n", "6", "--k", "2", "--epsilon", "0.1",
+                   "--b-alt", "8", "--b-null", "8", "--seed", "5"],
+        "power": ["power", "--default-synthetic", "--test", "bootstrap", "--n", "6", "--k", "2",
+                  "--epsilon", "0.3", "--trials", "3", "--b-null", "8", "--seed", "5"],
+    }
+    config = tmp_path / "config.json"
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.out"
+        code, _, err = run([*argv, "--out", str(out)], capsys)
+        assert code == 0, err
+        want = out.read_bytes()
+        for mode in ("bootstrap-of-given", "parametric"):
+            config.write_text(json.dumps({"mode": mode}), encoding="utf-8")
+            code, _, err = run([*argv, "--config", str(config), "--out", str(out)], capsys)
+            assert code == 0, (name, mode, err)
+            assert out.read_bytes() == want, (name, mode)
+        config.write_text(json.dumps({"mode": "given"}), encoding="utf-8")
+        code, _, err = run([*argv, "--config", str(config)], capsys)
+        assert code == 2, name
+        assert err.startswith("error: mode: "), name

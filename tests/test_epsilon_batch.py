@@ -16,11 +16,9 @@ from hypothesis import strategies as st
 
 from raterpower import (
     ExperimentConfig,
-    Mode,
     ResponseMatrix,
     SamplingStrategy,
     multistage_bootstrap_test,
-    run_column,
     run_columns,
     run_experiment,
 )
@@ -109,7 +107,7 @@ def test_a_column_makes_the_same_kernel_calls_at_one_and_four_epsilons(monkeypat
     counts = []
     for epsilons in ((0.1,), (0.1, 0.0, 0.02, 0.3)):
         calls.clear()
-        run_column(config, epsilons)
+        run_columns([(config, epsilons)])
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert counts[0]["model_items"] > 0 and counts[0]["pair_scores"] > 0
@@ -167,8 +165,8 @@ def test_run_experiment_leaves_given_data_unchanged(ragged):
     given_triple = (matrix(), matrix(), matrix())
     before = _snapshot(*(m.values for m in given_triple))
     for phi in PHIS:
-        config = ExperimentConfig(mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=10, k_responses=4, b_alt=13,
-                                  b_null=11, metrics=METRICS, phi=SamplingStrategy.parse(phi))
+        config = ExperimentConfig(n_items=10, k_responses=4, b_alt=13, b_null=11, metrics=METRICS,
+                                  phi=SamplingStrategy.parse(phi))
         run_experiment(config, given_triple, threads=2)
     assert _unchanged(before, [m.values for m in given_triple])
 

@@ -1,6 +1,6 @@
 """The epsilon column: one draw per (N, K), B rebuilt per epsilon.
 
-No random draw of an experiment depends on epsilon, so ``run_column``
+No random draw of an experiment depends on epsilon, so ``run_columns``
 draws every chunk once and only builds B per epsilon, and the simulator
 builds responses as clip(mu + sigma * z) in place. These tests check both
 against the straightforward computations they replace: ``rng.normal`` and
@@ -21,7 +21,7 @@ from raterpower import (
     ItemPrior,
     ResponseFamily,
     SamplingStrategy,
-    run_column,
+    run_columns,
     run_experiment,
 )
 from raterpower import inference
@@ -177,7 +177,7 @@ def test_column_matches_one_experiment_per_epsilon(phi, levels, monkeypatch):
     epsilons = (0.1, 0.0, 0.03, 0.1)
     want = [_experiment_oracle(config.with_(epsilon=e)).to_json_dict() for e in epsilons]
     for threads in (1, 2):
-        got = run_column(config, epsilons, threads=threads)
+        got = run_columns([(config, epsilons)], threads=threads)[0]
         assert [r.to_json_dict() for r in got] == want
         for e, report in zip(epsilons, want):
             assert run_experiment(config.with_(epsilon=e), threads=threads).to_json_dict() == report
@@ -186,5 +186,5 @@ def test_column_matches_one_experiment_per_epsilon(phi, levels, monkeypatch):
 def test_column_rejects_negative_epsilon_before_running(monkeypatch):
     monkeypatch.setattr(inference, "_alt_chunk_parametric", lambda *a: pytest.fail("ran"))
     with pytest.raises(InvalidParam):
-        run_column(ExperimentConfig(n_items=5, k_responses=2), (0.1, -0.1))
+        run_columns([(ExperimentConfig(n_items=5, k_responses=2), (0.1, -0.1))])
 

@@ -10,6 +10,7 @@ from raterpower import (
     build_null_pool,
     estimate_p_value,
     generate_triple,
+    run_columns,
     run_experiment,
     resample_multistage,
     sample_null_pair,
@@ -199,10 +200,7 @@ def test_run_experiment_p_value_bounds_and_report_fields():
 
 def test_run_experiment_given_mode_rectangular():
     g, a, b = triple(seed=3, n=30, k=4, eps=0.15)
-    config = small_config(
-        mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=30, k_responses=4,
-        phi=SamplingStrategy.parse("boot,boot"),
-    )
+    config = small_config(n_items=30, k_responses=4, phi=SamplingStrategy.parse("boot,boot"))
     r1 = run_experiment(config, given=(g, a, b))
     r2 = run_experiment(config, given=(g, a, b), threads=3)
     for m in config.metrics:
@@ -213,22 +211,31 @@ def test_run_experiment_given_mode_ragged():
     g = ResponseMatrix.from_rows([("a", [0.1, 0.4, 0.2]), ("b", [0.6, 0.9])])
     a = ResponseMatrix.from_rows([("a", [0.2, 0.3, 0.1]), ("b", [0.7, 0.8])])
     b = ResponseMatrix.from_rows([("a", [0.5, 0.6, 0.9]), ("b", [0.2, 0.4])])
-    config = small_config(
-        mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=2, k_responses=2, b_alt=60, b_null=60,
-        phi=SamplingStrategy.parse("boot,boot"),
-    )
+    config = small_config(n_items=2, k_responses=2, b_alt=60, b_null=60, phi=SamplingStrategy.parse("boot,boot"))
     report = run_experiment(config, given=(g, a, b))
     for res in report.results.values():
         assert 0.0 <= res.p_value <= 1.0
 
 
-def test_run_experiment_mode_argument_mismatch():
-    config = small_config()
-    g, a, b = triple()
-    with pytest.raises(InvalidParam):
-        run_experiment(config, given=(g, a, b))
-    with pytest.raises(InvalidParam):
-        run_experiment(config.with_(mode=Mode.BOOTSTRAP_OF_GIVEN))
+@pytest.mark.parametrize("ragged", [False, True], ids=["rectangular", "ragged"])
+def test_given_data_set_the_reported_mode_n_and_k(ragged):
+    # The data decide: a request for N = 100, K = 10 on 7 items used to
+    # raise (parametric mode takes no data) or, in bootstrap-of-given mode,
+    # report n_items 100 and k_responses 10.
+    rng = np.random.default_rng(8)
+    sizes = [2, 3, 1, 3, 2, 1, 2] if ragged else [3] * 7
+    g, a, b = (ResponseMatrix.from_rows((f"i{i}", rng.random(k)) for i, k in enumerate(sizes)) for _ in range(3))
+    request = ExperimentConfig(n_items=100, k_responses=10, b_alt=9, b_null=7, seed=2)
+    reports = [run_experiment(request, given=(g, a, b)),
+               *run_columns([(request, (0.0, 0.2)), (request.with_(seed=3), (0.1,))], given=(g, a, b))[0]]
+    for report in reports:
+        assert report.mode is Mode.BOOTSTRAP_OF_GIVEN
+        assert (report.config.n_items, report.config.k_responses) == (7, sizes[0])
+        block = report.to_json_dict()["config"]
+        assert (block["n_items"], block["k_responses"], block["mode"]) == (7, sizes[0], "bootstrap-of-given")
+        assert list(block)[-2:] == ["mode", "prior"]
+    assert reports[0].config == request.with_(n_items=7, k_responses=sizes[0])
+    assert run_experiment(request.with_(n_items=4, k_responses=2)).to_json_dict()["config"]["mode"] == "parametric"
 
 
 def test_monotone_sensitivity_in_epsilon():
@@ -290,7 +297,7 @@ def test_run_experiment_given_rejects_values_outside_unit_interval(bad):
     values = b.to_array()
     values[2, 1] = bad
     b = ResponseMatrix.from_array(values)
-    config = small_config(mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=5, k_responses=3)
+    config = small_config(n_items=5, k_responses=3)
     with pytest.raises(ValueOutOfRange) as err:
         run_experiment(config, given=(g, a, b))
     assert err.value.item_id == "2"

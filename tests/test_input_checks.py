@@ -24,7 +24,6 @@ from raterpower import (
     ExperimentConfig,
     TestId,
     ItemStats,
-    Mode,
     ResponseMatrix,
     SamplingStrategy,
     build_null_pool,
@@ -43,7 +42,6 @@ from raterpower import (
     permutation_test_paired,
     power_sweeps,
     resample_multistage,
-    run_column,
     run_columns,
     run_experiment,
     sample_null_pair,
@@ -65,7 +63,7 @@ ROWS = {"g": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
 RAGGED = {"g": [[0.1, 0.2, 0.9], [0.3], [0.5, 0.6]],
           "a": [[0.2, 0.2], [0.3, 0.5, 0.0], [0.6]],
           "b": [[0.0, 0.4], [0.9, 0.7, 1.0], [0.1]]}
-CONFIG = ExperimentConfig(mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=3, k_responses=2, b_alt=5, b_null=5)
+CONFIG = ExperimentConfig(n_items=3, k_responses=2, b_alt=5, b_null=5)
 BOOT = SamplingStrategy.parse("boot,boot")
 
 # fault -> (the error it raises, whether it needs a second matrix)
@@ -89,8 +87,8 @@ def _load(m, tmp_path):
 ENTRY_POINTS = {
     "load_responses": (lambda g, a, b, tmp: _load(a, tmp), False),
     "run_experiment": (lambda g, a, b, tmp: run_experiment(CONFIG, given=(g, a, b)), True),
-    "run_column": (lambda g, a, b, tmp: run_column(CONFIG, (0.0, 0.1), given=(g, a, b)), True),
-    "run_columns": (lambda g, a, b, tmp: run_columns([(CONFIG, (0.0,))], given=(g, a, b)), True),
+    "run_columns": (lambda g, a, b, tmp: run_columns([(CONFIG, (0.0,)), (CONFIG, (0.0, 0.1))], given=(g, a, b)),
+                    True),
     "resample_multistage": (lambda g, a, b, tmp: resample_multistage(g, a, b, BOOT, derive_rng(1)), True),
     "build_null_pool": (lambda g, a, b, tmp: build_null_pool(a, b), True),
     "sample_null_pair": (lambda g, a, b, tmp: sample_null_pair(a, 2, derive_rng(1)), False),

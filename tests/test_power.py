@@ -21,7 +21,6 @@ from raterpower import (
     multistage_bootstrap_test,
     per_item_errors,
     permutation_test_paired,
-    power_sweep,
     power_sweeps,
     welch_t_test,
     wilcoxon_signed_rank,
@@ -352,7 +351,7 @@ def test_welch_rejects_one_item_before_any_trial(monkeypatch):
     with pytest.raises(InvalidParam):
         estimate_power(config.with_(n_items=1), TestId.WELCH_T, trials=2)
     with pytest.raises(InvalidParam):
-        power_sweep(config, TestId.WELCH_T, 2, "n_items", (5, 1))
+        power_sweeps(config, (TestId.WELCH_T,), 2, "n_items", (5, 1))
 
 
 @pytest.mark.parametrize("axis", ["n_items", "k_responses"])
@@ -392,7 +391,7 @@ def test_estimate_power_deterministic_across_threads():
 
 def test_power_grows_with_n():
     config = ExperimentConfig(n_items=50, k_responses=5, epsilon=0.15, seed=4)
-    report = power_sweep(config, TestId.WELCH_T, trials=60, axis="n_items", values=(30, 400))
+    (report,) = power_sweeps(config, (TestId.WELCH_T,), trials=60, axis="n_items", values=(30, 400))
     assert report.points[1].power > report.points[0].power
 
 
@@ -432,7 +431,7 @@ def test_power_sweeps_same_rejections_at_any_thread_count():
     config = ExperimentConfig(n_items=20, k_responses=3, epsilon=0.15, seed=4, b_null=40)
     runs = [power_sweeps(config, SHUFFLED, 20, "n_items", (12, 30), threads=t) for t in (1, 2, 3)]
     assert runs[0] == runs[1] == runs[2]
-    assert runs[0] == [power_sweep(config, test, 20, "n_items", (12, 30)) for test in SHUFFLED]
+    assert runs[0] == [power_sweeps(config, (test,), 20, "n_items", (12, 30))[0] for test in SHUFFLED]
 
 
 def test_power_all_simulates_each_trial_once(tmp_path, monkeypatch):

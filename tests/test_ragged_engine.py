@@ -21,7 +21,6 @@ from _oracles import (
 
 from raterpower import (
     ExperimentConfig,
-    Mode,
     ResponseMatrix,
     SamplingStrategy,
     build_null_pool,
@@ -29,7 +28,7 @@ from raterpower import (
     multistage_bootstrap_test,
     per_item_stats,
     resample_multistage,
-    run_column,
+    run_columns,
     run_experiment,
     sample_null_pair,
 )
@@ -139,8 +138,7 @@ def test_run_experiment_ragged_matches_row_loop(phi):
     # its own generator derive_rng(seed, arm, j).
     g, a, b = _ragged_given()
     config = ExperimentConfig(
-        mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=g.n_items, k_responses=3, b_alt=25, b_null=20,
-        phi=SamplingStrategy.parse(phi), seed=13,
+        n_items=g.n_items, k_responses=3, b_alt=25, b_null=20, phi=SamplingStrategy.parse(phi), seed=13,
     )
     items_boot, responses_boot = phi.startswith("boot"), phi.endswith("boot")
     alt = [
@@ -170,21 +168,21 @@ def test_ragged_chunking_is_free(phi, monkeypatch):
     # equal the one-resample-at-a-time oracle whatever the chunk size.
     g, a, b = _ragged_given()
     config = ExperimentConfig(
-        mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=g.n_items, k_responses=3, b_alt=23, b_null=17,
-        metrics=METRICS, phi=SamplingStrategy.parse(phi), seed=29,
+        n_items=g.n_items, k_responses=3, b_alt=23, b_null=17, metrics=METRICS,
+        phi=SamplingStrategy.parse(phi), seed=29,
     )
     want = ragged_scores_oracle(g, a, b, phi.startswith("boot"), phi.endswith("boot"),
                                 config.b_alt, config.b_null, config.seed)
     scores = []
     report = inference._report
     monkeypatch.setattr(inference, "_report",
-                        lambda cfg, alt, null: scores.append((alt, null)) or report(cfg, alt, null))
+                        lambda cfg, alt, null, mode: scores.append((alt, null)) or report(cfg, alt, null, mode))
     floats = g.n_items * kernel_inputs(g, a, b)[0][0].shape[-1]
     for chunk in (1, 7, config.b_alt):
         monkeypatch.setattr(inference, "_CHUNK_BUDGET", chunk * floats)
         for threads in (1, 2):
             scores.clear()
-            run_column(config, (0.0, 0.1), given=(g, a, b), threads=threads)
+            run_columns([(config, (0.0, 0.1))], given=(g, a, b), threads=threads)
             assert len(scores) == 2
             for alt, null in scores:
                 for m in METRICS:
@@ -196,14 +194,14 @@ def test_run_experiment_rejects_empty_ragged_item():
     g, a, b = _ragged_given()
     rows = list(g.rows)
     rows[2] = np.empty(0)
-    config = ExperimentConfig(mode=Mode.BOOTSTRAP_OF_GIVEN, n_items=g.n_items, b_alt=5, b_null=5)
+    config = ExperimentConfig(n_items=g.n_items, b_alt=5, b_null=5)
     with pytest.raises(EmptyItem):
         run_experiment(config, given=(ResponseMatrix(g.ids, tuple(rows)), a, b))
 
 
 def test_padded_round_trip():
     m = ResponseMatrix.from_rows([("a", [0.5, 0.25, 1.0]), ("b", [0.0]), ("c", [0.75, 0.5])])
-    values, counts = m.padded()
+    values, counts = m.values, m.counts()
     assert values.shape == (3, 3)
     assert list(counts) == [3, 1, 2]
     assert np.isnan(values[1, 1:]).all() and np.isnan(values[2, 2])

@@ -185,8 +185,8 @@ def test_response_matrix_rejects_rows_that_are_not_1d(row):
 
 def test_response_matrix_stores_padded_values_and_counts():
     m = ResponseMatrix.from_rows([("a", [0.5, 0.25, 1.0]), ("b", [0.0]), ("c", [0.75, 0.5])])
-    values, counts = m.padded()
-    assert values is m.values and counts is m.counts()
+    values, counts = m.values, m.counts()
+    assert counts is m.counts()  # stored, not rebuilt per call
     assert counts.dtype == np.int64 and list(counts) == [3, 1, 2]
     assert np.array_equal(values, [[0.5, 0.25, 1.0], [0.0, np.nan, np.nan], [0.75, 0.5, np.nan]],
                           equal_nan=True)
