@@ -55,9 +55,22 @@ def _items(parse):
     return lambda text: tuple(parse(p.strip()) for p in text.split(",") if p.strip())
 
 
+def _at_least(kind, least, rule: str):
+    """Parse one ``kind`` value; a value below ``least`` or not finite exits 2 stating ``rule``."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= least):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text.strip()}")
+        return value
+    return parse
+
+
+_COUNT = _at_least(int, 1, "each N and K must be >= 1")
+
+
 def _nk_pair(text: str) -> tuple[int, int]:
     n, k = text.split(":")
-    return int(n), int(k)
+    return _COUNT(n), _COUNT(k)
 
 
 def _metrics(text: str) -> tuple[MetricId, ...]:
@@ -354,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation-based power analysis for rater-response evaluations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    ints = _typed(_items(int), "a comma-separated integer list")
+    counts = _typed(_items(_COUNT), "a comma-separated integer list")
     family = _typed(Family, "one of " + ", ".join(f.value for f in Family))
     grid = _typed(_grid, "name=start:stop:step or name=value entries")
     clip = _typed(_clip, "lo,hi (use 'none' to leave a side open)")
@@ -377,10 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("table", "p-value grid over N, K and epsilon")
     _add_prior_flags(p)
     _add_experiment_flags(p, "--n", "--k", "--epsilon")
-    p.add_argument("--n-values", type=ints, default=None)
-    p.add_argument("--k-values", type=ints, default=None)
-    p.add_argument("--epsilon-values", type=_typed(_items(float), "a comma-separated number list"),
-                   required=True)
+    p.add_argument("--n-values", type=counts, default=None)
+    p.add_argument("--k-values", type=counts, default=None)
+    p.add_argument("--epsilon-values", required=True,
+                   type=_typed(_items(_at_least(float, 0, "epsilon must be >= 0 and finite")),
+                               "a comma-separated number list"))
     p.add_argument("--nk-pairs", type=_typed(_items(_nk_pair), "entries like 100:10,1000:1"), default=None,
                    help="zipped pairs instead of --n-values x --k-values, e.g. 100:10,1000:1")
     layout = p.add_mutually_exclusive_group()
@@ -395,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(p, "--b-alt")
     p.add_argument("--test", choices=[*(t.value for t in TestId), "all"], default="all")
     sweep = p.add_mutually_exclusive_group()
-    sweep.add_argument("--n-sweep", type=ints, default=None, help="comma list of N values")
-    sweep.add_argument("--k-sweep", type=ints, default=None, help="comma list of K values")
+    sweep.add_argument("--n-sweep", type=counts, default=None, help="comma list of N values")
+    sweep.add_argument("--k-sweep", type=counts, default=None, help="comma list of K values")
     p.add_argument("--trials", type=_positive(int, "an integer"), default=200)
     _add_shared(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=cmd_power)

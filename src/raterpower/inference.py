@@ -42,11 +42,15 @@ in order, so a draw split into row blocks gives the values and generator
 state of one call, and every source (G, then A, then B) is drawn,
 gathered and reduced block by block: G to prepared gold (item means, and
 sorted rows for MEMD), A to (c, N) per-item quantities, B straight to
-per-resample scores. A resampled simulator chunk draws whole first, as its
-index draws follow every simulator draw. An unresampled given chunk, whose
-arrays are broadcast views, and a ragged chunk, whose kernel loops over
-count buckets once per block, are one block each. Reductions run per row
-on C-ordered blocks, so the scores do not depend on the block size.
+per-resample scores. A resampled simulator chunk draws every G, then A,
+then B block before its first index draw, as its index draws follow every
+simulator draw; each drawn G block goes once it is gathered, and gold's
+sorted rows are the gathered blocks sorted in place, so the chunk holds G,
+A and B's normals (three chunk arrays, the floor) and no sorted copy. An
+unresampled given chunk, whose arrays are broadcast views, and a ragged
+chunk, whose kernel loops over count buckets once per block, are one block
+each. Reductions run per row on C-ordered blocks, so the scores do not
+depend on the block size.
 
 Epsilon column. No draw depends on epsilon, so ``run_columns`` runs every
 epsilon of one (N, K) from the same chunks: each chunk draws G, A and B's
@@ -429,11 +433,10 @@ def _spans(c: int, floats: int) -> list[tuple[int, int]]:
     return rngstreams.chunk_ranges(c, max(1, _BLOCK // max(1, floats)))
 
 
-def _cut(arrays: list, spans):
-    """Each array's row blocks over ``spans`` in turn; an array is dropped when the next is taken."""
-    while arrays:
-        x = arrays.pop(0)
-        yield [x[lo:hi] for lo, hi in spans]
+def _drain(blocks: list):
+    """``blocks`` in order, each dropped from the list as it is handed out."""
+    while blocks:
+        yield blocks.pop(0)
 
 
 def _join(parts) -> list[dict]:
@@ -460,19 +463,19 @@ def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsil
     blocks (``_spans``): every block of G is gathered and reduced to
     prepared gold, then every block of A to per-item quantities, then each
     block of B is built for all E epsilons at once, (E, r, N, K), gathered
-    at one set of positions and scored in one kernel call. When nothing is
-    gathered the simulator draws in the same blocks (``draw_blocks``); index
-    draws follow every simulator draw, so a resampled simulator chunk draws
-    whole first.
+    at one set of positions and scored in one kernel call. The simulator
+    draws in the same blocks (``draw_blocks``). Index draws follow every
+    simulator draw, so a resampled simulator chunk draws every G, A and B
+    block first, and drops each G block once it is gathered: gold sorts the
+    gathered block in place.
     """
     metrics = config.metrics
     if base is None:
         n, k = config.n_items, config.k_responses
         spans = _spans(c, n * k)
-        if phi == _NO_RESAMPLE:
-            sim = draw_blocks(config, rng, c, spans)
-        else:  # the index draws follow every simulator draw
-            sim = _cut(list(draw_batch(config, rng, c)), spans)
+        sim = draw_blocks(config, rng, c, spans)
+        if phi != _NO_RESAMPLE:  # the index draws follow every simulator draw
+            sim = iter([_drain(list(blocks)) for blocks in sim])
         sources = [((c, n, k), None, None)] * 3
     else:
         (g, a, b), counts = base
@@ -485,7 +488,7 @@ def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsil
     # Drawn or gathered blocks are the chunk's own, so the kernel sorts them in place.
     scratch = base is None or phi != _NO_RESAMPLE
     plan = _plan(rng, c, phi, sources, spans)
-    golds = [prepare_gold(metrics, *_gather(x, hi - lo, step))
+    golds = [prepare_gold(metrics, *_gather(x, hi - lo, step), scratch=scratch)
              for (lo, hi), x, step in zip(spans, next(sim), next(plan))]
     qa = [model_items(gold, *_gather(x, hi - lo, step), scratch=scratch)
           for (lo, hi), gold, x, step in zip(spans, golds, next(sim), next(plan))]
@@ -529,7 +532,7 @@ def _null_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.
     # A ragged chunk is one block: the kernel loops over count buckets once per block.
     spans = _spans(c, pools[0].size // 2) if counts is None else [(0, c)]
     plan = _plan(rng, c, phi, [(g.shape, gold.counts, None)] + [(pools.shape[1:], counts, k)] * 2, spans)
-    golds = [gold if step[0] is None else prepare_gold(metric_ids, *_gather(g, hi - lo, step))
+    golds = [gold if step[0] is None else prepare_gold(metric_ids, *_gather(g, hi - lo, step), scratch=True)
              for (lo, hi), step in zip(spans, next(plan))]
     qa = [model_items(gd, *_gather(pools, hi - lo, step, lead=1), scratch=True)
           for (lo, hi), gd, step in zip(spans, golds, next(plan))]

@@ -126,6 +126,14 @@ def _minus(x: np.ndarray, y: np.ndarray, scratch: bool) -> np.ndarray:
     return np.subtract(x, y, out=x if fits else None)
 
 
+def _sorted(x: np.ndarray, scratch: bool) -> np.ndarray:
+    """x sorted along its last axis: x itself, sorted in place, when ``scratch``; else a sorted copy."""
+    if not scratch:
+        return np.sort(x, axis=-1)
+    x.sort(axis=-1)
+    return x
+
+
 def _emd_sorted(xs: np.ndarray, ys: np.ndarray, scratch: bool = False) -> np.ndarray:
     """Per-row 1-Wasserstein distance of row-sorted (r, p) and (r, q) samples; ``scratch``: see ``_minus``."""
     if xs.shape[-1] == ys.shape[-1]:
@@ -163,10 +171,18 @@ class Gold(NamedTuple):
     counts: np.ndarray | None
 
 
-def prepare_gold(metric_ids: tuple[MetricId, ...], g, counts=None) -> Gold:
-    """``Gold`` for (..., N, K) responses g, padded ones with per-item ``counts``."""
+def prepare_gold(metric_ids: tuple[MetricId, ...], g, counts=None, scratch: bool = False) -> Gold:
+    """``Gold`` for (..., N, K) responses g, padded ones with per-item ``counts``.
+
+    With ``scratch`` g is memory the caller no longer needs: when MEMD is
+    among ``metric_ids`` it is sorted in place after its means are taken, and
+    ``sorted`` is g itself rather than a sorted copy. The engine's chunks
+    pass each G block they drew or gathered this way, so a chunk that
+    bootstraps items keeps gold's sorted rows in the blocks it gathered and
+    holds G, A and B's normals, not a sorted copy of G beside them.
+    """
     means = reduce_rows(_mean, (g,), (counts,))
-    return Gold(means, np.sort(g, axis=-1) if MetricId.MEMD in metric_ids else None, counts)
+    return Gold(means, _sorted(g, scratch) if MetricId.MEMD in metric_ids else None, counts)
 
 
 def model_items(gold: Gold, m, counts=None, scratch: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
@@ -181,9 +197,7 @@ def model_items(gold: Gold, m, counts=None, scratch: bool = False) -> tuple[np.n
     np.abs(err, out=err)
     if gold.sorted is None:
         return err, None
-    if scratch:
-        m.sort(axis=-1)
-    sm = m if scratch else np.sort(m, axis=-1)
+    sm = _sorted(m, scratch)
     sg = gold.sorted
     if counts is None and gold.counts is None:
         return err, _emd_sorted(sm, sg, scratch)

@@ -224,6 +224,26 @@ def test_table_memory_stays_below_two_chunk_arrays():
     assert peak < 2 * b * n * k * 8
 
 
+@pytest.mark.parametrize("phi", ["boot,boot", "boot,all"])
+@pytest.mark.parametrize("n, k", [(1000, 50), (200, 10), (2000, 100)])
+def test_a_resampled_simulator_chunk_holds_g_a_and_b_but_no_sorted_copy(phi, n, k):
+    # Every simulator draw precedes the chunk's first index draw, so G, A
+    # and B's normals are alive at once: three chunk arrays is the floor.
+    # Gold's sorted rows are the gathered G blocks, sorted in place, and a
+    # drawn G block goes once it is gathered; a sorted copy of gathered G
+    # read 4.13-4.53 arrays, these read 3.13-3.56.
+    c = inference._chunk_size(n, k)
+    config = ExperimentConfig(n_items=n, k_responses=k, epsilon=0.02, metrics=METRICS,
+                              phi=SamplingStrategy.parse(phi))
+    tracemalloc.start()
+    try:
+        inference._alt_chunk_parametric(config, config.phi, (config.epsilon,), None, derive_rng(1, 2, 0), c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.75 * c * n * k * 8
+
+
 _PEAK_RSS = """
 import contextlib, io, sys
 from raterpower.cli import main
@@ -253,8 +273,8 @@ def _peak_rss_mb(*argv: str) -> float:
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
 def test_pvalue_peak_rss_stays_within_six_chunk_arrays_per_thread():
     # One (c, N, K) array of a chunk holds at most _CHUNK_BUDGET floats
-    # (16 MB). Peak RSS over the import's own peak measured 4.6-5.1 such
-    # arrays at 1 thread and 3.7-4.7 per thread at 2 (five runs per case,
+    # (16 MB). Peak RSS over the import's own peak measured 3.7-4.2 such
+    # arrays at 1 thread and 3.4-3.8 per thread at 2 (five runs per case,
     # 2 vCPU, Python 3.11, NumPy 2.4): flat in N * K and in b, so the bound
     # is six per thread. Chunks of twice the budget read 8.7 at 1 thread.
     array_mb = inference._CHUNK_BUDGET * 8 / 2**20

@@ -622,6 +622,15 @@ FIT_OK = ["--location-family", "normal", "--grid", "mu=0.5,sigma=0.1"]
     (TABLE + ["--nk-pairs", "5:2", "--epsilon-values", "0"], "--phi", "all"),
     (PVALUE, "--phi", "all,sometimes"),
     (PVALUE, "--metric", "all,mae"),
+    # Axis values below their least used to exit 1 on the missing file.
+    (TABLE + ["--epsilon-values", "0"], "--nk-pairs", "0:2"),
+    (TABLE + ["--epsilon-values", "0"], "--nk-pairs", "5:2,5:0"),
+    (TABLE + ["--k-values", "2", "--epsilon-values", "0"], "--n-values", "10,0"),
+    (TABLE + ["--n-values", "10", "--epsilon-values", "0"], "--k-values", "-1"),
+    (TABLE + ["--nk-pairs", "5:2"], "--epsilon-values", "0,-1"),
+    (TABLE + ["--nk-pairs", "5:2"], "--epsilon-values", "inf"),
+    (POWER, "--n-sweep", "0,5"),
+    (POWER, "--k-sweep", "2,0"),
     (POWER, "--n-sweep", "x"),
     (POWER, "--k-sweep", "3;4"),
     (POWER, "--test", "bogus"),
