@@ -12,6 +12,10 @@ several tests along one sweep axis: each trial simulates one dataset that
 every test sees, and every (sweep point, chunk of trials) is one task on
 one pool of threads. ``estimate_power`` is its one-test, one-point call.
 
+A chunk stacks its trials into one simulated batch and runs the
+baselines' statistics once over its rows (``_chunk_p_values``); the
+public Welch and Wilcoxon tests are the one-row case of those row forms.
+
 A rejection rate needs only each trial's verdict, p < alpha. So a sweep
 stops the bootstrap test and the Monte Carlo permutation test as soon as
 their add-one p can no longer fall below alpha (the curtailed test of
@@ -36,6 +40,7 @@ from .errors import (
 )
 from .inference import _chunk_size, _map_chunks, _null_blocks, _null_pool, _spans
 from .metrics import (
+    Gold,
     MetricId,
     comparison,
     item_scores,
@@ -79,34 +84,53 @@ def per_item_errors(m: ResponseMatrix, g: ResponseMatrix) -> np.ndarray:
     return item_scores((MetricId.MAE,), *arrays, counts)[MetricId.MAE][0]
 
 
-# -- Student t survival via regularized incomplete beta -------------------------
+# -- baseline samples -------------------------------------------------------------
 
-def _t_sf(t: float, df: float) -> float:
+def _sample(name: str, values) -> np.ndarray:
+    """A baseline test's sample as a float array: finite and 1-D, else ``InvalidParam`` naming it."""
+    x = check_finite(name, values)
+    if x.ndim != 1:
+        raise InvalidParam(name, f"expected a 1-D sample, got {x.ndim} dimensions")
+    return x
+
+
+# -- Welch's t ---------------------------------------------------------------------
+
+def _t_sf(t: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """Student t survival at each (t, df), via the regularized incomplete beta."""
     from scipy import special
 
-    if df <= 0:
+    if np.any(df <= 0):
         raise InvalidParam("df", "degrees of freedom must be positive")
-    if t == 0:
-        return 0.5
     x = df / (df + t * t)
     half_tail = 0.5 * special.betainc(df / 2.0, 0.5, x)
-    return half_tail if t > 0 else 1.0 - half_tail
+    return np.where(t == 0, 0.5, np.where(t > 0, half_tail, 1.0 - half_tail))
+
+
+def _welch_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Welch p of each row pair of (T, nx) x and (T, ny) y, and which pairs have variance.
+
+    A pair whose rows both have zero variance has no t statistic; its p is NaN.
+    """
+    nx, ny = x.shape[-1], y.shape[-1]
+    vx, vy = x.var(axis=-1, ddof=1), y.var(axis=-1, ddof=1)
+    spread = (vx != 0) | (vy != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the pairs without spread
+        se2 = vx / nx + vy / ny
+        t = (y.mean(axis=-1) - x.mean(axis=-1)) / np.sqrt(se2)
+        df = se2**2 / ((vx / nx) ** 2 / (nx - 1) + (vy / ny) ** 2 / (ny - 1))
+        return _t_sf(np.where(spread, t, np.nan), np.where(spread, df, np.nan)), spread
 
 
 def welch_t_test(x, y) -> float:
     """One-sided Welch p-value for "center of y exceeds center of x"."""
-    x = check_finite("x", x)
-    y = check_finite("y", y)
+    x, y = _sample("x", x), _sample("y", y)
     if x.size < 2 or y.size < 2:
         raise EmptySample("welch_t_test needs at least two values per sample")
-    vx = x.var(ddof=1)
-    vy = y.var(ddof=1)
-    if vx == 0 and vy == 0:
+    (p,), (spread,) = _welch_rows(x[None], y[None])
+    if not spread:
         raise DegenerateVariance("both samples have zero variance")
-    se2 = vx / x.size + vy / y.size
-    t = (y.mean() - x.mean()) / np.sqrt(se2)
-    df = se2**2 / ((vx / x.size) ** 2 / (x.size - 1) + (vy / y.size) ** 2 / (y.size - 1))
-    return float(_t_sf(float(t), float(df)))
+    return float(p)
 
 
 # -- Wilcoxon signed-rank ---------------------------------------------------------
@@ -115,21 +139,65 @@ _WILCOXON_EXACT_MAX = 20
 
 
 def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """1-based ranks of a 1-D array, and the sizes of its tie groups in sorted order.
+    """1-based ranks within each row of x, (n,) or (T, n), and the sizes of its tie groups in sorted order.
 
     A tie group takes the mean of its positions: the group at sorted
     positions [start, end) gets (start + end + 1) / 2, an exact half-integer,
-    so the ranks equal ``scipy.stats.rankdata(x)`` bit for bit, and the sizes
-    equal ``np.unique(x, return_counts=True)[1]``.
+    so a row's ranks equal ``scipy.stats.rankdata`` of it bit for bit. The
+    sizes run row after row; a row's equal ``np.unique(row, return_counts=True)[1]``.
     """
-    order = np.argsort(x, kind="stable")
-    sorted_x = x[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_x[1:] != sorted_x[:-1])))
-    ends = np.append(starts[1:], x.size)
+    rows = np.atleast_2d(x)
+    n = rows.shape[-1]
+    order = np.argsort(rows, axis=-1, kind="stable")
+    sorted_x = np.take_along_axis(rows, order, axis=-1)
+    new = np.ones(rows.shape, dtype=bool)
+    new[:, 1:] = sorted_x[:, 1:] != sorted_x[:, :-1]
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], rows.size)
     sizes = ends - starts
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, sizes)
-    return ranks, sizes
+    offsets = starts - starts % max(1, n)  # each group's row start
+    ranks = np.empty(rows.shape)
+    ranks_sorted = np.repeat((starts - offsets + ends - offsets + 1) / 2.0, sizes).reshape(rows.shape)
+    np.put_along_axis(ranks, order, ranks_sorted, axis=-1)
+    return ranks.reshape(x.shape), sizes
+
+
+def _wilcoxon_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``wilcoxon_signed_rank`` of each row of (T, n) d, and which rows have a nonzero difference.
+
+    Zeros rank after every nonzero |d|, so the first m sorted positions of a
+    row are its m nonzero differences. A row of zeros has no statistic; its
+    p is NaN. Rows with m <= 20 take the exact branch one by one.
+    """
+    nonzero = d != 0
+    m = nonzero.sum(axis=-1)
+    ranks, sizes = _average_ranks(np.where(nonzero, np.abs(d), np.inf))
+    w_plus = np.where(d > 0, ranks, 0.0).sum(axis=-1)  # half-integers: exact in any order
+    # Σ (t³ - t) over a row's tie groups of nonzeros, as Σ (t² - 1) over their positions.
+    tied = np.repeat(sizes, sizes).reshape(d.shape)
+    ties = ((tied**2 - 1) * (np.arange(d.shape[-1]) < m[:, None])).sum(axis=-1)
+    from scipy import special
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # the rows of zeros
+        mean = m * (m + 1) / 4.0
+        var = m * (m + 1) * (2 * m + 1) / 24.0 - ties / 48.0
+        p = special.ndtr(-((w_plus - 0.5 - mean) / np.sqrt(var)))
+    for i in np.flatnonzero((m > 0) & (m <= _WILCOXON_EXACT_MAX)):
+        p[i] = _wilcoxon_exact(ranks[i][nonzero[i]], w_plus[i])
+    p[m == 0] = np.nan
+    return p, m > 0
+
+
+def _wilcoxon_exact(ranks: np.ndarray, w_plus: float) -> float:
+    """P(W >= w_plus) over all 2^m sign patterns of m ranks: subset-sum counts on doubled ranks."""
+    ranks2 = np.rint(2 * ranks).astype(np.int64)
+    total = int(ranks2.sum())
+    counts = np.zeros(total + 1)
+    counts[0] = 1.0
+    for r in ranks2:
+        counts[r:] += counts[: total + 1 - r]
+    threshold = int(np.rint(2 * w_plus))
+    return float(counts[threshold:].sum() / 2.0**ranks.size)
 
 
 def wilcoxon_signed_rank(d) -> float:
@@ -140,29 +208,11 @@ def wilcoxon_signed_rank(d) -> float:
     normal approximation with tie-corrected variance and continuity
     correction beyond that. Zero differences are dropped first.
     """
-    d = check_finite("d", d)
-    d = d[d != 0]
-    m = d.size
-    if m == 0:
+    d = _sample("d", d)
+    (p,), (evidence,) = _wilcoxon_rows(d[None])
+    if not evidence:
         raise AllZeroDifferences("all paired differences are zero")
-    ranks, tie_counts = _average_ranks(np.abs(d))
-    w_plus = float(ranks[d > 0].sum())
-    if m <= _WILCOXON_EXACT_MAX:
-        ranks2 = np.rint(2 * ranks).astype(np.int64)
-        total = int(ranks2.sum())
-        counts = np.zeros(total + 1)
-        counts[0] = 1.0
-        for r in ranks2:
-            counts[r:] += counts[: total + 1 - r]
-        threshold = int(np.rint(2 * w_plus))
-        return float(counts[threshold:].sum() / 2.0**m)
-    from scipy import special
-
-    mean = m * (m + 1) / 4.0
-    var = m * (m + 1) * (2 * m + 1) / 24.0
-    var -= (tie_counts**3 - tie_counts).sum() / 48.0
-    z = (w_plus - 0.5 - mean) / np.sqrt(var)
-    return float(special.ndtr(-z))
+    return float(p)
 
 
 # -- paired permutation test ------------------------------------------------------
@@ -196,8 +246,8 @@ def _permutation_p_value(x, y, iterations: int, rng: np.random.Generator | None,
     draw does (one 32-bit draw per value below 2^32) and multiply into
     float64 faster.
     """
-    x = check_finite("x", x)
-    y = check_finite("y", y)
+    check_count("iterations", iterations, "need at least one iteration")
+    x, y = _sample("x", x), _sample("y", y)
     if x.size != y.size or x.size == 0:
         raise EmptySample("permutation test needs equal-length nonempty samples")
     d = y - x
@@ -209,7 +259,6 @@ def _permutation_p_value(x, y, iterations: int, rng: np.random.Generator | None,
         ) * 2 - 1
         perm_stats = (signs * d).mean(axis=1)
         return float((perm_stats >= observed).sum() / 2.0**n)
-    check_count("iterations", iterations, "need at least one iteration")
     if rng is None:
         rng = np.random.default_rng()
     hits = 0
@@ -251,21 +300,33 @@ def multistage_bootstrap_test(
     if rng is None:
         rng = np.random.default_rng()
     arrays, counts = kernel_inputs(g, a, b)
-    return _bootstrap_p_value(*arrays, pool, metric, phi, b_null, rng, counts)
+    gold, qa, qb = _models((metric,), *arrays, counts)
+    return _bootstrap_p_value(arrays[0], gold, pool, _observed(metric, qa, qb), metric, phi, b_null, rng,
+                              None if counts is None else counts[1])
 
 
-def _bootstrap_p_value(g, a, b, pool, metric, phi, b_null, rng, counts=None, alpha=None) -> float:
-    """``multistage_bootstrap_test`` on aligned arrays and their A+B pool; padded ones with counts.
-
-    Hits are counted per row block of null scores. With ``alpha`` the loop
-    stops, as ``_permutation_p_value``'s does, once p >= alpha is settled,
-    so the remaining B blocks and chunks are never drawn.
-    """
+def _models(metrics, g, a, b, counts=None):
+    """Gold g prepared once, and A's and B's ``model_items`` against it: (gold, qa, qb)."""
     cg, ca, cb = counts or (None,) * 3
-    metrics = (metric,)
     gold = prepare_gold(metrics, g, cg)
-    observed = float(comparison(metric, *pair_scores(
-        metrics, model_items(gold, a, ca), model_items(gold, b, cb))[metric]))
+    return gold, model_items(gold, a, ca), model_items(gold, b, cb)
+
+
+def _observed(metric: MetricId, qa, qb):
+    """The comparison score of A's and B's ``model_items``, one per leading row."""
+    return comparison(metric, *pair_scores((metric,), qa, qb)[metric])
+
+
+def _bootstrap_p_value(g, gold, pool, observed, metric, phi, b_null, rng, ca=None, alpha=None) -> float:
+    """``multistage_bootstrap_test``'s null loop on aligned arrays: g, its ``gold``, the A+B pool.
+
+    ``observed`` is the data's comparison score; padded arrays come with A's
+    counts ``ca``. Hits are counted per row block of null scores. With
+    ``alpha`` the loop stops, as ``_permutation_p_value``'s does, once
+    p >= alpha is settled, so the remaining B blocks and chunks are never
+    drawn.
+    """
+    metrics = (metric,)
     hits = 0
     for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*g.shape)):
         for (scores,) in _null_blocks(metrics, phi, g, gold, pool[None], rng, hi - lo,
@@ -317,57 +378,75 @@ class PowerReport:
         }
 
 
-def _trial_p_value(config: ExperimentConfig, tests: tuple[TestId, ...], trial: int,
-                   alpha: float | None = None) -> list[float]:
-    """One p-value per test, in the order of ``tests``, on trial ``trial``'s dataset.
+def _chunk_p_values(config: ExperimentConfig, tests: tuple[TestId, ...], lo: int, hi: int,
+                    alpha: float | None = None) -> np.ndarray:
+    """The (hi - lo, len(tests)) p-values of trials lo..hi-1: row t as trial lo + t alone gives them.
 
-    The trial simulates one (G, A, B) triple from its own generator. Every
-    test starts from the generator state the simulation left, so each p
-    equals the one the test gets alone; the baselines share one set of MAE
-    item errors.
+    Trial t draws its (G, A, B) triple from its own generator,
+    derive_rng(seed, TRIAL, t), into row t of one batch (``simulate_batch``
+    with one generator per row). The bootstrap test's observed scores, the
+    MAE item errors the baselines share, Welch's t and the Wilcoxon test
+    then each run once over the batch's rows. The Monte Carlo loops stay
+    per trial: the bootstrap test's null blocks, the permutation test and
+    Wilcoxon's exact branch. Every test that draws restarts from its
+    trial's post-simulation generator state, so each p equals the one the
+    test gets alone. A batch holds at most ``inference._CHUNK_BUDGET``
+    floats of G, A and B, so a large N*K stacks fewer trials, down to one.
 
     With ``alpha``, the bootstrap and Monte Carlo permutation tests stop
     drawing once their p >= alpha is settled and return that partial p:
     ``p < alpha`` is then the full p's verdict, and a rejecting p is the
     full p. A stopped test leaves the generator mid-stream, which no later
-    test reads, since each restarts from the simulation's state.
+    test reads.
     """
-    rng = rngstreams.derive_rng(config.seed, rngstreams.TRIAL, trial)
-    g, a, b = (x[0] for x in simulate_batch(config, rng, 1))
-    start = rng.bit_generator.state
-    errors = None
-    p = []
-    for test in tests:
-        rng.bit_generator.state = start
-        if test == TestId.MULTISTAGE_BOOTSTRAP:
-            p.append(_bootstrap_p_value(g, a, b, np.concatenate([a, b], axis=1), config.metrics[0],
-                                        config.phi, config.b_null, rng, alpha=alpha))
+    stack = _chunk_size(config.n_items, 3 * config.k_responses)
+    return np.concatenate([_batch_p_values(config, tests, range(lo + a, lo + b), alpha)
+                           for a, b in rngstreams.chunk_ranges(hi - lo, stack)])
+
+
+def _batch_p_values(config: ExperimentConfig, tests: tuple[TestId, ...], trials: range,
+                    alpha: float | None) -> np.ndarray:
+    """``_chunk_p_values`` of ``trials`` from one simulated batch."""
+    rngs = [rngstreams.derive_rng(config.seed, rngstreams.TRIAL, t) for t in trials]
+    g, a, b = simulate_batch(config, rngs, len(rngs))
+    starts = [rng.bit_generator.state for rng in rngs]
+    metric = config.metrics[0]
+    boot = TestId.MULTISTAGE_BOOTSTRAP in tests
+    # G, A and B stay as drawn: the bootstrap test gathers from them.
+    gold, qa, qb = _models((metric,) if boot else (), g, a, b)
+    err_a, err_b = qa[0], qb[0]
+    p = np.empty((len(rngs), len(tests)))
+    for i, test in enumerate(tests):
+        # Data without evidence (zero variance in both samples, all paired
+        # differences zero) give p = 1.
+        if test == TestId.WELCH_T:
+            p[:, i], evidence = _welch_rows(err_a, err_b)
+        elif test == TestId.WILCOXON_SIGNED_RANK:
+            p[:, i], evidence = _wilcoxon_rows(err_b - err_a)
+        else:
             continue
-        if errors is None:
-            errors = item_scores((MetricId.MAE,), g, a, b)[MetricId.MAE]
-        p.append(_baseline_p_value(test, *errors, rng, alpha))
+        p[~evidence, i] = 1.0
+    if boot:
+        observed = _observed(metric, qa, qb)
+        pools = np.concatenate([a, b], axis=-1)
+    for t, rng in enumerate(rngs):
+        for i, test in enumerate(tests):
+            if test not in (TestId.MULTISTAGE_BOOTSTRAP, TestId.PERMUTATION_PAIRED):
+                continue
+            rng.bit_generator.state = starts[t]
+            if test == TestId.MULTISTAGE_BOOTSTRAP:
+                trial_gold = Gold(*(None if x is None else x[t] for x in gold))
+                p[t, i] = _bootstrap_p_value(g[t], trial_gold, pools[t], observed[t], metric,
+                                             config.phi, config.b_null, rng, alpha=alpha)
+            else:
+                p[t, i] = _permutation_p_value(err_a[t], err_b[t], 1000, rng, alpha)
     return p
 
 
-def _baseline_p_value(test: TestId, err_a: np.ndarray, err_b: np.ndarray, rng: np.random.Generator,
-                      alpha: float | None) -> float:
-    """A classical test on per-item errors; data without evidence give p = 1.
-
-    ``alpha`` is the permutation test's stopping level (``_permutation_p_value``).
-    """
-    if test == TestId.WELCH_T:
-        try:
-            return welch_t_test(err_a, err_b)
-        except DegenerateVariance:
-            return 1.0
-    if test == TestId.WILCOXON_SIGNED_RANK:
-        d = err_b - err_a
-        if not np.any(d != 0):
-            return 1.0
-        return wilcoxon_signed_rank(d)
-    if test == TestId.PERMUTATION_PAIRED:
-        return _permutation_p_value(err_a, err_b, 1000, rng, alpha)
-    raise AssertionError(test)
+def _trial_p_value(config: ExperimentConfig, tests: tuple[TestId, ...], trial: int,
+                   alpha: float | None = None) -> list[float]:
+    """One p-value per test, in the order of ``tests``, on trial ``trial``'s dataset: the one-trial chunk."""
+    return _chunk_p_values(config, tests, trial, trial + 1, alpha)[0].tolist()
 
 
 def estimate_power(
@@ -405,8 +484,7 @@ def power_sweeps(
 
     def run(task) -> np.ndarray:
         cfg, (lo, hi) = task
-        return np.sum([np.less(_trial_p_value(cfg, tests, t, cfg.alpha), cfg.alpha)
-                       for t in range(lo, hi)], axis=0, dtype=np.int64)
+        return np.less(_chunk_p_values(cfg, tests, lo, hi, cfg.alpha), cfg.alpha).sum(axis=0)
 
     hits = _map_chunks(run, [(cfg, span) for cfg in configs for span in chunks], threads)
     rejections = np.reshape(hits, (len(configs), len(chunks), len(tests))).sum(axis=1)

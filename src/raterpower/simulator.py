@@ -301,7 +301,7 @@ class PerturbedDraws:
         return PerturbedDraws(self.mu[rows], self.sigma[rows], self.u[rows], self.z[rows])
 
 
-def draw_blocks(config, rng: np.random.Generator, c: int, spans):
+def draw_blocks(config, rng, c: int, spans):
     """Every draw of c (G, A, B) experiments, in row blocks over ``spans``.
 
     A generator of three iterators, each to be exhausted before the next is
@@ -315,29 +315,61 @@ def draw_blocks(config, rng: np.random.Generator, c: int, spans):
     Stream order, the reproducibility contract: c*N locations, c*N scales,
     G, A, c*N uniforms behind the location shifts, B's standard normals.
     ``config`` needs prior, n_items, k_responses and family attributes.
+
+    ``rng`` is one generator for all c experiments, or a sequence of c
+    generators, one per experiment: row j then draws its N locations, N
+    scales, G, A, N uniforms and B's normals, in that order, from its own
+    generator, as a batch of one would, into row j of each raw array. The
+    transforms to locations, scales and responses then run once over every
+    row, so each row equals its generator's batch of one bit for bit.
     """
     n, k = config.n_items, config.k_responses
-    mu = config.prior.location.sample(rng, c * n).reshape(c, n)
-    sigma = config.prior.scale.sample(rng, c * n).reshape(c, n)
+    loc, scale = config.prior.location, config.prior.scale
+    if isinstance(rng, np.random.Generator):
+        mu = loc.sample(rng, c * n).reshape(c, n)
+        sigma = scale.sample(rng, c * n).reshape(c, n)
+        _check_scales(sigma)
+        for _ in range(2):  # G, then A
+            yield (_gen_responses(mu[lo:hi], sigma[lo:hi], k, config.family, rng) for lo, hi in spans)
+        u = rng.random((c, n))
+        yield (PerturbedDraws(mu[lo:hi], sigma[lo:hi], u[lo:hi], rng.standard_normal((hi - lo, n, k)))
+               for lo, hi in spans)
+        return
+    raw_mu, raw_sigma = (spec.raw_arrays(spec.family, (c, n)) for spec in (loc, scale))
+    z = np.empty((3, c, n, k))  # G's, A's and B's standard normals
+    u = np.empty((c, n))
+    for j, r in enumerate(rng):
+        for spec, raw in ((loc, raw_mu), (scale, raw_sigma)):
+            spec.draw_into(spec.family, spec.params, r, tuple(x[j] for x in raw))
+        for x in (z[0, j], z[1, j]):
+            r.standard_normal(out=x)
+        r.random(out=u[j])
+        r.standard_normal(out=z[2, j])
+    mu = loc.transform(loc.family, loc.params, raw_mu)
+    sigma = scale.transform(scale.family, scale.params, raw_sigma)
+    _check_scales(sigma)
+    for x in z[:2]:  # G, then A, built in their normals' memory
+        yield (_affine_responses(x[lo:hi], mu[lo:hi], sigma[lo:hi], config.family, out=x[lo:hi])
+               for lo, hi in spans)
+    yield (PerturbedDraws(mu[lo:hi], sigma[lo:hi], u[lo:hi], z[2, lo:hi]) for lo, hi in spans)
+
+
+def _check_scales(sigma: np.ndarray) -> None:
     if np.any(sigma < 0):
         raise InvalidParam("sigma", "negative scale")
-    for _ in range(2):  # G, then A
-        yield (_gen_responses(mu[lo:hi], sigma[lo:hi], k, config.family, rng) for lo, hi in spans)
-    u = rng.random((c, n))
-    yield (PerturbedDraws(mu[lo:hi], sigma[lo:hi], u[lo:hi], rng.standard_normal((hi - lo, n, k)))
-           for lo, hi in spans)
 
 
-def draw_batch(config, rng: np.random.Generator, c: int) -> tuple[np.ndarray, np.ndarray, PerturbedDraws]:
+def draw_batch(config, rng, c: int) -> tuple[np.ndarray, np.ndarray, PerturbedDraws]:
     """Every draw of c (G, A, B) experiments: (G, A, B's draws), none depending on epsilon.
 
-    ``draw_blocks`` with one block, so its stream order holds.
+    ``draw_blocks`` with one block, so its stream order holds; ``rng`` is
+    one generator or one per experiment, as there.
     """
     g, a, draws = (next(phase) for phase in draw_blocks(config, rng, c, [(0, c)]))
     return g, a, draws
 
 
-def simulate_batch(config, rng: np.random.Generator, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def simulate_batch(config, rng, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw c independent (G, A, B) experiments as three (c, N, K) arrays.
 
     G and A are sampled independently from the same per-item distributions

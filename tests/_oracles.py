@@ -225,6 +225,41 @@ def wilcoxon_enumeration_oracle(d) -> float:
     return hits / 2.0**m
 
 
+def wilcoxon_normal_oracle(d) -> float:
+    """The signed-rank normal approximation of one sample in scalar steps, with SciPy's ranks.
+
+    Zeros dropped, tie-corrected variance, continuity correction: the
+    formula ``wilcoxon_signed_rank`` uses beyond 20 nonzero differences.
+    """
+    from scipy import special
+    from scipy.stats import rankdata
+
+    d = np.asarray(d, dtype=float)
+    d = d[d != 0]
+    m = d.size
+    ranks = rankdata(np.abs(d))
+    ties = np.unique(np.abs(d), return_counts=True)[1]
+    w_plus = float(ranks[d > 0].sum())
+    var = m * (m + 1) * (2 * m + 1) / 24.0 - float((ties**3 - ties).sum()) / 48.0
+    return float(special.ndtr(-((w_plus - 0.5 - m * (m + 1) / 4.0) / np.sqrt(var))))
+
+
+def welch_oracle(x, y) -> float:
+    """One-sided Welch p of two samples in scalar steps; the t survival by SciPy's incomplete beta."""
+    from scipy import special
+
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    vx, vy = x.var(ddof=1), y.var(ddof=1)
+    se2 = vx / x.size + vy / y.size
+    t = float((y.mean() - x.mean()) / np.sqrt(se2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # squares that underflow give df NaN, as in NumPy
+        df = float(se2**2 / ((vx / x.size) ** 2 / (x.size - 1) + (vy / y.size) ** 2 / (y.size - 1)))
+    if t == 0:
+        return 0.5
+    half_tail = float(0.5 * special.betainc(df / 2.0, 0.5, df / (df + t * t)))
+    return half_tail if t > 0 else 1.0 - half_tail
+
+
 def permutation_enumeration_oracle(x, y) -> float:
     """Paired-permutation p by enumerating every swap pattern (small N only)."""
     x = np.asarray(x, dtype=float)

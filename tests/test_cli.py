@@ -331,7 +331,7 @@ def test_power_command_csv(tmp_path, capsys):
 def test_power_rejects_welch_with_one_item_before_any_sweep(tmp_path, capsys, monkeypatch):
     from raterpower import power
 
-    monkeypatch.setattr(power, "_trial_p_value", lambda *args: pytest.fail("ran a trial"))
+    monkeypatch.setattr(power, "_chunk_p_values", lambda *args: pytest.fail("ran a trial"))
     out = tmp_path / "power.csv"
     code, _, err = run(
         [
@@ -351,7 +351,7 @@ def test_power_empty_sweep_exits_2_with_nothing_on_stdout(sweep, capsys, monkeyp
     # Used to exit 0 and print only the CSV header.
     from raterpower import power
 
-    monkeypatch.setattr(power, "_trial_p_value", lambda *args: pytest.fail("ran a trial"))
+    monkeypatch.setattr(power, "_chunk_p_values", lambda *args: pytest.fail("ran a trial"))
     code, out, err = run(["power", "--default-synthetic", sweep, ",", "--test", "permutation", "--trials", "3"],
                          capsys)
     assert code == 2
@@ -601,7 +601,7 @@ def _no_work(monkeypatch):
     for name in ("run_experiment", "run_columns", "power_sweeps", "load_responses", "fit_prior",
                  "generate_triple"):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("did work"))
-    monkeypatch.setattr(power, "_trial_p_value", lambda *args, **kwargs: pytest.fail("ran a trial"))
+    monkeypatch.setattr(power, "_chunk_p_values", lambda *args, **kwargs: pytest.fail("ran a trial"))
     monkeypatch.setattr(inference, "draw_batch", lambda *args, **kwargs: pytest.fail("drew a column"))
 
 

@@ -48,6 +48,8 @@ from raterpower import (
     score_mae,
     score_memd,
     stat_distance,
+    welch_t_test,
+    wilcoxon_signed_rank,
 )
 from raterpower.dataio import load_responses, save_matrix
 from raterpower.distributions import uniform
@@ -207,13 +209,16 @@ def test_check_matrices_matches_row_check(matrices):
 
 
 SMALL = ExperimentConfig(n_items=3, k_responses=2, b_alt=5, b_null=5)
-# entry point -> call with one count set to ``bad``; the permutation test
-# needs N > 16 pairs to draw Monte Carlo signs.
+# entry point -> call with one count set to ``bad``. The permutation test
+# checks its iterations at N = 20, where it draws Monte Carlo signs, and at
+# N = 3, where it enumerates every sign pattern (it used to return 0.125).
 COUNT_ENTRY_POINTS = {
     "multistage_bootstrap_test b_null": lambda bad: multistage_bootstrap_test(
         *_triple(None), b_null=bad, rng=derive_rng(1)),
     "permutation_test_paired iterations": lambda bad: permutation_test_paired(
         np.zeros(20), np.linspace(0, 1, 20), iterations=bad, rng=derive_rng(1)),
+    "permutation_test_paired iterations exact": lambda bad: permutation_test_paired(
+        [0.1, 0.2, 0.3], [0.2, 0.3, 0.5], iterations=bad),
     "mean_metric_scores n_samples": lambda bad: mean_metric_scores(SMALL, bad),
     "estimate_power trials": lambda bad: estimate_power(SMALL, TestId.WELCH_T, bad),
     "power_sweeps trials": lambda bad: power_sweeps(SMALL, tuple(TestId), bad, "n_items", (3,)),
@@ -229,6 +234,27 @@ COUNT_ENTRY_POINTS = {
 def test_count_entry_point_rejects_non_counts(entry, bad):
     with pytest.raises(InvalidParam):
         COUNT_ENTRY_POINTS[entry](bad)
+
+
+# entry point -> (call with one sample set to ``bad``, the sample's name).
+SAMPLE_ENTRY_POINTS = {
+    "welch_t_test x": (lambda bad: welch_t_test(bad, OK), "x"),
+    "welch_t_test y": (lambda bad: welch_t_test(OK, bad), "y"),
+    "wilcoxon_signed_rank d": (lambda bad: wilcoxon_signed_rank(bad), "d"),
+    "permutation_test_paired x": (lambda bad: permutation_test_paired(bad, OK), "x"),
+    "permutation_test_paired y": (lambda bad: permutation_test_paired(OK, bad), "y"),
+}
+
+
+@pytest.mark.parametrize("bad", [[[0.1, 0.2, 0.3], [0.2, 0.3, 0.5]], [OK], 0.2], ids=["2x3", "1x3", "scalar"])
+@pytest.mark.parametrize("entry", SAMPLE_ENTRY_POINTS)
+def test_baseline_tests_take_only_1d_samples(entry, bad):
+    # A (2, 3) sample used to be flattened by Welch's and Wilcoxon's tests
+    # (p = 0.327 and 0.172) and to fail inside NumPy in the permutation test.
+    call, name = SAMPLE_ENTRY_POINTS[entry]
+    with pytest.raises(InvalidParam, match="1-D") as err:
+        call(bad)
+    assert err.value.name == name
 
 
 @pytest.mark.parametrize("bad", [2.7, 2.0, "3"], ids=["2.7", "2.0", "str"])

@@ -346,7 +346,7 @@ def test_bootstrap_test_matches_chunk_loop(phi, metric, monkeypatch):
 def test_welch_rejects_one_item_before_any_trial(monkeypatch):
     from raterpower import power as power_mod
 
-    monkeypatch.setattr(power_mod, "_trial_p_value", lambda *args: pytest.fail("ran a trial"))
+    monkeypatch.setattr(power_mod, "_chunk_p_values", lambda *args: pytest.fail("ran a trial"))
     config = ExperimentConfig(n_items=5, k_responses=3, epsilon=0.1)
     with pytest.raises(InvalidParam):
         estimate_power(config.with_(n_items=1), TestId.WELCH_T, trials=2)
@@ -357,7 +357,7 @@ def test_welch_rejects_one_item_before_any_trial(monkeypatch):
 @pytest.mark.parametrize("axis", ["n_items", "k_responses"])
 def test_an_empty_sweep_raises_before_any_trial(axis, monkeypatch):
     # An empty sweep used to return reports with no points.
-    monkeypatch.setattr(power, "_trial_p_value", lambda *args: pytest.fail("ran a trial"))
+    monkeypatch.setattr(power, "_chunk_p_values", lambda *args: pytest.fail("ran a trial"))
     config = ExperimentConfig(n_items=5, k_responses=3, epsilon=0.1)
     with pytest.raises(InvalidParam, match="at least one value"):
         power.sweep_configs(config, (TestId.PERMUTATION_PAIRED,), axis, ())
@@ -435,16 +435,17 @@ def test_power_sweeps_same_rejections_at_any_thread_count():
 
 
 def test_power_all_simulates_each_trial_once(tmp_path, monkeypatch):
-    calls = []
+    # Each call simulates a batch of trials, one generator per trial: count the rows.
+    rows = []
     simulate = power.simulate_batch
-    monkeypatch.setattr(power, "simulate_batch", lambda *args: calls.append(1) or simulate(*args))
+    monkeypatch.setattr(power, "simulate_batch", lambda *args: rows.append(len(args[1])) or simulate(*args))
     code = main([
         "power", "--default-synthetic", "--test", "all", "--n-sweep", "12,20,30", "--k", "3",
         "--epsilon", "0.1", "--trials", "10", "--b-null", "20", "--seed", "1", "--threads", "2",
         "--out", str(tmp_path / "power.csv"),
     ])
     assert code == 0
-    assert len(calls) == 3 * 10
+    assert sum(rows) == 3 * 10
 
 
 # -- stopping a trial's Monte Carlo tests at alpha -----------------------------------------
