@@ -11,26 +11,8 @@ from .config import ExperimentConfig, Level, Mode, SamplingStrategy
 from .distributions import DistributionSpec, Family
 from .errors import RaterPowerError
 from .fitting import FitReport, ItemStats, ecdf, fit_prior, per_item_stats, stat_distance
-from .inference import (
-    PValueReport,
-    build_null_pool,
-    estimate_p_value,
-    mean_metric_scores,
-    resample_multistage,
-    run_columns,
-    run_experiment,
-    sample_null_pair,
-)
-from .metrics import (
-    MetricId,
-    MetricResult,
-    emd_1d,
-    gamma_mae,
-    gamma_memd,
-    gamma_wins,
-    score_mae,
-    score_memd,
-)
+from .inference import PValueReport, estimate_p_value, mean_metric_scores, run_columns, run_experiment
+from .metrics import MetricId, MetricResult, emd_1d, evaluate
 from .power import (
     PowerReport,
     TestId,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import rngstreams
 from .config import ExperimentConfig, SamplingStrategy
-from .dataio import load_responses, report_to_json, save_matrix
+from .dataio import load_responses, save_matrix
 from .distributions import Family
 from .errors import InvalidParam, RaterPowerError
 from .fitting import ecdf as compute_ecdf
@@ -170,6 +170,11 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(args, obj) -> None:
+    """Write ``obj`` as the commands' JSON: two-space indents and a final newline."""
+    _emit(args, json.dumps(obj, indent=2) + "\n")
+
+
 # -- commands ----------------------------------------------------------------------
 
 def cmd_pvalue(args) -> None:
@@ -186,7 +191,7 @@ def cmd_pvalue(args) -> None:
         for summary in (result["alt_scores"], result["null_scores"]):
             for key in ("mean", "std", "min", "q25", "median", "q75", "max"):
                 summary[key] *= args.memd_scale
-    _emit(args, json.dumps(obj, indent=2) + "\n")
+    _emit_json(args, obj)
 
 
 def cmd_table(args) -> None:
@@ -230,7 +235,7 @@ def cmd_table(args) -> None:
         body.sort(key=lambda r: (r[5], r[0], r[2], r[3]))
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in body]
-        _emit(args, json.dumps({"schema_version": 1, "kind": "pvalue_table", "rows": payload}, indent=2) + "\n")
+        _emit_json(args, {"schema_version": 1, "kind": "pvalue_table", "rows": payload})
     else:
         _emit(args, _csv_text(header, body))
 
@@ -252,7 +257,7 @@ def cmd_power(args) -> None:
             "axis": axis,
             "tests": {r.test.value: r.to_json_dict()["points"] for r in reports},
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit_json(args, payload)
         return
     rows = []
     for report in reports:
@@ -285,7 +290,7 @@ def cmd_fit(args) -> None:
         seed=args.seed or 0,
         threads=args.threads,
     )
-    _emit(args, report_to_json(report))
+    _emit_json(args, report.to_json_dict())
 
 
 def cmd_simulate(args) -> None:
@@ -313,7 +318,7 @@ def cmd_ecdf(args) -> None:
             "stat": args.stat,
             "points": [{"x": x, "cdf": f} for (x, f) in curve.rows()],
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit_json(args, payload)
     else:
         _emit(args, _csv_text(["x", "cdf"], [list(r) for r in curve.rows()]))
 

@@ -1,11 +1,10 @@
-"""Loading and saving response matrices and result reports.
+"""Loading and saving response matrices.
 
 Interchange formats:
 
 * JSONL: one object per line, ``{"item_id": str, "responses": [number, ...]}``,
   UTF-8, LF newlines. Ragged matrices are fine.
 * CSV: header ``item_id,r1,...,rK``, RFC 4180 quoting, rectangular only.
-* Reports: one JSON document with a top-level ``"schema_version": 1``.
 
 A matrix file's suffix names its format: ``.jsonl``, ``.ndjson`` or
 ``.json`` for JSONL, ``.csv`` for CSV.
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .simulator import ResponseMatrix, _pad, check_matrices
 
-__all__ = ["load_responses", "save_matrix", "save_report", "matrix_to_jsonl", "matrix_to_csv"]
+__all__ = ["load_responses", "save_matrix", "matrix_to_jsonl", "matrix_to_csv"]
 
 
 def _detect_format(path: Path) -> str:
@@ -176,13 +175,3 @@ def save_matrix(m: ResponseMatrix, path: str | Path) -> None:
     text = matrix_to_jsonl(m) if _detect_format(path) == "jsonl" else matrix_to_csv(m)
     path.write_text(text, encoding="utf-8")
 
-
-def report_to_json(report) -> str:
-    obj = report.to_json_dict() if hasattr(report, "to_json_dict") else dict(report)
-    if "schema_version" not in obj:
-        obj = {"schema_version": 1, **obj}
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def save_report(report, path: str | Path) -> None:
-    Path(path).write_text(report_to_json(report), encoding="utf-8")

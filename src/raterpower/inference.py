@@ -34,7 +34,9 @@ prepared once. Two chunk functions return per-model scores:
 ``mean_metric_scores``) and ``_null_chunk_rect`` (this null arm; the
 power module's bootstrap test takes its row blocks, ``_null_blocks``, one
 by one). Each chunk derives its generator from (seed, arm, chunk start),
-so results do not depend on the thread count.
+so results do not depend on the thread count. Resampling has no public
+function of its own: every resample runs inside a chunk, and the null
+arms draw from ``_null_pool``, each item's A responses, then its B's.
 
 Row blocks. A chunk streams in row blocks of at most ``_BLOCK`` floats
 (``_spans``; one resample when a resample is larger). NumPy fills a draw
@@ -92,12 +94,10 @@ from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pai
 from .simulator import ResponseMatrix, _pad, _slots, check_count, check_finite, check_matrices, draw_batch, draw_blocks
 
 __all__ = [
-    "resample_multistage",
-    "build_null_pool",
-    "sample_null_pair",
     "estimate_p_value",
     "run_experiment",
     "run_columns",
+    "mean_metric_scores",
     "Direction",
     "MetricPValue",
     "PValueReport",
@@ -114,39 +114,13 @@ def _chunk_size(n: int, k: int) -> int:
     return max(1, _CHUNK_BUDGET // max(1, n * k))
 
 
-# -- public resampling operations ------------------------------------------------
-
-def resample_multistage(
-    g: ResponseMatrix,
-    a: ResponseMatrix,
-    b: ResponseMatrix,
-    phi: SamplingStrategy,
-    rng: np.random.Generator,
-) -> tuple[ResponseMatrix, ResponseMatrix, ResponseMatrix]:
-    """One multistage resample of a (G, A, B) triple.
-
-    With items=boot, one index sequence drawn with replacement is applied to
-    all three matrices so item pairing survives. With responses=boot, each
-    item's responses are then resampled with replacement independently
-    within each matrix (G first, then A, then B).
-    """
-    check_matrices(g, a, b)
-    rows = _item_rows(rng, 1, g.n_items, phi)
-    idx = np.arange(g.n_items) if rows is None else rows[0]
-    values = [m.values[idx] for m in (g, a, b)]
-    plan = _plan(rng, 1, SamplingStrategy(Level.ALL, phi.responses),
-                 [(x.shape, m.counts()[idx], None) for x, m in zip(values, (g, a, b))])
-    return _one_resample(values, plan, tuple(g.ids[i] for i in idx))
-
-
-def build_null_pool(a: ResponseMatrix, b: ResponseMatrix) -> ResponseMatrix:
-    """Per-item multiset union of A's and B's responses: A's, then B's."""
-    check_matrices(a, b)
-    return ResponseMatrix.from_padded(*_null_pool(a, b), a.ids)
-
+# -- null pool --------------------------------------------------------------------
 
 def _null_pool(a: ResponseMatrix, b: ResponseMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """``build_null_pool``'s padded values and counts, for checked A and B of equal per-item counts."""
+    """Each item's pool of checked A's, then B's, responses, padded, and its counts.
+
+    A and B must share per-item counts, else ``ItemMismatch``.
+    """
     counts = a.counts()
     differ = np.flatnonzero(counts != b.counts())
     if differ.size:
@@ -154,23 +128,6 @@ def _null_pool(a: ResponseMatrix, b: ResponseMatrix) -> tuple[np.ndarray, np.nda
     valid = _slots(counts, a.values.shape[1])
     both = np.concatenate([a.values, b.values], axis=1)[np.concatenate([valid, valid], axis=1)]
     return _pad(both, 2 * counts), 2 * counts
-
-
-def sample_null_pair(
-    pool: ResponseMatrix, k, rng: np.random.Generator
-) -> tuple[ResponseMatrix, ResponseMatrix]:
-    """Two independent with-replacement samples per item (A first).
-
-    ``k`` is one sample size for every item or a sequence of per-item sizes.
-    """
-    if np.ndim(k) > 1 or np.size(k) not in (1, pool.n_items):
-        raise InvalidParam("k", f"need one sample size or {pool.n_items} per-item sizes")
-    counts = np.broadcast_to(k, (pool.n_items,))
-    if np.any(counts < 1):
-        raise InvalidParam("k", "need at least one response per item")
-    check_matrices(pool)
-    plan = _plan(rng, 1, _NO_RESAMPLE, [(pool.values.shape, pool.counts(), counts)] * 2)  # A's, then B's
-    return _one_resample((pool.values,) * 2, plan, pool.ids)
 
 
 # -- p-value estimator -----------------------------------------------------------
@@ -417,12 +374,6 @@ def _steps(rng, rows, shape, counts, k, spans):
 def _stack(steps):
     """One plan step of c resamples from their one-resample steps of an (N, W) source."""
     return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*steps))
-
-
-def _one_resample(arrays, plan, ids) -> tuple[ResponseMatrix, ...]:
-    """The matrices of one resample (c = 1) of padded (N, K_max) ``arrays`` along ``plan``."""
-    gathered = (_gather(x, 1, next(steps)) for x, steps in zip(arrays, plan))
-    return tuple(ResponseMatrix.from_padded(x[0], k[0], ids) for x, k in gathered)
 
 
 _NO_RESAMPLE = SamplingStrategy(Level.ALL, Level.ALL)

@@ -11,8 +11,10 @@ ones NaN-padded with per-item counts: ``prepare_gold`` takes gold's item
 means (and sorted rows, for MEMD) once, ``model_items`` scores any number
 of models against them and ``pair_scores`` reduces two models to per-model
 scores, from which ``comparison`` derives the comparison score.
-``batch_scores``, ``emd_1d`` and the public ``score_*``/``gamma_*``/``evaluate``
-functions derive from it.
+``triple_items`` is the one way to score a (G, A, B) triple: it prepares
+gold once and returns it with A's and B's per-item quantities. ``evaluate``,
+the one public way to score a triple of matrices, and ``emd_1d`` derive
+from the kernel.
 """
 
 from __future__ import annotations
@@ -30,11 +32,6 @@ __all__ = [
     "MetricId",
     "MetricResult",
     "emd_1d",
-    "score_mae",
-    "gamma_mae",
-    "gamma_wins",
-    "score_memd",
-    "gamma_memd",
     "evaluate",
 ]
 
@@ -72,7 +69,7 @@ class MetricResult:
 # Every score is a mean over items of a per-item quantity: the absolute error
 # of the item mean (MAE), a strict win on that error (Wins) or the EMD to the
 # gold responses (MEMD). One kernel computes them for batched (..., N, K)
-# arrays, ragged data included; the public functions and the engine wrap it.
+# arrays, ragged data included; ``evaluate`` and the engine wrap it.
 
 def reduce_rows(fn, arrays, counts) -> np.ndarray:
     """Per-item values of ``fn``, which reduces (r, K) blocks along the last axis.
@@ -234,33 +231,20 @@ def pair_scores(
     }
 
 
-def _both_models(metric_ids, g, a, b, counts):
-    """``model_items`` of A and of B against gold g prepared once."""
-    cg, ca, cb = (None, None, None) if counts is None else counts
-    gold = prepare_gold(metric_ids, g, cg)
-    return model_items(gold, a, ca), model_items(gold, b, cb)
-
-
-def item_scores(
-    metric_ids: tuple[MetricId, ...], g, a, b, counts=None
-) -> dict[MetricId, tuple[np.ndarray, np.ndarray]]:
-    """Per-item (A, B) quantities of each metric.
+def triple_items(metric_ids: tuple[MetricId, ...], g, a, b, counts=None):
+    """Gold g prepared once, and A's and B's ``model_items`` against it: (gold, qa, qb).
 
     ``g``, ``a`` and ``b`` are aligned (..., N, K) arrays; ragged ones are
     NaN-padded, with ``counts`` their per-item response counts.
     """
-    return paired_items(metric_ids, *_both_models(metric_ids, g, a, b, counts))
+    cg, ca, cb = counts or (None,) * 3
+    gold = prepare_gold(metric_ids, g, cg)
+    return gold, model_items(gold, a, ca), model_items(gold, b, cb)
 
 
 def comparison(metric: MetricId, score_a, score_b):
     """score_a for Wins, score_b - score_a for MAE and MEMD; high favours A."""
     return score_a if metric == MetricId.WINS else score_b - score_a
-
-
-def batch_scores(metric_ids: tuple[MetricId, ...], g, a, b, counts=None) -> dict:
-    """Comparison score of each metric for batched (optionally padded) arrays."""
-    scores = pair_scores(metric_ids, *_both_models(metric_ids, g, a, b, counts))
-    return {m: comparison(m, *s) for m, s in scores.items()}
 
 
 def kernel_inputs(*matrices: ResponseMatrix) -> tuple[tuple, tuple | None]:
@@ -270,37 +254,15 @@ def kernel_inputs(*matrices: ResponseMatrix) -> tuple[tuple, tuple | None]:
     return arrays, None if rect else tuple(m.counts() for m in matrices)
 
 
-# -- public metric functions -------------------------------------------------------
+# -- public scoring of matrices -------------------------------------------------------
 
 def evaluate(metric: MetricId, a: ResponseMatrix, b: ResponseMatrix, g: ResponseMatrix) -> MetricResult:
     """Scores of A and B against G under one metric, and their comparison."""
     check_matrices(g, a, b)
     arrays, counts = kernel_inputs(g, a, b)
-    item_a, item_b = item_scores((metric,), *arrays, counts)[metric]
+    _, qa, qb = triple_items((metric,), *arrays, counts)
+    item_a, item_b = paired_items((metric,), qa, qb)[metric]
     sa, sb = float(item_a.mean()), float(item_b.mean())
     tie_fraction = float((~item_a & ~item_b).mean()) if metric == MetricId.WINS else None
     return MetricResult(metric, sa, sb, comparison(metric, sa, sb), abs(sa - sb), tie_fraction)
 
-
-def score_mae(m: ResponseMatrix, g: ResponseMatrix) -> float:
-    """Mean over items of |mean(M_i) - mean(G_i)|."""
-    return evaluate(MetricId.MAE, m, m, g).score_a
-
-
-def gamma_mae(a: ResponseMatrix, b: ResponseMatrix, g: ResponseMatrix) -> float:
-    """score_mae(B, G) - score_mae(A, G); positive means A is better."""
-    return evaluate(MetricId.MAE, a, b, g).comparison
-
-
-def gamma_wins(a: ResponseMatrix, b: ResponseMatrix, g: ResponseMatrix) -> MetricResult:
-    """Fraction of items where A's absolute error is strictly smaller than B's."""
-    return evaluate(MetricId.WINS, a, b, g)
-
-
-def score_memd(m: ResponseMatrix, g: ResponseMatrix) -> float:
-    """Mean over items of EMD(M_i, G_i)."""
-    return evaluate(MetricId.MEMD, m, m, g).score_a
-
-
-def gamma_memd(a: ResponseMatrix, b: ResponseMatrix, g: ResponseMatrix) -> float:
-    return evaluate(MetricId.MEMD, a, b, g).comparison

@@ -39,16 +39,7 @@ from .errors import (
     InvalidParam,
 )
 from .inference import _chunk_size, _map_chunks, _null_blocks, _null_pool, _spans
-from .metrics import (
-    Gold,
-    MetricId,
-    comparison,
-    item_scores,
-    kernel_inputs,
-    model_items,
-    pair_scores,
-    prepare_gold,
-)
+from .metrics import Gold, MetricId, comparison, kernel_inputs, pair_scores, triple_items
 from .simulator import ResponseMatrix, check_count, check_finite, check_matrices, simulate_batch
 
 __all__ = [
@@ -81,7 +72,8 @@ def per_item_errors(m: ResponseMatrix, g: ResponseMatrix) -> np.ndarray:
     """|mean(M_i) - mean(G_i)| per item, in item order: the kernel's MAE item scores."""
     check_matrices(g, m)
     arrays, counts = kernel_inputs(g, m, m)
-    return item_scores((MetricId.MAE,), *arrays, counts)[MetricId.MAE][0]
+    _, (err, _), _ = triple_items((MetricId.MAE,), *arrays, counts)
+    return err
 
 
 # -- baseline samples -------------------------------------------------------------
@@ -111,6 +103,8 @@ def _welch_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-sided Welch p of each row pair of (T, nx) x and (T, ny) y, and which pairs have variance.
 
     A pair whose rows both have zero variance has no t statistic; its p is NaN.
+    Where the squares in the Welch-Satterthwaite df underflow (or overflow),
+    df comes from the variance shares (v/n) / se2 instead, which do not.
     """
     nx, ny = x.shape[-1], y.shape[-1]
     vx, vy = x.var(axis=-1, ddof=1), y.var(axis=-1, ddof=1)
@@ -119,6 +113,8 @@ def _welch_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         se2 = vx / nx + vy / ny
         t = (y.mean(axis=-1) - x.mean(axis=-1)) / np.sqrt(se2)
         df = se2**2 / ((vx / nx) ** 2 / (nx - 1) + (vy / ny) ** 2 / (ny - 1))
+        sx, sy = vx / nx / se2, vy / ny / se2
+        df = np.where(np.isfinite(df), df, 1.0 / (sx**2 / (nx - 1) + sy**2 / (ny - 1)))
         return _t_sf(np.where(spread, t, np.nan), np.where(spread, df, np.nan)), spread
 
 
@@ -300,16 +296,9 @@ def multistage_bootstrap_test(
     if rng is None:
         rng = np.random.default_rng()
     arrays, counts = kernel_inputs(g, a, b)
-    gold, qa, qb = _models((metric,), *arrays, counts)
+    gold, qa, qb = triple_items((metric,), *arrays, counts)
     return _bootstrap_p_value(arrays[0], gold, pool, _observed(metric, qa, qb), metric, phi, b_null, rng,
                               None if counts is None else counts[1])
-
-
-def _models(metrics, g, a, b, counts=None):
-    """Gold g prepared once, and A's and B's ``model_items`` against it: (gold, qa, qb)."""
-    cg, ca, cb = counts or (None,) * 3
-    gold = prepare_gold(metrics, g, cg)
-    return gold, model_items(gold, a, ca), model_items(gold, b, cb)
 
 
 def _observed(metric: MetricId, qa, qb):
@@ -413,7 +402,7 @@ def _batch_p_values(config: ExperimentConfig, tests: tuple[TestId, ...], trials:
     metric = config.metrics[0]
     boot = TestId.MULTISTAGE_BOOTSTRAP in tests
     # G, A and B stay as drawn: the bootstrap test gathers from them.
-    gold, qa, qb = _models((metric,) if boot else (), g, a, b)
+    gold, qa, qb = triple_items((metric,) if boot else (), g, a, b)
     err_a, err_b = qa[0], qb[0]
     p = np.empty((len(rngs), len(tests)))
     for i, test in enumerate(tests):

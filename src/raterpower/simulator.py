@@ -171,11 +171,6 @@ class ResponseMatrix:
         items = [(item_id, list(responses)) for item_id, responses in items]
         return cls([item_id for item_id, _ in items], [responses for _, responses in items])
 
-    def multiset_equal(self, other: "ResponseMatrix") -> bool:
-        valid = _slots(self._counts, self.values.shape[1])
-        return (self.ids == other.ids and np.array_equal(self._counts, other._counts)
-                and bool(np.allclose(np.sort(self.values)[valid], np.sort(other.values)[valid])))
-
 
 def check_matrices(*matrices: ResponseMatrix) -> None:
     """Raise unless ``matrices`` are one valid input, such as a (G, A, B) triple.

@@ -83,13 +83,15 @@ def bootstrap_test_oracle(g, a, b, metric, items_boot, responses_boot, b_null, c
     Each chunk of c null triples draws, in order: (c, N) item indices (item
     bootstrap), gold's response indices (response bootstrap), then A's and
     B's K indices per item into the pooled A+B responses; the triples are
-    gathered with ``take_along_axis`` and scored with ``batch_scores``.
+    gathered with ``take_along_axis`` and scored with the metric kernel.
     """
-    from raterpower.metrics import batch_scores
+    from raterpower.metrics import comparison, model_items, pair_scores, prepare_gold
     from raterpower.rngstreams import chunk_ranges
 
     n, k = g.shape
-    observed = float(batch_scores((metric,), g, a, b)[metric])
+    metrics = (metric,)
+    gold = prepare_gold(metrics, g)
+    observed = float(comparison(metric, *pair_scores(metrics, model_items(gold, a), model_items(gold, b))[metric]))
     pool = np.concatenate([a, b], axis=1)
     hits = 0
     for lo, hi in chunk_ranges(b_null, chunk):
@@ -102,7 +104,9 @@ def bootstrap_test_oracle(g, a, b, metric, items_boot, responses_boot, b_null, c
             gs = np.take_along_axis(gs, rng.integers(0, k, (c, n, k)), axis=-1)
         a_null = np.take_along_axis(ps, rng.integers(0, 2 * k, (c, n, k)), axis=-1)
         b_null_ = np.take_along_axis(ps, rng.integers(0, 2 * k, (c, n, k)), axis=-1)
-        hits += int((batch_scores((metric,), gs, a_null, b_null_)[metric] >= observed).sum())
+        gold = prepare_gold(metrics, gs)
+        scores = pair_scores(metrics, model_items(gold, a_null), model_items(gold, b_null_))[metric]
+        hits += int((comparison(metric, *scores) >= observed).sum())
     return float((1 + hits) / (1 + b_null))
 
 
@@ -249,11 +253,16 @@ def welch_oracle(x, y) -> float:
     from scipy import special
 
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    vx, vy = x.var(ddof=1), y.var(ddof=1)
-    se2 = vx / x.size + vy / y.size
+    wx, wy = x.var(ddof=1) / x.size, y.var(ddof=1) / y.size
+    se2 = wx + wy
     t = float((y.mean() - x.mean()) / np.sqrt(se2))
+    # Squares are products, as NumPy squares an array: a scalar's ** 2 calls
+    # the C library's pow, which can differ from the exact product in the last bit.
     with np.errstate(divide="ignore", invalid="ignore"):  # squares that underflow give df NaN, as in NumPy
-        df = float(se2**2 / ((vx / x.size) ** 2 / (x.size - 1) + (vy / y.size) ** 2 / (y.size - 1)))
+        df = float(se2 * se2 / (wx * wx / (x.size - 1) + wy * wy / (y.size - 1)))
+    if not np.isfinite(df):  # then df from the variance shares, which do not underflow
+        share_x, share_y = wx / se2, wy / se2
+        df = float(1.0 / (share_x * share_x / (x.size - 1) + share_y * share_y / (y.size - 1)))
     if t == 0:
         return 0.5
     half_tail = float(0.5 * special.betainc(df / 2.0, 0.5, df / (df + t * t)))

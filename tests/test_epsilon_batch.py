@@ -23,7 +23,7 @@ from raterpower import (
     run_experiment,
 )
 from raterpower import inference, power
-from raterpower.metrics import MetricId, evaluate, item_scores
+from raterpower.metrics import MetricId, evaluate, model_items, prepare_gold
 from raterpower.power import TestId, estimate_power, per_item_errors
 from raterpower.rngstreams import derive_rng
 from raterpower.simulator import PerturbedDraws, ResponseFamily, generate_triple, toxicity_prior
@@ -128,11 +128,13 @@ def _unchanged(before, arrays):
 
 
 @pytest.mark.parametrize("metric", METRICS)
-def test_item_scores_and_evaluate_leave_their_inputs_unchanged(metric):
+def test_kernel_and_evaluate_leave_their_inputs_unchanged(metric):
     g, a, b = (m.to_array() for m in _triple())
     batch = np.stack([b, a[::-1], b[:, ::-1]])  # (3, N, K), broadcast against G and A
     before = _snapshot(g, a, batch)
-    item_scores(METRICS, g, a, batch)
+    gold = prepare_gold(METRICS, g)
+    model_items(gold, a)
+    model_items(gold, batch)
     assert _unchanged(before, (g, a, batch))
     matrices = _triple()
     before = _snapshot(*(m.values for m in matrices))

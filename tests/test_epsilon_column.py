@@ -28,7 +28,7 @@ from raterpower import inference
 from raterpower.distributions import uniform
 from raterpower.errors import InvalidParam
 from raterpower.inference import PValueReport, _gather, _report, _response_step
-from raterpower.metrics import MetricId, batch_scores
+from raterpower.metrics import MetricId, comparison, model_items, pair_scores, prepare_gold
 from raterpower.rngstreams import ALT, BASE, NULL, chunk_ranges, derive_rng
 from raterpower.simulator import _gen_responses, simulate_batch, toxicity_prior
 
@@ -78,18 +78,22 @@ def _experiment_oracle(config) -> PValueReport:
             triple = [np.take_along_axis(x, idx[:, :, None], axis=1) for x in triple]
             if responses:
                 triple = [_gather_oracle(x, rng, c, k) for x in triple]
-        return batch_scores(config.metrics, *triple)
+        return triple
 
     def null(lo, hi):
         c = hi - lo
         rng = derive_rng(config.seed, NULL, lo)
         a = _gather_oracle(pool, rng, c, k)
         b = _gather_oracle(pool, rng, c, k)
-        return batch_scores(config.metrics, np.broadcast_to(g0, (c, n, k)), a, b)
+        return np.broadcast_to(g0, (c, n, k)), a, b
 
     def collect(fn, total):
-        parts = [fn(lo, hi) for lo, hi in chunk_ranges(total, chunk)]
-        return {m: np.concatenate([np.atleast_1d(p[m]) for p in parts]) for m in config.metrics}
+        parts = []
+        for lo, hi in chunk_ranges(total, chunk):
+            g, a, b = fn(lo, hi)
+            gold = prepare_gold(config.metrics, g)
+            parts.append(pair_scores(config.metrics, model_items(gold, a), model_items(gold, b)))
+        return {m: np.concatenate([comparison(m, *p[m]) for p in parts]) for m in config.metrics}
 
     return _report(config, collect(alt, config.b_alt), collect(null, config.b_null))
 

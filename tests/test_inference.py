@@ -7,17 +7,14 @@ from raterpower import (
     Mode,
     ResponseMatrix,
     SamplingStrategy,
-    build_null_pool,
     estimate_p_value,
     generate_triple,
     run_columns,
     run_experiment,
-    resample_multistage,
-    sample_null_pair,
 )
 from raterpower.errors import EmptySample, InvalidParam, ItemMismatch
-from raterpower.inference import Direction
-from raterpower.metrics import MetricId
+from raterpower.inference import _NO_RESAMPLE, Direction, _gather, _null_pool, _plan
+from raterpower.metrics import MetricId, kernel_inputs
 from raterpower.rngstreams import derive_rng
 
 
@@ -26,90 +23,140 @@ def triple(seed=0, n=6, k=3, eps=0.1):
     return generate_triple(config, derive_rng(seed))
 
 
-# -- resample_multistage ---------------------------------------------------------
-
-def test_resample_identity_strategy():
-    g, a, b = triple()
-    g2, a2, b2 = resample_multistage(g, a, b, SamplingStrategy.parse("all,all"), derive_rng(1))
-    for m, m2 in zip((g, a, b), (g2, a2, b2)):
-        assert m.ids == m2.ids
-        assert all(np.array_equal(r, r2) for r, r2 in zip(m.rows, m2.rows))
+RAGGED = tuple(ResponseMatrix.from_rows(list(zip("abc", rows))) for rows in (
+    [[0.1, 0.2, 0.9], [0.3], [0.5, 0.6]],
+    [[0.2, 0.25], [0.3, 0.5, 0.0], [0.6]],
+    [[0.0, 0.4], [0.9, 0.7, 1.0], [0.1]],
+))
+LAYOUTS = {"rectangular": triple(), "ragged": RAGGED}
 
 
-def test_resample_item_boot_preserves_pairing():
-    g, a, b = triple()
-    g2, a2, b2 = resample_multistage(g, a, b, SamplingStrategy.parse("boot,all"), derive_rng(2))
-    source = {tuple(row): i for i, row in enumerate(map(tuple, a.rows))}
-    for j in range(a2.n_items):
-        i = source[tuple(a2.rows[j])]
-        assert np.array_equal(g2.rows[j], g.rows[i])
-        assert np.array_equal(b2.rows[j], b.rows[i])
-        assert g2.ids[j] == g.ids[i]
+def _rows(x, c, step):
+    """Per resample, the rows a ``_plan`` step gathers from x, each cut to its count."""
+    y, counts = _gather(x, c, step)
+    counts = np.broadcast_to(y.shape[-1], y.shape[:-1]) if counts is None else counts
+    return [[row[:k] for row, k in zip(rows, ks)] for rows, ks in zip(y, counts)]
 
 
-def test_resample_response_boot_distribution():
-    # Item {0,1} with K=2 resamples to {0,0}, {0,1}, {1,1} w.p. 1/4, 1/2, 1/4.
-    g = ResponseMatrix.from_rows([("a", [0.0, 1.0])])
-    counts = {0.0: 0, 0.5: 0, 1.0: 0}
+# -- the resampler ------------------------------------------------------------------
+#
+# Resampling has no public function: every resample runs along
+# ``inference._plan`` inside a chunk. These tests draw c resamples of given
+# matrices along one plan, as a given-data chunk does (``kernel_inputs``
+# decides whether the rectangular or the per-row path runs).
+
+def _resample(matrices, phi, rng, c=1):
+    """c resamples of aligned matrices along one plan: per matrix, per resample, its rows."""
+    arrays, counts = kernel_inputs(*matrices)
+    sources = [(x.shape, k, None) for x, k in zip(arrays, counts or (None,) * len(arrays))]
+    plan = _plan(rng, c, SamplingStrategy.parse(phi), sources)
+    return [_rows(x, c, next(steps)) for x, steps in zip(arrays, plan)]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_resample_identity_strategy(layout):
+    matrices = LAYOUTS[layout]
+    rng = derive_rng(1)
+    state = rng.bit_generator.state
+    for m, (rows,) in zip(matrices, _resample(matrices, "all,all", rng)):
+        assert len(rows) == m.n_items
+        assert all(np.array_equal(r, r2) for r, r2 in zip(m.rows, rows))
+    assert rng.bit_generator.state == state  # nothing is drawn
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_resample_item_boot_preserves_pairing(layout):
+    # One item draw serves G, A and B, and each drawn item keeps its rows whole.
+    g, a, b = LAYOUTS[layout]
+    source = {tuple(row): i for i, row in enumerate(a.rows)}
+    drawn = set()
+    for rows_g, rows_a, rows_b in zip(*_resample((g, a, b), "boot,all", derive_rng(2), c=20)):
+        idx = [source[tuple(row)] for row in rows_a]
+        drawn.add(tuple(idx))
+        assert all(np.array_equal(row, g.rows[i]) for row, i in zip(rows_g, idx))
+        assert all(np.array_equal(row, b.rows[i]) for row, i in zip(rows_b, idx))
+    assert len(drawn) > 1
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_resample_response_boot_distribution(layout):
+    # Item {0,1} with K=2 resamples to {0,0}, {0,1}, {1,1} w.p. 1/4, 1/2, 1/4;
+    # padded beside a longer item, it still draws from its own two responses.
+    rows = [("a", [0.0, 1.0])] + ([("b", [0.5, 0.5, 0.5])] if layout == "ragged" else [])
+    g = ResponseMatrix.from_rows(rows)
     runs = 8000
-    for seed in range(runs):
-        g2, _, _ = resample_multistage(g, g, g, SamplingStrategy.parse("all,boot"), derive_rng(seed, 3))
-        counts[float(g2.rows[0].mean())] += 1
-    assert counts[0.0] / runs == pytest.approx(0.25, abs=0.02)
-    assert counts[0.5] / runs == pytest.approx(0.50, abs=0.02)
-    assert counts[1.0] / runs == pytest.approx(0.25, abs=0.02)
-
-
-def test_resample_rejects_mismatched_ids():
-    g, a, b = triple()
-    other = ResponseMatrix(tuple(f"x{i}" for i in range(b.n_items)), b.rows)
-    with pytest.raises(ItemMismatch):
-        resample_multistage(g, a, other, SamplingStrategy.parse("all,all"), derive_rng(4))
+    (resamples,) = _resample((g,), "all,boot", derive_rng(3), c=runs)
+    assert all(len(items[0]) == 2 for items in resamples)
+    means = np.array([items[0].mean() for items in resamples])
+    assert set(means.tolist()) <= {0.0, 0.5, 1.0}
+    assert np.mean(means == 0.0) == pytest.approx(0.25, abs=0.02)
+    assert np.mean(means == 0.5) == pytest.approx(0.50, abs=0.02)
+    assert np.mean(means == 1.0) == pytest.approx(0.25, abs=0.02)
 
 
 # -- null pool ---------------------------------------------------------------------
 
-def test_build_null_pool_union():
+def _null_draws(a, b, rng, c=1):
+    """c null (A, B) pairs drawn as the null arms draw them: each from the items' pooled A+B responses."""
+    pool, sizes = _null_pool(a, b)
+    counts = None if kernel_inputs(a, b)[1] is None else sizes
+    k = pool.shape[1] // 2 if counts is None else counts // 2
+    plan = _plan(rng, c, _NO_RESAMPLE, [(pool.shape, counts, k)] * 2)  # A's, then B's
+    return [_rows(pool, c, next(steps)) for steps in plan]
+
+
+def test_null_pool_union():
     a = ResponseMatrix.from_rows([("a", [0.0, 0.0])])
     b = ResponseMatrix.from_rows([("a", [1.0, 1.0])])
-    pool = build_null_pool(a, b)
-    assert sorted(pool.rows[0]) == [0.0, 0.0, 1.0, 1.0]
+    pool, counts = _null_pool(a, b)
+    assert pool.tolist() == [[0.0, 0.0, 1.0, 1.0]] and counts.tolist() == [4]
 
 
-def test_build_null_pool_duplicates_when_equal():
+def test_null_pool_duplicates_when_equal():
     a = ResponseMatrix.from_rows([("a", [0.25, 0.75])])
-    pool = build_null_pool(a, a)
-    assert sorted(pool.rows[0]) == [0.25, 0.25, 0.75, 0.75]
+    pool, _ = _null_pool(a, a)
+    assert pool.tolist() == [[0.25, 0.75, 0.25, 0.75]]
 
 
-def test_build_null_pool_size_contract():
+def test_null_pool_size_contract():
     _, a, b = triple(n=5, k=4)
-    pool = build_null_pool(a, b)
-    assert all(row.size == 8 for row in pool.rows)
+    pool, counts = _null_pool(a, b)
+    assert pool.shape == (5, 8) and counts.tolist() == [8] * 5
 
 
-def test_sample_null_pair_degenerate_pool():
-    pool = ResponseMatrix.from_rows([("a", [0.0, 0.0, 0.0, 0.0])])
-    a0, b0 = sample_null_pair(pool, 2, derive_rng(5))
-    assert list(a0.rows[0]) == [0.0, 0.0]
-    assert list(b0.rows[0]) == [0.0, 0.0]
+def test_null_pool_ragged_keeps_each_items_responses():
+    a = ResponseMatrix.from_rows([("a", [0.1]), ("b", [0.2, 0.3])])
+    b = ResponseMatrix.from_rows([("a", [0.4]), ("b", [0.5, 0.6])])
+    pool, counts = _null_pool(a, b)
+    assert counts.tolist() == [2, 4]
+    assert np.array_equal(pool, [[0.1, 0.4, np.nan, np.nan], [0.2, 0.3, 0.5, 0.6]], equal_nan=True)
 
 
-def test_sample_null_pair_rejects_k_of_wrong_length():
-    pool = ResponseMatrix.from_rows([(str(i), [0.0, 0.5, 1.0, 0.5]) for i in range(3)])
-    with pytest.raises(InvalidParam, match="k"):
-        sample_null_pair(pool, [1, 2], derive_rng(5))
+def test_null_pool_rejects_differing_counts():
+    a = ResponseMatrix.from_rows([("a", [0.1, 0.2])])
+    b = ResponseMatrix.from_rows([("a", [0.4, 0.5, 0.6])])
+    with pytest.raises(ItemMismatch, match="per-item counts differ"):
+        _null_pool(a, b)
 
 
-def test_sample_null_pair_support_and_frequency():
-    pool = ResponseMatrix.from_rows([("a", [0.0, 1.0])])
-    ones = 0
+def test_null_draws_degenerate_pool():
+    a = ResponseMatrix.from_rows([("a", [0.0, 0.0])])
+    for resamples in _null_draws(a, a, derive_rng(5), c=10):
+        assert all(items[0].tolist() == [0.0, 0.0] for items in resamples)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_null_draws_support_and_frequency(layout):
+    # Item a pools {0, 1}; padded beside a longer item, its draws never read the padding.
+    rows = {"a": [("a", [0.0])], "b": [("a", [1.0])]}
+    if layout == "ragged":
+        rows = {m: r + [("b", [0.5, 0.5])] for m, r in rows.items()}
+    a, b = (ResponseMatrix.from_rows(rows[m]) for m in "ab")
     runs = 4000
-    for seed in range(runs):
-        a0, _ = sample_null_pair(pool, 1, derive_rng(seed, 6))
-        assert a0.rows[0][0] in (0.0, 1.0)
-        ones += a0.rows[0][0] == 1.0
-    assert ones / runs == pytest.approx(0.5, abs=0.02)
+    for resamples in _null_draws(a, b, derive_rng(6), c=runs):
+        drawn = np.array([items[0] for items in resamples])
+        assert drawn.shape == (runs, 1) and set(drawn.ravel().tolist()) <= {0.0, 1.0}
+        assert drawn.mean() == pytest.approx(0.5, abs=0.02)
 
 
 # -- estimate_p_value -----------------------------------------------------------------

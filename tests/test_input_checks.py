@@ -25,28 +25,19 @@ from raterpower import (
     TestId,
     ItemStats,
     ResponseMatrix,
-    SamplingStrategy,
-    build_null_pool,
     check_matrices,
     ecdf,
     emd_1d,
     estimate_p_value,
     estimate_power,
-    gamma_mae,
-    gamma_memd,
-    gamma_wins,
     mean_metric_scores,
     multistage_bootstrap_test,
     per_item_errors,
     per_item_stats,
     permutation_test_paired,
     power_sweeps,
-    resample_multistage,
     run_columns,
     run_experiment,
-    sample_null_pair,
-    score_mae,
-    score_memd,
     stat_distance,
     welch_t_test,
     wilcoxon_signed_rank,
@@ -66,7 +57,6 @@ RAGGED = {"g": [[0.1, 0.2, 0.9], [0.3], [0.5, 0.6]],
           "a": [[0.2, 0.2], [0.3, 0.5, 0.0], [0.6]],
           "b": [[0.0, 0.4], [0.9, 0.7, 1.0], [0.1]]}
 CONFIG = ExperimentConfig(n_items=3, k_responses=2, b_alt=5, b_null=5)
-BOOT = SamplingStrategy.parse("boot,boot")
 
 # fault -> (the error it raises, whether it needs a second matrix)
 FAULTS = {
@@ -91,19 +81,13 @@ ENTRY_POINTS = {
     "run_experiment": (lambda g, a, b, tmp: run_experiment(CONFIG, given=(g, a, b)), True),
     "run_columns": (lambda g, a, b, tmp: run_columns([(CONFIG, (0.0,)), (CONFIG, (0.0, 0.1))], given=(g, a, b)),
                     True),
-    "resample_multistage": (lambda g, a, b, tmp: resample_multistage(g, a, b, BOOT, derive_rng(1)), True),
-    "build_null_pool": (lambda g, a, b, tmp: build_null_pool(a, b), True),
-    "sample_null_pair": (lambda g, a, b, tmp: sample_null_pair(a, 2, derive_rng(1)), False),
     "multistage_bootstrap_test": (
         lambda g, a, b, tmp: multistage_bootstrap_test(g, a, b, b_null=20, rng=derive_rng(1)), True),
     "per_item_errors": (lambda g, a, b, tmp: per_item_errors(a, g), True),
-    "evaluate": (lambda g, a, b, tmp: evaluate(MetricId.MAE, a, b, g), True),
-    "score_mae": (lambda g, a, b, tmp: score_mae(a, g), True),
-    "score_memd": (lambda g, a, b, tmp: score_memd(a, g), True),
-    "gamma_mae": (lambda g, a, b, tmp: gamma_mae(a, b, g), True),
-    "gamma_wins": (lambda g, a, b, tmp: gamma_wins(a, b, g), True),
-    "gamma_memd": (lambda g, a, b, tmp: gamma_memd(a, b, g), True),
+    **{f"evaluate {metric.value}": ((lambda g, a, b, tmp, metric=metric: evaluate(metric, a, b, g)), True)
+       for metric in MetricId},
     "per_item_stats": (lambda g, a, b, tmp: per_item_stats(a), False),
+    "check_matrices": (lambda g, a, b, tmp: check_matrices(g, a, b), True),
 }
 
 

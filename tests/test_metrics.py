@@ -2,22 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _oracles import emd_transport_oracle
+from _oracles import emd_transport_oracle, scores_rows_oracle
 
-from raterpower import (
-    ExperimentConfig,
-    ResponseMatrix,
-    emd_1d,
-    gamma_mae,
-    gamma_memd,
-    gamma_wins,
-    generate_triple,
-    score_mae,
-    score_memd,
-)
+from raterpower import ExperimentConfig, ResponseMatrix, emd_1d, evaluate, generate_triple
 from raterpower.errors import EmptyItem, ItemMismatch
-from raterpower.metrics import MetricId, batch_scores
+from raterpower.metrics import MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold, triple_items
 from raterpower.rngstreams import derive_rng
+
+MAE, WINS, MEMD = MetricId.MAE, MetricId.WINS, MetricId.MEMD
 
 
 def matrix(*rows, ids=None):
@@ -32,21 +24,21 @@ collections = st.lists(dyadic, min_size=1, max_size=6)
 
 def test_score_mae_identity():
     g = matrix([0.0, 1.0])
-    assert score_mae(g, g) == 0.0
+    assert evaluate(MAE, g, g, g).score_a == 0.0
 
 
 def test_score_mae_hand_value():
     g = matrix([0.0, 1.0])
     m = matrix([1.0, 1.0])
-    assert score_mae(m, g) == pytest.approx(0.5)
+    assert evaluate(MAE, m, m, g).score_a == pytest.approx(0.5)
 
 
 def test_gamma_mae_trivial_cases():
     g = matrix([0.0, 0.0])
     a = matrix([0.0, 0.0])
     b = matrix([1.0, 1.0])
-    assert gamma_mae(a, a, g) == 0.0
-    assert gamma_mae(a, b, g) == pytest.approx(1.0)
+    assert evaluate(MAE, a, a, g).comparison == 0.0
+    assert evaluate(MAE, a, b, g).comparison == pytest.approx(1.0)
 
 
 def test_gamma_mae_antisymmetry():
@@ -54,13 +46,13 @@ def test_gamma_mae_antisymmetry():
     g = matrix(rng.random(4), rng.random(4), rng.random(4))
     a = matrix(rng.random(4), rng.random(4), rng.random(4))
     b = matrix(rng.random(4), rng.random(4), rng.random(4))
-    assert gamma_mae(a, b, g) == pytest.approx(-gamma_mae(b, a, g))
+    assert evaluate(MAE, a, b, g).comparison == pytest.approx(-evaluate(MAE, b, a, g).comparison)
 
 
 def test_gamma_wins_all_ties():
     g = matrix([0.3, 0.4])
     a = matrix([0.5, 0.5])
-    res = gamma_wins(a, a, g)
+    res = evaluate(WINS, a, a, g)
     assert res.score_a == 0.0
     assert res.score_b == 0.0
     assert res.tie_fraction == 1.0
@@ -70,14 +62,14 @@ def test_gamma_wins_sweep():
     g = matrix([0.0, 0.0], ids=["x", "y"])
     a = matrix([0.0, 0.0], ids=["x", "y"])
     b = matrix([1.0, 1.0], ids=["x", "y"])
-    assert gamma_wins(a, b, g).score_a == 1.0
+    assert evaluate(WINS, a, b, g).score_a == 1.0
 
 
 def test_gamma_wins_split():
     g = matrix([0.0], [0.0], ids=["x", "y"])
     a = matrix([0.0], [1.0], ids=["x", "y"])
     b = matrix([1.0], [0.0], ids=["x", "y"])
-    res = gamma_wins(a, b, g)
+    res = evaluate(WINS, a, b, g)
     assert res.score_a == 0.5
     assert res.score_b == 0.5
 
@@ -87,7 +79,7 @@ def test_wins_partition_sums_to_one():
     g = matrix(*[rng.random(3) for _ in range(20)])
     a = matrix(*[rng.random(3) for _ in range(20)])
     b = matrix(*[rng.random(3) for _ in range(20)])
-    res = gamma_wins(a, b, g)
+    res = evaluate(WINS, a, b, g)
     assert res.score_a + res.score_b + res.tie_fraction == pytest.approx(1.0)
 
 
@@ -127,8 +119,8 @@ def test_memd_trivial_and_hand_values():
     g = matrix([0.0, 0.0])
     a = matrix([0.0, 0.0])
     b = matrix([1.0, 1.0])
-    assert gamma_memd(a, a, g) == 0.0
-    assert gamma_memd(a, b, g) == pytest.approx(1.0)
+    assert evaluate(MEMD, a, a, g).comparison == 0.0
+    assert evaluate(MEMD, a, b, g).comparison == pytest.approx(1.0)
 
 
 def test_memd_ragged_support():
@@ -138,17 +130,17 @@ def test_memd_ragged_support():
         [emd_transport_oracle([0.0, 0.5, 1.0], [0.5, 0.5]),
          emd_transport_oracle([0.2, 0.4], [0.2, 0.4, 0.6])]
     )
-    assert score_memd(m, g) == pytest.approx(expected, abs=1e-12)
+    assert evaluate(MEMD, m, m, g).score_a == pytest.approx(expected, abs=1e-12)
 
 
 def test_item_mismatch_and_empty_item():
     g = matrix([0.1], ids=["a"])
     m = matrix([0.1], ids=["b"])
     with pytest.raises(ItemMismatch):
-        score_mae(m, g)
+        evaluate(MAE, m, m, g)
     bad = ResponseMatrix.from_rows([("a", [])])
     with pytest.raises(EmptyItem):
-        score_mae(bad, matrix([0.1], ids=["a"]))
+        evaluate(MAE, bad, bad, matrix([0.1], ids=["a"]))
 
 
 def test_permutation_invariance():
@@ -166,24 +158,50 @@ def test_permutation_invariance():
     g2 = ResponseMatrix.from_rows(list(zip(ids2, shuffle(rows_g))))
     a2 = ResponseMatrix.from_rows(list(zip(ids2, shuffle(rows_a))))
     b2 = ResponseMatrix.from_rows(list(zip(ids2, shuffle(rows_b))))
-    assert gamma_mae(a, b, g) == pytest.approx(gamma_mae(a2, b2, g2))
-    assert gamma_memd(a, b, g) == pytest.approx(gamma_memd(a2, b2, g2))
-    assert gamma_wins(a, b, g).score_a == pytest.approx(gamma_wins(a2, b2, g2).score_a)
+    for metric in (MAE, WINS, MEMD):
+        assert evaluate(metric, a, b, g).comparison == pytest.approx(evaluate(metric, a2, b2, g2).comparison)
 
 
-def test_batch_scores_agree_with_public_functions():
+def test_batched_kernel_agrees_with_evaluate():
     rng = derive_rng(24)
     g3 = rng.random((3, 6, 4))
     a3 = rng.random((3, 6, 4))
     b3 = rng.random((3, 6, 4))
-    out = batch_scores((MetricId.MAE, MetricId.WINS, MetricId.MEMD), g3, a3, b3)
+    metrics = (MAE, WINS, MEMD)
+    gold = prepare_gold(metrics, g3)
+    scores = pair_scores(metrics, model_items(gold, a3), model_items(gold, b3))
     for i in range(3):
         g = ResponseMatrix.from_array(g3[i])
         a = ResponseMatrix.from_array(a3[i])
         b = ResponseMatrix.from_array(b3[i])
-        assert out[MetricId.MAE][i] == pytest.approx(gamma_mae(a, b, g))
-        assert out[MetricId.WINS][i] == pytest.approx(gamma_wins(a, b, g).score_a)
-        assert out[MetricId.MEMD][i] == pytest.approx(gamma_memd(a, b, g))
+        for metric in metrics:
+            assert comparison(metric, *scores[metric])[i] == pytest.approx(evaluate(metric, a, b, g).comparison)
+
+
+def _triples(layout):
+    """One (G, A, B) of ``layout``, or three for "batched", as ResponseMatrix triples."""
+    rng = derive_rng(25)
+    if layout == "ragged":
+        counts, counts_g = [3, 1, 5, 2], [2, 4, 1, 3]
+        return [tuple(ResponseMatrix.from_rows([(str(i), rng.random(k)) for i, k in enumerate(ks)])
+                      for ks in (counts_g, counts, counts))]
+    return [tuple(ResponseMatrix.from_array(rng.random((6, 4))) for _ in "gab")
+            for _ in range(3 if layout == "batched" else 1)]
+
+
+@pytest.mark.parametrize("layout", ["rectangular", "ragged", "batched"])
+@pytest.mark.parametrize("metric", [MAE, WINS, MEMD])
+def test_triple_items_matches_row_scoring(metric, layout):
+    # The one helper that scores a triple: gold prepared once, then A's and
+    # B's per-item quantities, for (..., N, K) batches and ragged triples.
+    triples = _triples(layout)
+    arrays, counts = kernel_inputs(*triples[0])
+    if layout == "batched":
+        arrays = tuple(np.stack([t[i].values for t in triples]) for i in range(3))
+    _, qa, qb = triple_items((metric,), *arrays, counts)
+    got = np.atleast_1d(comparison(metric, *pair_scores((metric,), qa, qb)[metric]))
+    want = [scores_rows_oracle(*(m.rows for m in t))[metric.value] for t in triples]
+    assert got.tolist() == want
 
 
 def test_memd_paper_scale_regression():
@@ -213,9 +231,9 @@ def test_comparisons_centered_at_zero_under_null():
     values = {"mae": [], "memd": [], "wins_gap": []}
     for seed in range(500):
         g, a, b = generate_triple(config, derive_rng(seed, 55))
-        values["mae"].append(gamma_mae(a, b, g))
-        values["memd"].append(gamma_memd(a, b, g))
-        res = gamma_wins(a, b, g)
+        values["mae"].append(evaluate(MAE, a, b, g).comparison)
+        values["memd"].append(evaluate(MEMD, a, b, g).comparison)
+        res = evaluate(WINS, a, b, g)
         values["wins_gap"].append(res.score_a - res.score_b)
     for name, seq in values.items():
         seq = np.asarray(seq)

@@ -96,6 +96,22 @@ def test_welch_matches_scipy():
         assert welch_t_test(x, y) == pytest.approx(expected, abs=1e-10)
 
 
+def test_welch_spread_whose_squares_underflow():
+    # Welch-Satterthwaite's squares underflow to 0/0 below a spread of about
+    # 1e-93; the variance shares give df = ny - 1 = 1 and t = 1, so
+    # p = P(T_1 > 1) = 1/4, as at a spread of 1e-70.
+    assert welch_t_test([0, 0], [0, 5.77e-94]) == pytest.approx(0.25, abs=1e-12)
+    assert welch_t_test([0, 0], [0, 1e-70]) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-60, 1e-80, 1e-100, 1e-120, 1e-150])
+def test_welch_p_does_not_depend_on_the_samples_scale(scale):
+    # t and df are scale-free; below a scale of about 1e-77 the squares of
+    # v/n underflow, where the variance shares still give df.
+    x, y = np.array([0.1, 0.4, 0.35, 0.8]), np.array([0.5, 0.9, 0.7])
+    assert welch_t_test(x * scale, y * scale) == pytest.approx(welch_t_test(x, y), rel=1e-12)
+
+
 def test_welch_degenerate_variance():
     with pytest.raises(DegenerateVariance):
         welch_t_test([1.0, 1.0], [1.0, 1.0])

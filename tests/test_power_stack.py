@@ -172,7 +172,8 @@ def test_welch_rows_equal_one_row_calls(samples):
     for xr, yr, p_row, has in zip(x, y, p, spread):
         assert has == bool(np.var(xr) != 0 or np.var(yr) != 0)
         (one,), _ = power._welch_rows(xr[None], yr[None])
-        if has:  # NaN-equal: spreads whose squares underflow leave df NaN everywhere
+        if has:  # finite: spreads whose squares underflow take df from the variance shares
+            assert np.isfinite(p_row)
             np.testing.assert_array_equal([p_row, one, power.welch_t_test(xr, yr)], welch_oracle(xr, yr))
         else:
             assert np.isnan(p_row) and np.isnan(one)

@@ -23,21 +23,18 @@ from raterpower import (
     ExperimentConfig,
     ResponseMatrix,
     SamplingStrategy,
-    build_null_pool,
     estimate_p_value,
     multistage_bootstrap_test,
     per_item_stats,
-    resample_multistage,
     run_columns,
     run_experiment,
-    sample_null_pair,
 )
 from raterpower import inference
 from raterpower.errors import EmptyItem, ItemMismatch
 from raterpower.inference import _summary
-from raterpower.metrics import MetricId, batch_scores, kernel_inputs
+from raterpower.metrics import MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold
 from raterpower.power import per_item_errors
-from raterpower.rngstreams import ALT, NULL, derive_rng
+from raterpower.rngstreams import derive_rng
 
 METRICS = (MetricId.MAE, MetricId.WINS, MetricId.MEMD)
 PHIS = ("all,all", "boot,all", "all,boot", "boot,boot")
@@ -67,13 +64,14 @@ def test_kernel_matches_row_scoring(triple):
     g, a, b = triple
     want = scores_rows_oracle(g.rows, a.rows, b.rows)
     arrays, counts = kernel_inputs(g, a, b)
-    got = batch_scores(METRICS, *arrays, counts=counts)
-    assert {m.value: float(got[m]) for m in METRICS} == want
+    cases = [(arrays, counts or (None,) * 3)]
     if counts is not None:
         # The engine's batched form: one resample per chunk, shape (1, N, K_max).
-        got = batch_scores(METRICS, *(x[None] for x in arrays),
-                           counts=tuple(k[None] for k in counts))
-        assert {m.value: float(got[m][0]) for m in METRICS} == want
+        cases.append(([x[None] for x in arrays], [k[None] for k in counts]))
+    for (xg, xa, xb), (cg, ca, cb) in cases:
+        gold = prepare_gold(METRICS, xg, cg)
+        scores = pair_scores(METRICS, model_items(gold, xa, ca), model_items(gold, xb, cb))
+        assert {m.value: float(np.squeeze(comparison(m, *scores[m]))) for m in METRICS} == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -87,34 +85,67 @@ def test_per_item_reductions_match_rows(triple):
     assert np.array_equal(per_item_errors(a, g), errors)
 
 
+def _gathered(x, c, step):
+    """Per resample, the rows a ``_plan`` step gathers from x, each cut to its count."""
+    y, counts = inference._gather(x, c, step)
+    counts = np.broadcast_to(y.shape[-1], y.shape[:-1]) if counts is None else counts
+    return [[row[:k] for row, k in zip(rows, ks)] for rows, ks in zip(y, counts)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(ragged_triples(), st.sampled_from(PHIS), st.integers(min_value=0, max_value=2**32 - 1))
-def test_resample_multistage_matches_row_draws(triple, phi, seed):
-    g, a, b = triple
-    strategy = SamplingStrategy.parse(phi)
+def test_resample_matches_row_draws(triple, phi, seed):
+    # One resample along ``_plan``, its sources as a given-data chunk builds
+    # them: rectangular when ``kernel_inputs`` finds no counts, else per row.
+    arrays, counts = kernel_inputs(*triple)
+    sources = [(x.shape, k, None) for x, k in zip(arrays, counts or (None,) * 3)]
     rng, oracle_rng = derive_rng(seed), derive_rng(seed)
-    got = resample_multistage(g, a, b, strategy, rng)
-    idx, want = resample_rows_oracle(
-        g.rows, a.rows, b.rows, phi.startswith("boot"), phi.endswith("boot"), oracle_rng
-    )
-    for m, rows in zip(got, want):
-        assert m.ids == tuple(g.ids[i] for i in idx)
-        assert len(m.rows) == len(rows)
-        assert all(np.array_equal(x, y) for x, y in zip(m.rows, rows))
+    plan = inference._plan(rng, 1, SamplingStrategy.parse(phi), sources)
+    got = [_gathered(x, 1, next(steps))[0] for x, steps in zip(arrays, plan)]
+    _, want = resample_rows_oracle(*(m.rows for m in triple), phi.startswith("boot"), phi.endswith("boot"),
+                                   oracle_rng)
+    for rows, want_rows in zip(got, want):
+        assert len(rows) == len(want_rows)
+        assert all(np.array_equal(x, y) for x, y in zip(rows, want_rows))
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 @settings(max_examples=150, deadline=None)
 @given(ragged_triples(), st.integers(min_value=0, max_value=2**32 - 1))
-def test_sample_null_pair_matches_row_draws(triple, seed):
+def test_null_pair_matches_row_draws(triple, seed):
+    # The null arms' draw: A's, then B's, per-item counts from each item's pooled A+B responses.
     _, a, b = triple
-    pool = build_null_pool(a, b)
+    pool, sizes = inference._null_pool(a, b)
+    counts = None if kernel_inputs(a, b)[1] is None else sizes
+    k = pool.shape[1] // 2 if counts is None else counts // 2
     rng, oracle_rng = derive_rng(seed), derive_rng(seed)
-    got = sample_null_pair(pool, a.counts(), rng)
-    want = null_pair_rows_oracle(pool.rows, a.counts(), oracle_rng)
-    for m, rows in zip(got, want):
-        assert m.ids == pool.ids
-        assert all(np.array_equal(x, y) for x, y in zip(m.rows, rows))
+    plan = inference._plan(rng, 1, inference._NO_RESAMPLE, [(pool.shape, counts, k)] * 2)
+    got = [_gathered(pool, 1, next(steps))[0] for steps in plan]
+    want = null_pair_rows_oracle([row[:n] for row, n in zip(pool, sizes)], a.counts(), oracle_rng)
+    for rows, want_rows in zip(got, want):
+        assert all(np.array_equal(x, y) for x, y in zip(rows, want_rows))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("phi", PHIS)
+@pytest.mark.parametrize("source", ["given", "drawn"])
+def test_rectangular_plan_is_one_draw_per_array_in_any_blocks(source, phi):
+    # Rectangular sources draw one (c, N) item draw, then one (c, N, K)
+    # response draw per array; row blocks split each draw without changing
+    # it, and a drawn (c, N, K) source's block reads its own resamples' rows.
+    c, n, k, spans = 5, 4, 3, [(0, 2), (2, 3), (3, 5)]
+    values = np.random.default_rng(0).random((3, c, n, k) if source == "drawn" else (3, n, k))
+    rng, oracle_rng = derive_rng(7), derive_rng(7)
+    plan = inference._plan(rng, c, SamplingStrategy.parse(phi), [(x.shape, None, None) for x in values], spans)
+    got = [np.concatenate([inference._gather(x if x.ndim == 2 else x[lo:hi], hi - lo, step)[0]
+                           for (lo, hi), step in zip(spans, steps)])
+           for x, steps in zip(values, plan)]
+    rows = oracle_rng.integers(0, n, (c, n)) if phi.startswith("boot") else np.broadcast_to(np.arange(n), (c, n))
+    for x, y in zip(values, got):
+        want = np.take_along_axis(np.broadcast_to(x, (c, n, k)), rows[..., None], axis=1)
+        if phi.endswith("boot"):
+            want = np.take_along_axis(want, oracle_rng.integers(0, k, (c, n, k)), axis=2)
+        assert np.array_equal(y, want)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -140,22 +171,12 @@ def test_run_experiment_ragged_matches_row_loop(phi):
     config = ExperimentConfig(
         n_items=g.n_items, k_responses=3, b_alt=25, b_null=20, phi=SamplingStrategy.parse(phi), seed=13,
     )
-    items_boot, responses_boot = phi.startswith("boot"), phi.endswith("boot")
-    alt = [
-        scores_rows_oracle(*resample_rows_oracle(
-            g.rows, a.rows, b.rows, items_boot, responses_boot, derive_rng(13, ALT, j))[1])
-        for j in range(config.b_alt)
-    ]
-    pool = build_null_pool(a, b).rows
-    null = [
-        scores_rows_oracle(g.rows, *null_pair_rows_oracle(pool, a.counts(), derive_rng(13, NULL, j)))
-        for j in range(config.b_null)
-    ]
+    want = ragged_scores_oracle(g, a, b, phi.startswith("boot"), phi.endswith("boot"),
+                                config.b_alt, config.b_null, config.seed)
     for threads in (1, 2):
         report = run_experiment(config, given=(g, a, b), threads=threads)
         for m in METRICS:
-            alt_m = np.array([s[m.value] for s in alt])
-            null_m = np.array([s[m.value] for s in null])
+            alt_m, null_m = want[m.value]
             result = report.results[m]
             assert (result.p_value, result.direction) == estimate_p_value(alt_m, null_m)
             assert result.alt_summary == _summary(alt_m)
