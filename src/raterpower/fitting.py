@@ -35,7 +35,7 @@ from .distributions import DistributionSpec, Family, valid_columns
 from .errors import EmptySample, InvalidParam, NoValidGridPoint
 from .inference import _map_chunks
 from .metrics import _mean, reduce_rows
-from .simulator import ResponseMatrix, check_finite, check_matrices
+from .simulator import ResponseMatrix, check_count, check_finite, check_matrices
 
 __all__ = [
     "ItemStats",
@@ -111,8 +111,7 @@ def _sorted_real(values, sim_count: int) -> np.ndarray:
     real = np.sort(check_finite("real_values", values))
     if real.size == 0:
         raise EmptySample("stat_distance needs real values")
-    if sim_count < 1:
-        raise InvalidParam("sim_count", "need at least one simulated draw")
+    check_count("sim_count", sim_count, "need at least one simulated draw")
     return real
 
 
@@ -286,6 +285,7 @@ def fit_prior(
     """
     if stats.means.size == 0:
         raise EmptySample("fit_prior needs at least one item")
+    check_count("seed", seed, "seed must be a nonnegative integer", least=0)
     if sim_count is None:
         sim_count = min(10 * stats.means.size, _SIM_COUNT_CAP)
     location = _fit_side(

@@ -28,8 +28,10 @@ of the null hypothesis.
 Engine. ``draw_blocks`` draws batched triples; one lazy position plan,
 ``_plan``, turns a chunk's index draws (the shared item draw, then the one
 response draw ``_response_step`` per array) into flat positions, so each
-gather is one ``np.take``; the ``metrics`` kernel scores against gold
-prepared once. Two chunk functions return per-model scores:
+gather is one ``np.take``. Both draw from a chunk's generator, or from one
+per resample, as row groups (``rngstreams.row_groups``), one call per
+group; the ``metrics`` kernel scores against gold prepared once. Two chunk
+functions return per-model scores:
 ``_alt_chunk_parametric`` (simulated or given triples, and
 ``mean_metric_scores``) and ``_null_chunk_rect`` (this null arm; the
 power module's bootstrap test takes its row blocks, ``_null_blocks``, one
@@ -71,10 +73,10 @@ still keeps every thread busy.
 Ragged given data run in the form ``ResponseMatrix`` stores them,
 NaN-padded with per-item counts: the response draw reads only each row's
 valid slots and the kernel reduces items with equal counts as one block.
-Resample j owns its generator, derive_rng(seed, arm, j); a chunk draws each
-of its resamples' indices from that resample's generator, then gathers and
-scores them all as one block. Results therefore do not depend on the chunk
-size, which is picked so that every thread gets a chunk.
+Resample j owns its generator, derive_rng(seed, arm, j), a row group of
+one: a chunk draws each resample's indices from its generator along the
+one plan, then gathers and scores them all as one block. Results therefore
+do not depend on the chunk size, picked so that every thread gets a chunk.
 """
 
 from __future__ import annotations
@@ -252,11 +254,6 @@ def _map_chunks(fn, chunks, threads: int):
     return results
 
 
-def _item_rows(rng: np.random.Generator, c: int, n: int, phi: SamplingStrategy):
-    """The (c, N) item bootstrap draw, or None when phi keeps every item."""
-    return rng.integers(0, n, (c, n)) if phi.items == Level.BOOT else None
-
-
 def _positions(shape, c: int, rows=None, cols=None):
     """Where c resamples read an array of ``shape``, (N, W) or (c, N, W).
 
@@ -302,16 +299,18 @@ def _gather(x: np.ndarray, c: int, step, lead: int = 0):
     return _take(x, c, pos, pad, lead), counts
 
 
-def _response_step(rng: np.random.Generator, c: int, shape, rows, counts, k):
+def _response_step(rng, c: int, shape, rows, counts, k, lo: int = 0):
     """One array's plan step (positions, pad, counts): the one response draw.
 
     The array has ``shape``, (N, W) or (c, N, W), and ``counts`` valid slots
     per item ((N,); None when all W are). After the item draw ``rows`` each
     item draws k responses (an int, or (N,) sizes when ragged; None keeps
-    the rows): one scalar-high ``integers`` call, or for ragged data one
-    array-high call that consumes the generator as one call per row would,
-    with ``pad`` marking the slots past each row's size (width: the largest
-    k). The step's counts are the gathered (c, N) counts, None when rectangular.
+    the rows). The step is rows lo..lo+c of a chunk drawn by the row groups
+    of ``rng`` (``rngstreams.row_groups``): each group makes one
+    scalar-high ``integers`` call or, for ragged data, one array-high call
+    that consumes the generator as one call per row would, with ``pad``
+    marking the slots past each row's size (width: the largest k). The
+    step's counts are the gathered (c, N) counts, None when rectangular.
     """
     n = shape[-2]
     if counts is not None:
@@ -319,13 +318,15 @@ def _response_step(rng: np.random.Generator, c: int, shape, rows, counts, k):
     if k is None:
         return _positions(shape, c, rows), None, counts
     if counts is None:
-        return _positions(shape, c, rows, rng.integers(0, shape[-1], (c, n, k))), None, None
+        cols = rngstreams.draw_rows(rng, lo, lo + c, lambda r, a, b: r.integers(0, shape[-1], (b - a, n, k)))
+        return _positions(shape, c, rows, cols), None, None
     width = np.max(k, initial=0)
     k = np.broadcast_to(k, (c, n)) if rows is None else k[rows]
     sizes = k.ravel()
     pad = np.arange(width) >= sizes[:, None]
     cols = np.zeros(pad.shape, dtype=np.int64)
-    cols[~pad] = rng.integers(0, np.repeat(counts.ravel(), sizes))
+    cols[~pad] = rngstreams.draw_rows(rng, lo, lo + c, lambda r, a, b: r.integers(
+        0, np.repeat(counts[a - lo:b - lo].ravel(), k[a - lo:b - lo].ravel())))
     shape_out = (c, n, pad.shape[1])
     return _positions(shape, c, rows, cols.reshape(shape_out)), pad.reshape(shape_out), k
 
@@ -338,25 +339,20 @@ def _plan(rng, c: int, phi: SamplingStrategy, sources, spans=None):
     Yields, per source in turn, an iterator of its steps for each (lo, hi)
     span of range(c) (one span, the whole chunk, by default); exhaust it
     before taking the next source's. A (c, N, W) source's step for a span
-    reads the block x[lo:hi]. Stream order: the (c, N) item draw shared by
-    every source (when phi.items is boot), then each source's response
-    indices in turn, block after block: NumPy fills an ``integers`` draw in
-    order, so the blocks' draws are one whole draw's rows. Steps are handed
+    reads the block x[lo:hi]. ``rng`` is one generator for all c resamples
+    or a sequence of c generators, one per resample, and every draw is one
+    call per row group (``rngstreams.row_groups``). Stream order of each
+    generator, over its rows: the (c, N) item draw shared by every source
+    (when phi.items is boot), then each source's response indices in turn,
+    block after block: NumPy fills an ``integers`` draw in order, so the
+    blocks' draws are one whole draw's rows, and a resample drawn by its
+    own generator equals that generator's plan of one. Steps are handed
     out, never kept, so their positions die with their gather.
-
-    ``rng`` is one generator for all c resamples, or a sequence of c
-    generators, one per resample, for (N, W) sources: resample j then draws
-    its own item rows and response indices, in the same order, from its own
-    generator, and each block's step stacks the one-resample steps
-    (``_stack``), so many streams are gathered and scored as one block.
     """
-    spans = spans or [(0, c)]
-    if not isinstance(rng, np.random.Generator):
-        plans = [_plan(r, 1, phi, sources) for r in rng]
-        for _ in sources:
-            yield (_stack([next(next(p)) for p in plans[lo:hi]]) for lo, hi in spans)
-        return
-    rows = _item_rows(rng, c, sources[0][0][-2], phi)
+    spans, n = spans or [(0, c)], sources[0][0][-2]
+    rows = None  # the item draw
+    if phi.items == Level.BOOT:
+        rows = rngstreams.draw_rows(rng, 0, c, lambda r, lo, hi: r.integers(0, n, (hi - lo, n)))
     boot = phi.responses == Level.BOOT
     for shape, counts, k in sources:
         if k is None and boot:
@@ -368,12 +364,7 @@ def _steps(rng, rows, shape, counts, k, spans):
     """One source's ``_response_step`` per span; see ``_plan``."""
     for lo, hi in spans:
         block = shape if len(shape) == 2 else (hi - lo, *shape[1:])
-        yield _response_step(rng, hi - lo, block, None if rows is None else rows[lo:hi], counts, k)
-
-
-def _stack(steps):
-    """One plan step of c resamples from their one-resample steps of an (N, W) source."""
-    return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*steps))
+        yield _response_step(rng, hi - lo, block, None if rows is None else rows[lo:hi], counts, k, lo)
 
 
 _NO_RESAMPLE = SamplingStrategy(Level.ALL, Level.ALL)

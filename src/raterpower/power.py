@@ -39,7 +39,7 @@ from .errors import (
     InvalidParam,
 )
 from .inference import _chunk_size, _map_chunks, _null_blocks, _null_pool, _spans
-from .metrics import Gold, MetricId, comparison, kernel_inputs, pair_scores, triple_items
+from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold, triple_items
 from .simulator import ResponseMatrix, check_count, check_finite, check_matrices, simulate_batch
 
 __all__ = [
@@ -71,9 +71,9 @@ class TestId(str, enum.Enum):
 def per_item_errors(m: ResponseMatrix, g: ResponseMatrix) -> np.ndarray:
     """|mean(M_i) - mean(G_i)| per item, in item order: the kernel's MAE item scores."""
     check_matrices(g, m)
-    arrays, counts = kernel_inputs(g, m, m)
-    _, (err, _), _ = triple_items((MetricId.MAE,), *arrays, counts)
-    return err
+    (gv, mv), counts = kernel_inputs(g, m)
+    cg, cm = counts or (None, None)
+    return model_items(prepare_gold((MetricId.MAE,), gv, cg), mv, cm)[0]
 
 
 # -- baseline samples -------------------------------------------------------------

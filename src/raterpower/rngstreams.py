@@ -157,6 +157,26 @@ def signs(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
+def row_groups(rng, lo: int, hi: int) -> list[tuple[np.random.Generator, int, int]]:
+    """The row groups (generator, a, b), lo <= a < b <= hi in row order, that draw rows lo..hi of a draw.
+
+    ``rng`` is one generator for every row, whose rows lo..hi are one
+    group, or a sequence of generators, one per row: row j alone is drawn
+    by rng[j]. A draw site makes one call per group and array, so each
+    generator draws its rows in stream order, as a draw of those rows alone
+    would. Nothing else tells the two kinds of ``rng`` apart.
+    """
+    if isinstance(rng, np.random.Generator):
+        return [(rng, lo, hi)]
+    return [(r, j, j + 1) for j, r in enumerate(rng[lo:hi], lo)]
+
+
+def draw_rows(rng, lo: int, hi: int, draw) -> np.ndarray:
+    """``draw(generator, a, b)`` of each of ``row_groups(rng, lo, hi)``, joined along the first axis."""
+    parts = [draw(r, a, b) for r, a, b in row_groups(rng, lo, hi)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
     """Fixed partition of range(total) into contiguous chunks.
 

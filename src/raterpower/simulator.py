@@ -6,7 +6,8 @@ snapped to a discrete level grid). A simulated experiment produces a triple
 of matrices: gold G, an ideal model A drawn from the same per-item
 distributions, and a perturbed model B whose locations are shifted by
 delta_i ~ Uniform(-epsilon, epsilon). The engine draws them as (c, N, K)
-arrays. ``ResponseMatrix`` holds one matrix, rectangular or ragged, in the
+arrays along one path, from one generator or one per experiment (row groups).
+``ResponseMatrix`` holds one matrix, rectangular or ragged, in the
 NaN-padded form the engine reads; ``check_matrices`` checks input.
 """
 
@@ -18,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import rngstreams
 from .distributions import DistributionSpec, uniform
 from .errors import EmptyItem, InvalidParam, ItemMismatch, ValueOutOfRange
 
@@ -249,19 +251,28 @@ def _affine_responses(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
     return x
 
 
+def _fill(rng, lo: int, x: np.ndarray, draw) -> np.ndarray:
+    """x, rows lo.. of a batch, filled in place by ``draw(generator, out=rows)`` of each row group."""
+    for r, a, b in rngstreams.row_groups(rng, lo, lo + len(x)):
+        draw(r, out=x[a - lo:b - lo])
+    return x
+
+
 def _gen_responses(
     mu: np.ndarray,
     sigma: np.ndarray,
     k: int,
     family: ResponseFamily,
-    rng: np.random.Generator,
+    rng,
+    lo: int = 0,
 ) -> np.ndarray:
-    """Censored-normal responses for a (...,) batch of item params -> (..., k).
+    """Censored-normal responses for an (r, ...) block of item params, rows lo.. of a batch -> (r, ..., k).
 
-    Same values and generator state as clip(rng.normal(mu, sigma, (..., k))),
-    computed in place.
+    Each row group of ``rng`` draws its rows' normals (``_fill``): with one
+    generator, the same values and generator state as
+    clip(rng.normal(mu, sigma, (r, ..., k))). Computed in place.
     """
-    z = rng.standard_normal((*mu.shape, k))
+    z = _fill(rng, lo, np.empty((*mu.shape, k)), np.random.Generator.standard_normal)
     return _affine_responses(z, mu, sigma, family, out=z)
 
 
@@ -291,10 +302,6 @@ class PerturbedDraws:
         delta = self.u * (e - -e) + -e
         return _affine_responses(self.z, self.mu + delta, self.sigma, family, out=out)
 
-    def __getitem__(self, rows: slice) -> "PerturbedDraws":
-        """The draws of the experiments in ``rows``, as views."""
-        return PerturbedDraws(self.mu[rows], self.sigma[rows], self.u[rows], self.z[rows])
-
 
 def draw_blocks(config, rng, c: int, spans):
     """Every draw of c (G, A, B) experiments, in row blocks over ``spans``.
@@ -307,51 +314,29 @@ def draw_blocks(config, rng, c: int, spans):
     and at most one block of each is alive when the caller reduces each
     block before taking the next.
 
-    Stream order, the reproducibility contract: c*N locations, c*N scales,
-    G, A, c*N uniforms behind the location shifts, B's standard normals.
-    ``config`` needs prior, n_items, k_responses and family attributes.
-
-    ``rng`` is one generator for all c experiments, or a sequence of c
-    generators, one per experiment: row j then draws its N locations, N
-    scales, G, A, N uniforms and B's normals, in that order, from its own
-    generator, as a batch of one would, into row j of each raw array. The
-    transforms to locations, scales and responses then run once over every
-    row, so each row equals its generator's batch of one bit for bit.
+    ``rng`` is one generator for all c experiments or one per experiment:
+    its row groups (``rngstreams.row_groups``), each draw one call per
+    group. Stream order of each generator over its rows, the
+    reproducibility contract: N locations per row, N scales per row, G, A,
+    N uniforms per row behind the location shifts, B's standard normals. So
+    a row with its own generator is that generator's batch of one, bit for
+    bit. ``config`` needs prior, n_items, k_responses and family attributes.
     """
     n, k = config.n_items, config.k_responses
-    loc, scale = config.prior.location, config.prior.scale
-    if isinstance(rng, np.random.Generator):
-        mu = loc.sample(rng, c * n).reshape(c, n)
-        sigma = scale.sample(rng, c * n).reshape(c, n)
-        _check_scales(sigma)
-        for _ in range(2):  # G, then A
-            yield (_gen_responses(mu[lo:hi], sigma[lo:hi], k, config.family, rng) for lo, hi in spans)
-        u = rng.random((c, n))
-        yield (PerturbedDraws(mu[lo:hi], sigma[lo:hi], u[lo:hi], rng.standard_normal((hi - lo, n, k)))
-               for lo, hi in spans)
-        return
-    raw_mu, raw_sigma = (spec.raw_arrays(spec.family, (c, n)) for spec in (loc, scale))
-    z = np.empty((3, c, n, k))  # G's, A's and B's standard normals
-    u = np.empty((c, n))
-    for j, r in enumerate(rng):
-        for spec, raw in ((loc, raw_mu), (scale, raw_sigma)):
-            spec.draw_into(spec.family, spec.params, r, tuple(x[j] for x in raw))
-        for x in (z[0, j], z[1, j]):
-            r.standard_normal(out=x)
-        r.random(out=u[j])
-        r.standard_normal(out=z[2, j])
-    mu = loc.transform(loc.family, loc.params, raw_mu)
-    sigma = scale.transform(scale.family, scale.params, raw_sigma)
-    _check_scales(sigma)
-    for x in z[:2]:  # G, then A, built in their normals' memory
-        yield (_affine_responses(x[lo:hi], mu[lo:hi], sigma[lo:hi], config.family, out=x[lo:hi])
-               for lo, hi in spans)
-    yield (PerturbedDraws(mu[lo:hi], sigma[lo:hi], u[lo:hi], z[2, lo:hi]) for lo, hi in spans)
-
-
-def _check_scales(sigma: np.ndarray) -> None:
+    specs = (config.prior.location, config.prior.scale)
+    raws = [spec.raw_arrays(spec.family, (c, n)) for spec in specs]
+    for r, lo, hi in rngstreams.row_groups(rng, 0, c):
+        for spec, raw in zip(specs, raws):
+            spec.draw_into(spec.family, spec.params, r, tuple(x[lo:hi] for x in raw))
+    mu, sigma = (spec.transform(spec.family, spec.params, raw) for spec, raw in zip(specs, raws))
     if np.any(sigma < 0):
         raise InvalidParam("sigma", "negative scale")
+    for _ in range(2):  # G, then A
+        yield (_gen_responses(mu[lo:hi], sigma[lo:hi], k, config.family, rng, lo) for lo, hi in spans)
+    u = _fill(rng, 0, np.empty((c, n)), np.random.Generator.random)
+    yield (PerturbedDraws(mu[lo:hi], sigma[lo:hi], u[lo:hi],
+                          _fill(rng, lo, np.empty((hi - lo, n, k)), np.random.Generator.standard_normal))
+           for lo, hi in spans)
 
 
 def draw_batch(config, rng, c: int) -> tuple[np.ndarray, np.ndarray, PerturbedDraws]:

@@ -168,28 +168,35 @@ def test_bootstrap_test_matches_chunk_loop_at_small_blocks(phi, metric, block, m
 
 
 @pytest.mark.parametrize("rows", [1, 7])
-def test_per_resample_plan_blocks_equal_the_whole_chunk(rows):
+@pytest.mark.parametrize("ragged", [True, False], ids=["ragged", "rectangular"])
+@pytest.mark.parametrize("phi", PHIS)
+def test_per_resample_plan_blocks_equal_the_whole_chunk(phi, ragged, rows):
     # Ragged chunks run as one block, so the engine never splits a plan of
-    # per-resample generators; its blocks must still be the chunk's rows.
-    m = _given(True)[1]
-    values, counts = m.values, m.counts()
-    phi = SamplingStrategy.parse("boot,boot")
+    # per-resample generators; its blocks must still be the chunk's rows,
+    # each resample j the plan of one of its own generator, and each
+    # generator must end where that plan leaves it.
+    m = _given(ragged)[1]
+    values, counts = m.values, m.counts() if ragged else None
 
-    def gathered(spans):
-        plan = inference._plan([derive_rng(5, j) for j in range(17)], 17, phi,
-                               [(values.shape, counts, None)] * 2, spans)
-        out = []
+    def gathered(rng, c, spans):
+        plan = inference._plan(rng, c, SamplingStrategy.parse(phi), [(values.shape, counts, None)] * 2, spans)
+        out = []  # per source: its gathered values, then its gathered counts when ragged
         for steps in plan:
-            for (lo, hi), step in zip(spans, steps):
-                x, k = inference._gather(values, hi - lo, step)
-                pad = values.shape[-1] - x.shape[-1]
-                out.append((np.pad(x, ((0, 0), (0, 0), (0, pad)), constant_values=np.nan), k))
-        return [np.concatenate(part) for part in zip(*out)]
+            xs, ks = zip(*(inference._gather(values, hi - lo, step) for (lo, hi), step in zip(spans, steps)))
+            xs = [np.pad(x, ((0, 0), (0, 0), (0, values.shape[-1] - x.shape[-1])), constant_values=np.nan)
+                  for x in xs]
+            out += [np.concatenate(part).tobytes() for part in (xs, ks) if part[0] is not None]
+        return out
 
-    whole = gathered([(0, 17)])
-    blocks = gathered(chunk_ranges(17, rows))
-    for x, y in zip(whole, blocks):
-        assert x.tobytes() == y.tobytes()
+    rngs = [derive_rng(5, j) for j in range(17)]
+    blocks = gathered(rngs, 17, chunk_ranges(17, rows))
+    ones = [derive_rng(5, j) for j in range(17)]
+    want = [b"".join(part) for part in zip(*(gathered(one, 1, [(0, 1)]) for one in ones))]
+    assert len(blocks) == (4 if ragged else 2)
+    assert blocks == want
+    assert blocks == gathered([derive_rng(5, j) for j in range(17)], 17, [(0, 17)])
+    for got, one in zip(rngs, ones):
+        assert got.bit_generator.state == one.bit_generator.state
 
 
 def test_run_columns_validates_every_column_before_running(monkeypatch):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from raterpower import (
     ExperimentConfig,
+    Family,
     TestId,
     ItemStats,
     ResponseMatrix,
@@ -30,6 +31,7 @@ from raterpower import (
     emd_1d,
     estimate_p_value,
     estimate_power,
+    fit_prior,
     mean_metric_scores,
     multistage_bootstrap_test,
     per_item_errors,
@@ -210,7 +212,14 @@ COUNT_ENTRY_POINTS = {
     "run_experiment k_responses": lambda bad: run_experiment(SMALL.with_(k_responses=bad)),
     "run_experiment b_alt": lambda bad: run_experiment(SMALL.with_(b_alt=bad)),
     "run_experiment b_null": lambda bad: run_experiment(SMALL.with_(b_null=bad)),
+    "stat_distance sim_count": lambda bad: stat_distance(OK, uniform(0.0, 1.0), bad, derive_rng(1)),
+    "fit_prior sim_count": lambda bad: _fit(sim_count=bad),
 }
+
+
+def _fit(**kwargs):
+    """``fit_prior`` of a one-point uniform grid on three items."""
+    return fit_prior(ItemStats(np.array(OK), np.array(OK)), Family.UNIFORM, {"lo": (0.0,), "hi": (1.0,)}, **kwargs)
 
 
 @pytest.mark.parametrize("bad", [0, -1, -5, 2.5, 1.0, "3"], ids=["0", "-1", "-5", "2.5", "1.0", "str"])
@@ -255,6 +264,15 @@ def test_seed_must_be_a_nonnegative_integer(seed):
         ExperimentConfig(seed=seed)
     with pytest.raises(InvalidParam):
         ExperimentConfig.from_json_dict({"seed": seed})
+
+
+def test_fit_seed_must_be_a_nonnegative_integer():
+    # fit_prior used to pass its seed through int(): 2.5 and "2" gave the seed-2 report.
+    assert _fit(seed=0).location.best == uniform(0.0, 1.0)
+    for bad in (-1, 2.5, 1.0, "3"):
+        with pytest.raises(InvalidParam) as err:
+            _fit(seed=bad)
+        assert err.value.name == "seed"
 
 
 def test_config_file_keeps_integer_counts():

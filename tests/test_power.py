@@ -66,6 +66,27 @@ def test_per_item_errors_shape_and_checks():
         per_item_errors(ResponseMatrix.from_rows([("0", [])]), matrix([0.1], ids=["0"]))
 
 
+@pytest.mark.parametrize("ragged", [False, True], ids=["rectangular", "ragged"])
+def test_per_item_errors_scores_the_model_once(ragged, monkeypatch):
+    # The errors used to come from a triple (G, M, M), which scored M twice.
+    from raterpower import metrics
+
+    calls, original = [], metrics.model_items
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "model_items", spy)
+    monkeypatch.setattr(power, "model_items", spy, raising=False)
+    g = matrix([0.0, 1.0], [0.5], [0.25, 0.75]) if ragged else matrix([0.0, 1.0], [0.5, 0.5], [0.25, 0.75])
+    m = matrix([1.0, 1.0], [0.0], [0.5, 0.5]) if ragged else matrix([1.0, 1.0], [0.0, 0.25], [0.5, 0.5])
+    err = per_item_errors(m, g)
+    assert len(calls) == 1
+    want = [abs(np.mean(x) - np.mean(y)) for x, y in zip(m.rows, g.rows)]
+    assert err.tolist() == want
+
+
 # -- Welch ------------------------------------------------------------------------
 
 def test_welch_identical_samples():

@@ -23,10 +23,11 @@ from raterpower.distributions import (
     uniform,
 )
 from raterpower.metrics import MetricId
-from raterpower.rngstreams import TRIAL, derive_rng
+from raterpower.rngstreams import TRIAL, chunk_ranges, derive_rng
 from raterpower.simulator import (
     default_synthetic_prior,
     draw_batch,
+    draw_blocks,
     multidomain_prior,
     simulate_batch,
     toxicity_prior,
@@ -113,6 +114,28 @@ def test_draw_batch_of_generators_equals_one_batch_per_generator(prior, k):
         for got, one in zip((g, a, b), want):
             assert np.array_equal(got[row], one[0])
         assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 5], ids=["one-span", "two-spans", "c-spans"])
+@pytest.mark.parametrize("prior", DRAW_PRIORS)
+def test_draw_blocks_of_generators_equal_draw_batch_rows(prior, blocks):
+    # Power draws its trials in one span; the simulator must also split
+    # per-row generators into row blocks, as it does one generator.
+    item_prior, family = DRAW_PRIORS[prior]
+    config = ExperimentConfig(n_items=7, k_responses=3, epsilon=0.2, prior=item_prior, family=family)
+    c = 5
+    got_rngs, want_rngs = ([derive_rng(6, TRIAL, t) for t in range(c)] for _ in range(2))
+    spans = chunk_ranges(c, -(-c // blocks))
+    assert len(spans) == blocks
+    g, a, draws = ([*phase] for phase in draw_blocks(config, got_rngs, c, spans))
+    want_g, want_a, want_draws = draw_batch(config, want_rngs, c)
+    assert np.concatenate(g).tobytes() == want_g.tobytes()
+    assert np.concatenate(a).tobytes() == want_a.tobytes()
+    for field in ("mu", "sigma", "u", "z"):
+        got = np.concatenate([getattr(d, field) for d in draws])
+        assert got.tobytes() == getattr(want_draws, field).tobytes()
+    for got_rng, want_rng in zip(got_rngs, want_rngs):
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # -- the row forms of the baseline tests ---------------------------------------------------
