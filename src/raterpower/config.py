@@ -9,17 +9,9 @@ from dataclasses import dataclass, field, replace
 
 from .errors import InvalidParam
 from .metrics import MetricId
-from .simulator import ItemPrior, ResponseFamily, check_count, default_synthetic_prior
+from .simulator import ItemPrior, ResponseFamily, check_count, check_member, default_synthetic_prior
 
 __all__ = ["Level", "SamplingStrategy", "Mode", "ExperimentConfig"]
-
-
-def _member(kind: type[enum.Enum], name: str, value):
-    """``kind(value)``; a value that names no member raises ``InvalidParam`` naming field ``name``."""
-    try:
-        return kind(value)
-    except ValueError:
-        raise InvalidParam(name, f"expected one of {', '.join(m.value for m in kind)}, got {value!r}") from None
 
 
 def _check_number(name: str, value) -> None:
@@ -41,8 +33,8 @@ class SamplingStrategy:
     responses: Level = Level.BOOT
 
     def __post_init__(self):
-        object.__setattr__(self, "items", _member(Level, "phi", self.items))
-        object.__setattr__(self, "responses", _member(Level, "phi", self.responses))
+        object.__setattr__(self, "items", check_member("phi", self.items, Level))
+        object.__setattr__(self, "responses", check_member("phi", self.responses, Level))
 
     @classmethod
     def parse(cls, text: str) -> "SamplingStrategy":
@@ -97,7 +89,7 @@ class ExperimentConfig:
                 raise InvalidParam(name, f"expected a {kind.__name__}, got {getattr(self, name)!r}")
         if not (isinstance(self.metrics, (list, tuple)) and self.metrics):
             raise InvalidParam("metrics", f"need a nonempty list of metric names, got {self.metrics!r}")
-        object.__setattr__(self, "metrics", tuple(_member(MetricId, "metrics", m) for m in self.metrics))
+        object.__setattr__(self, "metrics", tuple(check_member("metrics", m, MetricId) for m in self.metrics))
 
     def with_(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
@@ -127,7 +119,7 @@ class ExperimentConfig:
             raise InvalidParam("config", f"unknown keys {unknown}")
         # A report records its run's mode, which the data decide: a valid one is ignored.
         if "mode" in obj:
-            _member(Mode, "mode", obj["mode"])
+            check_member("mode", obj["mode"], Mode)
         # Counts and metrics pass as given, so the constructor rejects 2.7,
         # 2.0 and "3" alike, and names a bad metric.
         kwargs = {key: obj[key] for key in ("n_items", "k_responses", "b_alt", "b_null", "seed", "metrics")

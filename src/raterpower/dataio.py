@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     RaggedNotSupported,
 )
-from .simulator import ResponseMatrix, _pad, check_matrices
+from .simulator import ResponseMatrix, _pad, check_count, check_matrices
 
 __all__ = ["load_responses", "save_matrix", "matrix_to_jsonl", "matrix_to_csv"]
 
@@ -141,8 +141,8 @@ def load_responses(
     neither is given. The matrix passes ``check_matrices``: a file without
     items or with an item without responses raises ``EmptyItem``.
     """
-    if levels is not None and levels < 2:
-        raise InvalidParam("levels", "level map needs k >= 2")
+    if levels is not None:
+        check_count("levels", levels, "level map needs k >= 2", least=2)
     path = Path(path)
     fmt = _detect_format(path)
     text = path.read_text(encoding="utf-8")

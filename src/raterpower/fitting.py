@@ -35,7 +35,7 @@ from .distributions import DistributionSpec, Family, valid_columns
 from .errors import EmptySample, InvalidParam, NoValidGridPoint
 from .inference import _map_chunks
 from .metrics import _mean, reduce_rows
-from .simulator import ResponseMatrix, check_count, check_finite, check_matrices
+from .simulator import ResponseMatrix, check_count, check_finite, check_matrices, check_member
 
 __all__ = [
     "ItemStats",
@@ -281,11 +281,15 @@ def fit_prior(
 
     ``sim_count`` defaults to 10x the number of items, capped at 100,000.
     Ties break to the first grid point in iteration order; one seed gives one
-    report, whatever ``threads``.
+    report, whatever ``threads``. A family is a ``Family`` or its name.
     """
     if stats.means.size == 0:
         raise EmptySample("fit_prior needs at least one item")
     check_count("seed", seed, "seed must be a nonnegative integer", least=0)
+    check_count("threads", threads, "need at least one thread")
+    location_family = check_member("location_family", location_family, Family)
+    if scale_family is not None:
+        scale_family = check_member("scale_family", scale_family, Family)
     if sim_count is None:
         sim_count = min(10 * stats.means.size, _SIM_COUNT_CAP)
     location = _fit_side(

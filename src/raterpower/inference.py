@@ -30,31 +30,33 @@ Engine. ``draw_blocks`` draws batched triples; one lazy position plan,
 response draw ``_response_step`` per array) into flat positions, so each
 gather is one ``np.take``. Both draw from a chunk's generator, or from one
 per resample, as row groups (``rngstreams.row_groups``), one call per
-group; the ``metrics`` kernel scores against gold prepared once. Two chunk
-functions return per-model scores:
-``_alt_chunk_parametric`` (simulated or given triples, and
-``mean_metric_scores``) and ``_null_chunk_rect`` (this null arm; the
-power module's bootstrap test takes its row blocks, ``_null_blocks``, one
-by one). Each chunk derives its generator from (seed, arm, chunk start),
-so results do not depend on the thread count. Resampling has no public
-function of its own: every resample runs inside a chunk, and the null
-arms draw from ``_null_pool``, each item's A responses, then its B's.
+group; the ``metrics`` kernel scores against gold prepared once. One
+row-block scorer, ``_score_blocks``, runs every resample through the plan,
+the gathers and the kernel; the two arms differ only in the sources they
+hand it. ``_alt_chunk_parametric`` (simulated or given triples, and
+``mean_metric_scores``) hands it simulator blocks or the given arrays;
+``_null_chunk_rect`` (this null arm) and ``_null_blocks`` (the power
+module's bootstrap test, block by block) hand it the base gold and the
+A+B pools of ``_null_pool``, each item's A responses, then its B's. Each
+chunk derives its generator from (seed, arm, chunk start), so results do
+not depend on the thread count. Resampling has no public function of its
+own: every resample runs inside a chunk.
 
-Row blocks. A chunk streams in row blocks of at most ``_BLOCK`` floats
-(``_spans``; one resample when a resample is larger). NumPy fills a draw
-in order, so a draw split into row blocks gives the values and generator
-state of one call, and every source (G, then A, then B) is drawn,
-gathered and reduced block by block: G to prepared gold (item means, and
-sorted rows for MEMD), A to (c, N) per-item quantities, B straight to
-per-resample scores. A resampled simulator chunk draws every G, then A,
-then B block before its first index draw, as its index draws follow every
-simulator draw; each drawn G block goes once it is gathered, and gold's
-sorted rows are the gathered blocks sorted in place, so the chunk holds G,
-A and B's normals (three chunk arrays, the floor) and no sorted copy. An
-unresampled given chunk, whose arrays are broadcast views, and a ragged
-chunk, whose kernel loops over count buckets once per block, are one block
-each. Reductions run per row on C-ordered blocks, so the scores do not
-depend on the block size.
+Row blocks. The scorer streams in row blocks of at most ``_BLOCK`` floats
+(``_row_spans``; one resample when a resample is larger). NumPy fills a
+draw in order, so a draw split into row blocks gives the values and
+generator state of one call, and every source (G, then A, then B) is
+drawn, gathered and reduced block by block: G to prepared gold (item
+means, and sorted rows for MEMD), A to (c, N) per-item quantities, B
+straight to per-resample scores. A resampled simulator chunk draws every
+G, then A, then B block before its first index draw, as its index draws
+follow every simulator draw; each drawn G block goes once it is gathered,
+and gold's sorted rows are the gathered blocks sorted in place, so the
+chunk holds G, A and B's normals (three chunk arrays, the floor) and no
+sorted copy. An unresampled given chunk, whose arrays are broadcast views,
+and a ragged chunk, whose kernel loops over count buckets once per block,
+are one block each. Reductions run per row on C-ordered blocks, so the
+scores do not depend on the block size.
 
 Epsilon column. No draw depends on epsilon, so ``run_columns`` runs every
 epsilon of one (N, K) from the same chunks: each chunk draws G, A and B's
@@ -275,28 +277,21 @@ def _positions(shape, c: int, rows=None, cols=None):
     return cols
 
 
-def _take(x: np.ndarray, c: int, pos, pad=None, lead: int = 0) -> np.ndarray:
-    """The (*lead, c, N, k) gather of x, (*lead, N, W) or (*lead, c, N, W), at ``_positions``.
+def _gather(x: np.ndarray, c: int, step, lead: int = 0):
+    """(the (*lead, c, N, k) gather of x, (*lead, N, W) or (*lead, c, N, W), at a ``_plan`` step, its counts).
 
-    ``lead`` leading axes (one B or pool per epsilon) are gathered at the
-    same positions in one call; ``pad`` slots read NaN. A (c, N, W) array
-    read whole comes back as itself, an (N, W) one as a broadcast view.
+    The ``lead`` axes (one B or pool per epsilon) share one ``np.take``; pad
+    slots read NaN. Read whole, a (c, N, W) x is itself, an (N, W) one a broadcast view.
     """
-    head, (n, w) = x.shape[:lead], x.shape[-2:]
+    (pos, pad, counts), head, (n, w) = step, x.shape[:lead], x.shape[-2:]
     if pos is None:
-        return x if x.ndim == lead + 3 else np.broadcast_to(x, (*head, c, n, w))
+        return (x if x.ndim == lead + 3 else np.broadcast_to(x, (*head, c, n, w))), counts
     if pos.ndim == 2:
-        return np.take(x.reshape(*head, -1, w), pos, axis=lead)
+        return np.take(x.reshape(*head, -1, w), pos, axis=lead), counts
     out = np.take(x.reshape(*head, -1), pos, axis=lead)
     if pad is not None:
         np.copyto(out, np.nan, where=pad)
-    return out
-
-
-def _gather(x: np.ndarray, c: int, step, lead: int = 0):
-    """(x gathered at a ``_plan`` step, the gathered per-item counts); see ``_take``."""
-    pos, pad, counts = step
-    return _take(x, c, pos, pad, lead), counts
+    return out, counts
 
 
 def _response_step(rng, c: int, shape, rows, counts, k, lo: int = 0):
@@ -375,6 +370,18 @@ def _spans(c: int, floats: int) -> list[tuple[int, int]]:
     return rngstreams.chunk_ranges(c, max(1, _BLOCK // max(1, floats)))
 
 
+def _row_spans(c: int, phi: SamplingStrategy, sources) -> list[tuple[int, int]]:
+    """``_score_blocks``' row blocks for c resamples of ``sources``: ``_spans`` of one resample's N·K.
+
+    One block for ragged data (the kernel loops over count buckets once per
+    block) or an unresampled broadcast (its MEMD means depend on its rows).
+    """
+    ragged = any(counts is not None for _, counts, _ in sources)
+    broadcast = phi == _NO_RESAMPLE and all(len(shape) == 2 and k is None for shape, _, k in sources)
+    n, k = sources[0][0][-2:]
+    return [(0, c)] if ragged or broadcast else _spans(c, n * k)
+
+
 def _drain(blocks: list):
     """``blocks`` in order, each dropped from the list as it is handed out."""
     while blocks:
@@ -394,53 +401,59 @@ def _entries(scores: dict) -> list[dict]:
             for i in range(e)]
 
 
+def _score_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, rng, c: int, sources,
+                  blocks, spans, gold: Gold | None = None):
+    """Per-model scores of c resamples of a (G, A, B) triple: per row block, one dict per B model.
+
+    ``sources`` are G's, A's and B's (shape, counts, k) as in ``_plan``,
+    ``blocks`` three iterators of their arrays per span, each exhausted in
+    turn: an (N, W) source's whole array or a (c, N, W) one's rows lo..hi,
+    B's with a leading axis of E models. Each is gathered along one
+    ``_plan`` and reduced block by block: G to gold (``gold`` serves where G
+    is not gathered), A to per-item quantities, B to scores. A gathered or
+    (c, N, W) block is the chunk's own, so the kernel overwrites it. B's
+    block j is taken and scored only when asked for, after every G and A block.
+    """
+    plan, blocks = _plan(rng, c, phi, sources, spans), iter(blocks)
+
+    def take(i, x, lo, hi, step):  # (source i's block x gathered at step, its counts, scratch)
+        shape = sources[i][0]
+        return (*_gather(x, hi - lo, step, x.ndim - len(shape)), step[0] is not None or len(shape) == 3)
+
+    golds = [gold if gold is not None and step[0] is None else prepare_gold(metric_ids, *take(0, x, lo, hi, step))
+             for (lo, hi), x, step in zip(spans, next(blocks), next(plan))]
+    qa = [model_items(gd, *take(1, x, lo, hi, step))
+          for (lo, hi), gd, x, step in zip(spans, golds, next(blocks), next(plan))]
+    for (lo, hi), gd, q, x, step in zip(spans, golds, qa, next(blocks), next(plan)):
+        yield _entries(pair_scores(metric_ids, q, model_items(gd, *take(2, x, lo, hi, step))))
+
+
 def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsilons, base,
                           rng, c: int) -> list[dict]:
-    """Per-model scores of c alternative resamples at each epsilon, from one draw.
+    """Per-model scores of c alternative resamples at each epsilon, from one draw (``_score_blocks``).
 
-    ``base`` is None for c fresh simulator triples drawn from rng, else the
-    given (G, A, B) in ``kernel_inputs`` form, which one score dict serves
-    for every epsilon; rng may then be one generator per resample. The
-    triple is resampled under phi along one ``_plan`` and streamed in row
-    blocks (``_spans``): every block of G is gathered and reduced to
-    prepared gold, then every block of A to per-item quantities, then each
-    block of B is built for all E epsilons at once, (E, r, N, K), gathered
-    at one set of positions and scored in one kernel call. The simulator
-    draws in the same blocks (``draw_blocks``). Index draws follow every
-    simulator draw, so a resampled simulator chunk draws every G, A and B
-    block first, and drops each G block once it is gathered: gold sorts the
-    gathered block in place.
+    ``base`` is None for c fresh simulator triples drawn from rng in the
+    scorer's row blocks (``draw_blocks``), B's built for all E epsilons at
+    once, else the given (G, A, B) in ``kernel_inputs`` form, which one
+    score dict serves for every epsilon; rng may then be one generator per
+    resample. Index draws follow every simulator draw, so a resampled
+    simulator chunk draws every G, A and B block first.
     """
-    metrics = config.metrics
     if base is None:
-        n, k = config.n_items, config.k_responses
-        spans = _spans(c, n * k)
+        sources = [((c, config.n_items, config.k_responses), None, None)] * 3
+        spans = _row_spans(c, phi, sources)
         sim = draw_blocks(config, rng, c, spans)
         if phi != _NO_RESAMPLE:  # the index draws follow every simulator draw
             sim = iter([_drain(list(blocks)) for blocks in sim])
-        sources = [((c, n, k), None, None)] * 3
+        # sigma * z builds in z's memory, and so does B when there is one epsilon.
+        blocks = itertools.chain(itertools.islice(sim, 2),
+                                 ((d.responses(epsilons, config.family, out=d.z) for d in p) for p in sim))
     else:
         (g, a, b), counts = base
-        # One block when unresampled (the arrays are broadcast views, and a
-        # broadcast batch's MEMD means depend on its rows) or ragged (the
-        # kernel loops over count buckets once per block).
-        spans = [(0, c)] if phi == _NO_RESAMPLE or counts is not None else _spans(c, g.size)
-        sim = iter([itertools.repeat(g), itertools.repeat(a), itertools.repeat(b[None])])  # one B for all
         sources = [(x.shape, k, None) for x, k in zip((g, a, b), counts or (None,) * 3)]
-    # Drawn or gathered blocks are the chunk's own, so the kernel sorts them in place.
-    scratch = base is None or phi != _NO_RESAMPLE
-    plan = _plan(rng, c, phi, sources, spans)
-    golds = [prepare_gold(metrics, *_gather(x, hi - lo, step), scratch=scratch)
-             for (lo, hi), x, step in zip(spans, next(sim), next(plan))]
-    qa = [model_items(gold, *_gather(x, hi - lo, step), scratch=scratch)
-          for (lo, hi), gold, x, step in zip(spans, golds, next(sim), next(plan))]
-    parts = []
-    for (lo, hi), gold, q, x, step in zip(spans, golds, qa, next(sim), next(plan)):
-        # sigma * z builds in z's memory, and so does B when there is one epsilon.
-        bs = x if base is not None else x.responses(epsilons, config.family, out=x.z)
-        qb = model_items(gold, *_gather(bs, hi - lo, step, lead=1), scratch=scratch)
-        parts.append(_entries(pair_scores(metrics, q, qb)))
-    return _join(parts)
+        spans = _row_spans(c, phi, sources)
+        blocks = [itertools.repeat(x) for x in (g, a, b[None])]  # one B for all epsilons
+    return _join(_score_blocks(config.metrics, phi, rng, c, sources, blocks, spans))
 
 
 def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
@@ -455,32 +468,19 @@ def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g:
 
 def _null_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
                  gold: Gold, pools: np.ndarray, rng, c: int, counts=None):
-    """Per-model null scores of c resamples: per row block, one dict per pool of A+B responses.
+    """``_score_blocks`` of c null resamples: per row block, one dict per pool of A+B responses.
 
     ``pools`` is (E, N, W), one pool per epsilon. G is the base gold g,
     prepared once as ``gold``, unless phi resamples it. A and then B draw
     W/2 responses per item from the pool, or half of each item's ``counts``
-    when ragged; all E pools are gathered at the same positions in one call
-    and scored in one kernel call. Stream order (``_plan``, whose rng may be
-    one generator per resample): the item draw and gold's response indices
-    as phi says, then A's and B's pool indices. The chunk streams in row
-    blocks: A's blocks reduce to per-item quantities, and B's go straight
-    to per-resample scores. The first block's scores come after every G and
-    A block; each later B block is drawn, gathered and scored only when its
-    scores are asked for, so a caller that stops early skips the rest of
-    B's draws (and leaves rng mid-chunk).
+    when ragged. Stream order (``_plan``): the item draw and gold's response
+    indices as phi says, then A's and B's pool indices. A caller that stops
+    early skips the rest of B's draws (and leaves rng mid-chunk).
     """
     k = pools.shape[-1] // 2 if counts is None else counts // 2
-    # A ragged chunk is one block: the kernel loops over count buckets once per block.
-    spans = _spans(c, pools[0].size // 2) if counts is None else [(0, c)]
-    plan = _plan(rng, c, phi, [(g.shape, gold.counts, None)] + [(pools.shape[1:], counts, k)] * 2, spans)
-    golds = [gold if step[0] is None else prepare_gold(metric_ids, *_gather(g, hi - lo, step), scratch=True)
-             for (lo, hi), step in zip(spans, next(plan))]
-    qa = [model_items(gd, *_gather(pools, hi - lo, step, lead=1), scratch=True)
-          for (lo, hi), gd, step in zip(spans, golds, next(plan))]
-    for (lo, hi), gd, q, step in zip(spans, golds, qa, next(plan)):
-        yield _entries(pair_scores(metric_ids, q, model_items(gd, *_gather(pools, hi - lo, step, lead=1),
-                                                              scratch=True)))
+    sources = [(g.shape, gold.counts, None)] + [(pools.shape[1:], counts, k)] * 2
+    return _score_blocks(metric_ids, phi, rng, c, sources, [itertools.repeat(x) for x in (g, pools, pools)],
+                         _row_spans(c, phi, sources), gold)
 
 
 class _Arm(NamedTuple):
@@ -600,6 +600,7 @@ def run_columns(
     ``_map_chunks`` on ``threads`` threads, so the reports equal one
     ``run_columns`` call per column, bit for bit.
     """
+    check_count("threads", threads, "need at least one thread")
     prepared = [_column(config, epsilons, given) for config, epsilons in columns]
     configs, alts, nulls = zip(*prepared) if prepared else ((), (), ())
     # Alternative arms first: they are the longer tasks, and the two arms of
@@ -652,6 +653,7 @@ def mean_metric_scores(
     It runs the alternative chunk under the SCORE stream tag.
     """
     check_count("n_samples", n_samples, "need at least one sample")
+    check_count("threads", threads, "need at least one thread")
     scores = _collect([_Arm(
         config.seed, rngstreams.SCORE,
         lambda rng, c: _alt_chunk_parametric(config, config.phi, (config.epsilon,), None, rng, c),

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyItem
-from .simulator import ResponseMatrix, check_finite, check_matrices
+from .simulator import ResponseMatrix, check_finite, check_matrices, check_member
 
 __all__ = [
     "MetricId",
@@ -257,7 +257,8 @@ def kernel_inputs(*matrices: ResponseMatrix) -> tuple[tuple, tuple | None]:
 # -- public scoring of matrices -------------------------------------------------------
 
 def evaluate(metric: MetricId, a: ResponseMatrix, b: ResponseMatrix, g: ResponseMatrix) -> MetricResult:
-    """Scores of A and B against G under one metric, and their comparison."""
+    """Scores of A and B against G under one metric (a ``MetricId`` or its name), and their comparison."""
+    metric = check_member("metric", metric, MetricId)
     check_matrices(g, a, b)
     arrays, counts = kernel_inputs(g, a, b)
     _, qa, qb = triple_items((metric,), *arrays, counts)

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .inference import _chunk_size, _map_chunks, _null_blocks, _null_pool, _spans
 from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold, triple_items
-from .simulator import ResponseMatrix, check_count, check_finite, check_matrices, simulate_batch
+from .simulator import ResponseMatrix, check_count, check_finite, check_matrices, check_member, simulate_batch
 
 __all__ = [
     "TestId",
@@ -288,8 +288,12 @@ def multistage_bootstrap_test(
     by resampling: items with replacement (when phi.items is boot), gold
     responses within each item (when phi.responses is boot), and per-item
     A/B responses always drawn from the pooled A+B responses, so A and B
-    must share per-item counts. p-value is add-one smoothed.
+    must share per-item counts. p-value is add-one smoothed. ``metric`` is
+    a ``MetricId`` or its name.
     """
+    metric = check_member("metric", metric, MetricId)
+    if not isinstance(phi, SamplingStrategy):
+        raise InvalidParam("phi", f"expected a SamplingStrategy, got {phi!r}")
     check_matrices(g, a, b)
     check_count("b_null", b_null, "need at least one null resample")
     pool = _null_pool(a, b)[0]
@@ -467,8 +471,10 @@ def power_sweeps(
     each (point, chunk of 8 trials) is one task on one pool of ``threads``
     threads. Each report equals ``power_sweeps`` of its test alone.
     """
+    tests = _test_ids(tests)
     configs = sweep_configs(config, tests, axis, values)
     check_count("trials", trials, "need at least one trial")
+    check_count("threads", threads, "need at least one thread")
     chunks = rngstreams.chunk_ranges(trials, 8)
 
     def run(task) -> np.ndarray:
@@ -491,10 +497,11 @@ def sweep_configs(
 ) -> list[ExperimentConfig]:
     """The config of each sweep point; raises before any trial runs.
 
-    A sweep needs at least one point, each an integer (the config names the
-    axis of a value that is not), and Welch's t test needs at least two
-    items at every point.
+    A sweep needs at least one test, each a ``TestId`` or its name, and at
+    least one point, each an integer (the config names the axis of a value
+    that is not); Welch's t test needs at least two items at every point.
     """
+    tests = _test_ids(tests)
     if axis not in ("n_items", "k_responses"):
         raise InvalidParam("axis", "axis must be n_items or k_responses")
     if not values:
@@ -503,3 +510,10 @@ def sweep_configs(
     if TestId.WELCH_T in tests and any(cfg.n_items < 2 for cfg in configs):
         raise InvalidParam("n_items", "Welch's t test needs at least two items")
     return configs
+
+
+def _test_ids(tests) -> tuple[TestId, ...]:
+    """``tests`` as ``TestId`` members; none at all, or a name of no test, raises ``InvalidParam``."""
+    if not tests:
+        raise InvalidParam("tests", "need at least one test")
+    return tuple(check_member("tests", test, TestId) for test in tests)

@@ -14,7 +14,11 @@ the same values.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+from .errors import InvalidParam
 
 # Stream tags. Never renumber: encoded into every derived seed.
 BASE = 0
@@ -35,12 +39,15 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 
 
-def _check_seed(seed: int) -> int:
-    if int(seed) < 0:
-        from .errors import InvalidParam
-
-        raise InvalidParam("seed", "seed must be a nonnegative integer")
-    return int(seed)
+def _check_seed(seed) -> int:
+    """``seed`` as an int; anything but an integer >= 0 (a bool is not one) raises ``InvalidParam``."""
+    try:
+        value = None if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or value < 0:
+        raise InvalidParam("seed", f"seed must be a nonnegative integer, got {seed!r}")
+    return value
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:

@@ -13,6 +13,7 @@ NaN-padded form the engine reads; ``check_matrices`` checks input.
 
 from __future__ import annotations
 
+import enum
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -205,6 +206,14 @@ def check_finite(name: str, values) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InvalidParam(name, "values must be finite (no NaN or infinity)")
     return x
+
+
+def check_member(name: str, value, kind: type[enum.Enum]):
+    """``kind(value)``: a member, or its value; anything else raises ``InvalidParam`` naming ``name``."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise InvalidParam(name, f"expected one of {', '.join(m.value for m in kind)}, got {value!r}") from None
 
 
 def check_count(name: str, value, reason: str, least: int = 1) -> None:

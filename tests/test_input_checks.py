@@ -13,6 +13,8 @@ zero-item inputs.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from raterpower import (
     ExperimentConfig,
     Family,
+    SamplingStrategy,
     TestId,
     ItemStats,
     ResponseMatrix,
@@ -48,7 +51,8 @@ from raterpower.dataio import load_responses, save_matrix
 from raterpower.distributions import uniform
 from raterpower.errors import EmptyItem, InvalidParam, ItemMismatch, RaterPowerError, ValueOutOfRange
 from raterpower.metrics import MetricId, evaluate
-from raterpower.rngstreams import derive_rng
+from raterpower import power
+from raterpower.rngstreams import derive_rng, stream_states
 
 IDS = ("a", "b", "c")
 ROWS = {"g": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
@@ -214,12 +218,34 @@ COUNT_ENTRY_POINTS = {
     "run_experiment b_null": lambda bad: run_experiment(SMALL.with_(b_null=bad)),
     "stat_distance sim_count": lambda bad: stat_distance(OK, uniform(0.0, 1.0), bad, derive_rng(1)),
     "fit_prior sim_count": lambda bad: _fit(sim_count=bad),
+    # The library used to run serially on threads 0 or -1, which the CLI rejects.
+    "run_experiment threads": lambda bad: run_experiment(SMALL, threads=bad),
+    "run_columns threads": lambda bad: run_columns([(SMALL, (0.0,))], threads=bad),
+    "mean_metric_scores threads": lambda bad: mean_metric_scores(SMALL, 2, threads=bad),
+    "power_sweeps threads": lambda bad: power_sweeps(SMALL, (TestId.WELCH_T,), 2, "n_items", (3,), threads=bad),
+    "fit_prior threads": lambda bad: _fit(threads=bad),
+    # levels=2.5 used to map labels by 1.5, then fail with ValueOutOfRange.
+    "load_responses levels": lambda bad: _load_levels(bad),
 }
 
 
 def _fit(**kwargs):
     """``fit_prior`` of a one-point uniform grid on three items."""
     return fit_prior(ItemStats(np.array(OK), np.array(OK)), Family.UNIFORM, {"lo": (0.0,), "hi": (1.0,)}, **kwargs)
+
+
+def _load_levels(levels):
+    """``load_responses`` of a one-item file of the labels 1, 2 and 3 under ``levels``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.jsonl"
+        path.write_text('{"item_id": "a", "responses": [1, 2, 3]}\n', encoding="utf-8")
+        return load_responses(path, levels=levels)
+
+
+def test_load_responses_takes_an_integer_level_count():
+    assert _load_levels(3).rows[0].tolist() == [0.0, 0.5, 1.0]
+    with pytest.raises(InvalidParam, match="integer"):
+        _load_levels(5.0)  # used to pass silently, as 5
 
 
 @pytest.mark.parametrize("bad", [0, -1, -5, 2.5, 1.0, "3"], ids=["0", "-1", "-5", "2.5", "1.0", "str"])
@@ -279,3 +305,75 @@ def test_config_file_keeps_integer_counts():
     obj = {"n_items": 7, "k_responses": 3, "b_alt": 4, "b_null": 5, "seed": 0, "levels": 2}
     config = ExperimentConfig.from_json_dict(obj)
     assert {key: config.to_json_dict()[key] for key in obj} == obj
+
+
+@pytest.mark.parametrize("seed", [2.5, "2", True, -1], ids=["float", "str", "bool", "negative"])
+def test_a_stream_seed_must_be_a_nonnegative_integer(seed):
+    # Seeds used to pass through int(): 2.5 and "2" drew seed 2's stream, True seed 1's.
+    with pytest.raises(InvalidParam) as err:
+        derive_rng(seed)
+    assert err.value.name == "seed"
+    with pytest.raises(InvalidParam):
+        stream_states(seed, 4, count=1)
+
+
+def test_an_integer_seed_keeps_its_stream():
+    assert derive_rng(np.int64(7), 1).random(3).tolist() == derive_rng(7, 1).random(3).tolist()
+
+
+@pytest.mark.parametrize("tests", [("nope",), (), (TestId.WELCH_T, "bogus")], ids=["unknown", "none", "one bad"])
+def test_power_tests_must_name_known_tests_before_any_trial(tests, monkeypatch):
+    # An unknown test used to read uninitialised p-values, and no test at all to return [].
+    monkeypatch.setattr(power, "_chunk_p_values", lambda *args: pytest.fail("ran a trial"))
+    for call in (lambda: power_sweeps(SMALL, tests, 5, "n_items", (3,)),
+                 lambda: power.sweep_configs(SMALL, tests, "n_items", (3,))):
+        with pytest.raises(InvalidParam) as err:
+            call()
+        assert err.value.name == "tests"
+    if tests:
+        with pytest.raises(InvalidParam):
+            estimate_power(SMALL, tests[-1], 50)
+
+
+def _stats():
+    return ItemStats(np.array(OK), np.array(OK))
+
+
+# entry point -> (call with one metric, phi or family argument set to ``bad``, the argument's name).
+ENUM_ENTRY_POINTS = {
+    "evaluate metric": (lambda bad: evaluate(bad, *_triple(None)[1:], _triple(None)[0]), "metric"),
+    "multistage_bootstrap_test metric": (
+        lambda bad: multistage_bootstrap_test(*_triple(None), metric=bad, b_null=5, rng=derive_rng(1)), "metric"),
+    "multistage_bootstrap_test phi": (
+        lambda bad: multistage_bootstrap_test(*_triple(None), phi=bad, b_null=5, rng=derive_rng(1)), "phi"),
+    "fit_prior location_family": (lambda bad: fit_prior(_stats(), bad, {"lo": (0.0,), "hi": (1.0,)}),
+                                  "location_family"),
+    "fit_prior scale_family": (lambda bad: fit_prior(_stats(), Family.UNIFORM, {"lo": (0.0,), "hi": (1.0,)},
+                                                     scale_family=bad, scale_grid={"lo": (0.0,), "hi": (1.0,)}),
+                               "scale_family"),
+}
+
+
+@pytest.mark.parametrize("bad", ["foo", "boot,boot", 3], ids=["unknown", "phi text", "number"])
+@pytest.mark.parametrize("entry", ENUM_ENTRY_POINTS)
+def test_metric_phi_and_family_arguments_raise_naming_themselves(entry, bad):
+    # These used to raise AssertionError or AttributeError.
+    call, name = ENUM_ENTRY_POINTS[entry]
+    with pytest.raises(InvalidParam) as err:
+        call(bad)
+    assert err.value.name == name
+
+
+def test_a_metric_test_or_family_name_acts_as_its_member():
+    g, a, b = _triple(None)
+    for metric in MetricId:
+        assert evaluate(metric.value, a, b, g).to_json_dict() == evaluate(metric, a, b, g).to_json_dict()
+        assert (multistage_bootstrap_test(g, a, b, metric.value, b_null=20, rng=derive_rng(1))
+                == multistage_bootstrap_test(g, a, b, metric, b_null=20, rng=derive_rng(1)))
+    assert (multistage_bootstrap_test(g, a, b, phi=SamplingStrategy.parse("all,boot"), b_null=20, rng=derive_rng(1))
+            == multistage_bootstrap_test(g, a, b, phi=SamplingStrategy("all", "boot"), b_null=20, rng=derive_rng(1)))
+    grid = {"lo": (0.0, 0.1), "hi": (0.9, 1.0)}
+    assert (fit_prior(_stats(), "uniform", grid, "uniform", grid).to_json_dict()
+            == fit_prior(_stats(), Family.UNIFORM, grid, Family.UNIFORM, grid).to_json_dict())
+    assert (estimate_power(SMALL, "welch", 4).to_json_dict()
+            == estimate_power(SMALL, TestId.WELCH_T, 4).to_json_dict())
