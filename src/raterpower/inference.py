@@ -50,13 +50,25 @@ drawn, gathered and reduced block by block: G to prepared gold (item
 means, and sorted rows for MEMD), A to (c, N) per-item quantities, B
 straight to per-resample scores. A resampled simulator chunk draws every
 G, then A, then B block before its first index draw, as its index draws
-follow every simulator draw; each drawn G block goes once it is gathered,
-and gold's sorted rows are the gathered blocks sorted in place, so the
-chunk holds G, A and B's normals (three chunk arrays, the floor) and no
-sorted copy. An unresampled given chunk, whose arrays are broadcast views,
-and a ragged chunk, whose kernel loops over count buckets once per block,
-are one block each. Reductions run per row on C-ordered blocks, so the
-scores do not depend on the block size.
+follow every simulator draw, so it holds G, A and B's normals at once
+(three chunk arrays, the floor). They live in the worker's chunk
+workspace (``_Workspace``), which outlives the chunk: with MEMD each G
+block is gathered back into its own drawn rows (a resample's item draw
+never leaves its block), and gold's sorted rows are those rows sorted in
+place, so the chunk holds no sorted copy; without MEMD gold keeps no
+rows, and every G block is gathered into the first block's rows. A chunk
+that gathers an (N, W) gold (the bootstrap test) gathers it into the
+workspace too. Each thread has
+one, so between chunks a worker holds at most three chunk arrays (48 MB
+at ``_CHUNK_BUDGET``) and its next chunk faults none of them in again. A
+pool thread's workspace is freed when its ``_map_chunks`` call ends, the
+calling thread's when that thread ends. An unresampled chunk draws each
+block into a new array and lets it go before the next, and no array that
+outlives a chunk (the base draw, a power batch) is a workspace view. An
+unresampled given chunk, whose arrays are broadcast views, and a ragged
+chunk, whose kernel loops over count buckets once per block, are one
+block each. Reductions run per row on C-ordered blocks, so the scores do
+not depend on the block size.
 
 Epsilon column. No draw depends on epsilon, so ``run_columns`` runs every
 epsilon of one (N, K) from the same chunks: each chunk draws G, A and B's
@@ -85,6 +97,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -116,6 +129,53 @@ _BLOCK = 32_768
 
 def _chunk_size(n: int, k: int) -> int:
     return max(1, _CHUNK_BUDGET // max(1, n * k))
+
+
+# -- chunk workspace -----------------------------------------------------------------
+
+class _Workspace:
+    """One worker's chunk buffers, kept between chunks: one (c, N, K) float array per source (G, A, B).
+
+    A resampled simulator chunk draws G, A and B's standard normals into
+    them (``draw_blocks``' ``out``), and every chunk that gathers G gathers
+    it into G's (``_score_blocks``), so a chunk's three (c, N, K) arrays are
+    the same memory from chunk to chunk and glibc has nothing to trim and
+    fault in again. Each source's buffer is made when a chunk first asks
+    for it and grows, never shrinks, to the largest array asked of it:
+    between chunks a worker holds at most three chunk arrays, 3 x
+    ``_CHUNK_BUDGET`` floats (48 MB), or 3 x N * K floats where one
+    resample is larger. Where only G is gathered (the bootstrap test) it
+    holds G's alone: a chunk's rows for MEMD, else one row block. A chunk
+    leaves no value in them that a later chunk reads: every view it hands
+    out is written before it is read.
+
+    Each thread has its own (``mine``), so no two chunks share one. It is
+    freed when its thread ends: a pool thread's with its ``_map_chunks``
+    call, the calling thread's with the thread (the main thread's with the
+    process).
+    """
+
+    def __init__(self):
+        self._buffers = [np.empty(0)] * 3
+
+    @staticmethod
+    def mine() -> "_Workspace":
+        """The calling thread's workspace, made at its first chunk."""
+        ws = getattr(_LOCAL, "workspace", None)
+        if ws is None:
+            ws = _LOCAL.workspace = _Workspace()
+        return ws
+
+    def rows(self, i: int, shape) -> np.ndarray:
+        """Source i's buffer (G, A, B: 0, 1, 2) as a C-ordered float array of ``shape``, grown to fit."""
+        size = math.prod(shape)
+        if self._buffers[i].size < size:
+            self._buffers[i] = np.empty(0)  # the old buffer goes before the new one is made
+            self._buffers[i] = np.empty(size)
+        return self._buffers[i][:size].reshape(shape)
+
+
+_LOCAL = threading.local()  # each thread's workspace
 
 
 # -- null pool --------------------------------------------------------------------
@@ -277,31 +337,40 @@ def _positions(shape, c: int, rows=None, cols=None):
     return cols
 
 
-def _gather(x: np.ndarray, c: int, step, lead: int = 0):
+def _gather(x: np.ndarray, c: int, step, lead: int = 0, out: np.ndarray | None = None):
     """(the (*lead, c, N, k) gather of x, (*lead, N, W) or (*lead, c, N, W), at a ``_plan`` step, its counts).
 
-    The ``lead`` axes (one B or pool per epsilon) share one ``np.take``; pad
-    slots read NaN. Read whole, a (c, N, W) x is itself, an (N, W) one a broadcast view.
+    The ``lead`` axes (one B or pool per epsilon) share one ``np.take``, into
+    ``out`` when given (which may be x's own memory: ``np.take`` buffers it),
+    else into a new array; pad slots read NaN. Positions are in range by
+    construction, so the take clips rather than checks them, which spares it
+    a buffered copy of a separate ``out``. Read whole, a (c, N, W) x is
+    itself, an (N, W) one a broadcast view.
     """
     (pos, pad, counts), head, (n, w) = step, x.shape[:lead], x.shape[-2:]
     if pos is None:
         return (x if x.ndim == lead + 3 else np.broadcast_to(x, (*head, c, n, w))), counts
     if pos.ndim == 2:
-        return np.take(x.reshape(*head, -1, w), pos, axis=lead), counts
-    out = np.take(x.reshape(*head, -1), pos, axis=lead)
+        return np.take(x.reshape(*head, -1, w), pos, axis=lead, out=out, mode="clip"), counts
+    out = np.take(x.reshape(*head, -1), pos, axis=lead, out=out, mode="clip")
     if pad is not None:
         np.copyto(out, np.nan, where=pad)
     return out, counts
 
 
-def _response_step(rng, c: int, shape, rows, counts, k, lo: int = 0):
+def _joined(parts: list) -> np.ndarray:
+    """The row groups' draws ``parts``, joined along the first axis."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _response_step(groups, c: int, shape, rows, counts, k, lo: int = 0):
     """One array's plan step (positions, pad, counts): the one response draw.
 
     The array has ``shape``, (N, W) or (c, N, W), and ``counts`` valid slots
     per item ((N,); None when all W are). After the item draw ``rows`` each
     item draws k responses (an int, or (N,) sizes when ragged; None keeps
-    the rows). The step is rows lo..lo+c of a chunk drawn by the row groups
-    of ``rng`` (``rngstreams.row_groups``): each group makes one
+    the rows). The step is rows lo..lo+c of a chunk, drawn by ``groups``,
+    ``rngstreams.row_groups`` of those rows: each group makes one
     scalar-high ``integers`` call or, for ragged data, one array-high call
     that consumes the generator as one call per row would, with ``pad``
     marking the slots past each row's size (width: the largest k). The
@@ -313,15 +382,15 @@ def _response_step(rng, c: int, shape, rows, counts, k, lo: int = 0):
     if k is None:
         return _positions(shape, c, rows), None, counts
     if counts is None:
-        cols = rngstreams.draw_rows(rng, lo, lo + c, lambda r, a, b: r.integers(0, shape[-1], (b - a, n, k)))
+        cols = _joined([r.integers(0, shape[-1], (b - a, n, k)) for r, a, b in groups])
         return _positions(shape, c, rows, cols), None, None
     width = np.max(k, initial=0)
     k = np.broadcast_to(k, (c, n)) if rows is None else k[rows]
     sizes = k.ravel()
     pad = np.arange(width) >= sizes[:, None]
     cols = np.zeros(pad.shape, dtype=np.int64)
-    cols[~pad] = rngstreams.draw_rows(rng, lo, lo + c, lambda r, a, b: r.integers(
-        0, np.repeat(counts[a - lo:b - lo].ravel(), k[a - lo:b - lo].ravel())))
+    cols[~pad] = _joined([r.integers(0, np.repeat(counts[a - lo:b - lo].ravel(), k[a - lo:b - lo].ravel()))
+                          for r, a, b in groups])
     shape_out = (c, n, pad.shape[1])
     return _positions(shape, c, rows, cols.reshape(shape_out)), pad.reshape(shape_out), k
 
@@ -341,25 +410,27 @@ def _plan(rng, c: int, phi: SamplingStrategy, sources, spans=None):
     (when phi.items is boot), then each source's response indices in turn,
     block after block: NumPy fills an ``integers`` draw in order, so the
     blocks' draws are one whole draw's rows, and a resample drawn by its
-    own generator equals that generator's plan of one. Steps are handed
-    out, never kept, so their positions die with their gather.
+    own generator equals that generator's plan of one. Each span's row
+    groups are built once, for every source. Steps are handed out, never
+    kept, so their positions die with their gather.
     """
     spans, n = spans or [(0, c)], sources[0][0][-2]
+    blocks = [(lo, hi, rngstreams.row_groups(rng, lo, hi)) for lo, hi in spans]
     rows = None  # the item draw
     if phi.items == Level.BOOT:
-        rows = rngstreams.draw_rows(rng, 0, c, lambda r, lo, hi: r.integers(0, n, (hi - lo, n)))
+        rows = _joined([r.integers(0, n, (b - a, n)) for r, a, b in rngstreams.row_groups(rng, 0, c)])
     boot = phi.responses == Level.BOOT
     for shape, counts, k in sources:
         if k is None and boot:
             k = shape[-1] if counts is None else counts
-        yield _steps(rng, rows, shape, counts, k, spans)
+        yield _steps(rows, shape, counts, k, blocks)
 
 
-def _steps(rng, rows, shape, counts, k, spans):
-    """One source's ``_response_step`` per span; see ``_plan``."""
-    for lo, hi in spans:
+def _steps(rows, shape, counts, k, blocks):
+    """One source's ``_response_step`` per (lo, hi, row groups) block; see ``_plan``."""
+    for lo, hi, groups in blocks:
         block = shape if len(shape) == 2 else (hi - lo, *shape[1:])
-        yield _response_step(rng, hi - lo, block, None if rows is None else rows[lo:hi], counts, k, lo)
+        yield _response_step(groups, hi - lo, block, None if rows is None else rows[lo:hi], counts, k, lo)
 
 
 _NO_RESAMPLE = SamplingStrategy(Level.ALL, Level.ALL)
@@ -382,12 +453,6 @@ def _row_spans(c: int, phi: SamplingStrategy, sources) -> list[tuple[int, int]]:
     return [(0, c)] if ragged or broadcast else _spans(c, n * k)
 
 
-def _drain(blocks: list):
-    """``blocks`` in order, each dropped from the list as it is handed out."""
-    while blocks:
-        yield blocks.pop(0)
-
-
 def _join(parts) -> list[dict]:
     """One {metric: (2, c) scores} dict per entry from blocks' lists of per-entry score dicts."""
     return [{m: np.concatenate([p[m] for p in entry], axis=1) for m in entry[0]}
@@ -402,7 +467,7 @@ def _entries(scores: dict) -> list[dict]:
 
 
 def _score_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, rng, c: int, sources,
-                  blocks, spans, gold: Gold | None = None):
+                  blocks, spans, ws: _Workspace, gold: Gold | None = None):
     """Per-model scores of c resamples of a (G, A, B) triple: per row block, one dict per B model.
 
     ``sources`` are G's, A's and B's (shape, counts, k) as in ``_plan``,
@@ -410,17 +475,33 @@ def _score_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, rng, 
     turn: an (N, W) source's whole array or a (c, N, W) one's rows lo..hi,
     B's with a leading axis of E models. Each is gathered along one
     ``_plan`` and reduced block by block: G to gold (``gold`` serves where G
-    is not gathered), A to per-item quantities, B to scores. A gathered or
-    (c, N, W) block is the chunk's own, so the kernel overwrites it. B's
-    block j is taken and scored only when asked for, after every G and A block.
+    is not gathered), A to per-item quantities, B to scores. G's gathered
+    block goes into the workspace ``ws``'s (c, N, W) G array: into its rows
+    lo..hi where gold keeps it for the chunk (MEMD), which in a resampled
+    simulator chunk are the block's own drawn rows (a resample's item draw
+    never leaves its block); else into the first span's rows, which every
+    block reuses (in a simulator chunk, rows already gathered). A gathered
+    or (c, N, W) block is the chunk's own, so the kernel overwrites it. B's
+    block j is taken and scored only when asked for, after every G and A
+    block.
     """
     plan, blocks = _plan(rng, c, phi, sources, spans), iter(blocks)
+    # G's k is None: the plan gathers G unless phi resamples nothing. Gold
+    # keeps each block's gathered rows only for MEMD (``prepare_gold``), so
+    # then each block takes its own rows lo..hi; else every block reuses the
+    # first span's rows, which stay in cache.
+    keep = MetricId.MEMD in metric_ids
+    g_rows = None if phi == _NO_RESAMPLE else ws.rows(0, (c if keep else spans[0][1], *sources[0][0][-2:]))
 
-    def take(i, x, lo, hi, step):  # (source i's block x gathered at step, its counts, scratch)
+    def g_out(lo, hi):
+        return None if g_rows is None else g_rows[lo:hi] if keep else g_rows[:hi - lo]
+
+    def take(i, x, lo, hi, step, out=None):  # (source i's block x gathered at step, its counts, scratch)
         shape = sources[i][0]
-        return (*_gather(x, hi - lo, step, x.ndim - len(shape)), step[0] is not None or len(shape) == 3)
+        return (*_gather(x, hi - lo, step, x.ndim - len(shape), out), step[0] is not None or len(shape) == 3)
 
-    golds = [gold if gold is not None and step[0] is None else prepare_gold(metric_ids, *take(0, x, lo, hi, step))
+    golds = [gold if g_rows is None and gold is not None
+             else prepare_gold(metric_ids, *take(0, x, lo, hi, step, g_out(lo, hi)))
              for (lo, hi), x, step in zip(spans, next(blocks), next(plan))]
     qa = [model_items(gd, *take(1, x, lo, hi, step))
           for (lo, hi), gd, x, step in zip(spans, golds, next(blocks), next(plan))]
@@ -437,23 +518,33 @@ def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsil
     once, else the given (G, A, B) in ``kernel_inputs`` form, which one
     score dict serves for every epsilon; rng may then be one generator per
     resample. Index draws follow every simulator draw, so a resampled
-    simulator chunk draws every G, A and B block first.
+    simulator chunk draws every G, A and B block first, into the worker's
+    workspace (``_Workspace``); with one epsilon it builds B then too, so
+    the (c, N) item parameters go before the first index draw. An
+    unresampled chunk draws each block, scores it and lets it go before the
+    next: a new block each time, which the heap hands back cache-hot.
     """
+    def build(draws):  # sigma * z builds in z's memory, and so does B when there is one epsilon
+        return (d.responses(epsilons, config.family, out=d.z) for d in draws)
+
+    ws = _Workspace.mine()
     if base is None:
-        sources = [((c, config.n_items, config.k_responses), None, None)] * 3
+        shape = (c, config.n_items, config.k_responses)
+        sources = [(shape, None, None)] * 3
         spans = _row_spans(c, phi, sources)
-        sim = draw_blocks(config, rng, c, spans)
-        if phi != _NO_RESAMPLE:  # the index draws follow every simulator draw
-            sim = iter([_drain(list(blocks)) for blocks in sim])
-        # sigma * z builds in z's memory, and so does B when there is one epsilon.
-        blocks = itertools.chain(itertools.islice(sim, 2),
-                                 ((d.responses(epsilons, config.family, out=d.z) for d in p) for p in sim))
+        if phi == _NO_RESAMPLE:
+            sim = draw_blocks(config, rng, c, spans)
+            blocks = itertools.chain(itertools.islice(sim, 2), map(build, sim))
+        else:  # the index draws follow every simulator draw
+            g, a, b = (list(p) for p in draw_blocks(config, rng, c, spans, [ws.rows(i, shape) for i in range(3)]))
+            b = list(build(b)) if len(epsilons) == 1 else build(b)
+            blocks = [g, a, b]
     else:
         (g, a, b), counts = base
         sources = [(x.shape, k, None) for x, k in zip((g, a, b), counts or (None,) * 3)]
         spans = _row_spans(c, phi, sources)
         blocks = [itertools.repeat(x) for x in (g, a, b[None])]  # one B for all epsilons
-    return _join(_score_blocks(config.metrics, phi, rng, c, sources, blocks, spans))
+    return _join(_score_blocks(config.metrics, phi, rng, c, sources, blocks, spans, ws))
 
 
 def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
@@ -463,11 +554,11 @@ def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g:
     The null arm calls this whole-chunk form, which ``perfbench/tracer.py``
     times as the ``inference.null_chunk`` layer.
     """
-    return _join(_null_blocks(metric_ids, phi, g, gold, pools, rng, c, counts))
+    return _join(_null_blocks(metric_ids, phi, g, gold, pools, rng, c, _Workspace.mine(), counts))
 
 
 def _null_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
-                 gold: Gold, pools: np.ndarray, rng, c: int, counts=None):
+                 gold: Gold, pools: np.ndarray, rng, c: int, ws: _Workspace, counts=None):
     """``_score_blocks`` of c null resamples: per row block, one dict per pool of A+B responses.
 
     ``pools`` is (E, N, W), one pool per epsilon. G is the base gold g,
@@ -475,12 +566,13 @@ def _null_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.
     W/2 responses per item from the pool, or half of each item's ``counts``
     when ragged. Stream order (``_plan``): the item draw and gold's response
     indices as phi says, then A's and B's pool indices. A caller that stops
-    early skips the rest of B's draws (and leaves rng mid-chunk).
+    early skips the rest of B's draws (and leaves rng mid-chunk). A G that
+    phi resamples is gathered into the workspace ``ws``.
     """
     k = pools.shape[-1] // 2 if counts is None else counts // 2
     sources = [(g.shape, gold.counts, None)] + [(pools.shape[1:], counts, k)] * 2
     return _score_blocks(metric_ids, phi, rng, c, sources, [itertools.repeat(x) for x in (g, pools, pools)],
-                         _row_spans(c, phi, sources), gold)
+                         _row_spans(c, phi, sources), ws, gold)
 
 
 class _Arm(NamedTuple):

@@ -38,7 +38,7 @@ from .errors import (
     EmptySample,
     InvalidParam,
 )
-from .inference import _chunk_size, _map_chunks, _null_blocks, _null_pool, _spans
+from .inference import _chunk_size, _map_chunks, _null_blocks, _null_pool, _spans, _Workspace
 from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold, triple_items
 from .simulator import ResponseMatrix, check_count, check_finite, check_matrices, check_member, simulate_batch
 
@@ -317,12 +317,13 @@ def _bootstrap_p_value(g, gold, pool, observed, metric, phi, b_null, rng, ca=Non
     counts ``ca``. Hits are counted per row block of null scores. With
     ``alpha`` the loop stops, as ``_permutation_p_value``'s does, once
     p >= alpha is settled, so the remaining B blocks and chunks are never
-    drawn.
+    drawn. Every chunk gathers G into the thread's chunk workspace.
     """
     metrics = (metric,)
     hits = 0
+    ws = _Workspace.mine()
     for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*g.shape)):
-        for (scores,) in _null_blocks(metrics, phi, g, gold, pool[None], rng, hi - lo,
+        for (scores,) in _null_blocks(metrics, phi, g, gold, pool[None], rng, hi - lo, ws,
                                       None if ca is None else 2 * ca):
             hits += int((comparison(metric, *scores[metric]) >= observed).sum())
             if _settled(hits, b_null, alpha):

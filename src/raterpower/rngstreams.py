@@ -178,12 +178,6 @@ def row_groups(rng, lo: int, hi: int) -> list[tuple[np.random.Generator, int, in
     return [(r, j, j + 1) for j, r in enumerate(rng[lo:hi], lo)]
 
 
-def draw_rows(rng, lo: int, hi: int, draw) -> np.ndarray:
-    """``draw(generator, a, b)`` of each of ``row_groups(rng, lo, hi)``, joined along the first axis."""
-    parts = [draw(r, a, b) for r, a, b in row_groups(rng, lo, hi)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
     """Fixed partition of range(total) into contiguous chunks.
 

@@ -217,11 +217,13 @@ def check_member(name: str, value, kind: type[enum.Enum]):
 
 
 def check_count(name: str, value, reason: str, least: int = 1) -> None:
-    """A count (resamples, trials, items) must be an integer >= ``least``; else ``InvalidParam``."""
+    """A count (resamples, trials, items) must be an integer >= ``least`` (a bool is not one); else ``InvalidParam``."""
     try:
-        count = operator.index(value)
+        count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise InvalidParam(name, f"expected an integer, got {value!r}") from None
+        count = None
+    if count is None:
+        raise InvalidParam(name, f"expected an integer, got {value!r}")
     if count < least:
         raise InvalidParam(name, reason)
 
@@ -274,14 +276,16 @@ def _gen_responses(
     family: ResponseFamily,
     rng,
     lo: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Censored-normal responses for an (r, ...) block of item params, rows lo.. of a batch -> (r, ..., k).
 
     Each row group of ``rng`` draws its rows' normals (``_fill``): with one
     generator, the same values and generator state as
-    clip(rng.normal(mu, sigma, (r, ..., k))). Computed in place.
+    clip(rng.normal(mu, sigma, (r, ..., k))). Computed in place, in ``out``
+    when given (an (r, ..., k) float array), else in a new array.
     """
-    z = _fill(rng, lo, np.empty((*mu.shape, k)), np.random.Generator.standard_normal)
+    z = _fill(rng, lo, np.empty((*mu.shape, k)) if out is None else out, np.random.Generator.standard_normal)
     return _affine_responses(z, mu, sigma, family, out=z)
 
 
@@ -312,7 +316,7 @@ class PerturbedDraws:
         return _affine_responses(self.z, self.mu + delta, self.sigma, family, out=out)
 
 
-def draw_blocks(config, rng, c: int, spans):
+def draw_blocks(config, rng, c: int, spans, out=None):
     """Every draw of c (G, A, B) experiments, in row blocks over ``spans``.
 
     A generator of three iterators, each to be exhausted before the next is
@@ -330,8 +334,20 @@ def draw_blocks(config, rng, c: int, spans):
     N uniforms per row behind the location shifts, B's standard normals. So
     a row with its own generator is that generator's batch of one, bit for
     bit. ``config`` needs prior, n_items, k_responses and family attributes.
+
+    ``out``, when given, is three (c, N, K) float arrays for G's, A's and
+    B's standard normals: each block is then drawn in place into rows lo..hi
+    of its array, a view, rather than into a new array. The engine passes a
+    worker's chunk workspace (``inference._Workspace``), which outlives the
+    chunk, so no block may be kept past it; ``draw_batch`` passes none, as
+    its arrays outlive any chunk.
     """
     n, k = config.n_items, config.k_responses
+    g_out, a_out, z_out = out or (None,) * 3
+
+    def rows(x, lo, hi):  # rows lo..hi of an out array, or a new block
+        return np.empty((hi - lo, n, k)) if x is None else x[lo:hi]
+
     specs = (config.prior.location, config.prior.scale)
     raws = [spec.raw_arrays(spec.family, (c, n)) for spec in specs]
     for r, lo, hi in rngstreams.row_groups(rng, 0, c):
@@ -340,11 +356,12 @@ def draw_blocks(config, rng, c: int, spans):
     mu, sigma = (spec.transform(spec.family, spec.params, raw) for spec, raw in zip(specs, raws))
     if np.any(sigma < 0):
         raise InvalidParam("sigma", "negative scale")
-    for _ in range(2):  # G, then A
-        yield (_gen_responses(mu[lo:hi], sigma[lo:hi], k, config.family, rng, lo) for lo, hi in spans)
+    for x in (g_out, a_out):  # G, then A
+        yield (_gen_responses(mu[lo:hi], sigma[lo:hi], k, config.family, rng, lo, rows(x, lo, hi))
+               for lo, hi in spans)
     u = _fill(rng, 0, np.empty((c, n)), np.random.Generator.random)
     yield (PerturbedDraws(mu[lo:hi], sigma[lo:hi], u[lo:hi],
-                          _fill(rng, lo, np.empty((hi - lo, n, k)), np.random.Generator.standard_normal))
+                          _fill(rng, lo, rows(z_out, lo, hi), np.random.Generator.standard_normal))
            for lo, hi in spans)
 
 

@@ -8,7 +8,9 @@ tasks moves a single bit: ``run_columns`` at any block size and thread
 count must equal one whole-block ``run_columns`` call per column, and power's
 bootstrap test must equal its chunk-loop oracle at small blocks. The last
 tests bound the traced memory of a ``table`` run and the peak resident
-memory of a large ``pvalue`` process by the chunk's size.
+memory of a large ``pvalue`` process by the chunk's size, and check the
+chunk workspace a worker keeps between chunks: a second chunk reuses it,
+and nothing a chunk leaves in it reaches a later chunk's scores.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from raterpower import (
     mean_metric_scores,
     multistage_bootstrap_test,
     run_columns,
+    run_experiment,
 )
 from raterpower import cli, inference
 from raterpower.errors import InvalidParam
@@ -214,9 +218,24 @@ def test_spans_cover_the_chunk_in_blocks_of_at_most_block_floats(monkeypatch):
     assert inference._spans(4, 500) == chunk_ranges(4, 1)  # a resample larger than a block
 
 
-def test_table_memory_stays_below_two_chunk_arrays():
+@pytest.fixture
+def fresh_workspaces(monkeypatch):
+    """No thread has a chunk workspace yet, so that a traced run counts the workspaces it makes."""
+    monkeypatch.setattr(inference, "_LOCAL", threading.local())
+
+
+def _poison_workspace() -> int:
+    """Fill this thread's chunk workspace with NaN; returns the floats filled."""
+    buffers = inference._Workspace.mine()._buffers
+    for buffer in buffers:
+        buffer.fill(np.nan)
+    return sum(buffer.size for buffer in buffers)
+
+
+def test_table_memory_stays_below_two_chunk_arrays(fresh_workspaces):
     # One (N, K) column of 500 resamples per arm: each arm is one chunk, and
     # the two arms run at once. Before row blocks the traced peak was 50 MB.
+    # The run starts with no workspace, so any it makes is traced.
     n, k, b = 100, 25, 500
     argv = ["table", "--default-synthetic", "--nk-pairs", f"{n}:{k}",
             "--epsilon-values", "0,0.02,0.1", "--metric", "all", "--phi", "all,boot",
@@ -233,12 +252,13 @@ def test_table_memory_stays_below_two_chunk_arrays():
 
 @pytest.mark.parametrize("phi", ["boot,boot", "boot,all"])
 @pytest.mark.parametrize("n, k", [(1000, 50), (200, 10), (2000, 100)])
-def test_a_resampled_simulator_chunk_holds_g_a_and_b_but_no_sorted_copy(phi, n, k):
+def test_a_resampled_simulator_chunk_holds_g_a_and_b_but_no_sorted_copy(phi, n, k, fresh_workspaces):
     # Every simulator draw precedes the chunk's first index draw, so G, A
     # and B's normals are alive at once: three chunk arrays is the floor.
-    # Gold's sorted rows are the gathered G blocks, sorted in place, and a
-    # drawn G block goes once it is gathered; a sorted copy of gathered G
-    # read 4.13-4.53 arrays, these read 3.13-3.56.
+    # They are the worker's workspace, made during the traced call. Gold's
+    # sorted rows are the gathered G blocks, sorted in place in G's own
+    # drawn rows; a sorted copy of gathered G read 4.13-4.53 arrays, a
+    # chunk without a workspace 3.13-3.56, these read 3.11-3.45.
     c = inference._chunk_size(n, k)
     config = ExperimentConfig(n_items=n, k_responses=k, epsilon=0.02, metrics=METRICS,
                               phi=SamplingStrategy.parse(phi))
@@ -249,6 +269,72 @@ def test_a_resampled_simulator_chunk_holds_g_a_and_b_but_no_sorted_copy(phi, n, 
     finally:
         tracemalloc.stop()
     assert peak < 3.75 * c * n * k * 8
+
+
+@pytest.mark.parametrize("phi", ["boot,boot", "all,boot"])
+def test_a_second_resampled_chunk_on_one_worker_reuses_the_workspace(phi, fresh_workspaces):
+    # The first chunk makes the thread's workspace; the second reuses it and
+    # allocates no (c, N, K) array of its own (it read 0.12-0.14 of one).
+    n, k = 1000, 50
+    c = inference._chunk_size(n, k)
+    config = ExperimentConfig(n_items=n, k_responses=k, epsilon=0.02, metrics=METRICS,
+                              phi=SamplingStrategy.parse(phi))
+
+    def chunk(lo):
+        return inference._alt_chunk_parametric(config, config.phi, (config.epsilon,), None, derive_rng(1, 2, lo), c)
+
+    chunk(0)
+    tracemalloc.start()
+    try:
+        chunk(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c * n * k * 8
+
+
+def _score_bytes(entries) -> list:
+    return [{m: np.asarray(s).tobytes() for m, s in entry.items()} for entry in entries]
+
+
+@pytest.mark.parametrize("phi", PHIS)
+def test_scores_do_not_read_what_an_earlier_chunk_left_in_the_workspace(phi, fresh_workspaces, monkeypatch):
+    # Small row blocks, so each block's G rows and draws sit at their own
+    # place in the workspace; NaN there between two runs must not show.
+    monkeypatch.setattr(inference, "_BLOCK", 50)
+    config = ExperimentConfig(n_items=12, k_responses=4, epsilon=0.05, metrics=METRICS,
+                              phi=SamplingStrategy.parse(phi), prior=toxicity_prior(), family=ResponseFamily(5))
+
+    def alt():
+        return _score_bytes(inference._alt_chunk_parametric(config, config.phi, (0.05, 0.0), None,
+                                                            derive_rng(3, 1, 0), 23))
+
+    g, a, b = generate_triple(config.with_(epsilon=0.1), derive_rng(8))
+
+    def bootstrap():
+        return [multistage_bootstrap_test(g, a, b, metric, config.phi, b_null=41, rng=derive_rng(9))
+                for metric in METRICS]
+
+    want_alt, want_boot = alt(), bootstrap()
+    assert _poison_workspace() > 0 or phi == "all,all"
+    assert alt() == want_alt
+    _poison_workspace()
+    assert bootstrap() == want_boot
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_columns_of_changing_chunk_shape_equal_separate_experiments(threads, fresh_workspaces):
+    # Each column's chunks have another (c, N, K) shape, so the workspace
+    # grows and hands out smaller views between them; every cell must equal
+    # its own run_experiment, which starts from a workspace filled with NaN.
+    config = ExperimentConfig(b_alt=30, b_null=30, metrics=METRICS, phi=SamplingStrategy.parse("boot,boot"), seed=5)
+    epsilons = (0.02, 0.1)
+    columns = [(config.with_(n_items=n, k_responses=k), epsilons) for n, k in ((1000, 1), (100, 25), (1000, 50))]
+    got = run_columns(columns, threads=threads)
+    for (cfg, eps), reports in zip(columns, got):
+        for e, report in zip(eps, reports):
+            assert _poison_workspace() > 0
+            assert report.to_json_dict() == run_experiment(cfg.with_(epsilon=e), threads=threads).to_json_dict()
 
 
 _PEAK_RSS = """
@@ -284,6 +370,8 @@ def test_pvalue_peak_rss_stays_within_six_chunk_arrays_per_thread():
     # arrays at 1 thread and 3.4-3.8 per thread at 2 (five runs per case,
     # 2 vCPU, Python 3.11, NumPy 2.4): flat in N * K and in b, so the bound
     # is six per thread. Chunks of twice the budget read 8.7 at 1 thread.
+    # Each run is a fresh process, so the peak includes every chunk
+    # workspace (three chunk arrays per worker) that the run makes and keeps.
     array_mb = inference._CHUNK_BUDGET * 8 / 2**20
     import_mb = _peak_rss_mb()
     for n, k, b in ((1000, 50, 80), (2000, 100, 40)):

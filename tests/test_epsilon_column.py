@@ -29,7 +29,7 @@ from raterpower.distributions import uniform
 from raterpower.errors import InvalidParam
 from raterpower.inference import PValueReport, _gather, _report, _response_step
 from raterpower.metrics import MetricId, comparison, model_items, pair_scores, prepare_gold
-from raterpower.rngstreams import ALT, BASE, NULL, chunk_ranges, derive_rng
+from raterpower.rngstreams import ALT, BASE, NULL, chunk_ranges, derive_rng, row_groups
 from raterpower.simulator import _gen_responses, simulate_batch, toxicity_prior
 
 PHIS = ("boot,boot", "all,boot", "boot,all", "all,all")
@@ -159,7 +159,7 @@ def test_draw_matches_take_along_axis(c, n, w, batched, items, seed):
     got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     rows = got_rng.integers(0, n, (c, n)) if items else None
     # c response bootstraps of x, (N, W) or (c, N, W), after the item draw rows.
-    got, _ = _gather(x, c, _response_step(got_rng, c, x.shape, rows, None, w))
+    got, _ = _gather(x, c, _response_step(row_groups(got_rng, 0, c), c, x.shape, rows, None, w))
     want = np.broadcast_to(x, (c, n, w))
     if items:
         want = np.take_along_axis(want, want_rng.integers(0, n, (c, n))[:, :, None], axis=1)

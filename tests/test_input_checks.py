@@ -248,7 +248,7 @@ def test_load_responses_takes_an_integer_level_count():
         _load_levels(5.0)  # used to pass silently, as 5
 
 
-@pytest.mark.parametrize("bad", [0, -1, -5, 2.5, 1.0, "3"], ids=["0", "-1", "-5", "2.5", "1.0", "str"])
+@pytest.mark.parametrize("bad", [0, -1, -5, 2.5, 1.0, "3", True], ids=["0", "-1", "-5", "2.5", "1.0", "str", "True"])
 @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
 def test_count_entry_point_rejects_non_counts(entry, bad):
     with pytest.raises(InvalidParam):
