@@ -23,13 +23,13 @@ from . import rngstreams
 from .config import ExperimentConfig, SamplingStrategy
 from .dataio import load_responses, save_matrix
 from .distributions import Family
-from .errors import InvalidParam, RaterPowerError
+from .errors import InvalidParam, RaterPowerError, check_count
 from .fitting import ecdf as compute_ecdf
 from .fitting import fit_prior, grid_columns, per_item_stats
 from .inference import run_columns, run_experiment
 from .metrics import MetricId
 from .power import TestId, power_sweeps
-from .simulator import ItemPrior, ResponseFamily, check_count, default_synthetic_prior, generate_triple
+from .simulator import ItemPrior, ResponseFamily, default_synthetic_prior, generate_triple
 
 MEMD_PAPER_SCALE = 15.5  # documented display factor; see README on MEMD scaling
 

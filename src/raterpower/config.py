@@ -7,9 +7,9 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 
-from .errors import InvalidParam
+from .errors import InvalidParam, check_count
 from .metrics import MetricId
-from .simulator import ItemPrior, ResponseFamily, check_count, check_member, default_synthetic_prior
+from .simulator import ItemPrior, ResponseFamily, check_member, default_synthetic_prior
 
 __all__ = ["Level", "SamplingStrategy", "Mode", "ExperimentConfig"]
 

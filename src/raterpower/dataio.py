@@ -30,10 +30,11 @@ from .errors import (
     InvalidParam,
     ParseError,
     RaggedNotSupported,
+    check_count,
 )
-from .simulator import ResponseMatrix, _pad, check_count, check_matrices
+from .simulator import ResponseMatrix, _pad, check_matrices
 
-__all__ = ["load_responses", "save_matrix", "matrix_to_jsonl", "matrix_to_csv"]
+__all__ = ["load_responses", "save_matrix"]
 
 
 def _detect_format(path: Path) -> str:
@@ -150,7 +151,7 @@ def load_responses(
     return _convert(records, value_map, levels)
 
 
-def matrix_to_jsonl(m: ResponseMatrix) -> str:
+def _matrix_to_jsonl(m: ResponseMatrix) -> str:
     lines = []
     for item_id, row in zip(m.ids, m.rows):
         lines.append(
@@ -159,7 +160,7 @@ def matrix_to_jsonl(m: ResponseMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_to_csv(m: ResponseMatrix) -> str:
+def _matrix_to_csv(m: ResponseMatrix) -> str:
     if not m.is_rectangular:
         raise RaggedNotSupported("CSV holds rectangular matrices only")
     out = io.StringIO()
@@ -172,6 +173,6 @@ def matrix_to_csv(m: ResponseMatrix) -> str:
 
 def save_matrix(m: ResponseMatrix, path: str | Path) -> None:
     path = Path(path)
-    text = matrix_to_jsonl(m) if _detect_format(path) == "jsonl" else matrix_to_csv(m)
+    text = _matrix_to_jsonl(m) if _detect_format(path) == "jsonl" else _matrix_to_csv(m)
     path.write_text(text, encoding="utf-8")
 

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidParam
+from .errors import InvalidParam, check_count
 
 
 class Family(str, enum.Enum):
@@ -178,20 +178,15 @@ class DistributionSpec:
     # -- sampling ------------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` independent values: ``transform`` of ``draw``.
+        """Draw ``count`` independent values: ``transform`` of ``draw_into``'s raw variates.
 
         Deterministic given (spec, generator state): each family consumes the
-        stream in a fixed documented order (see ``draw``).
+        stream in a fixed documented order (see ``draw_into``).
         """
-        return self.transform(self.family, self.params, self.draw(rng, count))
-
-    def draw(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-        """The raw variates of ``count`` draws, in stream order (see ``draw_into``)."""
-        if count < 0:
-            raise InvalidParam("count", "negative count")
+        check_count("count", count, "negative count", least=0)
         raw = self.raw_arrays(self.family, count)
         self.draw_into(self.family, self.params, rng, raw)
-        return raw
+        return self.transform(self.family, self.params, raw)
 
     @staticmethod
     def raw_arrays(family: Family, shape) -> tuple[np.ndarray, ...]:
@@ -231,7 +226,7 @@ class DistributionSpec:
 
     @staticmethod
     def transform(family: Family, params: Mapping, raw: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Map ``draw``'s raw variates of ``family`` to values; ``raw`` is overwritten.
+        """Map ``draw_into``'s raw variates of ``family`` to values; ``raw`` is overwritten.
 
         Each parameter is a scalar or a column that broadcasts against the
         raw arrays, so one call maps the rows of many specs of one family.
@@ -273,93 +268,6 @@ class DistributionSpec:
             return np.where(x < p["kappa"], p["mu1"] + p["sigma1"] * z, p["mu2"] + p["sigma2"] * z)
         raise AssertionError(family)
 
-    # -- CDF ------------------------------------------------------------------
-
-    def cdf(self, x) -> np.ndarray | float:
-        """Right-continuous CDF, vectorized over ``x``."""
-        scalar = np.isscalar(x)
-        x = np.asarray(x, dtype=float)
-        out = self._cdf_array(x)
-        return float(out) if scalar else out
-
-    def _cdf_array(self, x: np.ndarray) -> np.ndarray:
-        p = self.params
-        f = self.family
-        if f == Family.UNIFORM:
-            lo, hi = p["lo"], p["hi"]
-            if lo == hi:
-                return (x >= lo).astype(float)
-            return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-        if f == Family.NORMAL:
-            return self._normal_cdf(x, p["mu"], p["sigma"])
-        if f == Family.TRUNCATED_NORMAL:
-            mu, sigma, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
-            if sigma == 0:
-                return (x >= mu).astype(float)
-            from scipy import special
-
-            a = special.ndtr((lo - mu) / sigma)
-            b = special.ndtr((hi - mu) / sigma)
-            core = (special.ndtr((x - mu) / sigma) - a) / (b - a)
-            return np.clip(core, 0.0, 1.0)
-        if f == Family.CENSORED_NORMAL:
-            return self._censor(self._normal_cdf(x, p["mu"], p["sigma"]), x, p["lo"], p["hi"])
-        if f == Family.FOLDED_NORMAL:
-            base = self._folded_cdf(x, p["mu"], p["sigma"])
-            return self._censor(base, x, p.get("lo"), p.get("hi"))
-        if f == Family.TRIANGULAR:
-            base = self._triangular_cdf(x, p["a"], p["b"], p["c"])
-            return self._censor(base, x, p.get("lo"), p.get("hi"))
-        if f == Family.GAUSSIAN_MIXTURE2:
-            return p["kappa"] * self._normal_cdf(x, p["mu1"], p["sigma1"]) + (
-                1.0 - p["kappa"]
-            ) * self._normal_cdf(x, p["mu2"], p["sigma2"])
-        raise AssertionError(f)
-
-    @staticmethod
-    def _normal_cdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-        if sigma == 0:
-            return (x >= mu).astype(float)
-        from scipy import special
-
-        return special.ndtr((x - mu) / sigma)
-
-    @staticmethod
-    def _folded_cdf(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
-        if sigma == 0:
-            return (x >= abs(mu)).astype(float)
-        from scipy import special
-
-        pos = special.ndtr((x - mu) / sigma) + special.ndtr((x + mu) / sigma) - 1.0
-        return np.where(x < 0, 0.0, np.clip(pos, 0.0, 1.0))
-
-    @staticmethod
-    def _triangular_cdf(x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-        if a == c:
-            return (x >= a).astype(float)
-        out = np.zeros_like(x)
-        left = (x > a) & (x < b)
-        if b > a:
-            out[left] = (x[left] - a) ** 2 / ((c - a) * (b - a))
-        right = (x >= b) & (x < c)
-        if c > b:
-            out[right] = 1.0 - (c - x[right]) ** 2 / ((c - a) * (c - b))
-        else:
-            out[right] = 1.0
-        out[x >= c] = 1.0
-        return out
-
-    @staticmethod
-    def _censor(base: np.ndarray, x: np.ndarray, lo, hi) -> np.ndarray:
-        # Clipping moves the tail mass onto the bounds: F is 0 below lo and
-        # jumps to the latent F(lo) there, and jumps to 1 at hi.
-        out = np.asarray(base, dtype=float).copy()
-        if lo is not None:
-            out[x < lo] = 0.0
-        if hi is not None:
-            out[x >= hi] = 1.0
-        return out
-
     # -- JSON ------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -392,16 +300,8 @@ def uniform(lo: float, hi: float) -> DistributionSpec:
     return DistributionSpec(Family.UNIFORM, {"lo": lo, "hi": hi})
 
 
-def normal(mu: float, sigma: float) -> DistributionSpec:
-    return DistributionSpec(Family.NORMAL, {"mu": mu, "sigma": sigma})
-
-
 def truncated_normal(mu: float, sigma: float, lo: float, hi: float) -> DistributionSpec:
     return DistributionSpec(Family.TRUNCATED_NORMAL, {"mu": mu, "sigma": sigma, "lo": lo, "hi": hi})
-
-
-def censored_normal(mu: float, sigma: float, lo: float, hi: float) -> DistributionSpec:
-    return DistributionSpec(Family.CENSORED_NORMAL, {"mu": mu, "sigma": sigma, "lo": lo, "hi": hi})
 
 
 def _bounds(lo: float | None, hi: float | None) -> dict[str, float]:
@@ -416,9 +316,3 @@ def folded_normal(mu: float, sigma: float, lo: float | None = None, hi: float | 
 def triangular(a: float, b: float, c: float, lo: float | None = None, hi: float | None = None) -> DistributionSpec:
     return DistributionSpec(Family.TRIANGULAR, {"a": a, "b": b, "c": c, **_bounds(lo, hi)})
 
-
-def gaussian_mixture2(mu1: float, sigma1: float, mu2: float, sigma2: float, kappa: float) -> DistributionSpec:
-    return DistributionSpec(
-        Family.GAUSSIAN_MIXTURE2,
-        {"mu1": mu1, "sigma1": sigma1, "mu2": mu2, "sigma2": sigma2, "kappa": kappa},
-    )

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that raises one."""
+
+import operator
 
 
 class RaterPowerError(ValueError):
@@ -12,6 +14,18 @@ class InvalidParam(RaterPowerError):
         self.name = name
         self.reason = reason
         super().__init__(f"{name}: {reason}")
+
+
+def check_count(name: str, value, reason: str, least: int = 1) -> None:
+    """A count (resamples, trials, items) must be an integer >= ``least`` (a bool is not one); else ``InvalidParam``."""
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None:
+        raise InvalidParam(name, f"expected an integer, got {value!r}")
+    if count < least:
+        raise InvalidParam(name, reason)
 
 
 class ItemMismatch(RaterPowerError):

@@ -32,10 +32,10 @@ import numpy as np
 
 from . import rngstreams
 from .distributions import DistributionSpec, Family, valid_columns
-from .errors import EmptySample, InvalidParam, NoValidGridPoint
+from .errors import EmptySample, InvalidParam, NoValidGridPoint, check_count
 from .inference import _map_chunks
 from .metrics import _mean, reduce_rows
-from .simulator import ResponseMatrix, check_count, check_finite, check_matrices, check_member
+from .simulator import ResponseMatrix, check_finite, check_matrices, check_member
 
 __all__ = [
     "ItemStats",

@@ -106,9 +106,9 @@ import numpy as np
 
 from . import rngstreams
 from .config import ExperimentConfig, Level, Mode, SamplingStrategy
-from .errors import EmptySample, InvalidParam, ItemMismatch
+from .errors import EmptySample, InvalidParam, ItemMismatch, check_count
 from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold
-from .simulator import ResponseMatrix, _pad, _slots, check_count, check_finite, check_matrices, draw_batch, draw_blocks
+from .simulator import ResponseMatrix, _pad, _slots, check_finite, check_matrices, draw_blocks
 
 __all__ = [
     "estimate_p_value",
@@ -643,7 +643,8 @@ def _column(config: ExperimentConfig, epsilons, given) -> tuple[list, _Arm, _Arm
     configs = [config.with_(epsilon=e) for e in epsilons]
     counts = None
     if given is None:
-        g, a, draws = draw_batch(config, rngstreams.derive_rng(config.seed, rngstreams.BASE), 1)
+        rng = rngstreams.derive_rng(config.seed, rngstreams.BASE)
+        g, a, draws = (next(phase) for phase in draw_blocks(config, rng, 1, [(0, 1)]))
         gb, base, pool_counts = g[0], None, None
         b = draws.responses(epsilons, config.family)[:, 0]
         pools = np.concatenate([np.broadcast_to(a[0], b.shape), b], axis=-1)  # (E, N, 2K)

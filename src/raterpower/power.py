@@ -37,10 +37,11 @@ from .errors import (
     DegenerateVariance,
     EmptySample,
     InvalidParam,
+    check_count,
 )
 from .inference import _chunk_size, _map_chunks, _null_blocks, _null_pool, _spans, _Workspace
 from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold, triple_items
-from .simulator import ResponseMatrix, check_count, check_finite, check_matrices, check_member, simulate_batch
+from .simulator import ResponseMatrix, check_finite, check_matrices, check_member, simulate_batch
 
 __all__ = [
     "TestId",

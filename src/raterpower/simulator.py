@@ -14,7 +14,6 @@ NaN-padded form the engine reads; ``check_matrices`` checks input.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import rngstreams
 from .distributions import DistributionSpec, uniform
-from .errors import EmptyItem, InvalidParam, ItemMismatch, ValueOutOfRange
+from .errors import EmptyItem, InvalidParam, ItemMismatch, ValueOutOfRange, check_count
 
 __all__ = [
     "ItemPrior",
@@ -32,7 +31,6 @@ __all__ = [
     "check_finite",
     "PerturbedDraws",
     "draw_blocks",
-    "draw_batch",
     "simulate_batch",
     "generate_triple",
     "default_synthetic_prior",
@@ -141,12 +139,6 @@ class ResponseMatrix:
     def counts(self) -> np.ndarray:
         return self._counts
 
-    def to_array(self) -> np.ndarray:
-        """A dense (N, K) copy of a rectangular matrix."""
-        if not self.is_rectangular:
-            raise InvalidParam("matrix", "ragged matrix cannot become a dense array")
-        return self.values.copy()
-
     @classmethod
     def from_padded(cls, values: np.ndarray, counts, ids: Sequence[str]) -> "ResponseMatrix":
         """Inverse of (``values``, ``counts()``): row i keeps its first counts[i] values; width the largest count."""
@@ -214,18 +206,6 @@ def check_member(name: str, value, kind: type[enum.Enum]):
         return kind(value)
     except ValueError:
         raise InvalidParam(name, f"expected one of {', '.join(m.value for m in kind)}, got {value!r}") from None
-
-
-def check_count(name: str, value, reason: str, least: int = 1) -> None:
-    """A count (resamples, trials, items) must be an integer >= ``least`` (a bool is not one); else ``InvalidParam``."""
-    try:
-        count = None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        count = None
-    if count is None:
-        raise InvalidParam(name, f"expected an integer, got {value!r}")
-    if count < least:
-        raise InvalidParam(name, reason)
 
 
 # -- response generation -------------------------------------------------------
@@ -323,9 +303,9 @@ def draw_blocks(config, rng, c: int, spans, out=None):
     taken: G's (r, N, K) blocks, then A's, then B's draws (``PerturbedDraws``
     of r experiments) for each (lo, hi) span of range(c). NumPy fills a
     variate array in order, so drawing it in row blocks gives the values and
-    generator state of one call: the blocks are the rows of ``draw_batch``,
-    and at most one block of each is alive when the caller reduces each
-    block before taking the next.
+    generator state of one call: the blocks, joined, are the one block over
+    range(c), and at most one block of each is alive when the caller
+    reduces each block before taking the next.
 
     ``rng`` is one generator for all c experiments or one per experiment:
     its row groups (``rngstreams.row_groups``), each draw one call per
@@ -339,8 +319,8 @@ def draw_blocks(config, rng, c: int, spans, out=None):
     B's standard normals: each block is then drawn in place into rows lo..hi
     of its array, a view, rather than into a new array. The engine passes a
     worker's chunk workspace (``inference._Workspace``), which outlives the
-    chunk, so no block may be kept past it; ``draw_batch`` passes none, as
-    its arrays outlive any chunk.
+    chunk, so no block may be kept past it; a draw whose arrays outlive any
+    chunk (``simulate_batch``, a column's base draw) passes none.
     """
     n, k = config.n_items, config.k_responses
     g_out, a_out, z_out = out or (None,) * 3
@@ -365,25 +345,16 @@ def draw_blocks(config, rng, c: int, spans, out=None):
            for lo, hi in spans)
 
 
-def draw_batch(config, rng, c: int) -> tuple[np.ndarray, np.ndarray, PerturbedDraws]:
-    """Every draw of c (G, A, B) experiments: (G, A, B's draws), none depending on epsilon.
-
-    ``draw_blocks`` with one block, so its stream order holds; ``rng`` is
-    one generator or one per experiment, as there.
-    """
-    g, a, draws = (next(phase) for phase in draw_blocks(config, rng, c, [(0, c)]))
-    return g, a, draws
-
-
 def simulate_batch(config, rng, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw c independent (G, A, B) experiments as three (c, N, K) arrays.
 
     G and A are sampled independently from the same per-item distributions
     (A is ideal in distribution, not a copy); B's locations get a fresh
-    Uniform(-epsilon, epsilon) shift. Draws follow ``draw_batch``, so they
-    never depend on epsilon; ``config`` also needs an epsilon attribute.
+    Uniform(-epsilon, epsilon) shift. Draws follow ``draw_blocks`` with one
+    block, so they never depend on epsilon; ``config`` also needs an
+    epsilon attribute.
     """
-    g, a, draws = draw_batch(config, rng, c)
+    g, a, draws = (next(phase) for phase in draw_blocks(config, rng, c, [(0, c)]))
     return g, a, draws.responses(config.epsilon, config.family, out=draws.z)
 
 

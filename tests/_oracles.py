@@ -6,7 +6,9 @@ sign-test oracles enumerate every pattern. The list-of-rows oracles score
 and resample ragged data one item row at a time, with one generator call
 per row; the batched engine must reproduce them bit for bit. The fit
 oracles draw and score one grid candidate at a time with the generator's
-own distribution methods.
+own distribution methods. The CDF oracle gives each family's distribution
+function in closed form, the reference the samplers' KS and W1 checks
+compare against.
 """
 
 from __future__ import annotations
@@ -361,6 +363,76 @@ def sample_oracle(spec, rng, count):
         z = rng.standard_normal(count)
         return np.where(first, p["mu1"] + p["sigma1"] * z, p["mu2"] + p["sigma2"] * z)
     raise AssertionError(f)
+
+
+def cdf_oracle(spec, x):
+    """Right-continuous CDF of a distribution spec, in closed form, vectorized over ``x``."""
+    from scipy import special
+
+    scalar = np.isscalar(x)
+    x = np.asarray(x, dtype=float)
+    p, f = spec.params, spec.family.value
+
+    def step(at):  # a point mass
+        return (x >= at).astype(float)
+
+    def normal(mu, sigma):
+        return step(mu) if sigma == 0 else special.ndtr((x - mu) / sigma)
+
+    def censor(base, lo, hi):
+        # Clipping moves the tail mass onto the bounds: F is 0 below lo and
+        # jumps to the latent F(lo) there, and jumps to 1 at hi.
+        out = np.asarray(base, dtype=float).copy()
+        if lo is not None:
+            out[x < lo] = 0.0
+        if hi is not None:
+            out[x >= hi] = 1.0
+        return out
+
+    if f == "uniform":
+        lo, hi = p["lo"], p["hi"]
+        out = step(lo) if lo == hi else np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+    elif f == "normal":
+        out = normal(p["mu"], p["sigma"])
+    elif f == "truncated-normal":
+        mu, sigma, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
+        if sigma == 0:
+            out = step(mu)
+        else:
+            a = special.ndtr((lo - mu) / sigma)
+            b = special.ndtr((hi - mu) / sigma)
+            out = np.clip((special.ndtr((x - mu) / sigma) - a) / (b - a), 0.0, 1.0)
+    elif f == "censored-normal":
+        out = censor(normal(p["mu"], p["sigma"]), p["lo"], p["hi"])
+    elif f == "folded-normal":
+        mu, sigma = p["mu"], p["sigma"]
+        if sigma == 0:
+            base = step(abs(mu))
+        else:
+            pos = special.ndtr((x - mu) / sigma) + special.ndtr((x + mu) / sigma) - 1.0
+            base = np.where(x < 0, 0.0, np.clip(pos, 0.0, 1.0))
+        out = censor(base, p.get("lo"), p.get("hi"))
+    elif f == "triangular":
+        a, b, c = p["a"], p["b"], p["c"]
+        if a == c:
+            base = step(a)
+        else:
+            base = np.zeros_like(x)
+            left = (x > a) & (x < b)
+            if b > a:
+                base[left] = (x[left] - a) ** 2 / ((c - a) * (b - a))
+            right = (x >= b) & (x < c)
+            if c > b:
+                base[right] = 1.0 - (c - x[right]) ** 2 / ((c - a) * (c - b))
+            else:
+                base[right] = 1.0
+            base[x >= c] = 1.0
+        out = censor(base, p.get("lo"), p.get("hi"))
+    elif f == "gaussian-mixture2":
+        out = p["kappa"] * normal(p["mu1"], p["sigma1"]) + (1.0 - p["kappa"]) * normal(p["mu2"], p["sigma2"])
+    else:
+        raise AssertionError(f)
+    return float(out) if scalar else out
 
 
 def fit_distance_oracle(real_values, sims) -> float:

@@ -602,7 +602,7 @@ def _no_work(monkeypatch):
                  "generate_triple"):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("did work"))
     monkeypatch.setattr(power, "_chunk_p_values", lambda *args, **kwargs: pytest.fail("ran a trial"))
-    monkeypatch.setattr(inference, "draw_batch", lambda *args, **kwargs: pytest.fail("drew a column"))
+    monkeypatch.setattr(inference, "draw_blocks", lambda *args, **kwargs: pytest.fail("drew a column"))
 
 
 TABLE = ["table", "--prior-spec", "{missing}.json", "--config", "{missing}-config.json"]

@@ -1,8 +1,8 @@
 """Cold start: importing the package loads NumPy and the package only.
 
 ``scipy.special`` loads on the first call that needs it (the truncated
-normal, the normal CDFs, Welch's t survival and the Wilcoxon normal
-approximation), and ``scipy.stats`` not at all. Each case runs in a fresh
+normal, Welch's t survival and the Wilcoxon normal approximation), and
+``scipy.stats`` not at all. Each case runs in a fresh
 interpreter, since this test session has imported SciPy already.
 """
 

@@ -5,7 +5,7 @@ import pytest
 
 from raterpower import ExperimentConfig, ResponseMatrix, generate_triple
 from raterpower.cli import main
-from raterpower.dataio import load_responses, matrix_to_csv, save_matrix
+from raterpower.dataio import load_responses, save_matrix
 from raterpower.errors import (
     DuplicateItemId,
     ParseError,
@@ -99,10 +99,10 @@ def test_csv_round_trip(tmp_path):
     assert header == "item_id,r1,r2"
 
 
-def test_csv_rejects_ragged():
+def test_csv_rejects_ragged(tmp_path):
     m = ResponseMatrix.from_rows([("a", [0.5]), ("b", [1.0, 0.0])])
     with pytest.raises(RaggedNotSupported):
-        matrix_to_csv(m)
+        save_matrix(m, tmp_path / "m.csv")
 
 
 def test_csv_rejects_wrong_width(tmp_path):

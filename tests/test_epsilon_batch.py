@@ -129,7 +129,7 @@ def _unchanged(before, arrays):
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_kernel_and_evaluate_leave_their_inputs_unchanged(metric):
-    g, a, b = (m.to_array() for m in _triple())
+    g, a, b = (m.values.copy() for m in _triple())
     batch = np.stack([b, a[::-1], b[:, ::-1]])  # (3, N, K), broadcast against G and A
     before = _snapshot(g, a, batch)
     gold = prepare_gold(METRICS, g)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _oracles import cdf_oracle
 
 from raterpower import ItemStats, ResponseMatrix, ecdf, fit_prior, per_item_stats, stat_distance
 from raterpower.distributions import Family, truncated_normal, uniform
@@ -137,9 +138,9 @@ def test_fit_prior_self_recovery_truncated_normal():
         seed=50,
     )
     xs = np.linspace(0, 1, 4001)
-    w1_to_truth = np.trapezoid(np.abs(report.location.best.cdf(xs) - truth.cdf(xs)), xs)
+    w1_to_truth = np.trapezoid(np.abs(cdf_oracle(report.location.best, xs) - cdf_oracle(truth, xs)), xs)
     one_step_gap = np.trapezoid(
-        np.abs(truncated_normal(-0.5 + step, 1.0, 0, 1).cdf(xs) - truth.cdf(xs)), xs
+        np.abs(cdf_oracle(truncated_normal(-0.5 + step, 1.0, 0, 1), xs) - cdf_oracle(truth, xs)), xs
     )
     assert w1_to_truth <= one_step_gap + 1e-6
 

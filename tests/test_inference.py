@@ -341,7 +341,7 @@ def test_run_experiment_given_rejects_values_outside_unit_interval(bad):
     from raterpower.errors import ValueOutOfRange
 
     g, a, b = triple(seed=4, n=5, k=3)
-    values = b.to_array()
+    values = b.values.copy()
     values[2, 1] = bad
     b = ResponseMatrix.from_array(values)
     config = small_config(n_items=5, k_responses=3)

@@ -371,7 +371,7 @@ def test_bootstrap_test_matches_chunk_loop(phi, metric, monkeypatch):
     got_rng, want_rng = derive_rng(42), derive_rng(42)
     got = multistage_bootstrap_test(g, a, b, metric, strategy, b_null=23, rng=got_rng)
     want = bootstrap_test_oracle(
-        g.to_array(), a.to_array(), b.to_array(), metric, items, responses, 23,
+        g.values, a.values, b.values, metric, items, responses, 23,
         inference._chunk_size(12, 5), want_rng,
     )
     assert got == want

@@ -26,7 +26,6 @@ from raterpower.metrics import MetricId
 from raterpower.rngstreams import TRIAL, chunk_ranges, derive_rng
 from raterpower.simulator import (
     default_synthetic_prior,
-    draw_batch,
     draw_blocks,
     multidomain_prior,
     simulate_batch,
@@ -86,6 +85,11 @@ def test_a_large_trial_stacks_fewer_trials(budget, monkeypatch):
 
 # -- one generator per batch row ---------------------------------------------------------
 
+def one_block(config, rng, c):
+    """G, A and B's draws of c experiments: ``draw_blocks`` with one block."""
+    return tuple(next(phase) for phase in draw_blocks(config, rng, c, [(0, c)]))
+
+
 DRAW_PRIORS = {
     "synthetic": (default_synthetic_prior(), ResponseFamily()),
     "toxicity": (toxicity_prior(), ResponseFamily(5)),
@@ -102,11 +106,11 @@ DRAW_PRIORS = {
 
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("prior", DRAW_PRIORS)
-def test_draw_batch_of_generators_equals_one_batch_per_generator(prior, k):
+def test_one_block_of_generators_equals_one_batch_per_generator(prior, k):
     item_prior, family = DRAW_PRIORS[prior]
     config = ExperimentConfig(n_items=7, k_responses=k, epsilon=0.2, prior=item_prior, family=family)
     rngs = [derive_rng(5, TRIAL, t) for t in range(4)]
-    g, a, draws = draw_batch(config, rngs, len(rngs))
+    g, a, draws = one_block(config, rngs, len(rngs))
     b = draws.responses(config.epsilon, config.family)
     for row, rng in zip(range(4), rngs):
         want_rng = derive_rng(5, TRIAL, row)
@@ -118,7 +122,7 @@ def test_draw_batch_of_generators_equals_one_batch_per_generator(prior, k):
 
 @pytest.mark.parametrize("blocks", [1, 2, 5], ids=["one-span", "two-spans", "c-spans"])
 @pytest.mark.parametrize("prior", DRAW_PRIORS)
-def test_draw_blocks_of_generators_equal_draw_batch_rows(prior, blocks):
+def test_draw_blocks_of_generators_equal_one_block_rows(prior, blocks):
     # Power draws its trials in one span; the simulator must also split
     # per-row generators into row blocks, as it does one generator.
     item_prior, family = DRAW_PRIORS[prior]
@@ -128,7 +132,7 @@ def test_draw_blocks_of_generators_equal_draw_batch_rows(prior, blocks):
     spans = chunk_ranges(c, -(-c // blocks))
     assert len(spans) == blocks
     g, a, draws = ([*phase] for phase in draw_blocks(config, got_rngs, c, spans))
-    want_g, want_a, want_draws = draw_batch(config, want_rngs, c)
+    want_g, want_a, want_draws = one_block(config, want_rngs, c)
     assert np.concatenate(g).tobytes() == want_g.tobytes()
     assert np.concatenate(a).tobytes() == want_a.tobytes()
     for field in ("mu", "sigma", "u", "z"):
