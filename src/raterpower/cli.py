@@ -10,8 +10,8 @@ Every command is deterministic given --seed, regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import importlib
 import io
 import itertools
 import json
@@ -21,17 +21,33 @@ from pathlib import Path
 
 from . import rngstreams
 from .config import ExperimentConfig, SamplingStrategy
-from .dataio import load_responses, save_matrix
 from .distributions import Family
 from .errors import InvalidParam, RaterPowerError, check_count
-from .fitting import ecdf as compute_ecdf
-from .fitting import fit_prior, grid_columns, per_item_stats
 from .inference import run_columns, run_experiment
 from .metrics import MetricId
-from .power import TestId, power_sweeps
 from .simulator import ItemPrior, ResponseFamily, default_synthetic_prior, generate_triple
 
 MEMD_PAPER_SCALE = 15.5  # documented display factor; see README on MEMD scaling
+
+# power's TestId values, for the parser's --test choices (a test pins them to TestId).
+_TESTS = ("bootstrap", "welch", "wilcoxon", "permutation")
+
+
+def _lazy(module: str, name: str):
+    """``module``'s function ``name``, imported on its first call: a command loads only what it runs."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+load_responses = _lazy("dataio", "load_responses")
+save_matrix = _lazy("dataio", "save_matrix")
+compute_ecdf = _lazy("fitting", "ecdf")
+fit_prior = _lazy("fitting", "fit_prior")
+grid_columns = _lazy("fitting", "grid_columns")
+per_item_stats = _lazy("fitting", "per_item_stats")
+power_sweeps = _lazy("power", "power_sweeps")
 
 
 class UsageError(Exception):
@@ -155,6 +171,8 @@ def _base_config(args) -> ExperimentConfig:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -246,6 +264,8 @@ def cmd_power(args) -> None:
         axis, values = "k_responses", args.k_sweep
     else:
         axis, values = "n_items", (args.n_sweep if args.n_sweep is not None else (config.n_items,))
+    from .power import TestId
+
     tests = tuple(TestId) if args.test == "all" else (TestId(args.test),)
     reports = power_sweeps(config, tests, args.trials, axis, values, threads=args.threads)
     if args.format == "json":
@@ -412,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("power", "power curves for the bootstrap test and baselines")
     _add_prior_flags(p)
     _add_experiment_flags(p, "--b-alt")
-    p.add_argument("--test", choices=[*(t.value for t in TestId), "all"], default="all")
+    p.add_argument("--test", choices=[*_TESTS, "all"], default="all")
     sweep = p.add_mutually_exclusive_group()
     sweep.add_argument("--n-sweep", type=counts, default=None, help="comma list of N values")
     sweep.add_argument("--k-sweep", type=counts, default=None, help="comma list of K values")

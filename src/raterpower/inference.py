@@ -95,7 +95,6 @@ do not depend on the chunk size, picked so that every thread gets a chunk.
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import math
 import threading
@@ -145,9 +144,11 @@ class _Workspace:
     between chunks a worker holds at most three chunk arrays, 3 x
     ``_CHUNK_BUDGET`` floats (48 MB), or 3 x N * K floats where one
     resample is larger. Where only G is gathered (the bootstrap test) it
-    holds G's alone: a chunk's rows for MEMD, else one row block. A chunk
-    leaves no value in them that a later chunk reads: every view it hands
-    out is written before it is read.
+    holds G's alone: a chunk's rows for MEMD, else one row block. Once a
+    resampled simulator chunk has scored every A block, A's buffer takes
+    its B blocks where they fit, without growing. A chunk leaves no value
+    in them that a later chunk reads: every view it hands out is written
+    before it is read.
 
     Each thread has its own (``mine``), so no two chunks share one. It is
     freed when its thread ends: a pool thread's with its ``_map_chunks``
@@ -166,13 +167,19 @@ class _Workspace:
             ws = _LOCAL.workspace = _Workspace()
         return ws
 
-    def rows(self, i: int, shape) -> np.ndarray:
-        """Source i's buffer (G, A, B: 0, 1, 2) as a C-ordered float array of ``shape``, grown to fit."""
-        size = math.prod(shape)
-        if self._buffers[i].size < size:
+    def rows(self, i: int, shape, grow: bool = True, at: int = 0) -> np.ndarray:
+        """Source i's buffer (G, A, B: 0, 1, 2) from float ``at`` on, as a C-ordered float array of ``shape``.
+
+        The buffer grows to fit; without ``grow`` it stays as it is, and an
+        array that does not fit in it is a new one.
+        """
+        end = at + math.prod(shape)
+        if self._buffers[i].size < end:
+            if not grow:
+                return np.empty(shape)
             self._buffers[i] = np.empty(0)  # the old buffer goes before the new one is made
-            self._buffers[i] = np.empty(size)
-        return self._buffers[i][:size].reshape(shape)
+            self._buffers[i] = np.empty(end)
+        return self._buffers[i][at:end].reshape(shape)
 
 
 _LOCAL = threading.local()  # each thread's workspace
@@ -292,27 +299,37 @@ def _map_chunks(fn, chunks, threads: int):
     Each thread takes the next chunk in order when it is free. The caller
     works rather than waits, which spares a thread and its malloc arena: an
     arena keeps what its thread freed resident, and a second worker's arena
-    raised a table's peak RSS by about 25 MB.
+    raised a table's peak RSS by about 25 MB. The first exception any
+    thread raises stops every thread at its next chunk and is raised here
+    once all of them have stopped.
     """
     if threads <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
     results = [None] * len(chunks)
     todo = iter(range(len(chunks)))
     lock = threading.Lock()
+    errors = []
 
     def work():
-        while True:
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(todo, None)
+                if i is None:
+                    return
+                results[i] = fn(chunks[i])
+        except BaseException as exc:  # the caller re-raises it
             with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            results[i] = fn(chunks[i])
+                errors.append(exc)
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        futures = [pool.submit(work) for _ in range(min(threads, len(chunks)) - 1)]
-        work()
-        for future in futures:
-            future.result()
+    pool = [threading.Thread(target=work) for _ in range(min(threads, len(chunks)) - 1)]
+    for thread in pool:
+        thread.start()
+    work()
+    for thread in pool:
+        thread.join()
+    if errors:
+        raise errors[0]
     return results
 
 
@@ -467,7 +484,7 @@ def _entries(scores: dict) -> list[dict]:
 
 
 def _score_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, rng, c: int, sources,
-                  blocks, spans, ws: _Workspace, gold: Gold | None = None):
+                  blocks, spans, ws: _Workspace, gold: Gold | None = None, b_out=lambda x: None):
     """Per-model scores of c resamples of a (G, A, B) triple: per row block, one dict per B model.
 
     ``sources`` are G's, A's and B's (shape, counts, k) as in ``_plan``,
@@ -483,7 +500,8 @@ def _score_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, rng, 
     block reuses (in a simulator chunk, rows already gathered). A gathered
     or (c, N, W) block is the chunk's own, so the kernel overwrites it. B's
     block j is taken and scored only when asked for, after every G and A
-    block.
+    block, and a gathered B block x goes into ``b_out(x)`` (a new array
+    when that is None).
     """
     plan, blocks = _plan(rng, c, phi, sources, spans), iter(blocks)
     # G's k is None: the plan gathers G unless phi resamples nothing. Gold
@@ -506,7 +524,7 @@ def _score_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, rng, 
     qa = [model_items(gd, *take(1, x, lo, hi, step))
           for (lo, hi), gd, x, step in zip(spans, golds, next(blocks), next(plan))]
     for (lo, hi), gd, q, x, step in zip(spans, golds, qa, next(blocks), next(plan)):
-        yield _entries(pair_scores(metric_ids, q, model_items(gd, *take(2, x, lo, hi, step))))
+        yield _entries(pair_scores(metric_ids, q, model_items(gd, *take(2, x, lo, hi, step, b_out(x)))))
 
 
 def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsilons, base,
@@ -520,12 +538,20 @@ def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsil
     resample. Index draws follow every simulator draw, so a resampled
     simulator chunk draws every G, A and B block first, into the worker's
     workspace (``_Workspace``); with one epsilon it builds B then too, so
-    the (c, N) item parameters go before the first index draw. An
-    unresampled chunk draws each block, scores it and lets it go before the
-    next: a new block each time, which the heap hands back cache-hot.
+    the (c, N) item parameters go before the first index draw. With several
+    it builds each B block for all E epsilons when the scorer asks for it.
+    The scorer asks only once every A block is scored, so A's workspace
+    rows are dead by then: each B block is built into them (with several
+    epsilons) and gathered into the rows after it, or into a new array
+    where it does not fit. An unresampled chunk draws each block, scores it
+    and lets it go before the next: a new block each time, which the heap
+    hands back cache-hot.
     """
-    def build(draws):  # sigma * z builds in z's memory, and so does B when there is one epsilon
-        return (d.responses(epsilons, config.family, out=d.z) for d in draws)
+    def build(draws, stack=lambda shape: None):
+        # sigma * z builds in z's memory, and so does B when there is one
+        # epsilon; with several, B builds in stack(its shape).
+        return (d.responses(epsilons, config.family, out=d.z, stack=stack((len(epsilons), *d.z.shape)))
+                for d in draws)
 
     ws = _Workspace.mine()
     if base is None:
@@ -537,8 +563,10 @@ def _alt_chunk_parametric(config: ExperimentConfig, phi: SamplingStrategy, epsil
             blocks = itertools.chain(itertools.islice(sim, 2), map(build, sim))
         else:  # the index draws follow every simulator draw
             g, a, b = (list(p) for p in draw_blocks(config, rng, c, spans, [ws.rows(i, shape) for i in range(3)]))
-            b = list(build(b)) if len(epsilons) == 1 else build(b)
+            b = list(build(b)) if len(epsilons) == 1 else build(b, lambda shape: ws.rows(1, shape, grow=False))
             blocks = [g, a, b]
+            return _join(_score_blocks(config.metrics, phi, rng, c, sources, blocks, spans, ws,
+                                       b_out=lambda x: ws.rows(1, x.shape, grow=False, at=x.size)))
     else:
         (g, a, b), counts = base
         sources = [(x.shape, k, None) for x, k in zip((g, a, b), counts or (None,) * 3)]

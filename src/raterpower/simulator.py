@@ -220,22 +220,23 @@ def _snap_to_levels(x: np.ndarray, levels: int) -> np.ndarray:
     return x
 
 
-def _affine_responses(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
-                      family: ResponseFamily, out: np.ndarray | None = None) -> np.ndarray:
+def _affine_responses(z: np.ndarray, mu: np.ndarray, sigma: np.ndarray, family: ResponseFamily,
+                      out: np.ndarray | None = None, stack: np.ndarray | None = None) -> np.ndarray:
     """clip(mu + sigma * z) per item, snapped when family has levels; z is (..., k).
 
     mu is sigma's shape or adds leading axes: then sigma * z is computed once
     and one response array comes out per leading index, (*lead, ..., k).
     NumPy's ``normal(loc, scale)`` is loc + scale * standard_normal, so this
     gives its values bit for bit. ``out`` may be z itself; the responses
-    build in it when mu has one value per item.
+    build in it when mu has one value per item, else in ``stack``, an
+    array of their shape, when given.
     """
     x = np.multiply(z, sigma[..., None], out=out)
     if mu.size == sigma.size:
         x = x.reshape(*mu.shape, x.shape[-1])
         x += mu[..., None]
     else:
-        x = np.add(x, mu[..., None])
+        x = np.add(x, mu[..., None], out=stack)
     np.clip(x, 0.0, 1.0, out=x)
     if family.levels is not None:
         _snap_to_levels(x, family.levels)
@@ -283,17 +284,19 @@ class PerturbedDraws:
     u: np.ndarray
     z: np.ndarray
 
-    def responses(self, epsilon, family: ResponseFamily, out: np.ndarray | None = None) -> np.ndarray:
+    def responses(self, epsilon, family: ResponseFamily, out: np.ndarray | None = None,
+                  stack: np.ndarray | None = None) -> np.ndarray:
         """B at ``epsilon``, a float or an (E,) array: (c, N, K), or (E, c, N, K) with one B per epsilon.
 
         sigma * z is computed once for every epsilon. ``out=self.z`` reuses
         z's memory once z is no longer needed: for it, and for B itself when
-        there is one epsilon.
+        there is one epsilon. ``stack``, an (E, c, N, K) float array, takes
+        the Bs of several epsilons; without it they build in a new array.
         """
         e = np.asarray(epsilon, dtype=float)[..., None, None]
         # rng.uniform(lo, hi) is lo + (hi - lo) * random(): the same deltas bit for bit.
         delta = self.u * (e - -e) + -e
-        return _affine_responses(self.z, self.mu + delta, self.sigma, family, out=out)
+        return _affine_responses(self.z, self.mu + delta, self.sigma, family, out=out, stack=stack)
 
 
 def draw_blocks(config, rng, c: int, spans, out=None):

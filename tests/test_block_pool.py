@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -203,6 +204,55 @@ def test_per_resample_plan_blocks_equal_the_whole_chunk(phi, ragged, rows):
         assert got.bit_generator.state == one.bit_generator.state
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_map_chunks_returns_results_in_chunk_order_and_runs_each_chunk_once(threads, count):
+    before = threading.active_count()
+    lock, calls = threading.Lock(), []
+
+    def fn(chunk):
+        with lock:
+            calls.append(chunk)
+        time.sleep(0.002 * (count - int(chunk)))  # later chunks finish first
+        return f"result {chunk}"
+
+    chunks = [str(i) for i in range(count)]
+    assert inference._map_chunks(fn, chunks, threads) == [f"result {c}" for c in chunks]
+    assert sorted(calls) == chunks
+    assert threading.active_count() == before
+
+
+def test_map_chunks_reraises_a_worker_exception_once_every_thread_has_stopped():
+    # Each of the three threads takes one of the first three chunks. One
+    # worker raises at once, the caller finishes its chunk 0.1 s later and
+    # the other worker 0.3 s later; the caller must see the exception only
+    # after that, and no thread may take a chunk once it is raised.
+    before = threading.active_count()
+    caller, barrier, lock = threading.get_ident(), threading.Barrier(3), threading.Lock()
+    started, finished, workers = [], [], []
+
+    def fn(chunk):
+        with lock:
+            started.append(chunk)
+        if chunk < 3:
+            barrier.wait(timeout=30)
+        if threading.get_ident() != caller:
+            with lock:
+                workers.append(chunk)
+                first = len(workers) == 1
+            if first:
+                raise ValueError(f"chunk {chunk}")
+        time.sleep(0.1 if threading.get_ident() == caller else 0.3)
+        with lock:
+            finished.append(chunk)
+
+    with pytest.raises(ValueError, match="chunk"):
+        inference._map_chunks(fn, list(range(8)), 3)
+    assert sorted(started) == [0, 1, 2]
+    assert len(workers) == 2 and sorted(finished) == sorted(set(started) - {workers[0]})
+    assert threading.active_count() == before
+
+
 def test_run_columns_validates_every_column_before_running(monkeypatch):
     monkeypatch.setattr(inference, "_alt_chunk_parametric", lambda *a: pytest.fail("ran"))
     monkeypatch.setattr(inference, "_null_chunk_rect", lambda *a: pytest.fail("ran"))
@@ -269,6 +319,34 @@ def test_a_resampled_simulator_chunk_holds_g_a_and_b_but_no_sorted_copy(phi, n, 
     finally:
         tracemalloc.stop()
     assert peak < 3.75 * c * n * k * 8
+
+
+def _fresh_chunk_peak(config, epsilons, c) -> int:
+    """Traced peak bytes of one resampled alternative chunk at ``epsilons`` on a fresh workspace."""
+    inference._LOCAL.__dict__.clear()
+    tracemalloc.start()
+    try:
+        inference._alt_chunk_parametric(config, config.phi, epsilons, None, derive_rng(1, 2, 0), c)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, k", [(1000, 50), (200, 10)])
+def test_a_chunk_of_four_epsilons_builds_and_gathers_b_in_a_dead_rows(n, k, fresh_workspaces):
+    # Every A block is scored before B's first is built, so each B block
+    # for all four epsilons is built in A's workspace rows and gathered into
+    # the rows after it. Four epsilons then cost no more than one beyond the
+    # (c, N) item parameters (mu, sigma and the shift uniforms), which B's
+    # blocks need until the last one and which one epsilon frees before the
+    # index draws. Chunk arrays at four epsilons: 3.41 and 3.90 with B built
+    # and gathered in new arrays, 3.21 and 3.77 here; one epsilon: 3.14, 3.45.
+    c = inference._chunk_size(n, k)
+    config = ExperimentConfig(n_items=n, k_responses=k, metrics=METRICS, phi=SamplingStrategy.parse("boot,boot"))
+    one = _fresh_chunk_peak(config, (0.02,), c)
+    four = _fresh_chunk_peak(config, (0.005, 0.01, 0.02, 0.1), c)
+    chunk_array = c * n * k * 8
+    assert four <= one + 3 * c * n * 8 + 0.05 * chunk_array
 
 
 @pytest.mark.parametrize("phi", ["boot,boot", "all,boot"])

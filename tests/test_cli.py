@@ -328,6 +328,14 @@ def test_power_command_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_power_test_choices_are_the_test_ids():
+    # The parser lists them without importing power, so they are a literal.
+    from raterpower import cli
+    from raterpower.power import TestId
+
+    assert cli._TESTS == tuple(t.value for t in TestId)
+
+
 def test_power_rejects_welch_with_one_item_before_any_sweep(tmp_path, capsys, monkeypatch):
     from raterpower import power
 

@@ -59,10 +59,20 @@ TEST_ONLY = {
 
 
 def test_package_exports():
-    exports = {name for name, value in vars(raterpower).items()
-               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert exports == PACKAGE
-    assert len(PACKAGE) == 39
+    # Exports load on first access, so vars(raterpower) holds only those read so far.
+    assert set(raterpower.__all__) == PACKAGE
+    assert len(raterpower.__all__) == len(PACKAGE) == 39
+    listed = {name for name in dir(raterpower)
+              if not name.startswith("_") and not isinstance(getattr(raterpower, name), types.ModuleType)}
+    assert listed == PACKAGE
+    for name in PACKAGE:  # each resolves to the object its home module defines
+        value = getattr(raterpower, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_an_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        raterpower.nothing  # noqa: B018
 
 
 def test_every_module_is_pinned():
