@@ -82,6 +82,7 @@ def _at_least(kind, least, rule: str):
 
 
 _COUNT = _at_least(int, 1, "each N and K must be >= 1")
+_FINITE = _at_least(float, -math.inf, "each value must be a finite number")
 
 
 def _nk_pair(text: str) -> tuple[int, int]:
@@ -94,13 +95,13 @@ def _metrics(text: str) -> tuple[MetricId, ...]:
 
 
 def _grid(text: str) -> dict[str, tuple[float, ...]]:
-    """``name=start:stop:step`` or ``name=value`` entries: each name's grid values, each name once."""
+    """``name=start:stop:step`` or ``name=value`` entries of finite numbers: each name's values, each name once."""
     grid: dict[str, tuple[float, ...]] = {}
     for token in filter(str.strip, text.split(",")):
         name, valspec = token.split("=", 1)
         if name.strip() in grid:
             raise argparse.ArgumentTypeError(f"{name.strip()!r} appears more than once in {text!r}")
-        parts = [float(p) for p in valspec.split(":")]
+        parts = [_FINITE(p) for p in valspec.split(":")]
         if len(parts) == 3:
             start, stop, step = parts
             if step <= 0 or stop < start:
@@ -118,9 +119,9 @@ def _grid(text: str) -> dict[str, tuple[float, ...]]:
 
 
 def _clip(text: str) -> dict[str, float]:
-    """``lo,hi`` censoring bounds; a blank or ``none`` side stays open."""
+    """``lo,hi`` finite censoring bounds; a blank or ``none`` side stays open."""
     lo, hi = text.split(",")
-    return {name: float(part) for name, part in (("lo", lo), ("hi", hi))
+    return {name: _FINITE(part) for name, part in (("lo", lo), ("hi", hi))
             if part.strip().lower() not in ("", "none")}
 
 

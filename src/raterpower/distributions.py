@@ -47,11 +47,19 @@ _RAW_ARRAYS = {Family.GAUSSIAN_MIXTURE2: 2}
 _SCALES = ("sigma", "sigma1", "sigma2")
 
 
+def _cdf_bounds(p: Mapping) -> list:
+    """A truncated normal's CDF at lo and at hi: the interval ``transform``'s inverse-CDF draw maps into."""
+    from scipy import special
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return [special.ndtr(np.divide(p[end] - p["mu"], p["sigma"])) for end in ("lo", "hi")]
+
+
 # lo < hi where both bounds are given; censored and truncated normals need both.
 _BOUNDS = ("lo", "lo < hi violated", lambda p: "lo" not in p or "hi" not in p or p["lo"] < p["hi"])
 
 # Each family's invariants on parameter values, checked in this order after
-# the name, NaN and scale checks: (parameter named, message, predicate that
+# the name, finiteness and scale checks: (parameter named, message, predicate that
 # holds where the parameters are valid). A predicate takes scalars or
 # equal-length columns alike, so it combines conditions with & and |.
 _RULES: dict[Family, tuple] = {
@@ -62,6 +70,8 @@ _RULES: dict[Family, tuple] = {
         _BOUNDS,
         ("mu", "zero-scale truncated normal outside bounds",
          lambda p: (p["sigma"] != 0) | ((p["lo"] <= p["mu"]) & (p["mu"] <= p["hi"]))),
+        # Mass in double precision, as ``transform`` draws it: a at lo below b at hi.
+        ("lo", "truncation interval carries no mass", lambda p: (p["sigma"] == 0) | np.less(*_cdf_bounds(p))),
     ),
     Family.CENSORED_NORMAL: (_BOUNDS,),
     Family.FOLDED_NORMAL: (_BOUNDS,),
@@ -93,7 +103,7 @@ def _checks(family: Family, p: Mapping):
     unknown, missing = f"unknown parameter for {family.value}", f"missing parameter for {family.value}"
     for name, value in p.items():
         yield name, unknown, name in required or name in optional
-        yield name, "parameter is NaN", value == value
+        yield name, "parameter is not finite", np.isfinite(value)
     for name in required:
         yield name, missing, name in p
     for name in required:
@@ -249,11 +259,8 @@ class DistributionSpec:
 
             mu, sigma, lo, hi = p["mu"], p["sigma"], p["lo"], p["hi"]
             live = sigma != 0
+            a, b = _cdf_bounds(p)
             with np.errstate(divide="ignore", invalid="ignore"):
-                a = special.ndtr(np.divide(lo - mu, sigma))
-                b = special.ndtr(np.divide(hi - mu, sigma))
-                if np.any(live & (b - a <= 0.0)):
-                    raise InvalidParam("lo", "truncation interval carries no mass")
                 x = _affine(special.ndtri(_affine(x, b - a, a)), sigma, mu)
             return _where(live, np.clip(x, lo, hi, out=x), mu)
         if family == Family.CENSORED_NORMAL:

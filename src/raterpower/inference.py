@@ -604,7 +604,10 @@ def _null_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.
 
 
 class _Arm(NamedTuple):
-    """One arm of a column: fn(rng, c) scores c resamples, one score dict per column entry."""
+    """A Monte Carlo arm: fn(rng, c) runs a chunk of c of its ``total`` resamples, at most ``chunk``.
+
+    A power sweep point's arm runs trials: a chunk of at most 8 trials, fewer where N·K is large.
+    """
 
     seed: int
     tag: int
@@ -614,14 +617,14 @@ class _Arm(NamedTuple):
     streams: bool
 
 
-def _collect(arms, threads: int) -> list[list[dict]]:
-    """Per-model scores of each arm's range(total), (2, total) per metric, one dict per entry.
+def _collect(arms, threads: int) -> list[list]:
+    """Each arm's chunk results fn(rng, c) over its range(total), in order (score dicts: ``_join`` them).
 
     Every (arm, chunk) task of every arm runs through one ``_map_chunks``.
     A chunk draws from derive_rng(seed, tag, chunk start); with ``streams``,
-    resample j draws from its own derive_rng(seed, tag, j) (``_plan``), so
-    the scores do not depend on the chunking, and the chunk shrinks until
-    every thread has one.
+    resample or trial j draws from its own derive_rng(seed, tag, j), so the
+    results do not depend on the chunking, and the chunk shrinks until every
+    thread has one.
     """
     tasks = []
     for i, arm in enumerate(arms):
@@ -636,7 +639,7 @@ def _collect(arms, threads: int) -> list[list[dict]]:
         return arm.fn(rngstreams.derive_rng(arm.seed, arm.tag, lo), hi - lo)
 
     results = _map_chunks(run, tasks, threads)
-    return [_join([r for (j, _, _), r in zip(tasks, results) if j == i]) for i in range(len(arms))]
+    return [[r for (j, _, _), r in zip(tasks, results) if j == i] for i in range(len(arms))]
 
 
 def _report(config: ExperimentConfig, alt: dict, null: dict, mode: Mode = Mode.PARAMETRIC) -> PValueReport:
@@ -726,7 +729,7 @@ def run_columns(
     configs, alts, nulls = zip(*prepared) if prepared else ((), (), ())
     # Alternative arms first: they are the longer tasks, and the two arms of
     # one column (whose (c, N) arrays are largest at K = 1) rarely run at once.
-    scores = _collect(alts + nulls, threads)
+    scores = [_join(parts) for parts in _collect(alts + nulls, threads)]
 
     def comparisons(entry):
         return {m: comparison(m, *s) for m, s in entry.items()}
@@ -775,11 +778,11 @@ def mean_metric_scores(
     """
     check_count("n_samples", n_samples, "need at least one sample")
     check_count("threads", threads, "need at least one thread")
-    scores = _collect([_Arm(
+    scores = _join(_collect([_Arm(
         config.seed, rngstreams.SCORE,
         lambda rng, c: _alt_chunk_parametric(config, config.phi, (config.epsilon,), None, rng, c),
         n_samples, _chunk_size(config.n_items, config.k_responses), False,
-    )], threads)[0][0]
+    )], threads)[0])[0]
     out: dict[MetricId, dict[str, float]] = {}
     for m, (per_a, per_b) in scores.items():
         score_a, score_b = per_a.mean(), per_b.mean()

@@ -9,8 +9,9 @@ responses, so it sees the full response-level variance.
 
 Power is a rejection rate over simulated trials. ``power_sweeps`` runs
 several tests along one sweep axis: each trial simulates one dataset that
-every test sees, and every (sweep point, chunk of trials) is one task on
-one pool of threads. ``estimate_power`` is its one-test, one-point call.
+every test sees, and each sweep point is an arm of ``inference._collect``:
+every (point, chunk of at most 8 trials, fewer where N·K is large) is one
+task on one pool of threads. ``estimate_power`` is its one-test, one-point call.
 
 A chunk stacks its trials into one simulated batch and runs the
 baselines' statistics once over its rows (``_chunk_p_values``); the
@@ -39,7 +40,7 @@ from .errors import (
     InvalidParam,
     check_count,
 )
-from .inference import _chunk_size, _map_chunks, _null_blocks, _null_pool, _spans, _Workspace
+from .inference import _Arm, _chunk_size, _collect, _null_blocks, _null_pool, _spans, _Workspace
 from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold, triple_items
 from .simulator import ResponseMatrix, check_finite, check_matrices, check_member, simulate_batch
 
@@ -373,20 +374,18 @@ class PowerReport:
         }
 
 
-def _chunk_p_values(config: ExperimentConfig, tests: tuple[TestId, ...], lo: int, hi: int,
+def _chunk_p_values(config: ExperimentConfig, tests: tuple[TestId, ...], rngs,
                     alpha: float | None = None) -> np.ndarray:
-    """The (hi - lo, len(tests)) p-values of trials lo..hi-1: row t as trial lo + t alone gives them.
+    """The (len(rngs), len(tests)) p-values of a chunk of trials: row t as its trial alone gives them.
 
-    Trial t draws its (G, A, B) triple from its own generator,
-    derive_rng(seed, TRIAL, t), into row t of one batch (``simulate_batch``
-    with one generator per row). The bootstrap test's observed scores, the
-    MAE item errors the baselines share, Welch's t and the Wilcoxon test
-    then each run once over the batch's rows. The Monte Carlo loops stay
-    per trial: the bootstrap test's null blocks, the permutation test and
-    Wilcoxon's exact branch. Every test that draws restarts from its
-    trial's post-simulation generator state, so each p equals the one the
-    test gets alone. A batch holds at most ``inference._CHUNK_BUDGET``
-    floats of G, A and B, so a large N*K stacks fewer trials, down to one.
+    Trial t draws its (G, A, B) triple from its own generator ``rngs[t]``
+    into row t of one batch (``simulate_batch`` with one generator per
+    row). The bootstrap test's observed scores, the MAE item errors the
+    baselines share, Welch's t and the Wilcoxon test then each run once
+    over the batch's rows. The Monte Carlo loops stay per trial: the
+    bootstrap test's null blocks, the permutation test and Wilcoxon's exact
+    branch. Every test that draws restarts from its trial's post-simulation
+    generator state, so each p equals the one the test gets alone.
 
     With ``alpha``, the bootstrap and Monte Carlo permutation tests stop
     drawing once their p >= alpha is settled and return that partial p:
@@ -394,15 +393,6 @@ def _chunk_p_values(config: ExperimentConfig, tests: tuple[TestId, ...], lo: int
     full p. A stopped test leaves the generator mid-stream, which no later
     test reads.
     """
-    stack = _chunk_size(config.n_items, 3 * config.k_responses)
-    return np.concatenate([_batch_p_values(config, tests, range(lo + a, lo + b), alpha)
-                           for a, b in rngstreams.chunk_ranges(hi - lo, stack)])
-
-
-def _batch_p_values(config: ExperimentConfig, tests: tuple[TestId, ...], trials: range,
-                    alpha: float | None) -> np.ndarray:
-    """``_chunk_p_values`` of ``trials`` from one simulated batch."""
-    rngs = [rngstreams.derive_rng(config.seed, rngstreams.TRIAL, t) for t in trials]
     g, a, b = simulate_batch(config, rngs, len(rngs))
     starts = [rng.bit_generator.state for rng in rngs]
     metric = config.metrics[0]
@@ -441,7 +431,8 @@ def _batch_p_values(config: ExperimentConfig, tests: tuple[TestId, ...], trials:
 def _trial_p_value(config: ExperimentConfig, tests: tuple[TestId, ...], trial: int,
                    alpha: float | None = None) -> list[float]:
     """One p-value per test, in the order of ``tests``, on trial ``trial``'s dataset: the one-trial chunk."""
-    return _chunk_p_values(config, tests, trial, trial + 1, alpha)[0].tolist()
+    rng = rngstreams.derive_rng(config.seed, rngstreams.TRIAL, trial)
+    return _chunk_p_values(config, tests, [rng], alpha)[0].tolist()
 
 
 def estimate_power(
@@ -469,26 +460,27 @@ def power_sweeps(
     """Power curves of several tests along one axis: one report per test, in order.
 
     Every point is checked for every test before any trial runs. Trial t of
-    a point simulates its dataset once and applies every test to it, and
-    each (point, chunk of 8 trials) is one task on one pool of ``threads``
-    threads. Each report equals ``power_sweeps`` of its test alone.
+    a point simulates its dataset once and applies every test to it. Each
+    point is one ``_collect`` arm: trial t draws from derive_rng(seed, TRIAL,
+    t), and each chunk of at most 8 trials, fewer where N·K is large (a
+    batch holds at most ``_CHUNK_BUDGET`` floats of G, A and B), is one
+    task. Each report equals ``power_sweeps`` of its test alone.
     """
     tests = _test_ids(tests)
     configs = sweep_configs(config, tests, axis, values)
     check_count("trials", trials, "need at least one trial")
     check_count("threads", threads, "need at least one thread")
-    chunks = rngstreams.chunk_ranges(trials, 8)
 
-    def run(task) -> np.ndarray:
-        cfg, (lo, hi) = task
-        return np.less(_chunk_p_values(cfg, tests, lo, hi, cfg.alpha), cfg.alpha).sum(axis=0)
+    def point(cfg: ExperimentConfig) -> _Arm:  # each chunk's rejections per test
+        return _Arm(cfg.seed, rngstreams.TRIAL,
+                    lambda rngs, c: np.less(_chunk_p_values(cfg, tests, rngs, cfg.alpha), cfg.alpha).sum(axis=0),
+                    trials, min(8, _chunk_size(cfg.n_items, 3 * cfg.k_responses)), True)
 
-    hits = _map_chunks(run, [(cfg, span) for cfg in configs for span in chunks], threads)
-    rejections = np.reshape(hits, (len(configs), len(chunks), len(tests))).sum(axis=1)
+    rejections = [np.sum(hits, axis=0) for hits in _collect([point(cfg) for cfg in configs], threads)]
     return [
         PowerReport(test=test, alpha=config.alpha, trials=trials, axis=axis, points=tuple(
-            PowerPoint(axis_value=int(value), rejections=int(r), trials=trials)
-            for value, r in zip(values, rejections[:, i])
+            PowerPoint(axis_value=int(value), rejections=int(r[i]), trials=trials)
+            for value, r in zip(values, rejections)
         ))
         for i, test in enumerate(tests)
     ]

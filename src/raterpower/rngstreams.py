@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-from .errors import InvalidParam
+from .errors import check_count
 
 # Stream tags. Never renumber: encoded into every derived seed.
 BASE = 0
@@ -41,13 +41,8 @@ _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 
 def _check_seed(seed) -> int:
     """``seed`` as an int; anything but an integer >= 0 (a bool is not one) raises ``InvalidParam``."""
-    try:
-        value = None if isinstance(seed, bool) else operator.index(seed)
-    except TypeError:
-        value = None
-    if value is None or value < 0:
-        raise InvalidParam("seed", f"seed must be a nonnegative integer, got {seed!r}")
-    return value
+    check_count("seed", seed, "seed must be a nonnegative integer", least=0)
+    return operator.index(seed)
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:

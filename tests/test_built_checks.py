@@ -125,6 +125,12 @@ SPEC = {"family": "uniform", "params": {"lo": 0.0, "hi": 0.3}}
                                  "scale_spec": SPEC}), "lo"),
     ("--prior-spec", json.dumps({"location_spec": {"family": "uniform", "params": {"lo": "a", "hi": 1}},
                                  "scale_spec": SPEC}), "params"),
+    # An infinity used to pass: the run drew every resample, then blamed alt_scores.
+    ("--prior-spec", json.dumps({"location_spec": {"family": "uniform", "params": {"lo": 0, "hi": math.inf}},
+                                 "scale_spec": SPEC}), "hi"),
+    ("--prior-spec", json.dumps({"location_spec": SPEC,
+                                 "scale_spec": {"family": "normal", "params": {"mu": 0, "sigma": math.inf}}}),
+     "sigma"),
 ], ids=lambda x: x if isinstance(x, str) and len(x) < 12 else "")
 def test_malformed_config_content_exits_2_naming_its_field(flag, content, field, tmp_path, capsys,
                                                             monkeypatch):

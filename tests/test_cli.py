@@ -650,6 +650,14 @@ FIT_OK = ["--location-family", "normal", "--grid", "mu=0.5,sigma=0.1"]
     (FIT + FIT_OK + ["--scale-family", "uniform"], "--scale-grid", "lo=1:0:0.1"),
     (FIT + FIT_OK, "--location-clip", "0"),
     (FIT + FIT_OK, "--scale-clip", "0,x"),
+    # Infinities and NaN used to pass: a uniform fit on (-inf, inf) printed
+    # "fit_error": Infinity, which is not JSON.
+    (FIT + ["--location-family", "uniform"], "--grid", "lo=-inf,hi=inf"),
+    (FIT + ["--location-family", "normal"], "--grid", "mu=0.5,sigma=inf"),
+    (FIT + ["--location-family", "normal"], "--grid", "mu=nan,sigma=0.1"),
+    (FIT + ["--location-family", "folded-normal", "--grid", "mu=0.5,sigma=0.1"], "--location-clip", "0,inf"),
+    (FIT + FIT_OK + ["--scale-family", "folded-normal", "--scale-grid", "mu=0,sigma=0.1"], "--scale-clip",
+     "none,inf"),
 ], ids=lambda x: x if isinstance(x, str) else x[0])
 def test_a_malformed_flag_value_exits_2_naming_it_before_any_file_is_read(
         command, flag, value, tmp_path, capsys, monkeypatch):

@@ -44,6 +44,20 @@ def test_validate_mixture_weight():
         DistributionSpec(Family.GAUSSIAN_MIXTURE2, {"mu1": 0, "sigma1": 1, "mu2": 1, "sigma2": 1, "kappa": 1.5})
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_validate_parameters_must_be_finite(bad):
+    # An infinity used to pass the NaN check: uniform(-inf, inf) drew NaN.
+    for family, params, name in [(Family.UNIFORM, {"lo": bad, "hi": 1.0}, "lo"),
+                                 (Family.NORMAL, {"mu": 0.5, "sigma": abs(bad)}, "sigma"),
+                                 (Family.TRUNCATED_NORMAL, {"mu": 0.5, "sigma": 0.1, "lo": 0.0, "hi": abs(bad)}, "hi")]:
+        with pytest.raises(InvalidParam, match="not finite") as err:
+            DistributionSpec(family, params)
+        assert err.value.name == name
+        with pytest.raises(InvalidParam) as err:
+            DistributionSpec.from_json_dict({"family": family.value, "params": params})
+        assert err.value.name == name
+
+
 def test_degenerate_uniform_is_point_mass():
     spec = uniform(0.3, 0.3)
     assert list(spec.sample(derive_rng(0), 4)) == [0.3] * 4

@@ -317,6 +317,16 @@ def test_a_stream_seed_must_be_a_nonnegative_integer(seed):
         stream_states(seed, 4, count=1)
 
 
+@pytest.mark.parametrize("seed", [2.5, "2", True, -1], ids=["float", "str", "bool", "negative"])
+def test_a_stream_seed_is_refused_as_a_config_seed_is(seed):
+    # derive_rng used to word its own message for a seed that is not an integer.
+    with pytest.raises(InvalidParam) as stream:
+        derive_rng(seed)
+    with pytest.raises(InvalidParam) as config:
+        ExperimentConfig(seed=seed)
+    assert str(stream.value) == str(config.value)
+
+
 def test_an_integer_seed_keeps_its_stream():
     assert derive_rng(np.int64(7), 1).random(3).tolist() == derive_rng(7, 1).random(3).tolist()
 

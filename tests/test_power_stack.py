@@ -60,7 +60,8 @@ def test_a_chunk_equals_its_trials_alone(prior, n, k, alpha):
     for metric, phi in BOOTSTRAPS:
         config = ExperimentConfig(n_items=n, k_responses=k, epsilon=0.15, prior=item_prior, family=family,
                                   metrics=(metric,), phi=SamplingStrategy.parse(phi), b_null=30, seed=11)
-        stacked = power._chunk_p_values(config, tuple(TestId), 3, 3 + TRIALS, alpha)
+        rngs = [derive_rng(config.seed, TRIAL, t) for t in range(3, 3 + TRIALS)]
+        stacked = power._chunk_p_values(config, tuple(TestId), rngs, alpha)
         assert stacked.shape == (TRIALS, len(TestId))
         for row, trial in zip(stacked.tolist(), range(3, 3 + TRIALS)):
             alone = power._trial_p_value(config, tuple(TestId), trial, alpha)
@@ -70,16 +71,20 @@ def test_a_chunk_equals_its_trials_alone(prior, n, k, alpha):
 
 @pytest.mark.parametrize("budget", [1, 200])  # one trial a batch, then three
 def test_a_large_trial_stacks_fewer_trials(budget, monkeypatch):
-    # A batch holds at most _CHUNK_BUDGET floats of G, A and B: 60 a trial
-    # here. The budget also sizes the bootstrap test's null chunks, so the
-    # trials alone run under the same budget.
+    # A sweep's chunk of trials, one batch, holds at most _CHUNK_BUDGET
+    # floats of G, A and B: 60 a trial here. The budget also sizes the
+    # bootstrap test's null chunks, so the trials alone run under the same
+    # budget.
     monkeypatch.setattr(inference, "_CHUNK_BUDGET", budget)
     config = ExperimentConfig(n_items=20, k_responses=1, epsilon=0.15, b_null=30, seed=11)
-    alone = [power._trial_p_value(config, tuple(TestId), t) for t in range(8)]
-    batches = []
-    simulate = power.simulate_batch
+    alone = [power._trial_p_value(config, tuple(TestId), t, config.alpha) for t in range(8)]
+    batches, chunks = [], []
+    simulate, chunk_p_values = power.simulate_batch, power._chunk_p_values
     monkeypatch.setattr(power, "simulate_batch", lambda *args: batches.append(len(args[1])) or simulate(*args))
-    assert power._chunk_p_values(config, tuple(TestId), 0, 8).tolist() == alone
+    monkeypatch.setattr(power, "_chunk_p_values", lambda *args: chunks.append(chunk_p_values(*args)) or chunks[-1])
+    reports = power.power_sweeps(config, tuple(TestId), 8, "n_items", (20,))
+    assert np.concatenate(chunks).tolist() == alone
+    assert [r.points[0].rejections for r in reports] == np.less(alone, config.alpha).sum(axis=0).tolist()
     assert batches == ([1] * 8 if budget == 1 else [3, 3, 2])
 
 
