@@ -470,10 +470,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose value may start with "-" without being a plain negative number
+# ("-0.1,1", "-inf,none"): argparse would take such a value for an option.
+_DASHED_VALUE_FLAGS = ("--location-clip", "--scale-clip")
+
+
+def _attach_dashed_values(argv: list[str]) -> list[str]:
+    """``argv`` with each ``_DASHED_VALUE_FLAGS`` flag and a following "-..." value as one "--flag=value"."""
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _DASHED_VALUE_FLAGS and argv[i].startswith("-") and not argv[i].startswith("--"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dashed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

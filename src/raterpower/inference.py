@@ -43,9 +43,10 @@ not depend on the thread count. Resampling has no public function of its
 own: every resample runs inside a chunk.
 
 Row blocks. The scorer streams in row blocks of at most ``_BLOCK`` floats
-(``_row_spans``; one resample when a resample is larger). NumPy fills a
-draw in order, so a draw split into row blocks gives the values and
-generator state of one call, and every source (G, then A, then B) is
+(``_row_spans``; one resample when a resample is larger); the power
+module's bootstrap test asks ``_null_blocks`` for 4 x ``_BLOCK``. NumPy
+fills a draw in order, so a draw split into row blocks gives the values
+and generator state of one call, and every source (G, then A, then B) is
 drawn, gathered and reduced block by block: G to prepared gold (item
 means, and sorted rows for MEMD), A to (c, N) per-item quantities, B
 straight to per-resample scores. A resampled simulator chunk draws every
@@ -453,12 +454,15 @@ def _steps(rows, shape, counts, k, blocks):
 _NO_RESAMPLE = SamplingStrategy(Level.ALL, Level.ALL)
 
 
-def _spans(c: int, floats: int) -> list[tuple[int, int]]:
-    """Row blocks of c resamples of ``floats`` values each, at most ``_BLOCK`` floats or one resample."""
-    return rngstreams.chunk_ranges(c, max(1, _BLOCK // max(1, floats)))
+def _spans(c: int, floats: int, block: int | None = None) -> list[tuple[int, int]]:
+    """Row blocks of c resamples of ``floats`` values each, at most ``block`` floats or one resample.
+
+    ``block`` defaults to ``_BLOCK``, read at call time.
+    """
+    return rngstreams.chunk_ranges(c, max(1, (_BLOCK if block is None else block) // max(1, floats)))
 
 
-def _row_spans(c: int, phi: SamplingStrategy, sources) -> list[tuple[int, int]]:
+def _row_spans(c: int, phi: SamplingStrategy, sources, block: int | None = None) -> list[tuple[int, int]]:
     """``_score_blocks``' row blocks for c resamples of ``sources``: ``_spans`` of one resample's N·K.
 
     One block for ragged data (the kernel loops over count buckets once per
@@ -467,7 +471,7 @@ def _row_spans(c: int, phi: SamplingStrategy, sources) -> list[tuple[int, int]]:
     ragged = any(counts is not None for _, counts, _ in sources)
     broadcast = phi == _NO_RESAMPLE and all(len(shape) == 2 and k is None for shape, _, k in sources)
     n, k = sources[0][0][-2:]
-    return [(0, c)] if ragged or broadcast else _spans(c, n * k)
+    return [(0, c)] if ragged or broadcast else _spans(c, n * k, block)
 
 
 def _join(parts) -> list[dict]:
@@ -586,7 +590,8 @@ def _null_chunk_rect(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g:
 
 
 def _null_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.ndarray,
-                 gold: Gold, pools: np.ndarray, rng, c: int, ws: _Workspace, counts=None):
+                 gold: Gold, pools: np.ndarray, rng, c: int, ws: _Workspace, counts=None,
+                 block: int | None = None):
     """``_score_blocks`` of c null resamples: per row block, one dict per pool of A+B responses.
 
     ``pools`` is (E, N, W), one pool per epsilon. G is the base gold g,
@@ -595,12 +600,13 @@ def _null_blocks(metric_ids: tuple[MetricId, ...], phi: SamplingStrategy, g: np.
     when ragged. Stream order (``_plan``): the item draw and gold's response
     indices as phi says, then A's and B's pool indices. A caller that stops
     early skips the rest of B's draws (and leaves rng mid-chunk). A G that
-    phi resamples is gathered into the workspace ``ws``.
+    phi resamples is gathered into the workspace ``ws``. Row blocks hold at
+    most ``block`` floats (``_row_spans``; ``_BLOCK`` by default).
     """
     k = pools.shape[-1] // 2 if counts is None else counts // 2
     sources = [(g.shape, gold.counts, None)] + [(pools.shape[1:], counts, k)] * 2
     return _score_blocks(metric_ids, phi, rng, c, sources, [itertools.repeat(x) for x in (g, pools, pools)],
-                         _row_spans(c, phi, sources), ws, gold)
+                         _row_spans(c, phi, sources, block), ws, gold)
 
 
 class _Arm(NamedTuple):

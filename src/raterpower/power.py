@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rngstreams
+from . import inference, rngstreams
 from .config import ExperimentConfig, Level, SamplingStrategy
 from .errors import (
     AllZeroDifferences,
@@ -312,11 +312,22 @@ def _observed(metric: MetricId, qa, qb):
     return comparison(metric, *pair_scores((metric,), qa, qb)[metric])
 
 
+# The bootstrap test's row blocks hold up to this many times ``inference._BLOCK``
+# floats. Its loop is a stream of short NumPy calls per block, which do not
+# scale to a second thread; fewer, larger blocks do. The test gathers from
+# one trial's (N, K) G and (N, 2K) pool, which stay in cache, so a block's
+# own index and gathered arrays (1 MB each at 4x) still fit a 2 MB L2;
+# at 8x they spill it.
+_BOOTSTRAP_BLOCKS = 4
+
+
 def _bootstrap_p_value(g, gold, pool, observed, metric, phi, b_null, rng, ca=None, alpha=None) -> float:
     """``multistage_bootstrap_test``'s null loop on aligned arrays: g, its ``gold``, the A+B pool.
 
     ``observed`` is the data's comparison score; padded arrays come with A's
-    counts ``ca``. Hits are counted per row block of null scores. With
+    counts ``ca``. Hits are counted per row block of null scores, each of at
+    most ``_BOOTSTRAP_BLOCKS`` x ``inference._BLOCK`` floats (one resample
+    where that is larger); the blocks change no draw and no score. With
     ``alpha`` the loop stops, as ``_permutation_p_value``'s does, once
     p >= alpha is settled, so the remaining B blocks and chunks are never
     drawn. Every chunk gathers G into the thread's chunk workspace.
@@ -324,9 +335,10 @@ def _bootstrap_p_value(g, gold, pool, observed, metric, phi, b_null, rng, ca=Non
     metrics = (metric,)
     hits = 0
     ws = _Workspace.mine()
+    block = _BOOTSTRAP_BLOCKS * inference._BLOCK
     for lo, hi in rngstreams.chunk_ranges(b_null, _chunk_size(*g.shape)):
         for (scores,) in _null_blocks(metrics, phi, g, gold, pool[None], rng, hi - lo, ws,
-                                      None if ca is None else 2 * ca):
+                                      None if ca is None else 2 * ca, block=block):
             hits += int((comparison(metric, *scores[metric]) >= observed).sum())
             if _settled(hits, b_null, alpha):
                 return float((1 + hits) / (1 + b_null))

@@ -6,9 +6,10 @@ at once. These tests check that fact for every draw kind the engine splits,
 and that neither the block size nor the one pool of (column, arm, chunk)
 tasks moves a single bit: ``run_columns`` at any block size and thread
 count must equal one whole-block ``run_columns`` call per column, and power's
-bootstrap test must equal its chunk-loop oracle at small blocks. The last
-tests bound the traced memory of a ``table`` run and the peak resident
-memory of a large ``pvalue`` process by the chunk's size, and check the
+bootstrap test must equal its chunk-loop oracle at small blocks, its full p
+and a power curve their values at one resample a block. The last tests
+bound the traced memory of a ``table`` run, a bootstrap test and the peak
+resident memory of a large ``pvalue`` process by the chunk's size, and check the
 chunk workspace a worker keeps between chunks: a second chunk reuses it,
 and nothing a chunk leaves in it reaches a later chunk's scores.
 """
@@ -33,8 +34,10 @@ from raterpower import (
     ExperimentConfig,
     ResponseMatrix,
     SamplingStrategy,
+    TestId,
     mean_metric_scores,
     multistage_bootstrap_test,
+    power_sweeps,
     run_columns,
     run_experiment,
 )
@@ -172,6 +175,48 @@ def test_bootstrap_test_matches_chunk_loop_at_small_blocks(phi, metric, block, m
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+# _BLOCK values at which the bootstrap test's blocks (power._BOOTSTRAP_BLOCKS x
+# _BLOCK floats) hold 4 resamples of FLOATS values, the last one short, then 1.
+SMALL_BOOTSTRAP_BLOCKS = (FLOATS, 1)
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["rectangular", "ragged"])
+@pytest.mark.parametrize("phi", PHIS)
+def test_bootstrap_block_budget_never_moves_a_full_p(phi, ragged, monkeypatch):
+    # Chunks of 7 resamples: at the default budget each is one row block.
+    monkeypatch.setattr(inference, "_CHUNK_BUDGET", 7 * FLOATS)
+    g, a, b = _given(ragged)
+    strategy = SamplingStrategy.parse(phi)
+
+    def full_ps():
+        return [multistage_bootstrap_test(g, a, b, metric, strategy, b_null=41, rng=derive_rng(9))
+                for metric in METRICS]
+
+    want = full_ps()
+    for block in SMALL_BOOTSTRAP_BLOCKS:
+        monkeypatch.setattr(inference, "_BLOCK", block)
+        assert full_ps() == want
+
+
+@pytest.mark.parametrize("phi", PHIS)
+def test_bootstrap_block_budget_never_moves_a_power_curve(phi, monkeypatch):
+    # The sweep simulates rectangular triples. Chunks of 2 trials and of 7,
+    # 3 and 1 null resamples at N = 6, 12, 24 (K = 3); at 0.3 the curves
+    # reject in some trials and not in others.
+    monkeypatch.setattr(inference, "_CHUNK_BUDGET", 7 * FLOATS)
+    config = ExperimentConfig(n_items=12, k_responses=3, epsilon=0.3, b_null=41, seed=5,
+                              phi=SamplingStrategy.parse(phi), prior=toxicity_prior(), family=ResponseFamily(5))
+
+    def curves():
+        return [power_sweeps(config.with_(metrics=(metric,)), (TestId.MULTISTAGE_BOOTSTRAP,), 12, "n_items",
+                             (6, 12, 24), threads=2)[0].to_json_dict() for metric in METRICS]
+
+    want = curves()
+    for block in SMALL_BOOTSTRAP_BLOCKS:
+        monkeypatch.setattr(inference, "_BLOCK", block)
+        assert curves() == want
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 @pytest.mark.parametrize("ragged", [True, False], ids=["ragged", "rectangular"])
 @pytest.mark.parametrize("phi", PHIS)
@@ -266,6 +311,7 @@ def test_spans_cover_the_chunk_in_blocks_of_at_most_block_floats(monkeypatch):
     monkeypatch.setattr(inference, "_BLOCK", 100)
     assert inference._spans(10, 30) == chunk_ranges(10, 3)
     assert inference._spans(4, 500) == chunk_ranges(4, 1)  # a resample larger than a block
+    assert inference._spans(10, 30, block=400) == chunk_ranges(10, 13)
 
 
 @pytest.fixture
@@ -298,6 +344,23 @@ def test_table_memory_stays_below_two_chunk_arrays(fresh_workspaces):
     finally:
         tracemalloc.stop()
     assert peak < 2 * b * n * k * 8
+
+
+def test_a_bootstrap_test_peaks_below_one_chunk_array(fresh_workspaces):
+    # Two chunks (400 and 100 null resamples) in row blocks of 26 resamples
+    # (power._BOOTSTRAP_BLOCKS x _BLOCK floats). Each block holds its own
+    # index and gathered arrays; G's workspace rows are one block's. The
+    # traced peak read 10.1 MB with blocks of _BLOCK floats and 12.5 MB with
+    # 4x; one block per chunk would hold a chunk array of indices alone.
+    config = ExperimentConfig(n_items=1000, k_responses=5, epsilon=0.05)
+    g, a, b = generate_triple(config, derive_rng(7))
+    tracemalloc.start()
+    try:
+        multistage_bootstrap_test(g, a, b, b_null=500, rng=derive_rng(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inference._CHUNK_BUDGET * 8
 
 
 @pytest.mark.parametrize("phi", ["boot,boot", "boot,all"])

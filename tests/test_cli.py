@@ -658,6 +658,11 @@ FIT_OK = ["--location-family", "normal", "--grid", "mu=0.5,sigma=0.1"]
     (FIT + ["--location-family", "folded-normal", "--grid", "mu=0.5,sigma=0.1"], "--location-clip", "0,inf"),
     (FIT + FIT_OK + ["--scale-family", "folded-normal", "--scale-grid", "mu=0,sigma=0.1"], "--scale-clip",
      "none,inf"),
+    # A value starting with "-" reaches the flag's own check.
+    (FIT + ["--location-family", "folded-normal", "--grid", "mu=0.5,sigma=0.1"], "--location-clip", "-inf,1"),
+    (FIT + FIT_OK + ["--scale-family", "folded-normal", "--scale-grid", "mu=0,sigma=0.1"], "--scale-clip",
+     "-x,1"),
+    (FIT + FIT_OK, "--location-clip", "-"),
 ], ids=lambda x: x if isinstance(x, str) else x[0])
 def test_a_malformed_flag_value_exits_2_naming_it_before_any_file_is_read(
         command, flag, value, tmp_path, capsys, monkeypatch):
@@ -732,6 +737,29 @@ def test_fit_grid_without_a_valid_point_still_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "no valid folded-normal candidate" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--location-family", "triangular", "--grid", "a=-0.1,b=0.2,c=0.5", "--location-clip", "-0.1,1"],
+    ["--location-family", "uniform", "--grid", "lo=0,hi=1", "--scale-family", "triangular",
+     "--scale-grid", "a=-0.05,b=0.21,c=0.45", "--scale-clip", "-0.05,none"],
+], ids=["location", "scale"])
+def test_a_clip_starting_with_a_minus_fits_as_its_equals_form_does(flags, tmp_path, capsys):
+    # A clip value such as "-0.1,1" is no plain negative number, so argparse
+    # took it for an option: "expected one argument", exit 2.
+    matrix = tmp_path / "m.jsonl"
+    matrix.write_text("".join(json.dumps({"item_id": str(i), "responses": [0.1 * (i % 7), 0.2, 0.6]}) + "\n"
+                              for i in range(20)), encoding="utf-8")
+    reports = []
+    for clip in (flags[-2:], ["=".join(flags[-2:])]):
+        out = tmp_path / f"fit{len(reports)}.json"
+        code, _, err = run(["fit", "--input", str(matrix), *flags[:-2], *clip, "--sim-count", "200",
+                            "--out", str(out)], capsys)
+        assert code == 0, err
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    spec = "location_spec" if flags[-2] == "--location-clip" else "scale_spec"
+    assert json.loads(reports[0])[spec]["params"]["lo"] < 0
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -510,7 +510,8 @@ NO_EVIDENCE = ItemPrior(uniform(0.0, 1.0), uniform(0.0, 0.0))
     (40, NO_EVIDENCE, 0.0),
 ])
 def test_stopped_trials_keep_every_verdict(n, prior, epsilon, monkeypatch):
-    # Small row blocks give each Monte Carlo test several blocks to stop after.
+    # Small row blocks give each Monte Carlo test several blocks to stop after
+    # (the bootstrap test's 60 resamples: 2 blocks at N = 12, 6 at N = 40).
     monkeypatch.setattr(inference, "_BLOCK", 400)
     config = ExperimentConfig(n_items=n, k_responses=4, epsilon=epsilon, prior=prior,
                               b_null=60, seed=9)
@@ -525,7 +526,8 @@ def test_stopped_trials_keep_every_verdict(n, prior, epsilon, monkeypatch):
 @pytest.mark.parametrize("phi", ["boot,boot", "all,boot", "boot,all", "all,all"])
 @pytest.mark.parametrize("metric", [MetricId.MAE, MetricId.WINS, MetricId.MEMD])
 def test_stopped_bootstrap_keeps_the_verdict(phi, metric, monkeypatch):
-    # Several chunks of several row blocks each: a stop may skip whole chunks.
+    # Several chunks of several row blocks each (5 blocks over 3 chunks): a
+    # stop may skip whole chunks.
     monkeypatch.setattr(inference, "_BLOCK", 400)
     monkeypatch.setattr(inference, "_CHUNK_BUDGET", 2000)
     config = ExperimentConfig(n_items=20, k_responses=4, epsilon=0.1, metrics=(metric,),
@@ -548,8 +550,8 @@ def test_a_stopped_trial_scores_fewer_blocks(monkeypatch):
     blocks = []
 
     def counted(blocks_of):
-        def wrapper(*args):
-            for block in blocks_of(*args):
+        def wrapper(*args, **kwargs):
+            for block in blocks_of(*args, **kwargs):
                 blocks.append(block)
                 yield block
         return wrapper
@@ -566,5 +568,5 @@ def test_a_stopped_trial_scores_fewer_blocks(monkeypatch):
             assert p >= config.alpha
             counts.append(len(blocks))
     (boot_full, perm_full), (boot_stopped, perm_stopped) = counts[:2], counts[2:]
-    assert boot_stopped < boot_full == 12  # 60 resamples of 5 a block
+    assert boot_stopped < boot_full == 3  # 60 resamples of 20 a block (4 x _BLOCK floats)
     assert perm_stopped < perm_full == 50  # 1000 rows of 20 a block
