@@ -276,7 +276,7 @@ def cmd_power(args) -> None:
             "alpha": config.alpha,
             "trials": args.trials,
             "axis": axis,
-            "tests": {r.test.value: r.to_json_dict()["points"] for r in reports},
+            "tests": {r.test.value: [p.to_json_dict() for p in r.points] for r in reports},
         }
         _emit_json(args, payload)
         return

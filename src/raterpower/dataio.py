@@ -9,10 +9,10 @@ Interchange formats:
 A matrix file's suffix names its format: ``.jsonl``, ``.ndjson`` or
 ``.json`` for JSONL, ``.csv`` for CSV.
 
-Raw ordinal labels can be mapped onto [0, 1] with an explicit value map or
-the linear level map (level j of k -> j/(k-1)). The level map treats labels
-as 1-based (Likert style) unless a label below 1 appears in the file, in
-which case they are 0-based.
+Raw ordinal labels can be mapped onto [0, 1] with the linear level map
+(level j of k -> j/(k-1)). The level map treats labels as 1-based (Likert
+style) unless a label below 1 appears in the file, in which case they are
+0-based.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -95,20 +94,6 @@ def _parse_csv(text: str) -> list[tuple[str, list, int]]:
     return records
 
 
-def _lookup(value_map: Mapping, raw, line_no: int) -> float:
-    for key in (raw, str(raw)):
-        if key in value_map:
-            return float(value_map[key])
-    try:
-        numeric = float(raw)
-    except (TypeError, ValueError):
-        raise ParseError(line_no, f"label {raw!r} missing from value map")
-    for key in (numeric, int(numeric) if numeric.is_integer() else None):
-        if key is not None and key in value_map:
-            return float(value_map[key])
-    raise ParseError(line_no, f"label {raw!r} missing from value map")
-
-
 def _to_float(raw, line_no: int) -> float:
     try:
         return float(raw)
@@ -116,11 +101,10 @@ def _to_float(raw, line_no: int) -> float:
         raise ParseError(line_no, f"non-numeric response {raw!r}")
 
 
-def _convert(records, value_map, levels) -> ResponseMatrix:
-    flat = [_to_float(r, line_no) if value_map is None else _lookup(value_map, r, line_no)
-            for _, raws, line_no in records for r in raws]
+def _convert(records, levels) -> ResponseMatrix:
+    flat = [_to_float(r, line_no) for _, raws, line_no in records for r in raws]
     values = np.array(flat, dtype=float)
-    if value_map is None and levels is not None:
+    if levels is not None:
         offset = 0.0 if flat and min(flat) < 1.0 else 1.0
         values = (values - offset) / (levels - 1)
     counts = np.array([len(raws) for _, raws, _ in records], dtype=np.int64)
@@ -129,18 +113,13 @@ def _convert(records, value_map, levels) -> ResponseMatrix:
     return m
 
 
-def load_responses(
-    path: str | Path,
-    *,
-    value_map: Mapping | None = None,
-    levels: int | None = None,
-) -> ResponseMatrix:
+def load_responses(path: str | Path, *, levels: int | None = None) -> ResponseMatrix:
     """Load a disaggregated response matrix from JSONL or CSV.
 
-    ``value_map`` maps raw labels onto [0, 1]; ``levels=k`` applies the
-    linear level map instead. Raw values must already be in [0, 1] when
-    neither is given. The matrix passes ``check_matrices``: a file without
-    items or with an item without responses raises ``EmptyItem``.
+    ``levels=k`` maps raw labels onto [0, 1] with the linear level map;
+    without it, raw values must already be in [0, 1]. The matrix passes
+    ``check_matrices``: a file without items or with an item without
+    responses raises ``EmptyItem``.
     """
     if levels is not None:
         check_count("levels", levels, "level map needs k >= 2", least=2)
@@ -148,7 +127,7 @@ def load_responses(
     fmt = _detect_format(path)
     text = path.read_text(encoding="utf-8")
     records = _parse_jsonl(text) if fmt == "jsonl" else _parse_csv(text)
-    return _convert(records, value_map, levels)
+    return _convert(records, levels)
 
 
 def _matrix_to_jsonl(m: ResponseMatrix) -> str:

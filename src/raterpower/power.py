@@ -11,7 +11,9 @@ Power is a rejection rate over simulated trials. ``power_sweeps`` runs
 several tests along one sweep axis: each trial simulates one dataset that
 every test sees, and each sweep point is an arm of ``inference._collect``:
 every (point, chunk of at most 8 trials, fewer where N·K is large) is one
-task on one pool of threads. ``estimate_power`` is its one-test, one-point call.
+task on one pool of threads. The tasks return each trial's p-values
+(``_sweep_p_values``: one row per trial), and ``power_sweeps`` alone
+compares them with alpha. ``estimate_power`` is its one-test, one-point call.
 
 A chunk stacks its trials into one simulated batch and runs the
 baselines' statistics once over its rows (``_chunk_p_values``); the
@@ -21,7 +23,8 @@ A rejection rate needs only each trial's verdict, p < alpha. So a sweep
 stops the bootstrap test and the Monte Carlo permutation test as soon as
 their add-one p can no longer fall below alpha (the curtailed test of
 Besag & Clifford, 1991): the verdict, and a rejecting p, equal the full
-run's. The public tests always run to the end and return the full p.
+run's; a non-rejecting p may be the partial p, >= alpha. The public tests
+always run to the end and return the full p.
 """
 
 from __future__ import annotations
@@ -374,17 +377,6 @@ class PowerReport:
     axis: str
     points: tuple[PowerPoint, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "power_report",
-            "test": self.test.value,
-            "alpha": self.alpha,
-            "trials": self.trials,
-            "axis": self.axis,
-            "points": [p.to_json_dict() for p in self.points],
-        }
-
 
 def _chunk_p_values(config: ExperimentConfig, tests: tuple[TestId, ...], rngs,
                     alpha: float | None = None) -> np.ndarray:
@@ -471,31 +463,42 @@ def power_sweeps(
 ) -> list[PowerReport]:
     """Power curves of several tests along one axis: one report per test, in order.
 
-    Every point is checked for every test before any trial runs. Trial t of
-    a point simulates its dataset once and applies every test to it. Each
-    point is one ``_collect`` arm: trial t draws from derive_rng(seed, TRIAL,
-    t), and each chunk of at most 8 trials, fewer where N·K is large (a
-    batch holds at most ``_CHUNK_BUDGET`` floats of G, A and B), is one
-    task. Each report equals ``power_sweeps`` of its test alone.
+    Every point is checked for every test before any trial runs. A point's
+    rejections of a test are the rows of its ``_sweep_p_values`` record
+    with p < alpha. Each report equals ``power_sweeps`` of its test alone.
     """
     tests = _test_ids(tests)
     configs = sweep_configs(config, tests, axis, values)
     check_count("trials", trials, "need at least one trial")
     check_count("threads", threads, "need at least one thread")
-
-    def point(cfg: ExperimentConfig) -> _Arm:  # each chunk's rejections per test
-        return _Arm(cfg.seed, rngstreams.TRIAL,
-                    lambda rngs, c: np.less(_chunk_p_values(cfg, tests, rngs, cfg.alpha), cfg.alpha).sum(axis=0),
-                    trials, min(8, _chunk_size(cfg.n_items, 3 * cfg.k_responses)), True)
-
-    rejections = [np.sum(hits, axis=0) for hits in _collect([point(cfg) for cfg in configs], threads)]
+    records = _sweep_p_values(configs, tests, trials, threads)
     return [
         PowerReport(test=test, alpha=config.alpha, trials=trials, axis=axis, points=tuple(
-            PowerPoint(axis_value=int(value), rejections=int(r[i]), trials=trials)
-            for value, r in zip(values, rejections)
+            PowerPoint(axis_value=int(value), rejections=int((rows[:, i] < config.alpha).sum()), trials=trials)
+            for value, rows in zip(values, records)
         ))
         for i, test in enumerate(tests)
     ]
+
+
+def _sweep_p_values(configs: list[ExperimentConfig], tests: tuple[TestId, ...], trials: int,
+                    threads: int) -> list[np.ndarray]:
+    """Each point's record: a (trials, len(tests)) array whose row t is trial t's p-values.
+
+    Row t equals ``_trial_p_value(cfg, tests, t, cfg.alpha)``. A rejecting
+    entry (p < alpha) is the full p. A non-rejecting entry of the bootstrap
+    or Monte Carlo permutation test may be the partial p at which the test
+    stopped; it is >= alpha, as the full p is, so the verdict at alpha is
+    exact. Each point is one ``_collect`` arm: trial t draws from
+    derive_rng(seed, TRIAL, t), and each chunk of at most 8 trials, fewer
+    where N·K is large (a batch holds at most ``_CHUNK_BUDGET`` floats of
+    G, A and B), is one task.
+    """
+    def point(cfg: ExperimentConfig) -> _Arm:  # each chunk's rows of p-values
+        return _Arm(cfg.seed, rngstreams.TRIAL, lambda rngs, c: _chunk_p_values(cfg, tests, rngs, cfg.alpha),
+                    trials, min(8, _chunk_size(cfg.n_items, 3 * cfg.k_responses)), True)
+
+    return [np.concatenate(chunks) for chunks in _collect([point(cfg) for cfg in configs], threads)]
 
 
 def sweep_configs(

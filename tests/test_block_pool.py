@@ -209,7 +209,7 @@ def test_bootstrap_block_budget_never_moves_a_power_curve(phi, monkeypatch):
 
     def curves():
         return [power_sweeps(config.with_(metrics=(metric,)), (TestId.MULTISTAGE_BOOTSTRAP,), 12, "n_items",
-                             (6, 12, 24), threads=2)[0].to_json_dict() for metric in METRICS]
+                             (6, 12, 24), threads=2)[0] for metric in METRICS]
 
     want = curves()
     for block in SMALL_BOOTSTRAP_BLOCKS:

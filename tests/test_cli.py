@@ -328,6 +328,31 @@ def test_power_command_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_power_json_holds_the_csv_powers_and_keeps_its_bytes_across_threads(tmp_path, capsys):
+    args = ["power", "--default-synthetic", "--test", "all", "--n-sweep", "12,40", "--k", "3",
+            "--epsilon", "0.15", "--trials", "6", "--b-null", "30", "--seed", "4"]
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"power-{threads}.json"
+        assert run(args + ["--threads", threads, "--format", "json", "--out", str(out)], capsys)[0] == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    payload = json.loads(texts[0])
+    assert list(payload) == ["schema_version", "kind", "alpha", "trials", "axis", "tests"]
+    assert (payload["schema_version"], payload["kind"]) == (1, "power_report")
+    assert (payload["alpha"], payload["trials"], payload["axis"]) == (0.05, 6, "n_items")
+    assert list(payload["tests"]) == ["bootstrap", "welch", "wilcoxon", "permutation"]
+    for points in payload["tests"].values():
+        assert [list(point) for point in points] == [["axis_value", "rejections", "trials", "power"]] * 2
+        assert [point["axis_value"] for point in points] == [12, 40]
+        assert all(point["power"] == point["rejections"] / 6 for point in points)
+    out = tmp_path / "power.csv"
+    assert run(args + ["--out", str(out)], capsys)[0] == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows == [["n_items", str(point["axis_value"]), test, repr(point["power"])]
+                    for test, points in payload["tests"].items() for point in points]
+
+
 def test_power_test_choices_are_the_test_ids():
     # The parser lists them without importing power, so they are a literal.
     from raterpower import cli

@@ -47,13 +47,6 @@ def test_zero_based_levels(tmp_path):
     assert list(m.rows[0]) == [0.0, 1.0]
 
 
-def test_value_map(tmp_path):
-    path = tmp_path / "m.jsonl"
-    path.write_text('{"item_id": "a", "responses": ["no", "yes"]}\n', encoding="utf-8")
-    m = load_responses(path, value_map={"no": 0.0, "yes": 1.0})
-    assert list(m.rows[0]) == [0.0, 1.0]
-
-
 def test_duplicate_item_id(tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text(

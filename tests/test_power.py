@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -432,14 +434,20 @@ def test_power_grows_with_n():
     assert report.points[1].power > report.points[0].power
 
 
-def test_power_report_json():
-    config = ExperimentConfig(n_items=25, k_responses=3, epsilon=0.2, seed=5, b_null=80)
-    report = estimate_power(config, TestId.MULTISTAGE_BOOTSTRAP, trials=8)
-    payload = report.to_json_dict()
+def test_power_report_json(tmp_path):
+    out = tmp_path / "power.json"
+    assert main(["power", "--default-synthetic", "--test", "bootstrap", "--n", "25", "--k", "3", "--epsilon", "0.2",
+                 "--seed", "5", "--b-null", "80", "--trials", "8", "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
     assert payload["schema_version"] == 1
-    assert payload["test"] == "bootstrap"
-    assert payload["points"][0]["trials"] == 8
+    assert payload["kind"] == "power_report"
+    assert list(payload["tests"]) == ["bootstrap"]
+    assert payload["tests"]["bootstrap"][0]["trials"] == 8
+    # The bootstrap test scores the first metric, MAE by default.
+    config = ExperimentConfig(n_items=25, k_responses=3, epsilon=0.2, seed=5, b_null=80)
     assert config.metrics[0] == MetricId.MAE
+    report = estimate_power(config, TestId.MULTISTAGE_BOOTSTRAP, trials=8)
+    assert payload["tests"]["bootstrap"] == [point.to_json_dict() for point in report.points]
 
 
 # -- one simulation per trial ------------------------------------------------------------

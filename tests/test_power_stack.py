@@ -88,6 +88,38 @@ def test_a_large_trial_stacks_fewer_trials(budget, monkeypatch):
     assert batches == ([1] * 8 if budget == 1 else [3, 3, 2])
 
 
+# -- the per-trial record ------------------------------------------------------------------
+
+RECORD = ExperimentConfig(n_items=12, k_responses=5, epsilon=0.1, prior=toxicity_prior(), family=ResponseFamily(5),
+                          b_null=40, seed=13)
+RECORD_N = (12, 40)  # exact, then Monte Carlo permutation test
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 12 * 15], ids=["default-chunks", "chunks-of-3-and-1"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_record_holds_each_trials_p_values(threads, budget, monkeypatch):
+    if budget is not None:
+        # 12 * 15 floats of G, A and B a trial at N = 12, 40 * 15 at N = 40.
+        monkeypatch.setattr(inference, "_CHUNK_BUDGET", budget)
+    tests = tuple(TestId)
+    configs = power.sweep_configs(RECORD, tests, "n_items", RECORD_N)
+    chunks = [min(8, inference._chunk_size(cfg.n_items, 3 * cfg.k_responses)) for cfg in configs]
+    assert chunks == ([8, 8] if budget is None else [3, 1])
+    records = power._sweep_p_values(configs, tests, 7, threads)
+    reports = power.power_sweeps(RECORD, tests, 7, "n_items", RECORD_N, threads)
+    for j, (cfg, rows) in enumerate(zip(configs, records)):
+        assert rows.dtype == np.float64 and rows.shape == (7, len(tests))
+        assert rows.tolist() == [power._trial_p_value(cfg, tests, t, cfg.alpha) for t in range(7)]
+        rejecting = rows < cfg.alpha
+        assert [report.points[j].rejections for report in reports] == rejecting.sum(axis=0).tolist()
+        assert (rows[~rejecting] >= cfg.alpha).all()
+    # Both verdicts occur, so the last two checks read both kinds of entry,
+    # and the permutation test stops early at N = 40: some entries are partial p.
+    assert {True, False} <= set(np.concatenate(records).ravel() < RECORD.alpha)
+    full = [power._trial_p_value(configs[1], tests, t) for t in range(7)]
+    assert (records[1] < full).any()
+
+
 # -- one generator per batch row ---------------------------------------------------------
 
 def one_block(config, rng, c):
