@@ -18,7 +18,7 @@ _EXPORTS = {
     "config": ("ExperimentConfig", "Level", "Mode", "SamplingStrategy"),
     "distributions": ("DistributionSpec", "Family"),
     "errors": ("RaterPowerError",),
-    "fitting": ("FitReport", "ItemStats", "ecdf", "fit_prior", "per_item_stats", "stat_distance"),
+    "fitting": ("FitReport", "ItemStats", "ecdf", "fit_prior", "per_item_stats"),
     "inference": ("PValueReport", "estimate_p_value", "mean_metric_scores", "run_columns", "run_experiment"),
     "metrics": ("MetricId", "MetricResult", "emd_1d", "evaluate"),
     "power": (
@@ -26,7 +26,6 @@ _EXPORTS = {
         "TestId",
         "estimate_power",
         "multistage_bootstrap_test",
-        "per_item_errors",
         "permutation_test_paired",
         "power_sweeps",
         "welch_t_test",

@@ -90,6 +90,8 @@ class ExperimentConfig:
         if not (isinstance(self.metrics, (list, tuple)) and self.metrics):
             raise InvalidParam("metrics", f"need a nonempty list of metric names, got {self.metrics!r}")
         object.__setattr__(self, "metrics", tuple(check_member("metrics", m, MetricId) for m in self.metrics))
+        if len(set(self.metrics)) != len(self.metrics):
+            raise InvalidParam("metrics", f"each metric may appear once, got {[m.value for m in self.metrics]}")
 
     def with_(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)

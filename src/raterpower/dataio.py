@@ -95,10 +95,13 @@ def _parse_csv(text: str) -> list[tuple[str, list, int]]:
 
 
 def _to_float(raw, line_no: int) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ParseError(line_no, f"non-numeric response {raw!r}")
+    """A response as a float: a number or numeric text, not a JSON boolean (``float(True)`` is 1.0)."""
+    if not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise ParseError(line_no, f"non-numeric response {raw!r}")
 
 
 def _convert(records, levels) -> ResponseMatrix:

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidParam, check_count
+from .errors import InvalidParam
 
 
 class Family(str, enum.Enum):
@@ -85,8 +85,8 @@ _RULES: dict[Family, tuple] = {
 def _canonical(params: Mapping) -> dict:
     """``params`` with each -0.0 stored as 0.0, in scalars and columns alike.
 
-    np.clip keeps a zero's sign differently at a scalar bound (``sample``)
-    and at a column of bounds (a fit block).
+    np.clip keeps a zero's sign differently at a scalar bound (one spec's
+    params) and at a column of bounds (a fit block).
     """
     return {name: value + 0.0 for name, value in params.items()}
 
@@ -187,17 +187,6 @@ class DistributionSpec:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` independent values: ``transform`` of ``draw_into``'s raw variates.
-
-        Deterministic given (spec, generator state): each family consumes the
-        stream in a fixed documented order (see ``draw_into``).
-        """
-        check_count("count", count, "negative count", least=0)
-        raw = self.raw_arrays(self.family, count)
-        self.draw_into(self.family, self.params, rng, raw)
-        return self.transform(self.family, self.params, raw)
-
     @staticmethod
     def raw_arrays(family: Family, shape) -> tuple[np.ndarray, ...]:
         """Uninitialised arrays of ``shape`` for ``draw_into``'s raw variates of ``family``."""
@@ -242,8 +231,9 @@ class DistributionSpec:
         raw arrays, so one call maps the rows of many specs of one family.
         The arithmetic is the generator's own (``uniform(lo, hi)`` is
         lo + (hi - lo) * random, ``normal(mu, sigma)`` is
-        mu + sigma * standard_normal), so every row equals ``sample`` of its
-        spec bit for bit.
+        mu + sigma * standard_normal), so every row equals the generator's
+        own draw of its spec (``rng.uniform``, ``rng.normal``, ...) bit for
+        bit.
         """
         p = params
         x = raw[0]

@@ -43,7 +43,6 @@ __all__ = [
     "FitReport",
     "per_item_stats",
     "ecdf",
-    "stat_distance",
     "grid_columns",
     "fit_prior",
 ]
@@ -106,17 +105,12 @@ def ecdf(values) -> Ecdf:
     return Ecdf(xs, np.cumsum(counts) / values.size)
 
 
-def _sorted_real(values, sim_count: int) -> np.ndarray:
-    """The sorted real values, once they and ``sim_count`` are checked."""
-    real = np.sort(check_finite("real_values", values))
-    if real.size == 0:
-        raise EmptySample("stat_distance needs real values")
-    check_count("sim_count", sim_count, "need at least one simulated draw")
-    return real
-
-
 def _distances(real: np.ndarray, sims: np.ndarray) -> list[float]:
-    """``stat_distance`` of sorted ``real`` to each row of (r, n) draws ``sims`` (overwritten)."""
+    """The fit distance of sorted ``real`` to each row of (r, n) draws ``sims``, clipped and sorted in place.
+
+    Equal counts give the 1-Wasserstein distance between the two empirical
+    distributions; otherwise each row is interpolated at ``real``'s quantile midpoints.
+    """
     np.clip(sims, real[0], real[-1], out=sims)
     sims.sort(axis=-1)
     n = sims.shape[-1]
@@ -136,23 +130,6 @@ def _distances(real: np.ndarray, sims: np.ndarray) -> list[float]:
     # pairwise as row.mean() does (a column-major block would add column by
     # column).
     return (np.add.reduce(np.abs(d, out=d), axis=-1) / d.shape[-1]).tolist()
-
-
-def stat_distance(
-    real_values,
-    spec: DistributionSpec,
-    sim_count: int,
-    rng: np.random.Generator,
-) -> float:
-    """Sorted-quantile mean absolute distance between data and a candidate.
-
-    Equal counts reduce to the 1-Wasserstein distance between the two
-    empirical distributions; otherwise the simulated sample is interpolated
-    at the real sample's quantile midpoints. Simulated draws are clipped
-    into the observed data range first.
-    """
-    real = _sorted_real(real_values, sim_count)
-    return _distances(real, spec.sample(rng, sim_count)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -176,14 +153,6 @@ class FitReport:
     location: FitSide
     scale: FitSide | None
     fit_error: float
-
-    @property
-    def location_spec(self) -> DistributionSpec:
-        return self.location.best
-
-    @property
-    def scale_spec(self) -> DistributionSpec | None:
-        return self.scale.best if self.scale is not None else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,7 +201,8 @@ def _fit_side(
     count = len(next(iter(columns.values())))
     if not count:
         raise NoValidGridPoint(f"no valid {family.value} candidate in the grid")
-    real = _sorted_real(values, sim_count)
+    real = np.sort(values)
+    check_count("sim_count", sim_count, "need at least one simulated draw")
     states = rngstreams.stream_states(seed, rngstreams.FIT, side_tag, count=count)
 
     def block(span: tuple[int, int]) -> list[float]:

@@ -51,18 +51,6 @@ class MetricResult:
     delta: float
     tie_fraction: float | None = None
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "metric": self.metric.value,
-            "score_a": self.score_a,
-            "score_b": self.score_b,
-            "comparison": self.comparison,
-            "delta": self.delta,
-        }
-        if self.tie_fraction is not None:
-            out["tie_fraction"] = self.tie_fraction
-        return out
-
 
 # -- the metric kernel ----------------------------------------------------------
 #

@@ -44,14 +44,13 @@ from .errors import (
     check_count,
 )
 from .inference import _Arm, _chunk_size, _collect, _null_blocks, _null_pool, _spans, _Workspace
-from .metrics import Gold, MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold, triple_items
+from .metrics import Gold, MetricId, comparison, kernel_inputs, pair_scores, triple_items
 from .simulator import ResponseMatrix, check_finite, check_matrices, check_member, simulate_batch
 
 __all__ = [
     "TestId",
     "PowerPoint",
     "PowerReport",
-    "per_item_errors",
     "welch_t_test",
     "wilcoxon_signed_rank",
     "permutation_test_paired",
@@ -69,16 +68,6 @@ class TestId(str, enum.Enum):
     WELCH_T = "welch"
     WILCOXON_SIGNED_RANK = "wilcoxon"
     PERMUTATION_PAIRED = "permutation"
-
-
-# -- per-item errors -----------------------------------------------------------
-
-def per_item_errors(m: ResponseMatrix, g: ResponseMatrix) -> np.ndarray:
-    """|mean(M_i) - mean(G_i)| per item, in item order: the kernel's MAE item scores."""
-    check_matrices(g, m)
-    (gv, mv), counts = kernel_inputs(g, m)
-    cg, cm = counts or (None, None)
-    return model_items(prepare_gold((MetricId.MAE,), gv, cg), mv, cm)[0]
 
 
 # -- baseline samples -------------------------------------------------------------

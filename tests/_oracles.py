@@ -174,7 +174,8 @@ def power_trial_oracle(config, test, trial) -> float:
     Derives the trial's generator, draws its (G, A, B) triple with
     ``simulate_batch`` and applies the test through the public test
     functions; a test that draws continues the generator where the
-    simulation left it. Data without evidence give p = 1.
+    simulation left it. The baselines' per-item errors are taken one item
+    at a time, |mean(A row) - mean(G row)|. Data without evidence give p = 1.
     """
     from raterpower import power
     from raterpower.errors import DegenerateVariance
@@ -186,7 +187,7 @@ def power_trial_oracle(config, test, trial) -> float:
     if test == power.TestId.MULTISTAGE_BOOTSTRAP:
         return power.multistage_bootstrap_test(
             g, a, b, config.metrics[0], config.phi, config.b_null, rng)
-    err_a, err_b = power.per_item_errors(a, g), power.per_item_errors(b, g)
+    err_a, err_b = (np.array([abs(row.mean() - gold.mean()) for row, gold in zip(m.rows, g.rows)]) for m in (a, b))
     if test == power.TestId.WELCH_T:
         try:
             return power.welch_t_test(err_a, err_b)

@@ -14,6 +14,7 @@ from _oracles import (
     emd_transport_oracle,
     p_value_oracle,
     permutation_enumeration_oracle,
+    sample_oracle,
     wilcoxon_enumeration_oracle,
 )
 
@@ -363,7 +364,7 @@ def test_c8_fit_self_recovery():
     rng = derive_rng(800)
     loc_truth = folded_normal(0.19, 0.11, lo=0.0, hi=1.0)
     scale_truth = uniform(0.0, 0.3)
-    stats = ItemStats(loc_truth.sample(rng, 30_000), scale_truth.sample(rng, 30_000))
+    stats = ItemStats(sample_oracle(loc_truth, rng, 30_000), sample_oracle(scale_truth, rng, 30_000))
     step = 0.01
     around = lambda center: tuple(round(center + step * i, 10) for i in range(-2, 3))
     report = fit_prior(

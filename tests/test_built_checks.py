@@ -37,6 +37,7 @@ TINY = {"n_items": 5, "k_responses": 2, "b_alt": 4, "b_null": 4}
     (ExperimentConfig, {"metrics": ("maee",)}, "metrics"),
     (ExperimentConfig, {"metrics": "mae"}, "metrics"),
     (ExperimentConfig, {"metrics": ()}, "metrics"),
+    (ExperimentConfig, {"metrics": ("mae", MetricId.WINS, MetricId.MAE)}, "metrics"),
     (ExperimentConfig, {"phi": "all,boot"}, "phi"),
     (SamplingStrategy, {"items": "bot"}, "phi"),
     (SamplingStrategy, {"responses": "sometimes"}, "phi"),
@@ -112,6 +113,7 @@ SPEC = {"family": "uniform", "params": {"lo": 0.0, "hi": 0.3}}
     ("--config", json.dumps({"phi": 5}), "phi"),
     ("--config", json.dumps({"metrics": "mae"}), "metrics"),
     ("--config", json.dumps({"metrics": None}), "metrics"),
+    ("--config", json.dumps({"metrics": ["mae", "mae"]}), "metrics"),
     ("--config", json.dumps({"mode": "x"}), "mode"),
     ("--config", json.dumps({"epsilon": "a"}), "epsilon"),
     ("--config", json.dumps({"levels": 1}), "levels"),
@@ -160,6 +162,7 @@ def test_an_unreadable_config_file_still_exits_1(flag, tmp_path, capsys, monkeyp
     (["--alpha", "1.5"], "alpha"),
     (["--seed", "-1"], "seed"),
     (["--levels", "1"], "levels"),
+    (["--metric", "mae,mae"], "metrics"),
 ])
 def test_a_config_error_exits_2_before_any_input_file_is_read(flags, field, tmp_path, capsys, monkeypatch):
     # The input files used to be read first, so their absence exited 1.

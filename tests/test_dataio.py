@@ -72,6 +72,21 @@ def test_parse_error_carries_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_a_boolean_response_is_a_parse_error_naming_its_line(tmp_path, capsys):
+    # Used to load as 1.0 and 0.0, since float(True) is 1.0.
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"item_id": "a", "responses": [0.5]}\n{"item_id": "b", "responses": [true, false]}\n',
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_responses(path)
+    assert err.value.line == 2
+    assert main(["ecdf", "--input", str(path)]) == 1
+    assert capsys.readouterr().out == ""
+    # Numeric text stays a number.
+    path.write_text('{"item_id": "a", "responses": ["0.25", 1]}\n', encoding="utf-8")
+    assert list(load_responses(path).rows[0]) == [0.25, 1.0]
+
+
 def test_jsonl_round_trip(tmp_path):
     m = ResponseMatrix.from_rows([("a", [0.5, 0.25]), ("b", [1.0])])
     path = tmp_path / "m.jsonl"

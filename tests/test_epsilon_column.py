@@ -12,6 +12,7 @@ import types
 
 import numpy as np
 import pytest
+from _oracles import sample_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
@@ -47,8 +48,8 @@ def _normal_responses(rng, loc, sigma, k, levels):
 def _simulate_oracle(config, rng, c):
     """The simulator's stream with rng.normal and rng.uniform draws."""
     n, k, levels = config.n_items, config.k_responses, config.family.levels
-    mu = config.prior.location.sample(rng, c * n).reshape(c, n)
-    sigma = config.prior.scale.sample(rng, c * n).reshape(c, n)
+    mu = sample_oracle(config.prior.location, rng, c * n).reshape(c, n)
+    sigma = sample_oracle(config.prior.scale, rng, c * n).reshape(c, n)
     g = _normal_responses(rng, mu, sigma, k, levels)
     a = _normal_responses(rng, mu, sigma, k, levels)
     delta = rng.uniform(-config.epsilon, config.epsilon, (c, n))

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from raterpower import fitting
 from raterpower.distributions import _PARAMS, DistributionSpec, Family, valid_columns
 from raterpower.errors import InvalidParam
-from raterpower.fitting import _distances, _fit_side, grid_columns, stat_distance
+from raterpower.fitting import _distances, _fit_side, grid_columns
 from raterpower.rngstreams import FIT, derive_rng
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
@@ -95,9 +95,10 @@ def test_block_transform_matches_sample_oracle(block, count, seed):
     want = [sample_oracle(spec, derive_rng(seed, i), count) for i, spec in enumerate(specs)]
     got = DistributionSpec.transform(family, columns, block)
     for i, spec in enumerate(specs):
+        # One spec's scalar params, as the simulator transforms its prior's draws.
         rng, want_rng = derive_rng(seed, i), derive_rng(seed, i)
         assert got[i].tobytes() == want[i].tobytes()
-        assert spec.sample(rng, count).tobytes() == want[i].tobytes()
+        assert DistributionSpec.transform(family, spec.params, _raw(spec, rng, count)).tobytes() == want[i].tobytes()
         sample_oracle(spec, want_rng, count)
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -198,7 +199,8 @@ def test_fit_side_matches_candidate_loop(family, grid, fixed, sim_count, monkeyp
     best, distance = fit_side_oracle(VALUES, candidates, sim_count, 5, 1)
     for i, spec in enumerate(candidates):
         want = fit_distance_oracle(VALUES, sample_oracle(spec, derive_rng(5, FIT, 1, i), sim_count))
-        assert stat_distance(VALUES, spec, sim_count, derive_rng(5, FIT, 1, i)) == want
+        sims = DistributionSpec.transform(family, spec.params, _raw(spec, derive_rng(5, FIT, 1, i), sim_count))
+        assert _distances(np.sort(VALUES), sims[None]) == [want]
     # Blocks of 1 and 7 candidates, and one block for the whole grid.
     for rows in (1, 7, len(candidates)):
         monkeypatch.setattr(fitting, "_FIT_BLOCK", rows * sim_count)

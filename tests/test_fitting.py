@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from _oracles import cdf_oracle
+from _oracles import cdf_oracle, fit_distance_oracle, sample_oracle
 
-from raterpower import ItemStats, ResponseMatrix, ecdf, fit_prior, per_item_stats, stat_distance
-from raterpower.distributions import Family, truncated_normal, uniform
+from raterpower import ItemStats, ResponseMatrix, ecdf, fit_prior, per_item_stats
+from raterpower.distributions import DistributionSpec, Family, truncated_normal, uniform
+from raterpower.fitting import _distances
 from raterpower.errors import EmptyItem, EmptySample, InvalidParam, NoValidGridPoint
 from raterpower.rngstreams import derive_rng
 
@@ -43,7 +44,7 @@ def test_ecdf_midpoint():
 
 
 def test_ecdf_close_to_uniform_identity():
-    x = uniform(0, 1).sample(derive_rng(41), 10_000)
+    x = sample_oracle(uniform(0, 1), derive_rng(41), 10_000)
     curve = ecdf(x)
     grid = np.linspace(0, 1, 501)
     assert np.max(np.abs(curve(grid) - grid)) < 0.02
@@ -54,35 +55,39 @@ def test_ecdf_empty_rejected():
         ecdf([])
 
 
-def test_stat_distance_self_distance_small():
+def _distance(real, sims) -> float:
+    """The fit distance of data ``real`` to one candidate's draws ``sims``, checked against the oracle."""
+    d = _distances(np.sort(real), np.array(sims, dtype=float)[None])[0]
+    assert d == fit_distance_oracle(real, sims)
+    return d
+
+
+def test_fit_distance_self_distance_small():
     spec = truncated_normal(-0.5, 1.0, 0.0, 1.0)
-    real = spec.sample(derive_rng(42), 20_000)
-    d = stat_distance(real, spec, 100_000, derive_rng(43))
-    assert d < 0.01
+    real = sample_oracle(spec, derive_rng(42), 20_000)
+    assert _distance(real, sample_oracle(spec, derive_rng(43), 100_000)) < 0.01
 
 
-def test_stat_distance_degenerate_gap():
-    spec = uniform(1.0, 1.0)
+def test_fit_distance_degenerate_gap():
     # Candidate draws are clipped into the observed range before comparing.
-    assert stat_distance([0.0, 0.0], spec, 10, derive_rng(44)) == 0.0
-    wide = uniform(0.0, 0.0)
-    assert stat_distance([1.0, 1.0, 0.0], wide, 9, derive_rng(45)) == pytest.approx(2 / 3)
+    assert _distance([0.0, 0.0], np.full(10, 1.0)) == 0.0
+    assert _distance([1.0, 1.0, 0.0], np.zeros(9)) == pytest.approx(2 / 3)
 
 
-def test_stat_distance_symmetry_at_equal_counts():
+def test_fit_distance_symmetry_at_equal_counts():
+    # Both samples span [0, 1], so neither is clipped into the other's range.
     rng = derive_rng(46)
-    x = np.sort(rng.random(100))
-    y = np.sort(rng.random(100))
-    assert np.abs(x - y).mean() == pytest.approx(np.abs(y - x).mean())
+    x, y = (np.concatenate([[0.0, 1.0], rng.random(98)]) for _ in range(2))
+    assert _distance(x, y) == _distance(y, x)
 
 
-def test_stat_distance_converges_with_size():
+def test_fit_distance_converges_with_size():
     spec = uniform(0.0, 0.3)
     sizes = (500, 5_000, 50_000)
     dists = []
     for i, n in enumerate(sizes):
-        real = spec.sample(derive_rng(47, i), n)
-        dists.append(stat_distance(real, spec, 2 * n, derive_rng(48, i)))
+        real = sample_oracle(spec, derive_rng(47, i), n)
+        dists.append(_distance(real, sample_oracle(spec, derive_rng(48, i), 2 * n)))
     assert dists[2] < dists[0]
     assert dists[2] < 0.005
 
@@ -122,7 +127,7 @@ def test_fit_prior_self_recovery_truncated_normal():
     # worth of W1 distance of the truth.
     rng = derive_rng(49)
     truth = truncated_normal(-0.5, 1.0, 0.0, 1.0)
-    means = truth.sample(rng, 20_000)
+    means = sample_oracle(truth, rng, 20_000)
     stats = ItemStats(means, np.full(20_000, 0.1))
     step = 0.05
     grid = {
@@ -149,7 +154,7 @@ def test_fit_prior_recovers_mu_on_identifiable_axis():
     # With sigma known the location axis is well identified.
     rng = derive_rng(53)
     truth = truncated_normal(-0.5, 1.0, 0.0, 1.0)
-    means = truth.sample(rng, 50_000)
+    means = sample_oracle(truth, rng, 50_000)
     stats = ItemStats(means, np.full(50_000, 0.1))
     report = fit_prior(
         stats,
@@ -186,10 +191,6 @@ def test_fit_error_is_minimum_of_surface():
         {"lo": lo, "hi": hi} for lo in grid["lo"] for hi in grid["hi"]
     ]
     for i, params in enumerate(candidates):
-        from raterpower.distributions import DistributionSpec
-
         spec = DistributionSpec(Family.UNIFORM, params)
-        distances.append(
-            stat_distance(stats.means, spec, 20_000, derive_rng(52, 4, 0, i))
-        )
+        distances.append(_distance(stats.means, sample_oracle(spec, derive_rng(52, 4, 0, i), 20_000)))
     assert report.location.distance == pytest.approx(min(distances))

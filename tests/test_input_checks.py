@@ -37,13 +37,11 @@ from raterpower import (
     fit_prior,
     mean_metric_scores,
     multistage_bootstrap_test,
-    per_item_errors,
     per_item_stats,
     permutation_test_paired,
     power_sweeps,
     run_columns,
     run_experiment,
-    stat_distance,
     welch_t_test,
     wilcoxon_signed_rank,
 )
@@ -89,7 +87,6 @@ ENTRY_POINTS = {
                     True),
     "multistage_bootstrap_test": (
         lambda g, a, b, tmp: multistage_bootstrap_test(g, a, b, b_null=20, rng=derive_rng(1)), True),
-    "per_item_errors": (lambda g, a, b, tmp: per_item_errors(a, g), True),
     **{f"evaluate {metric.value}": ((lambda g, a, b, tmp, metric=metric: evaluate(metric, a, b, g)), True)
        for metric in MetricId},
     "per_item_stats": (lambda g, a, b, tmp: per_item_stats(a), False),
@@ -147,7 +144,6 @@ RAW_ENTRY_POINTS = {
     "emd_1d x": lambda bad: emd_1d(bad, OK),
     "emd_1d y": lambda bad: emd_1d(OK, bad),
     "ecdf": lambda bad: ecdf(bad),
-    "stat_distance": lambda bad: stat_distance(bad, uniform(0.0, 1.0), 50, derive_rng(1)),
     "ItemStats means": lambda bad: ItemStats(np.array(bad), np.array(OK)),
     "ItemStats stds": lambda bad: ItemStats(np.array(OK), np.array(bad)),
 }
@@ -212,17 +208,20 @@ COUNT_ENTRY_POINTS = {
     "mean_metric_scores n_samples": lambda bad: mean_metric_scores(SMALL, bad),
     "estimate_power trials": lambda bad: estimate_power(SMALL, TestId.WELCH_T, bad),
     "power_sweeps trials": lambda bad: power_sweeps(SMALL, tuple(TestId), bad, "n_items", (3,)),
+    # A sweep point is a count of its axis: each is checked before any trial runs.
+    "power_sweeps n_items value": lambda bad: power_sweeps(SMALL, (TestId.WELCH_T,), 2, "n_items", (3, bad)),
+    "power_sweeps k_responses value": lambda bad: power_sweeps(SMALL, (TestId.WELCH_T,), 2, "k_responses", (bad,)),
     "run_experiment n_items": lambda bad: run_experiment(SMALL.with_(n_items=bad)),
     "run_experiment k_responses": lambda bad: run_experiment(SMALL.with_(k_responses=bad)),
     "run_experiment b_alt": lambda bad: run_experiment(SMALL.with_(b_alt=bad)),
     "run_experiment b_null": lambda bad: run_experiment(SMALL.with_(b_null=bad)),
-    "stat_distance sim_count": lambda bad: stat_distance(OK, uniform(0.0, 1.0), bad, derive_rng(1)),
     "fit_prior sim_count": lambda bad: _fit(sim_count=bad),
     # The library used to run serially on threads 0 or -1, which the CLI rejects.
     "run_experiment threads": lambda bad: run_experiment(SMALL, threads=bad),
     "run_columns threads": lambda bad: run_columns([(SMALL, (0.0,))], threads=bad),
     "mean_metric_scores threads": lambda bad: mean_metric_scores(SMALL, 2, threads=bad),
     "power_sweeps threads": lambda bad: power_sweeps(SMALL, (TestId.WELCH_T,), 2, "n_items", (3,), threads=bad),
+    "estimate_power threads": lambda bad: estimate_power(SMALL, TestId.WELCH_T, 2, threads=bad),
     "fit_prior threads": lambda bad: _fit(threads=bad),
     # levels=2.5 used to map labels by 1.5, then fail with ValueOutOfRange.
     "load_responses levels": lambda bad: _load_levels(bad),
@@ -349,13 +348,15 @@ def _stats():
     return ItemStats(np.array(OK), np.array(OK))
 
 
-# entry point -> (call with one metric, phi or family argument set to ``bad``, the argument's name).
+# entry point -> (call with one metric, phi, test, axis or family argument set to ``bad``, the argument's name).
 ENUM_ENTRY_POINTS = {
     "evaluate metric": (lambda bad: evaluate(bad, *_triple(None)[1:], _triple(None)[0]), "metric"),
     "multistage_bootstrap_test metric": (
         lambda bad: multistage_bootstrap_test(*_triple(None), metric=bad, b_null=5, rng=derive_rng(1)), "metric"),
     "multistage_bootstrap_test phi": (
         lambda bad: multistage_bootstrap_test(*_triple(None), phi=bad, b_null=5, rng=derive_rng(1)), "phi"),
+    "estimate_power test": (lambda bad: estimate_power(SMALL, bad, 2), "tests"),
+    "power_sweeps axis": (lambda bad: power_sweeps(SMALL, (TestId.WELCH_T,), 2, bad, (3,)), "axis"),
     "fit_prior location_family": (lambda bad: fit_prior(_stats(), bad, {"lo": (0.0,), "hi": (1.0,)}),
                                   "location_family"),
     "fit_prior scale_family": (lambda bad: fit_prior(_stats(), Family.UNIFORM, {"lo": (0.0,), "hi": (1.0,)},
@@ -377,7 +378,7 @@ def test_metric_phi_and_family_arguments_raise_naming_themselves(entry, bad):
 def test_a_metric_test_or_family_name_acts_as_its_member():
     g, a, b = _triple(None)
     for metric in MetricId:
-        assert evaluate(metric.value, a, b, g).to_json_dict() == evaluate(metric, a, b, g).to_json_dict()
+        assert evaluate(metric.value, a, b, g) == evaluate(metric, a, b, g)
         assert (multistage_bootstrap_test(g, a, b, metric.value, b_null=20, rng=derive_rng(1))
                 == multistage_bootstrap_test(g, a, b, metric, b_null=20, rng=derive_rng(1)))
     assert (multistage_bootstrap_test(g, a, b, phi=SamplingStrategy.parse("all,boot"), b_null=20, rng=derive_rng(1))

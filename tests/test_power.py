@@ -14,14 +14,12 @@ from _oracles import (
 from raterpower import (
     ExperimentConfig,
     ItemPrior,
-    ResponseMatrix,
     SamplingStrategy,
     TestId,
     default_synthetic_prior,
     estimate_power,
     generate_triple,
     multistage_bootstrap_test,
-    per_item_errors,
     permutation_test_paired,
     power_sweeps,
     welch_t_test,
@@ -30,63 +28,9 @@ from raterpower import (
 from raterpower import inference, power, rngstreams
 from raterpower.cli import main
 from raterpower.distributions import uniform
-from raterpower.errors import (
-    AllZeroDifferences,
-    DegenerateVariance,
-    EmptyItem,
-    InvalidParam,
-    ItemMismatch,
-)
+from raterpower.errors import AllZeroDifferences, DegenerateVariance, InvalidParam
 from raterpower.metrics import MetricId
 from raterpower.rngstreams import derive_rng
-
-
-def matrix(*rows, ids=None):
-    ids = ids or [str(i) for i in range(len(rows))]
-    return ResponseMatrix.from_rows(list(zip(ids, rows)))
-
-
-# -- per_item_errors ------------------------------------------------------------
-
-def test_per_item_errors_identity():
-    g = matrix([0.2, 0.4], [0.6])
-    assert list(per_item_errors(g, g)) == [0.0, 0.0]
-
-
-def test_per_item_errors_hand_value():
-    g = matrix([0.0, 1.0])
-    m = matrix([1.0, 1.0])
-    assert list(per_item_errors(m, g)) == [pytest.approx(0.5)]
-
-
-def test_per_item_errors_shape_and_checks():
-    g = matrix([0.1], [0.2], [0.3])
-    assert per_item_errors(g, g).shape == (3,)
-    with pytest.raises(ItemMismatch):
-        per_item_errors(g, matrix([0.1], [0.2], [0.3], ids=["a", "b", "c"]))
-    with pytest.raises(EmptyItem):
-        per_item_errors(ResponseMatrix.from_rows([("0", [])]), matrix([0.1], ids=["0"]))
-
-
-@pytest.mark.parametrize("ragged", [False, True], ids=["rectangular", "ragged"])
-def test_per_item_errors_scores_the_model_once(ragged, monkeypatch):
-    # The errors used to come from a triple (G, M, M), which scored M twice.
-    from raterpower import metrics
-
-    calls, original = [], metrics.model_items
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(metrics, "model_items", spy)
-    monkeypatch.setattr(power, "model_items", spy, raising=False)
-    g = matrix([0.0, 1.0], [0.5], [0.25, 0.75]) if ragged else matrix([0.0, 1.0], [0.5, 0.5], [0.25, 0.75])
-    m = matrix([1.0, 1.0], [0.0], [0.5, 0.5]) if ragged else matrix([1.0, 1.0], [0.0, 0.25], [0.5, 0.5])
-    err = per_item_errors(m, g)
-    assert len(calls) == 1
-    want = [abs(np.mean(x) - np.mean(y)) for x, y in zip(m.rows, g.rows)]
-    assert err.tolist() == want
 
 
 # -- Welch ------------------------------------------------------------------------

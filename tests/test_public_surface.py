@@ -21,9 +21,8 @@ PACKAGE = {
     "ResponseFamily", "ResponseMatrix", "SamplingStrategy", "TestId", "check_matrices",
     "default_synthetic_prior", "ecdf", "emd_1d", "estimate_p_value", "estimate_power", "evaluate",
     "fit_prior", "generate_triple", "mean_metric_scores", "multidomain_prior",
-    "multistage_bootstrap_test", "per_item_errors", "per_item_stats", "permutation_test_paired",
-    "power_sweeps", "run_columns", "run_experiment", "stat_distance", "toxicity_prior", "welch_t_test",
-    "wilcoxon_signed_rank",
+    "multistage_bootstrap_test", "per_item_stats", "permutation_test_paired", "power_sweeps", "run_columns",
+    "run_experiment", "toxicity_prior", "welch_t_test", "wilcoxon_signed_rank",
 }
 
 # Each module's __all__; None for a module that defines none.
@@ -33,12 +32,11 @@ MODULES = {
     "dataio": {"load_responses", "save_matrix"},
     "distributions": None,
     "errors": None,
-    "fitting": {"ItemStats", "Ecdf", "FitReport", "per_item_stats", "ecdf", "stat_distance", "grid_columns",
-                "fit_prior"},
+    "fitting": {"ItemStats", "Ecdf", "FitReport", "per_item_stats", "ecdf", "grid_columns", "fit_prior"},
     "inference": {"estimate_p_value", "run_experiment", "run_columns", "mean_metric_scores", "Direction",
                   "MetricPValue", "PValueReport"},
     "metrics": {"MetricId", "MetricResult", "emd_1d", "evaluate"},
-    "power": {"TestId", "PowerPoint", "PowerReport", "per_item_errors", "welch_t_test", "wilcoxon_signed_rank",
+    "power": {"TestId", "PowerPoint", "PowerReport", "welch_t_test", "wilcoxon_signed_rank",
               "permutation_test_paired", "multistage_bootstrap_test", "estimate_power", "sweep_configs",
               "power_sweeps"},
     "rngstreams": None,
@@ -61,7 +59,7 @@ TEST_ONLY = {
 def test_package_exports():
     # Exports load on first access, so vars(raterpower) holds only those read so far.
     assert set(raterpower.__all__) == PACKAGE
-    assert len(raterpower.__all__) == len(PACKAGE) == 39
+    assert len(raterpower.__all__) == len(PACKAGE) == 37
     listed = {name for name in dir(raterpower)
               if not name.startswith("_") and not isinstance(getattr(raterpower, name), types.ModuleType)}
     assert listed == PACKAGE

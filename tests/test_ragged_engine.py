@@ -33,7 +33,6 @@ from raterpower import inference
 from raterpower.errors import EmptyItem, ItemMismatch
 from raterpower.inference import _summary
 from raterpower.metrics import MetricId, comparison, kernel_inputs, model_items, pair_scores, prepare_gold
-from raterpower.power import per_item_errors
 from raterpower.rngstreams import derive_rng
 
 METRICS = (MetricId.MAE, MetricId.WINS, MetricId.MEMD)
@@ -82,7 +81,9 @@ def test_per_item_reductions_match_rows(triple):
     assert np.array_equal(stats.means, [row.mean() for row in g.rows])
     assert np.array_equal(stats.stds, [row.std() for row in g.rows])
     errors = [abs(x.mean() - y.mean()) for x, y in zip(a.rows, g.rows)]
-    assert np.array_equal(per_item_errors(a, g), errors)
+    (xg, xa), counts = kernel_inputs(g, a)
+    cg, ca = counts or (None, None)
+    assert np.array_equal(model_items(prepare_gold((MetricId.MAE,), xg, cg), xa, ca)[0], errors)
 
 
 def _gathered(x, c, step):
